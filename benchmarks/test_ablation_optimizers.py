@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from benchmarks._harness import publish_table, run_once
-from repro.core import CrowdMLServer, Device, DeviceConfig, ServerConfig
+from repro.core import Device, DeviceConfig, ServerConfig, ServerCore
 from repro.core.protocol import CheckoutRequest
 from repro.data import iid_partition, make_mnist_like
 from repro.evaluation import test_error as compute_test_error
@@ -64,7 +64,7 @@ def run_ablation():
     rows = {}
     for name, make_optimizer in optimizers.items():
         optimizer = make_optimizer()
-        server = CrowdMLServer(model, optimizer, ServerConfig(max_iterations=10**9))
+        server = ServerCore(model, optimizer, ServerConfig(max_iterations=10**9))
         drive(server, model, parts, epsilon, seed=1)
         params = (
             optimizer.averaged_parameters

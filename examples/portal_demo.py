@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import CrowdMLServer, Device, ServerConfig
+from repro.core import Device, ServerConfig, ServerCore
 from repro.core.protocol import CheckoutRequest
 from repro.data import ACTIVITY_NAMES, NUM_ACTIVITIES, make_activity_stream
 from repro.models import MulticlassLogisticRegression
@@ -30,7 +30,7 @@ MONITORING_FRACTION = 0.4
 
 def main() -> None:
     model = MulticlassLogisticRegression(64, NUM_ACTIVITIES)
-    server = CrowdMLServer(model, config=ServerConfig(max_iterations=10_000))
+    server = ServerCore(model, config=ServerConfig(max_iterations=10_000))
     task = TaskDescriptor(
         task_id="activity-2015",
         name="Crowd activity recognition",

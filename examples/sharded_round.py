@@ -161,7 +161,7 @@ def main() -> int:
                           f"(kill #{killer.kills})", flush=True)
         status = client.status()
         internal_errors = frontend.errors_returned.get("internal", 0)
-        stats = supervisor.stats()
+        stats = supervisor.stats_snapshot()
     finally:
         frontend.stop()
         exit_codes = supervisor.stop(graceful=True)

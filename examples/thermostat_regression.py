@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from repro.core import CrowdMLServer, Device, DeviceConfig, ServerConfig
+from repro.core import Device, DeviceConfig, ServerConfig, ServerCore
 from repro.core.protocol import CheckoutRequest
 from repro.data import THERMOSTAT_DIM, make_thermostat_split
 from repro.models import RidgeRegression
@@ -40,7 +40,7 @@ def run(epsilon: float) -> float:
         THERMOSTAT_DIM, l2_regularization=1e-4, residual_bound=2.0,
         error_tolerance=0.2,
     )
-    server = CrowdMLServer(
+    server = ServerCore(
         model,
         optimizer=SGD(model.init_parameters(), InverseSqrtRate(5.0),
                       L2BallProjection(50.0)),

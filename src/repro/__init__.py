@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import math
 
-from repro.core import CrowdMLServer, Device, DeviceConfig, ServerConfig
+from repro.core import Device, DeviceConfig, ServerConfig, ServerCore
 from repro.data import make_cifar_like, make_mnist_like
 from repro.experiments import (
     ArmSpec,
@@ -130,12 +130,11 @@ from repro.simulation import (
 )
 from repro.store import RunStore, StoreError
 
-__version__ = "1.6.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "AggregatorStats",
     "ArmSpec",
-    "CrowdMLServer",
     "CrowdService",
     "CrowdSimulator",
     "DATASETS",
@@ -163,6 +162,7 @@ __all__ = [
     "RunTrace",
     "SCHEDULES",
     "ServerConfig",
+    "ServerCore",
     "ServiceClient",
     "SimulationConfig",
     "StoreError",

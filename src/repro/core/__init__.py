@@ -2,7 +2,7 @@
 
 Workflow (Fig. 2): a :class:`~repro.core.device.Device` buffers samples and,
 once a minibatch is full, checks out the current ``w`` from the
-:class:`~repro.core.server.CrowdMLServer`, computes and sanitizes the
+:class:`~repro.core.server_core.ServerCore`, computes and sanitizes the
 averaged gradient, and checks the statistics back in; the server applies
 the asynchronous SGD update.  All privacy happens on-device
 (:class:`~repro.core.sanitizer.CheckinSanitizer`), so nothing unsanitized
@@ -27,7 +27,6 @@ from repro.core.protocol import (
     CheckoutResponse,
 )
 from repro.core.sanitizer import CheckinSanitizer, SanitizedCheckin
-from repro.core.server import CrowdMLServer
 from repro.core.server_core import RoundOutcome, ServerCore
 from repro.core.stopping import StopDecision, StopReason, evaluate_stopping
 
@@ -45,7 +44,6 @@ __all__ = [
     "CheckinSanitizer",
     "CheckoutRequest",
     "CheckoutResponse",
-    "CrowdMLServer",
     "Device",
     "DeviceConfig",
     "DeviceRegistry",

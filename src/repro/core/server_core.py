@@ -5,8 +5,8 @@ the Eq. 14 progress monitor, and exposes the server side of the Fig. 2
 workflow as **batch-native endpoints**:
 
 * :meth:`ServerCore.handle_checkout` / :meth:`ServerCore.handle_checkin`
-  — the single-message wire semantics (reject by raising), unchanged from
-  the original :class:`~repro.core.server.CrowdMLServer` routines;
+  — the single-message wire semantics (reject by raising) of Server
+  Routines 1 and 2;
 * :meth:`ServerCore.handle_checkins` — apply a whole batch of check-ins,
   amortizing the stopping rule once per batch and returning ``None`` in
   place of an ack for each rejected message.  State transitions are
@@ -19,9 +19,7 @@ workflow as **batch-native endpoints**:
   with no per-message closures or event-queue traffic.
 
 The core never touches a network: transports
-(:mod:`repro.network.transport`) decide how messages travel, and
-:class:`~repro.core.server.CrowdMLServer` remains as a thin single-message
-shim for existing callers.
+(:mod:`repro.network.transport`) decide how messages travel.
 
 The stopping decision is cached between state changes — protocol
 endpoints evaluate it per message, but it can only change when an update

@@ -34,15 +34,14 @@ from __future__ import annotations
 
 import os
 import random
-import signal
 import socket
 import subprocess
-import sys
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import urlparse
 
+from repro.serve.launch import LaunchError, crash, launch, shut_down
 from repro.utils.exceptions import ReproError
 
 _CRLF2 = b"\r\n\r\n"
@@ -154,7 +153,7 @@ class FaultyProxy:
     def port(self) -> int:
         return self._port
 
-    def stats(self) -> Dict[str, int]:
+    def stats_snapshot(self) -> Dict[str, int]:
         """A *consistent* snapshot of the fault counters.
 
         Taken under the same lock the handler threads increment with, so
@@ -165,16 +164,6 @@ class FaultyProxy:
         """
         with self._counter_lock:
             return dict(self._counts)
-
-    @property
-    def counts(self) -> Dict[str, int]:
-        """Back-compat alias for :meth:`stats` (a snapshot, not the live
-        dict — mutations do not feed back into the proxy)."""
-        return self.stats()
-
-    def stats_snapshot(self) -> Dict[str, int]:
-        """Uniform plain-dict counter snapshot (:mod:`repro.obs` idiom)."""
-        return self.stats()
 
     def set_upstream(self, upstream_port: int, upstream_host: str = "127.0.0.1") -> None:
         """Point subsequent connections at a (restarted) upstream."""
@@ -335,38 +324,22 @@ class ServeProcess:
         """Spawn and wait for the ``serving on <url>`` announcement."""
         if self.running:
             raise FaultInjectionError("server already running")
-        last_stderr = ""
+        last_error: Optional[LaunchError] = None
         for attempt in range(attempts):
-            process = subprocess.Popen(
-                [sys.executable, "-m", "repro.serve.cli", *self.cli_args],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                text=True, env=self.env,
-            )
-            deadline = time.monotonic() + timeout
-            line = ""
-            while time.monotonic() < deadline:
-                line = process.stdout.readline()
-                if line.startswith("serving on ") or not line:
-                    break
-            if line.startswith("serving on "):
-                self.process = process
-                self.url = line.split("serving on ", 1)[1].strip()
+            try:
+                self.process, self.url = launch(self.cli_args, self.env, timeout)
                 return self.url
-            # Spawn failed (e.g. the killed predecessor's port not yet
-            # released) — reap and retry.
-            process.kill()
-            _, last_stderr = process.communicate()
-            time.sleep(0.2 * (attempt + 1))
-        raise FaultInjectionError(
-            f"repro-serve failed to announce a URL; last stderr:\n{last_stderr}"
-        )
+            except LaunchError as error:
+                # E.g. the killed predecessor's port not yet released.
+                last_error = error
+                time.sleep(0.2 * (attempt + 1))
+        raise FaultInjectionError(f"after {attempts} attempts: {last_error}")
 
     def sigkill(self) -> None:
         """The crash under test: no handlers, no flush, instant death."""
         if not self.running:
             raise FaultInjectionError("no running server to kill")
-        self.process.send_signal(signal.SIGKILL)
-        self.process.wait(timeout=30)
+        crash(self.process)
         self.kills += 1
         self.process = None
 
@@ -374,22 +347,14 @@ class ServeProcess:
         """Graceful SIGTERM; returns the exit code."""
         if self.process is None:
             raise FaultInjectionError("no server process to terminate")
-        if self.process.poll() is None:
-            self.process.send_signal(signal.SIGTERM)
-        try:
-            self.process.wait(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            self.process.kill()
-            self.process.wait(timeout=timeout)
-        code = self.process.returncode
+        code = shut_down(self.process, timeout)
         self.process = None
         return code
 
     def stop(self) -> None:
         """Best-effort cleanup for test teardown."""
-        if self.process is not None and self.process.poll() is None:
-            self.process.kill()
-            self.process.wait(timeout=30)
+        if self.running:
+            crash(self.process)
         self.process = None
 
 

@@ -1,9 +1,9 @@
 """The Web-portal facade (Section V-A): browse tasks, join, view stats.
 
-Binds task descriptors to running :class:`~repro.core.server.CrowdMLServer`
-instances.  Joining a task registers the device with the server's
-authentication registry and hands back everything a device app needs: the
-token and the :class:`~repro.core.config.DeviceConfig` (minibatch size,
+Binds task descriptors to running
+:class:`~repro.core.server_core.ServerCore` instances.  Joining a task
+registers the device with the server's authentication registry and hands
+back everything a device app needs: the token and the :class:`~repro.core.config.DeviceConfig` (minibatch size,
 buffer cap, privacy budget) matching the task's public description.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.core.config import DeviceConfig
-from repro.core.server import CrowdMLServer
+from repro.core.server_core import ServerCore
 from repro.portal.dashboard import Dashboard
 from repro.portal.task import TaskDescriptor
 from repro.utils.exceptions import ConfigurationError
@@ -35,11 +35,11 @@ class Portal:
     Examples
     --------
     >>> import math
-    >>> from repro.core import CrowdMLServer, ServerConfig
+    >>> from repro.core import ServerConfig, ServerCore
     >>> from repro.models import MulticlassLogisticRegression
     >>> from repro.privacy import split_budget
     >>> model = MulticlassLogisticRegression(4, 2)
-    >>> server = CrowdMLServer(model, config=ServerConfig(max_iterations=10))
+    >>> server = ServerCore(model, config=ServerConfig(max_iterations=10))
     >>> task = TaskDescriptor(
     ...     task_id="demo", name="Demo", objective="demo",
     ...     sensors=("accelerometer",), labels=("a", "b"),
@@ -54,14 +54,14 @@ class Portal:
 
     def __init__(self):
         self._tasks: Dict[str, TaskDescriptor] = {}
-        self._servers: Dict[str, CrowdMLServer] = {}
+        self._servers: Dict[str, ServerCore] = {}
         self._dashboards: Dict[str, Dashboard] = {}
         self._next_device_id: Dict[str, int] = {}
 
     def publish(
         self,
         task: TaskDescriptor,
-        server: CrowdMLServer,
+        server: ServerCore,
         *,
         buffer_factor: int = 10,
     ) -> None:
@@ -87,7 +87,7 @@ class Portal:
             raise ConfigurationError(f"unknown task {task_id!r}")
         return self._tasks[task_id]
 
-    def server_for(self, task_id: str) -> CrowdMLServer:
+    def server_for(self, task_id: str) -> ServerCore:
         """The running server behind a task."""
         self.get_task(task_id)
         return self._servers[task_id]

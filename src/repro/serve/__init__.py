@@ -2,7 +2,10 @@
 
 * :mod:`repro.serve.wire` — the versioned envelope schema
   (:data:`~repro.serve.wire.PROTOCOL_VERSION`, typed error payloads).
-* :class:`CrowdService` — stdlib HTTP host owning a
+* :mod:`repro.serve.host` — :class:`~repro.serve.host.HttpHost`, the
+  one stdlib HTTP front (listener, body caps, typed error envelopes,
+  counters, ``/v1/metrics``) that every server mounts its routes on.
+* :class:`CrowdService` — the host owning a
   :class:`~repro.core.server_core.ServerCore`
   (``/v1/checkout``, ``/v1/checkins``, ``/v1/status``, ``/v1/join``).
 * :class:`ServiceClient` — the JSON-over-HTTP client.
@@ -12,7 +15,8 @@
   via ``SimulationConfig(transport="http", server_url=...)``) drive a
   live server.
 * ``repro-serve`` (:mod:`repro.serve.cli`) — launch a service from the
-  command line.
+  command line; :mod:`repro.serve.launch` spawns and signals it as a
+  subprocess.
 """
 
 from repro.serve.client import (

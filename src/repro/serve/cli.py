@@ -46,7 +46,7 @@ import argparse
 import os
 import signal
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import repro
 from repro.core.auth import DeviceRegistry
@@ -58,6 +58,8 @@ from repro.obs.trace import TraceRecorder
 from repro.persist.checkpoint import Checkpointer, CheckpointPolicy, SnapshotStore
 from repro.persist.snapshot import restore_core
 from repro.registry import MODELS, SHARD_ROUTING
+from repro.serve.host import HttpHost
+from repro.serve.launch import ANNOUNCEMENT
 from repro.serve.service import CrowdService
 from repro.serve.wire import PROTOCOL_VERSION
 from repro.utils.exceptions import ReproError
@@ -323,7 +325,7 @@ def run_sharded(args: argparse.Namespace) -> int:
     router = ShardRouter(args.workers, policy=args.shard_policy)
     frontend = ShardFrontEnd(router, supervisor, host=args.host, port=args.port,
                              metrics=metrics)
-    print(f"serving on {frontend.url}", flush=True)
+    print(f"{ANNOUNCEMENT}{frontend.url}", flush=True)
     print(
         f"sharded tier: {args.workers} workers policy={args.shard_policy} "
         f"protocol=v{PROTOCOL_VERSION}",
@@ -332,32 +334,53 @@ def run_sharded(args: argparse.Namespace) -> int:
     for shard, (url, epoch) in sorted(supervisor.endpoints().items()):
         print(f"shard {shard} at {url} epoch {epoch}", flush=True)
 
+    def stop_workers() -> List[str]:
+        codes = supervisor.stop(graceful=True)
+        return [
+            f"shard {shard} worker exited {code}"
+            for shard, code in sorted(codes.items()) if code not in (0, None)
+        ]
+
+    return serve_until_signalled(
+        frontend, stop_workers, f" across {args.workers} shards"
+    )
+
+
+def serve_until_signalled(
+    host: HttpHost, finish: Callable[[], List[str]], served_suffix: str = ""
+) -> int:
+    """Serve until SIGINT/SIGTERM, then stop → drain → ``finish`` → report.
+
+    ``finish`` makes the final state durable once no request is in
+    flight and returns what went wrong (one line each).  Exit code 0
+    means the shutdown was clean, 3 that the drain timed out or
+    ``finish`` reported a problem.
+    """
+
     def _shutdown(signum, frame):
         raise KeyboardInterrupt
 
     signal.signal(signal.SIGTERM, _shutdown)
-    dirty = False
+    problems: List[str] = []
     try:
-        frontend.serve_forever()
+        host.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
-        frontend.stop()
-        if not frontend.drain(timeout=10.0):
-            print("repro-serve: front-end drain timed out", file=sys.stderr)
-            dirty = True
-        codes = supervisor.stop(graceful=True)
-        for shard, code in sorted(codes.items()):
-            if code not in (0, None):
-                print(f"repro-serve: shard {shard} worker exited {code}",
-                      file=sys.stderr)
-                dirty = True
+        host.stop()
+        # Graceful half of durability: requests already inside a handler
+        # get their responses, then the final state is made durable.
+        if not host.drain(timeout=10.0):
+            problems.append("shutdown drain timed out")
+        problems += finish()
+        for problem in problems:
+            print(f"repro-serve: {problem}", file=sys.stderr)
         print(
-            f"served {frontend.requests_served} requests "
-            f"({frontend.total_errors} errors) across {args.workers} shards",
+            f"served {host.requests_served} requests "
+            f"({host.total_errors} errors){served_suffix}",
             file=sys.stderr,
         )
-    return 3 if dirty else 0
+    return 3 if problems else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -371,7 +394,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     # The announcement line is a stable contract: scripts scrape the
     # bound (possibly ephemeral) port from it.
-    print(f"serving on {service.url}", flush=True)
+    print(f"{ANNOUNCEMENT}{service.url}", flush=True)
     print(
         f"model={args.model} d={args.num_features} C={args.num_classes} "
         f"protocol=v{PROTOCOL_VERSION} join={'off' if args.no_join else 'on'}",
@@ -390,33 +413,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             flush=True,
         )
 
-    def _shutdown(signum, frame):
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, _shutdown)
-    dirty = False
-    try:
-        service.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        service.stop()
-        # Graceful half of durability: requests already inside a handler
-        # get their responses, then the final state is made durable.
-        if not service.drain(timeout=10.0):
-            print("repro-serve: shutdown drain timed out", file=sys.stderr)
-            dirty = True
+    def flush_final_snapshot() -> List[str]:
         try:
             service.checkpoint_now()
         except (ReproError, OSError) as error:
-            print(f"repro-serve: final snapshot failed: {error}", file=sys.stderr)
-            dirty = True
-        print(
-            f"served {service.requests_served} requests "
-            f"({service.total_errors} errors)",
-            file=sys.stderr,
-        )
-    return 3 if dirty else 0
+            return [f"final snapshot failed: {error}"]
+        return []
+
+    return serve_until_signalled(service, flush_final_snapshot)
 
 
 if __name__ == "__main__":

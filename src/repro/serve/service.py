@@ -1,12 +1,13 @@
 """``CrowdService`` — an HTTP host for a :class:`ServerCore`.
 
 The transport-agnostic protocol core was designed so a real network
-server could own it unchanged; this module is that server.  It is pure
-stdlib (``http.server``), one thread per connection
-(:class:`~http.server.ThreadingHTTPServer`), with every core access
-serialized through a single lock — :class:`ServerCore` is a plain state
-machine, so the lock *is* the arrival order, exactly like the event
-queue's delivery order in simulation.
+server could own it unchanged; this module is that server: the route
+handlers of Algorithm 2 mounted on an
+:class:`~repro.serve.host.HttpHost` (pure stdlib, one thread per
+connection), with every core access serialized through a single lock —
+:class:`ServerCore` is a plain state machine, so the lock *is* the
+arrival order, exactly like the event queue's delivery order in
+simulation.
 
 Routes (all bodies are :mod:`repro.serve.wire` envelopes except
 ``/v1/metrics``, which serves Prometheus text or a plain JSON snapshot
@@ -28,45 +29,23 @@ no-op singletons, and ``GET /v1/metrics`` still answers 200 with an
 ``enabled: false`` document.
 
 Malformed, version-mismatched, unauthenticated, or stale (task already
-stopped) requests are answered with 4xx ``error`` envelopes; no request,
-however garbled, takes the server down — an unexpected exception in a
-handler is caught, counted, and answered as a 500 ``error`` envelope
-while the service keeps serving.
+stopped) requests are answered with 4xx ``error`` envelopes by the host;
+no request, however garbled, takes the server down.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional
-from urllib.parse import parse_qs, urlparse
 
 from repro.core.server_core import ServerCore
-from repro.obs.metrics import NULL_REGISTRY, render_prometheus
-from repro.obs.trace import NULL_TRACER
 from repro.serve import wire
-from repro.utils.exceptions import AuthenticationError, ProtocolError
-
-#: Requests with a larger declared body are refused outright (413).
-MAX_BODY_BYTES = 64 * 1024 * 1024
-
-#: Metric label values for the per-endpoint series (fixed set, so label
-#: cardinality is bounded whatever clients request).
-_ENDPOINTS = ("join", "checkout", "checkins", "status", "metrics", "other")
-
-_ROUTE_ENDPOINTS = {
-    "/v1/join": "join",
-    "/v1/checkout": "checkout",
-    "/v1/checkins": "checkins",
-    "/v1/status": "status",
-    "/v1/metrics": "metrics",
-}
+from repro.serve.host import HttpHost, Request
+from repro.utils.exceptions import AuthenticationError
 
 
-class CrowdService:
+class CrowdService(HttpHost):
     """Host one :class:`ServerCore` behind a loopback/LAN HTTP endpoint.
 
     Parameters
@@ -123,13 +102,19 @@ class CrowdService:
         metrics=None,
         tracer=None,
     ):
+        super().__init__(
+            {
+                ("POST", "/v1/join"): self._handle_join,
+                ("POST", "/v1/checkout"): self._handle_checkout,
+                ("POST", "/v1/checkins"): self._handle_checkins,
+                ("GET", "/v1/status"): self._handle_status,
+            },
+            "service", host, port, metrics=metrics, tracer=tracer,
+        )
         self._core = core
         self._allow_join = bool(allow_join)
         self._checkpointer = checkpointer
         self._shard_epoch = -1 if shard_epoch is None else int(shard_epoch)
-        self._metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._started_at = time.time()
         if metrics is not None:
             # The service owns all access to the core (and drives the
             # checkpointer), so it is the natural place to (re)bind
@@ -137,133 +122,20 @@ class CrowdService:
             core.attach_metrics(metrics)
             if checkpointer is not None:
                 checkpointer.attach_metrics(metrics)
-        registry = self._metrics
-        self._m_requests = {
-            endpoint: registry.counter("service_requests_total", endpoint=endpoint)
-            for endpoint in _ENDPOINTS
-        }
-        self._m_errors = {
-            endpoint: registry.counter("service_errors_total", endpoint=endpoint)
-            for endpoint in _ENDPOINTS
-        }
-        self._m_latency = {
-            endpoint: registry.histogram(
-                "service_request_seconds", endpoint=endpoint
-            )
-            for endpoint in _ENDPOINTS
-        }
-        self._m_lock_wait = registry.histogram("service_lock_wait_seconds")
-        self._m_lock_wait_last = registry.gauge("service_last_lock_wait_seconds")
-        self._m_inflight = registry.gauge("service_inflight_requests")
+        self._m_lock_wait = self._metrics.histogram("service_lock_wait_seconds")
+        self._m_lock_wait_last = self._metrics.gauge(
+            "service_last_lock_wait_seconds"
+        )
         self._lock = threading.Lock()
-        self._counter_lock = threading.Lock()
-        self._idle = threading.Condition(self._counter_lock)
-        self._inflight = 0
-        self._thread: Optional[threading.Thread] = None
-        self._serving = False
-        self.requests_served = 0
-        #: error responses sent, keyed by wire error code.
-        self.errors_returned: Dict[str, int] = {}
         # Checkout responses are dominated by the encoded parameter
         # vector, which only changes when an update advances the server
         # iteration: cache the encoded fragment keyed by iteration and
         # splice the per-request fields around it.
         self._encoded_parameters: Optional[tuple] = None
-        service = self
-
-        class _Handler(BaseHTTPRequestHandler):
-            # Per-request handler bound to the enclosing service.
-            protocol_version = "HTTP/1.1"
-
-            def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-                pass  # keep request logs out of stdout; counters cover it
-
-            def do_POST(self):
-                service._dispatch(self, "POST")
-
-            def do_GET(self):
-                service._dispatch(self, "GET")
-
-        self._http = ThreadingHTTPServer((host, int(port)), _Handler)
-        self._http.daemon_threads = True
-
-    # -- lifecycle ------------------------------------------------------ #
 
     @property
     def core(self) -> ServerCore:
         return self._core
-
-    @property
-    def host(self) -> str:
-        return self._http.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._http.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    @property
-    def total_errors(self) -> int:
-        return sum(self.errors_returned.values())
-
-    def start(self) -> "CrowdService":
-        """Serve in a daemon thread; returns self for chaining."""
-        if self._thread is not None:
-            raise ProtocolError("service already started")
-        self._serving = True
-        self._thread = threading.Thread(
-            target=self._http.serve_forever, name="crowd-service", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the ``repro-serve`` entry point)."""
-        try:
-            self._serving = True
-            self._http.serve_forever()
-        finally:
-            # An exception (e.g. SIGINT/SIGTERM) may land anywhere in
-            # this frame — including *before* the serve loop's own
-            # shutdown handshake is armed.  Resetting here means a
-            # subsequent stop() never blocks waiting for a loop exit
-            # that already happened (or never started).
-            self._serving = False
-
-    def stop(self) -> None:
-        """Shut the listener down and release the port (idempotent).
-
-        Safe at any lifecycle point: before the serve loop ever ran it
-        only closes the bound socket — ``shutdown()`` would block forever
-        waiting for a loop exit that can never happen.
-        """
-        if self._serving:
-            self._http.shutdown()
-            self._serving = False
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self._http.server_close()
-
-    def drain(self, timeout: float = 10.0) -> bool:
-        """Wait until no request is mid-dispatch; True if quiesced.
-
-        Called after the listener stopped accepting: connections already
-        inside a handler finish and get their responses before the
-        process exits (the graceful-shutdown half of the durability
-        story — the final snapshot must postdate every acked update).
-        """
-        deadline = time.monotonic() + timeout
-        with self._idle:
-            while self._inflight > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._idle.wait(remaining)
-        return True
 
     def checkpoint_now(self) -> Optional[str]:
         """Force a snapshot of the current core state (shutdown flush)."""
@@ -271,127 +143,6 @@ class CrowdService:
             return None
         with self._lock:
             return self._checkpointer.checkpoint(self._core)
-
-    def __enter__(self) -> "CrowdService":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # -- request plumbing ----------------------------------------------- #
-
-    def _dispatch(self, handler: BaseHTTPRequestHandler, method: str) -> None:
-        """Route one request; every exit path sends exactly one response."""
-        with self._idle:
-            self._inflight += 1
-        self._m_inflight.inc()
-        try:
-            self._dispatch_inner(handler, method)
-        finally:
-            self._m_inflight.dec()
-            with self._idle:
-                self._inflight -= 1
-                if self._inflight == 0:
-                    self._idle.notify_all()
-
-    def _dispatch_inner(self, handler: BaseHTTPRequestHandler, method: str) -> None:
-        code = None
-        content_type = "application/json"
-        parsed = urlparse(handler.path)
-        endpoint = _ROUTE_ENDPOINTS.get(parsed.path, "other")
-        trace = self._tracer.begin(f"{method} {parsed.path}")
-        start = time.perf_counter()
-        try:
-            result = self._handle(handler, method, parsed, trace)
-            status, payload = result[0], result[1]
-            if len(result) > 2:
-                content_type = result[2]
-        except wire.WireError as error:
-            code = error.code
-            status, payload = error.http_status, wire.encode_error(code, str(error))
-        except AuthenticationError as error:
-            code = wire.ErrorCode.AUTH_FAILED
-            status, payload = 401, wire.encode_error(code, str(error))
-        except ProtocolError as error:
-            # Stopped-task rejections are raised as typed WireErrors by
-            # the route handlers (checked under the core lock), so a
-            # plain ProtocolError reaching here is a bad payload.
-            code = wire.ErrorCode.MALFORMED
-            status, payload = 400, wire.encode_error(code, str(error))
-        except Exception as error:  # noqa: BLE001 - the server must survive
-            code = wire.ErrorCode.INTERNAL
-            status, payload = 500, wire.encode_error(
-                code, f"{type(error).__name__}: {error}"
-            )
-        if code is not None:
-            # Error paths may not have consumed the request body; on a
-            # kept-alive connection the unread bytes would be parsed as
-            # the next request line, so close instead of desyncing.
-            handler.close_connection = True
-        self._send(handler, status, payload, content_type)
-        elapsed = time.perf_counter() - start
-        with self._counter_lock:
-            self.requests_served += 1
-            if code is not None:
-                self.errors_returned[code] = self.errors_returned.get(code, 0) + 1
-        self._m_requests[endpoint].inc()
-        if code is not None:
-            self._m_errors[endpoint].inc()
-        self._m_latency[endpoint].observe(elapsed)
-        trace.finish(status)
-
-    def _handle(self, handler: BaseHTTPRequestHandler, method: str, parsed, trace):
-        route = (method, parsed.path)
-        if route == ("POST", "/v1/join"):
-            return self._handle_join(self._read_body(handler), trace)
-        if route == ("POST", "/v1/checkout"):
-            return self._handle_checkout(self._read_body(handler), trace)
-        if route == ("POST", "/v1/checkins"):
-            return self._handle_checkins(self._read_body(handler), trace)
-        if route == ("GET", "/v1/status"):
-            query = parse_qs(parsed.query)
-            include = query.get("parameters", ["0"])[-1] not in ("", "0", "false")
-            return self._handle_status(include, trace)
-        if route == ("GET", "/v1/metrics"):
-            query = parse_qs(parsed.query)
-            return self._handle_metrics(query.get("format", ["text"])[-1])
-        if parsed.path in _ROUTE_ENDPOINTS:
-            raise wire.WireError(
-                wire.ErrorCode.METHOD_NOT_ALLOWED,
-                f"{method} not supported on {parsed.path}",
-            )
-        raise wire.WireError(wire.ErrorCode.NOT_FOUND, f"no route {parsed.path}")
-
-    def _read_body(self, handler: BaseHTTPRequestHandler) -> bytes:
-        try:
-            length = int(handler.headers.get("Content-Length", "0"))
-        except ValueError:
-            raise wire.WireError(wire.ErrorCode.MALFORMED, "bad Content-Length header")
-        if length < 0:
-            raise wire.WireError(wire.ErrorCode.MALFORMED, "bad Content-Length header")
-        if length > MAX_BODY_BYTES:
-            raise wire.WireError(
-                wire.ErrorCode.PAYLOAD_TOO_LARGE,
-                f"body of {length} bytes exceeds the {MAX_BODY_BYTES} byte limit",
-            )
-        return handler.rfile.read(length)
-
-    def _send(
-        self,
-        handler: BaseHTTPRequestHandler,
-        status: int,
-        payload: str,
-        content_type: str = "application/json",
-    ) -> None:
-        body = payload.encode("utf-8")
-        try:
-            handler.send_response(status)
-            handler.send_header("Content-Type", content_type)
-            handler.send_header("Content-Length", str(len(body)))
-            handler.end_headers()
-            handler.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away; nothing to answer
 
     # -- route handlers (hold the core lock) ---------------------------- #
 
@@ -404,9 +155,10 @@ class CrowdService:
         self._m_lock_wait_last.set(waited)
         trace.add_phase("lock_wait", waited)
 
-    def _handle_join(self, raw: bytes, trace):
+    def _handle_join(self, request: Request):
+        trace = request.trace
         with trace.phase("decode"):
-            device_id = wire.decode_join_request(raw)
+            device_id = wire.decode_join_request(request.body)
         if not self._allow_join:
             raise AuthenticationError("join is disabled on this service")
         self._acquire_core_lock(trace)
@@ -424,9 +176,10 @@ class CrowdService:
             payload = wire.encode_join_response(device_id, token, last_seq)
         return 200, payload
 
-    def _handle_checkout(self, raw: bytes, trace):
+    def _handle_checkout(self, request: Request):
+        trace = request.trace
         with trace.phase("decode"):
-            request = wire.decode_checkout_request(raw)
+            checkout = wire.decode_checkout_request(request.body)
         self._acquire_core_lock(trace)
         try:
             if self._core.stopped:
@@ -434,7 +187,7 @@ class CrowdService:
                     wire.ErrorCode.STOPPED,
                     "task has stopped; no further check-outs",
                 )
-            response = self._core.handle_checkout(request)
+            response = self._core.handle_checkout(checkout)
             # Parameters only change when an update advances the
             # iteration, so the iteration key makes the cached fragment
             # exactly as fresh as the response it came from.  Encoding
@@ -458,9 +211,10 @@ class CrowdService:
             )
         return 200, payload
 
-    def _handle_checkins(self, raw: bytes, trace):
+    def _handle_checkins(self, request: Request):
+        trace = request.trace
         with trace.phase("decode"):
-            messages = wire.decode_checkin_batch(raw)
+            messages = wire.decode_checkin_batch(request.body)
         self._acquire_core_lock(trace)
         try:
             if self._core.stopped:
@@ -487,8 +241,9 @@ class CrowdService:
             )
         return 200, payload
 
-    def _handle_status(self, include_parameters: bool, trace):
-        self._acquire_core_lock(trace)
+    def _handle_status(self, request: Request):
+        include_parameters = request.flag("parameters")
+        self._acquire_core_lock(request.trace)
         try:
             payload = wire.encode_status(
                 iteration=self._core.iteration,
@@ -500,18 +255,11 @@ class CrowdService:
                 duplicates_suppressed=self._core.duplicates_suppressed,
                 parameters=self._core.parameters if include_parameters else None,
                 epoch=self._shard_epoch,
-                uptime_seconds=time.time() - self._started_at,
-                pid=os.getpid(),
+                **self._incarnation(),
             )
         finally:
             self._lock.release()
         return 200, payload
-
-    def _handle_metrics(self, fmt: str):
-        snapshot = self.metrics_snapshot()
-        if fmt == "json":
-            return 200, json.dumps(snapshot, sort_keys=True), "application/json"
-        return 200, render_prometheus(snapshot), "text/plain; version=0.0.4"
 
     # -- observability views -------------------------------------------- #
 
@@ -529,16 +277,4 @@ class CrowdService:
         registry.gauge("core_duplicates_suppressed").set(
             self._core.duplicates_suppressed
         )
-        registry.gauge("service_uptime_seconds").set(
-            time.time() - self._started_at
-        )
-        return registry.snapshot()
-
-    def stats_snapshot(self) -> Dict[str, object]:
-        """Uniform plain-dict counter snapshot (:mod:`repro.obs` idiom)."""
-        with self._counter_lock:
-            return {
-                "requests_served": self.requests_served,
-                "errors_returned": dict(self.errors_returned),
-                "total_errors": sum(self.errors_returned.values()),
-            }
+        return super().metrics_snapshot()

@@ -40,36 +40,18 @@ its original acks, so nothing double-applies.
 from __future__ import annotations
 
 import json
-import os
 import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from functools import partial
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
-from urllib.parse import parse_qs, urlparse
 
 from repro.core.sharding import ShardMergeError, merge_status_counts
 from repro.core.stopping import StopDecision, StopReason
-from repro.obs.metrics import (
-    NULL_REGISTRY,
-    label_snapshot,
-    merge_snapshots,
-    render_prometheus,
-)
+from repro.obs.metrics import label_snapshot, merge_snapshots
 from repro.serve import wire
 from repro.serve.client import RemoteServiceError, ServiceClient
-from repro.serve.service import MAX_BODY_BYTES
+from repro.serve.host import HttpHost, Request
 from repro.shard.routing import ShardRouter
-from repro.utils.exceptions import AuthenticationError, ProtocolError
-
-
-#: Metric label values for the front end's per-endpoint series.
-_FRONTEND_ENDPOINTS = {
-    "/v1/join": "join",
-    "/v1/checkout": "checkout",
-    "/v1/checkins": "checkins",
-    "/v1/status": "status",
-    "/v1/metrics": "metrics",
-}
+from repro.utils.exceptions import AuthenticationError
 
 
 class StaticEndpoints:
@@ -104,7 +86,7 @@ class StaticEndpoints:
                 self._endpoints[int(shard)] = (str(url), int(epoch))
 
 
-class ShardFrontEnd:
+class ShardFrontEnd(HttpHost):
     """Route wire-protocol traffic across per-shard workers.
 
     Parameters
@@ -136,28 +118,25 @@ class ShardFrontEnd:
         worker_backoff: float = 0.05,
         metrics=None,
     ):
+        super().__init__(
+            {
+                ("POST", "/v1/join"): partial(
+                    self._handle_routed, "join_request", "/v1/join"
+                ),
+                ("POST", "/v1/checkout"): partial(
+                    self._handle_routed, "checkout_request", "/v1/checkout"
+                ),
+                ("POST", "/v1/checkins"): self._handle_checkins,
+                ("GET", "/v1/status"): self._handle_status,
+            },
+            "frontend", host, port, metrics=metrics,
+        )
         self._router = router
         self._resolver = endpoints
         self._worker_timeout = float(worker_timeout)
         self._worker_retries = int(worker_retries)
         self._worker_backoff = float(worker_backoff)
-        self._started_at = time.time()
-        registry = metrics if metrics is not None else NULL_REGISTRY
-        self._metrics = registry
-        endpoints_labels = ("join", "checkout", "checkins", "status",
-                            "metrics", "other")
-        self._m_requests = {
-            name: registry.counter("frontend_requests_total", endpoint=name)
-            for name in endpoints_labels
-        }
-        self._m_errors = {
-            name: registry.counter("frontend_errors_total", endpoint=name)
-            for name in endpoints_labels
-        }
-        self._m_latency = {
-            name: registry.histogram("frontend_request_seconds", endpoint=name)
-            for name in endpoints_labels
-        }
+        registry = self._metrics
         self._m_shard_requests = {
             shard: registry.counter(
                 "frontend_shard_requests_total", shard=str(shard)
@@ -173,202 +152,14 @@ class ShardFrontEnd:
         )
         self._clients: Dict[str, ServiceClient] = {}
         self._clients_lock = threading.Lock()
-        self._counter_lock = threading.Lock()
-        self._idle = threading.Condition(self._counter_lock)
-        self._inflight = 0
-        self._thread: Optional[threading.Thread] = None
-        self._serving = False
-        self.requests_served = 0
-        #: error responses sent, keyed by wire error code.
-        self.errors_returned: Dict[str, int] = {}
         #: mixed-shard check-in batches that were split.
         self.split_batches = 0
         #: worker answers refused for carrying a fenced (stale) epoch.
         self.stale_epoch_rejections = 0
-        frontend = self
-
-        class _Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-                pass
-
-            def do_POST(self):
-                frontend._dispatch(self, "POST")
-
-            def do_GET(self):
-                frontend._dispatch(self, "GET")
-
-        self._http = ThreadingHTTPServer((host, int(port)), _Handler)
-        self._http.daemon_threads = True
-
-    # -- lifecycle (mirrors CrowdService) -------------------------------- #
 
     @property
     def router(self) -> ShardRouter:
         return self._router
-
-    @property
-    def host(self) -> str:
-        return self._http.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._http.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    @property
-    def total_errors(self) -> int:
-        return sum(self.errors_returned.values())
-
-    def start(self) -> "ShardFrontEnd":
-        if self._thread is not None:
-            raise ProtocolError("front end already started")
-        self._serving = True
-        self._thread = threading.Thread(
-            target=self._http.serve_forever, name="shard-frontend", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        try:
-            self._serving = True
-            self._http.serve_forever()
-        finally:
-            self._serving = False
-
-    def stop(self) -> None:
-        if self._serving:
-            self._http.shutdown()
-            self._serving = False
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self._http.server_close()
-
-    def drain(self, timeout: float = 10.0) -> bool:
-        deadline = time.monotonic() + timeout
-        with self._idle:
-            while self._inflight > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._idle.wait(remaining)
-        return True
-
-    def __enter__(self) -> "ShardFrontEnd":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # -- request plumbing ------------------------------------------------ #
-
-    def _dispatch(self, handler: BaseHTTPRequestHandler, method: str) -> None:
-        with self._idle:
-            self._inflight += 1
-        try:
-            self._dispatch_inner(handler, method)
-        finally:
-            with self._idle:
-                self._inflight -= 1
-                if self._inflight == 0:
-                    self._idle.notify_all()
-
-    def _dispatch_inner(self, handler: BaseHTTPRequestHandler, method: str) -> None:
-        code = None
-        content_type = "application/json"
-        parsed = urlparse(handler.path)
-        endpoint = _FRONTEND_ENDPOINTS.get(parsed.path, "other")
-        start = time.perf_counter()
-        try:
-            result = self._handle(handler, method, parsed)
-            status, payload = result[0], result[1]
-            if len(result) > 2:
-                content_type = result[2]
-        except wire.WireError as error:
-            code = error.code
-            status, payload = error.http_status, wire.encode_error(code, str(error))
-        except AuthenticationError as error:
-            code = wire.ErrorCode.AUTH_FAILED
-            status, payload = 401, wire.encode_error(code, str(error))
-        except ProtocolError as error:
-            code = wire.ErrorCode.MALFORMED
-            status, payload = 400, wire.encode_error(code, str(error))
-        except Exception as error:  # noqa: BLE001 - the front end must survive
-            code = wire.ErrorCode.INTERNAL
-            status, payload = 500, wire.encode_error(
-                code, f"{type(error).__name__}: {error}"
-            )
-        if code is not None:
-            handler.close_connection = True
-        self._send(handler, status, payload, content_type)
-        elapsed = time.perf_counter() - start
-        with self._counter_lock:
-            self.requests_served += 1
-            if code is not None:
-                self.errors_returned[code] = self.errors_returned.get(code, 0) + 1
-        self._m_requests[endpoint].inc()
-        if code is not None:
-            self._m_errors[endpoint].inc()
-        self._m_latency[endpoint].observe(elapsed)
-
-    def _handle(self, handler: BaseHTTPRequestHandler, method: str, parsed):
-        route = (method, parsed.path)
-        if route == ("POST", "/v1/join"):
-            return self._handle_routed(self._read_body(handler), "join_request",
-                                       "/v1/join")
-        if route == ("POST", "/v1/checkout"):
-            return self._handle_routed(self._read_body(handler), "checkout_request",
-                                       "/v1/checkout")
-        if route == ("POST", "/v1/checkins"):
-            return self._handle_checkins(self._read_body(handler))
-        if route == ("GET", "/v1/status"):
-            return self._handle_status(parse_qs(parsed.query))
-        if route == ("GET", "/v1/metrics"):
-            query = parse_qs(parsed.query)
-            return self._handle_metrics(query.get("format", ["text"])[-1])
-        if parsed.path in _FRONTEND_ENDPOINTS:
-            raise wire.WireError(
-                wire.ErrorCode.METHOD_NOT_ALLOWED,
-                f"{method} not supported on {parsed.path}",
-            )
-        raise wire.WireError(wire.ErrorCode.NOT_FOUND, f"no route {parsed.path}")
-
-    def _read_body(self, handler: BaseHTTPRequestHandler) -> bytes:
-        try:
-            length = int(handler.headers.get("Content-Length", "0"))
-        except ValueError:
-            raise wire.WireError(wire.ErrorCode.MALFORMED, "bad Content-Length header")
-        if length < 0:
-            raise wire.WireError(wire.ErrorCode.MALFORMED, "bad Content-Length header")
-        if length > MAX_BODY_BYTES:
-            raise wire.WireError(
-                wire.ErrorCode.PAYLOAD_TOO_LARGE,
-                f"body of {length} bytes exceeds the {MAX_BODY_BYTES} byte limit",
-            )
-        return handler.rfile.read(length)
-
-    def _send(
-        self,
-        handler: BaseHTTPRequestHandler,
-        status: int,
-        payload: str,
-        content_type: str = "application/json",
-    ) -> None:
-        body = payload.encode("utf-8")
-        try:
-            handler.send_response(status)
-            handler.send_header("Content-Type", content_type)
-            handler.send_header("Content-Length", str(len(body)))
-            handler.end_headers()
-            handler.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass
 
     # -- upstream forwarding --------------------------------------------- #
 
@@ -453,13 +244,15 @@ class ShardFrontEnd:
                 wire.ErrorCode.MALFORMED, f"malformed {kind}: {error}"
             )
 
-    def _handle_routed(self, raw: bytes, kind: str, path: str):
+    def _handle_routed(self, kind: str, path: str, request: Request):
         """join/checkout: single-device requests forwarded verbatim."""
+        raw = request.body
         _, body = wire.parse_envelope(raw, kind)
         shard = self._router.shard_of(self._device_id_of(body, kind))
         return 200, self._forward(shard, "POST", path, raw).decode("utf-8")
 
-    def _handle_checkins(self, raw: bytes):
+    def _handle_checkins(self, request: Request):
+        raw = request.body
         _, body = wire.parse_envelope(raw, "checkin_batch")
         messages = body.get("messages")
         if not isinstance(messages, list) or not messages:
@@ -551,9 +344,9 @@ class ShardFrontEnd:
             },
         )
 
-    def _handle_status(self, query: Dict[str, List[str]]):
-        include = query.get("parameters", ["0"])[-1] not in ("", "0", "false")
-        shard_values = query.get("shard")
+    def _handle_status(self, request: Request):
+        include = request.flag("parameters")
+        shard_values = request.query.get("shard")
         if shard_values:
             try:
                 shard = int(shard_values[-1])
@@ -637,17 +430,10 @@ class ShardFrontEnd:
             num_parameters=merged["num_parameters"],
             duplicates_suppressed=merged["duplicates_suppressed"],
             shards=rows,
-            uptime_seconds=time.time() - self._started_at,
-            pid=os.getpid(),
+            **self._incarnation(),
         )
 
     # -- observability ---------------------------------------------------- #
-
-    def _handle_metrics(self, fmt: str):
-        snapshot = self.metrics_snapshot()
-        if fmt == "json":
-            return 200, json.dumps(snapshot, sort_keys=True), "application/json"
-        return 200, render_prometheus(snapshot), "text/plain; version=0.0.4"
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         """Aggregate scrape: every shard's registry plus the front end's.
@@ -660,10 +446,7 @@ class ShardFrontEnd:
         (``frontend_metrics_scrape_failures_total``); the scrape itself
         always succeeds.
         """
-        self._metrics.gauge("frontend_uptime_seconds").set(
-            time.time() - self._started_at
-        )
-        snapshots = [self._metrics.snapshot()]
+        snapshots = [super().metrics_snapshot()]
         table = self._resolver.endpoints()
         for shard in sorted(table):
             url, _ = table[shard]
@@ -681,14 +464,11 @@ class ShardFrontEnd:
 
     def stats_snapshot(self) -> Dict[str, Any]:
         """Uniform plain-dict counter snapshot (:mod:`repro.obs` idiom)."""
+        snapshot = super().stats_snapshot()
         with self._counter_lock:
-            return {
-                "requests_served": self.requests_served,
-                "errors_returned": dict(self.errors_returned),
-                "total_errors": sum(self.errors_returned.values()),
-                "split_batches": self.split_batches,
-                "stale_epoch_rejections": self.stale_epoch_rejections,
-            }
+            snapshot["split_batches"] = self.split_batches
+            snapshot["stale_epoch_rejections"] = self.stale_epoch_rejections
+        return snapshot
 
 
 __all__ = ["ShardFrontEnd", "StaticEndpoints"]

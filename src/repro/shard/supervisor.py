@@ -204,14 +204,10 @@ class ShardSupervisor:
         with self._table_lock:
             return dict(self._endpoints)
 
-    def stats(self) -> Dict[str, int]:
+    def stats_snapshot(self) -> Dict[str, int]:
         """Consistent snapshot of the supervision counters."""
         with self._stats_lock:
             return dict(self._stats)
-
-    def stats_snapshot(self) -> Dict[str, int]:
-        """Uniform plain-dict counter snapshot (:mod:`repro.obs` idiom)."""
-        return self.stats()
 
     def _bump(self, key: str, by: int = 1) -> None:
         with self._stats_lock:

@@ -5,8 +5,8 @@ state dir, and the static ``repro-serve`` arguments every incarnation
 shares — and spawns incarnations of it as subprocesses.  Each
 :meth:`spawn` adds the per-incarnation arguments (``--port``,
 ``--state-dir``, ``--shard-epoch``) and waits for the CLI's
-``serving on <url>`` announcement, so the caller learns the bound
-address even with ephemeral ports.
+announcement (:func:`repro.serve.launch.launch`), so the caller learns
+the bound address even with ephemeral ports.
 
 The worker object deliberately does *not* decide when to (re)spawn or
 which epoch to run — that is the
@@ -23,10 +23,9 @@ from __future__ import annotations
 import os
 import signal
 import subprocess
-import sys
-import time
 from typing import Dict, List, Optional
 
+from repro.serve.launch import LaunchError, crash, launch, shut_down
 from repro.utils.exceptions import ReproError
 
 
@@ -104,26 +103,10 @@ class ShardWorker:
             "--state-dir", self.shard_dir,
             "--shard-epoch", str(int(epoch)),
         ]
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro.serve.cli", *args],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True, env=self.env,
-        )
-        deadline = time.monotonic() + timeout
-        line = ""
-        while time.monotonic() < deadline:
-            line = process.stdout.readline()
-            if line.startswith("serving on ") or not line:
-                break
-        if not line.startswith("serving on "):
-            process.kill()
-            _, stderr = process.communicate()
-            raise WorkerSpawnError(
-                f"shard {self.index} epoch {epoch} failed to announce; "
-                f"stderr:\n{stderr}"
-            )
-        self.process = process
-        self.url = line.split("serving on ", 1)[1].strip()
+        try:
+            self.process, self.url = launch(args, self.env, timeout)
+        except LaunchError as error:
+            raise WorkerSpawnError(f"shard {self.index} epoch {epoch}: {error}")
         self.port = int(self.url.rsplit(":", 1)[1])
         self.epoch = int(epoch)
         self.spawns += 1
@@ -150,8 +133,7 @@ class ShardWorker:
         """Crash the incarnation: no handlers, no flush (fault campaign)."""
         if not self.alive:
             raise WorkerSpawnError(f"shard {self.index} has no live process")
-        self.process.send_signal(signal.SIGKILL)
-        self.process.wait(timeout=30)
+        crash(self.process)
         self.kills += 1
 
     def suspend(self) -> None:
@@ -185,33 +167,19 @@ class ShardWorker:
         """Graceful SIGTERM (drain + final snapshot); returns exit code."""
         if self.process is None:
             return None
-        if self.process.poll() is None:
-            # A suspended process cannot run its SIGTERM handler; wake it
-            # first so graceful shutdown is actually graceful.
-            self.process.send_signal(signal.SIGCONT)
-            self.process.send_signal(signal.SIGTERM)
-        try:
-            self.process.wait(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            self.process.kill()
-            self.process.wait(timeout=timeout)
-        code = self.process.returncode
+        code = shut_down(self.process, timeout)
         # Orphans never shut down gracefully — they are fenced zombies.
-        for orphan in self.orphans:
-            if orphan.poll() is None:
-                orphan.send_signal(signal.SIGCONT)
-                orphan.kill()
-                orphan.wait(timeout=timeout)
-        self.orphans.clear()
+        self._reap(self.orphans)
         return code
 
     def stop(self) -> None:
         """Best-effort hard cleanup of the incarnation and any orphans."""
-        for process in [self.process, *self.orphans]:
+        self._reap([self.process, *self.orphans])
+
+    def _reap(self, processes) -> None:
+        for process in processes:
             if process is not None and process.poll() is None:
-                process.send_signal(signal.SIGCONT)
-                process.kill()
-                process.wait(timeout=30)
+                crash(process)
         self.orphans.clear()
 
 

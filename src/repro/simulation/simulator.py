@@ -65,7 +65,6 @@ import numpy as np
 from repro.core.config import DeviceConfig, ServerConfig
 from repro.core.device import Device
 from repro.core.protocol import CheckinMessage, CheckoutRequest, CheckoutResponse
-from repro.core.server import CrowdMLServer
 from repro.core.server_core import ServerCore
 from repro.data.dataset import Dataset
 from repro.evaluation.curves import ErrorCurve
@@ -220,7 +219,6 @@ class CrowdSimulator:
                 self._transport.client, tag_checkins=config.http_retries > 0
             )
             core.validate_model(model)
-            self._server: Optional[CrowdMLServer] = None
             self._core = core
         else:
             optimizer = paper_sgd(
@@ -237,8 +235,7 @@ class CrowdSimulator:
             server_config = ServerConfig(
                 max_iterations=max_iterations, target_error=config.target_error
             )
-            self._server = CrowdMLServer(model, optimizer, server_config)
-            self._core = self._server.core
+            self._core = ServerCore(model, optimizer, server_config)
         self._total_samples = total_samples
 
         self._actors = [self._build_actor(m) for m in range(config.num_devices)]
@@ -275,10 +272,12 @@ class CrowdSimulator:
         self._setup_seconds = time.perf_counter() - setup_start
 
     @property
-    def server(self) -> Optional[CrowdMLServer]:
-        """The in-process server shim (``None`` when driving a live
-        remote service over ``transport="http"``)."""
-        return self._server
+    def core(self):
+        """The protocol core this run drives: the in-process
+        :class:`~repro.core.server_core.ServerCore`, or the
+        :class:`~repro.serve.remote.RemoteServerCore` proxy for a live
+        service under ``transport="http"``."""
+        return self._core
 
     @property
     def config(self) -> SimulationConfig:

@@ -90,11 +90,11 @@ class TestMalformedPayloads:
 class TestServerInterop:
     def test_decoded_checkin_drives_server(self):
         """A check-in that crossed the codec must be fully usable."""
-        from repro.core import CrowdMLServer, ServerConfig
+        from repro.core import ServerConfig, ServerCore
         from repro.models import MulticlassLogisticRegression
 
         model = MulticlassLogisticRegression(2, 2)
-        server = CrowdMLServer(model, config=ServerConfig(max_iterations=10))
+        server = ServerCore(model, config=ServerConfig(max_iterations=10))
         token = server.register_device(1)
         wire = encode_to_json(CheckinMessage(
             device_id=1, token=token, gradient=np.zeros(4), num_samples=2,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import CrowdMLServer, Device, ServerConfig
+from repro.core import Device, ServerConfig, ServerCore
 from repro.core.protocol import CheckoutRequest
 from repro.models import MulticlassLogisticRegression
 from repro.portal import Dashboard, Portal, TaskDescriptor, ascii_bar_chart, sparkline
@@ -28,7 +28,7 @@ def make_task(task_id="activity", epsilon=1.0, batch_size=5, num_classes=3):
 
 def make_server(num_classes=3, num_features=4):
     model = MulticlassLogisticRegression(num_features, num_classes)
-    return CrowdMLServer(model, config=ServerConfig(max_iterations=1000))
+    return ServerCore(model, config=ServerConfig(max_iterations=1000))
 
 
 class TestTaskDescriptor:

@@ -6,8 +6,8 @@ import pytest
 from repro.core import (
     CheckinMessage,
     CheckoutRequest,
-    CrowdMLServer,
     ServerConfig,
+    ServerCore,
 )
 from repro.models import MulticlassLogisticRegression
 from repro.optim import SGD, ConstantRate
@@ -21,7 +21,7 @@ def model():
 
 @pytest.fixture
 def server(model):
-    return CrowdMLServer(
+    return ServerCore(
         model,
         optimizer=SGD(model.init_parameters(), schedule=ConstantRate(0.1)),
         config=ServerConfig(max_iterations=100),
@@ -104,7 +104,7 @@ class TestCheckin:
 
 class TestStopping:
     def test_stops_at_max_iterations(self, model):
-        server = CrowdMLServer(
+        server = ServerCore(
             model,
             optimizer=SGD(model.init_parameters()),
             config=ServerConfig(max_iterations=2),
@@ -120,7 +120,7 @@ class TestStopping:
             server.handle_checkout(CheckoutRequest(1, token, 0.0))
 
     def test_stops_at_target_error(self, model):
-        server = CrowdMLServer(
+        server = ServerCore(
             model,
             optimizer=SGD(model.init_parameters()),
             config=ServerConfig(
@@ -140,7 +140,7 @@ class TestStopping:
         assert server.stopping_decision().reason.value == "target_error"
 
     def test_error_stop_respects_min_samples(self, model):
-        server = CrowdMLServer(
+        server = ServerCore(
             model,
             optimizer=SGD(model.init_parameters()),
             config=ServerConfig(
@@ -178,4 +178,4 @@ class TestAsynchrony:
 class TestOptimizerMismatch:
     def test_wrong_optimizer_length_rejected(self, model):
         with pytest.raises(ProtocolError):
-            CrowdMLServer(model, optimizer=SGD(np.zeros(4)))
+            ServerCore(model, optimizer=SGD(np.zeros(4)))

@@ -232,19 +232,3 @@ class TestSingleMessageSemantics:
         assert not core.stopped
         core.handle_checkin(checkin(1, token, np.zeros(6)))
         assert core.stopped
-
-
-class TestShim:
-    def test_crowd_ml_server_delegates_to_core(self, model):
-        from repro.core import CrowdMLServer
-
-        server = CrowdMLServer(model, config=ServerConfig(max_iterations=10))
-        token = server.register_device(0)
-        response = server.handle_checkout(CheckoutRequest(0, token, 0.0))
-        ack = server.handle_checkin(
-            checkin(0, token, np.zeros(6),
-                    checkout_iteration=response.server_iteration)
-        )
-        assert ack.server_iteration == 1
-        assert server.core.iteration == server.iteration == 1
-        assert server.core.checkouts_served == server.checkouts_served == 1

@@ -5,7 +5,7 @@ and outage resilience."""
 import numpy as np
 import pytest
 
-from repro.core import CrowdMLServer, Device, DeviceConfig, ServerConfig
+from repro.core import Device, DeviceConfig, ServerConfig, ServerCore
 from repro.core.protocol import CheckoutRequest
 from repro.data import (
     Dataset,
@@ -44,7 +44,7 @@ class TestAlternativeModels:
     def test_ridge_device_server_roundtrip(self, rng):
         """Regression targets flow through the same protocol."""
         model = RidgeRegression(num_features=3, residual_bound=2.0)
-        server = CrowdMLServer(model, config=ServerConfig(max_iterations=1000))
+        server = ServerCore(model, config=ServerConfig(max_iterations=1000))
         token = server.register_device(0)
         config = DeviceConfig.default(batch_size=5, num_classes=1, epsilon=2.0)
         device = Device(0, model, config, token, rng)
@@ -75,7 +75,7 @@ class TestRemark3Optimizers:
             model.init_parameters(), constant=0.5,
             projection=L2BallProjection(100.0),
         )
-        server = CrowdMLServer(model, optimizer,
+        server = ServerCore(model, optimizer,
                                ServerConfig(max_iterations=10**9))
         # Drive manually through the simulator's plumbing, replacing the
         # server: simplest is a fresh simulator with its own SGD, so here we

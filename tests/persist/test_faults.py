@@ -75,10 +75,11 @@ def test_chaos_campaign_exactly_once(service, traffic_rng):
     # The campaign was not vacuous: faults landed, retries happened, and
     # the lost-ack trap (response dropped after apply) was sprung and
     # answered from the dedupe ledger.
-    injected = (proxy.counts["refused"] + proxy.counts["requests_dropped"]
-                + proxy.counts["responses_dropped"])
-    assert injected > 0, proxy.counts
-    assert proxy.counts["responses_dropped"] > 0, proxy.counts
+    faults = proxy.stats_snapshot()
+    injected = (faults["refused"] + faults["requests_dropped"]
+                + faults["responses_dropped"])
+    assert injected > 0, faults
+    assert faults["responses_dropped"] > 0, faults
     assert client.retries_used > 0
     assert core.duplicates_suppressed > 0
 
@@ -113,7 +114,7 @@ def test_refusing_proxy_without_retries_fails_fast(service):
         with pytest.raises(RemoteServiceError) as excinfo:
             client.status()
         assert excinfo.value.code == wire.ErrorCode.UNREACHABLE
-    assert proxy.counts["refused"] >= 1
+    assert proxy.stats_snapshot()["refused"] >= 1
 
 
 def test_proxy_passthrough_is_transparent(service):
@@ -122,8 +123,8 @@ def test_proxy_passthrough_is_transparent(service):
         client = ServiceClient(proxy.url, timeout=5.0)
         status = client.status()
         assert status.iteration == 0
-        assert proxy.counts["passed"] >= 1
-        assert proxy.counts["refused"] == 0
+        assert proxy.stats_snapshot()["passed"] >= 1
+        assert proxy.stats_snapshot()["refused"] == 0
 
 
 def test_proxy_probability_validation(service):

@@ -74,7 +74,8 @@ class TestSimulatorParity:
                 ),
                 seed=3,
             )
-            assert simulator.server is None  # the server lives remotely
+            # The server lives remotely; the run drives its proxy.
+            assert isinstance(simulator.core, RemoteServerCore)
             assert simulator.transport.synchronous
             http = simulator.run()
             assert service.total_errors == 0

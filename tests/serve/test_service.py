@@ -4,9 +4,16 @@ Each test talks real HTTP over loopback.  The overriding contract: no
 payload — malformed, version-mismatched, stale, oversized, or plain
 garbage — crashes the service; every rejection is a 4xx/5xx ``error``
 envelope and the very next valid request still succeeds.
+
+``TestHostContract`` holds the part of that contract that is the
+:class:`~repro.serve.host.HttpHost`'s, and runs it against both hosts
+(``CrowdService`` and a two-shard ``ShardFrontEnd``) through one
+parametrized fixture.
 """
 
+import http.client
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -17,6 +24,7 @@ from repro.core.config import ServerConfig
 from repro.core.protocol import CheckinMessage, CheckoutRequest
 from repro.core.server_core import ServerCore
 from repro.models import MulticlassLogisticRegression
+from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
     CrowdService,
     RemoteAuthenticationError,
@@ -24,6 +32,8 @@ from repro.serve import (
     ServiceClient,
     wire,
 )
+from repro.serve.host import MAX_BODY_BYTES
+from repro.shard import ShardFrontEnd, ShardRouter, StaticEndpoints
 
 DIM, CLASSES = 3, 2
 NUM_PARAMETERS = MulticlassLogisticRegression(DIM, CLASSES).num_parameters
@@ -150,8 +160,6 @@ class TestRejections:
         assert excinfo.value.code == 405
 
     def test_oversized_body_is_413(self, service):
-        from repro.serve.service import MAX_BODY_BYTES
-
         request = urllib.request.Request(
             service.url + "/v1/checkout", data=b"x", method="POST",
             headers={"Content-Length": str(MAX_BODY_BYTES + 1)},
@@ -250,3 +258,160 @@ class TestRobustness:
         monkeypatch.undo()
         assert client.checkout(CheckoutRequest(0, token, 0.0)) is not None
         assert service.errors_returned[wire.ErrorCode.INTERNAL] == 1
+
+
+@pytest.fixture(params=["service", "frontend"])
+def build_host(request):
+    """``build(port=0)`` → an unstarted host of the parametrized kind.
+
+    The front end is a two-shard in-process tier: live ``CrowdService``
+    workers behind ``StaticEndpoints``, torn down with the fixture.
+    """
+    workers = []
+
+    def build(port=0):
+        metrics = MetricsRegistry("contract")
+        if request.param == "service":
+            return CrowdService(make_core(), port=port, metrics=metrics)
+        shards = [CrowdService(make_core()).start() for _ in range(2)]
+        workers.extend(shards)
+        endpoints = StaticEndpoints(
+            {shard: worker.url for shard, worker in enumerate(shards)}
+        )
+        return ShardFrontEnd(ShardRouter(2), endpoints, port=port, metrics=metrics)
+
+    yield build
+    for worker in workers:
+        worker.stop()
+
+
+@pytest.fixture()
+def host(build_host):
+    with build_host() as live:
+        yield live
+
+
+def exchange(conn, method, path, body=None):
+    """One request on an open ``http.client`` connection, fully read."""
+    conn.request(method, path, body=body)
+    response = conn.getresponse()
+    return response, response.read()
+
+
+class TestHostContract:
+    def test_unknown_route_is_404_and_wrong_method_is_405(self, host):
+        status, payload = raw_post(host.url, "/v2/checkout", b"{}")
+        assert status == 404
+        assert wire.decode_error(payload).code == wire.ErrorCode.NOT_FOUND
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(host.url + "/v1/checkout", timeout=10)
+        assert excinfo.value.code == 405
+        assert (wire.decode_error(excinfo.value.read()).code
+                == wire.ErrorCode.METHOD_NOT_ALLOWED)
+
+    def test_oversized_body_is_413(self, host):
+        status, payload = raw_post(
+            host.url, "/v1/checkout", b"x",
+            headers={"Content-Length": str(MAX_BODY_BYTES + 1)},
+        )
+        assert status == 413
+        assert wire.decode_error(payload).code == wire.ErrorCode.PAYLOAD_TOO_LARGE
+
+    @pytest.mark.parametrize("length", ["-1", "five"])
+    def test_bad_content_length_is_400(self, host, length):
+        with socket.create_connection((host.host, host.port), timeout=10) as sock:
+            sock.sendall(
+                f"POST /v1/checkout HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode()
+            )
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == 400
+            assert wire.decode_error(response.read()).code == wire.ErrorCode.MALFORMED
+
+    @pytest.mark.parametrize("path", ["/v1/checkout", "/v1/checkins", "/v1/join"])
+    def test_fuzz_bodies_are_4xx_and_host_survives(self, host, path):
+        for body in TestRobustness.FUZZ_BODIES:
+            status, payload = raw_post(host.url, path, body)
+            assert 400 <= status < 500, (path, body[:40], status)
+            assert wire.decode_error(payload).code in (
+                wire.ErrorCode.MALFORMED, wire.ErrorCode.VERSION_MISMATCH,
+                wire.ErrorCode.AUTH_FAILED,
+            )
+        client = ServiceClient(host.url)
+        client.join(1)
+        assert client.status().registered_devices == 1
+        assert host.total_errors == len(TestRobustness.FUZZ_BODIES)
+
+    def test_internal_errors_are_500_and_survivable(self, host, monkeypatch):
+        def boom():
+            raise RuntimeError("synthetic handler bug")
+
+        monkeypatch.setattr(host, "metrics_snapshot", boom)
+        client = ServiceClient(host.url)
+        with pytest.raises(RemoteServiceError) as excinfo:
+            client.metrics_snapshot()
+        assert excinfo.value.http_status == 500
+        assert excinfo.value.code == wire.ErrorCode.INTERNAL
+        monkeypatch.undo()
+        assert client.metrics_snapshot()["enabled"] is True
+        assert host.errors_returned[wire.ErrorCode.INTERNAL] == 1
+
+    def test_stop_before_start_releases_port(self, build_host):
+        # Construction binds the socket; stop() without a serve loop must
+        # close it without blocking on a shutdown handshake.
+        first = build_host()
+        port = first.port
+        first.stop()
+        second = build_host(port=port)  # port is free again
+        second.stop()
+        second.stop()  # idempotent at any lifecycle point
+
+    def test_error_response_announces_the_close(self, host):
+        # The host closes after an error; a keep-alive client must learn
+        # that from the response, not from a dead socket (which costs it
+        # a stale-socket replay).
+        client = ServiceClient(host.url)
+        client.status()
+        with pytest.raises(RemoteAuthenticationError):
+            client.checkout(CheckoutRequest(99, "nope", 0.0))
+        client.status()
+        stats = client.stats_snapshot()
+        assert stats["reconnects"] == 0
+        assert stats["connections_opened"] == 2
+
+    def test_stdlib_refusals_are_typed_and_counted(self, host):
+        # Refusals the stdlib raises before do_GET/do_POST: an
+        # unsupported method, then an unparseable request line.
+        conn = http.client.HTTPConnection(host.host, host.port, timeout=10)
+        response, payload = exchange(conn, "PUT", "/v1/status")
+        assert response.status == 405
+        assert response.getheader("Content-Type") == "application/json"
+        assert wire.decode_error(payload).code == wire.ErrorCode.METHOD_NOT_ALLOWED
+        with socket.create_connection((host.host, host.port), timeout=10) as sock:
+            sock.sendall(b"GET /v1/status one-word-too-many HTTP/1.1\r\n\r\n")
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == 400
+            assert wire.decode_error(response.read()).code == wire.ErrorCode.MALFORMED
+        assert host.drain()
+        assert host.requests_served == 2
+        assert host.errors_returned == {
+            wire.ErrorCode.METHOD_NOT_ALLOWED: 1, wire.ErrorCode.MALFORMED: 1,
+        }
+        other_errors = [
+            counter["value"] for counter in host.metrics_snapshot()["counters"]
+            if counter["name"].endswith("_errors_total")
+            and counter["labels"] == {"endpoint": "other"}
+        ]
+        assert other_errors == [2]
+
+    def test_unread_body_does_not_desync_keepalive(self, host):
+        # A declared body on a route that never reads one must not be
+        # parsed as the next request line on the same socket.
+        conn = http.client.HTTPConnection(host.host, host.port, timeout=10)
+        for body in (b"hello", None):
+            response, payload = exchange(conn, "GET", "/v1/status", body=body)
+            assert response.status == 200
+            assert wire.decode_status(payload).iteration == 0
+        conn.close()

@@ -112,7 +112,7 @@ def test_failover_campaign_keeps_each_shard_bit_identical(tmp_path):
 
         # The campaign actually injected chaos.
         assert killer.kills == MAX_KILLS, killer.killed_shards
-        assert proxy.stats()["responses_dropped"] > 0
+        assert proxy.stats_snapshot()["responses_dropped"] > 0
 
         # Deterministic replay probe: re-send an already-applied message;
         # the ledger must answer with the original ack, not re-apply.

@@ -57,12 +57,12 @@ class TestCrashFailover:
         tier2.workers[0].sigkill()
         assert wait_until(
             lambda: tier2.endpoints().get(0, (None, -1))[1] == old_epoch + 1
-        ), f"no failover: {tier2.stats()}"
+        ), f"no failover: {tier2.stats_snapshot()}"
         new_url, new_epoch = tier2.endpoints()[0]
         assert new_epoch == 1
         # The replacement answers, stamped with the new epoch.
         assert make_client(new_url).status().epoch == 1
-        stats = tier2.stats()
+        stats = tier2.stats_snapshot()
         assert stats["failovers"] == 1
         assert stats["process_exit_failovers"] == 1
         assert SnapshotStore(str(tmp_path / "shard-0")).fence_epoch() == 1
@@ -99,8 +99,8 @@ class TestZombieFencing:
         assert wait_until(
             lambda: zombie_tier.endpoints().get(0, (None, -1))[1] == 1,
             timeout=30.0,
-        ), f"no heartbeat failover: {zombie_tier.stats()}"
-        stats = zombie_tier.stats()
+        ), f"no heartbeat failover: {zombie_tier.stats_snapshot()}"
+        stats = zombie_tier.stats_snapshot()
         assert stats["heartbeat_failovers"] >= 1
         # The zombie still holds its socket, so the shard landed on a
         # sibling slot at a fresh address.

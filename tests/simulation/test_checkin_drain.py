@@ -68,9 +68,9 @@ def craft_messages(sim, count, num_samples=2, rng_seed=5):
 def drained_state(sim):
     """Everything the check-in path mutates (devices are untouched)."""
     return {
-        "parameters": sim._core.parameters,
-        "iteration": sim._core.iteration,
-        "rejected": sim._core.rejected_messages,
+        "parameters": sim.core.parameters,
+        "iteration": sim.core.iteration,
+        "rejected": sim.core.rejected_messages,
         "staleness": list(sim._staleness),
         "checkins_delivered": sim._comm.checkins_delivered,
         "samples_consumed": sim._samples_consumed,
@@ -103,7 +103,7 @@ class TestApplyRunEquivalence:
         self.apply_both_ways(data, [])
         batched = self.apply_both_ways(
             data, craft_messages(make_sim(data, True), 8))
-        assert batched._core.iteration == 8
+        assert batched.core.iteration == 8
 
     def test_snapshot_crossings_split_segments(self, data):
         # 180 samples total, 6 snapshots -> grid points every ~30 samples;
@@ -118,11 +118,11 @@ class TestApplyRunEquivalence:
     def test_max_iterations_guard_drops_tail(self, data):
         messages = craft_messages(make_sim(data, True), 10)
         batched = self.apply_both_ways(data, messages, max_iterations=4)
-        assert batched._core.iteration == 4
+        assert batched.core.iteration == 4
         assert batched._stopped_reason == "max_iterations"
         # The guard drops post-stop deliveries *before* the core sees
         # them — identical rejected-message accounting both ways (0).
-        assert batched._core.rejected_messages == 0
+        assert batched.core.rejected_messages == 0
 
     def test_target_error_stop_mid_run(self, data):
         # All-zero noisy error counts drive the DP estimate to 0, so the
@@ -141,7 +141,7 @@ class TestApplyRunEquivalence:
         ]
         batched = self.apply_both_ways(data, zeroed, target_error=0.5)
         assert batched._stopped_reason == "target_error"
-        assert 0 < batched._core.iteration < len(zeroed)
+        assert 0 < batched.core.iteration < len(zeroed)
 
 
 class TestQueueLevelDrain:
@@ -155,7 +155,7 @@ class TestQueueLevelDrain:
         def foreign_probe():
             # Reads server state at *fire* time: proves the interleaved
             # event really ran between the two half-runs.
-            observed.append(("foreign", sim._core.iteration))
+            observed.append(("foreign", sim.core.iteration))
 
         for k, message in enumerate(messages):
             if interleave and k == 3:
