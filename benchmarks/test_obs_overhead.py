@@ -9,13 +9,15 @@ Two arms, both published to ``benchmarks/results/obs_overhead.json``:
   overhead percentage is recorded, **not** asserted (shared-runner
   jitter must not flake CI — the ≤5 % target is a recorded number the
   artifact history tracks).
-* **serve** — a single-client check-in loop against a live
-  ``repro-serve`` with and without ``--metrics``; same recording-only
-  treatment, plus the enabled arm's scrape must be non-vacuous.
+* **serve** — a single-client check-in loop against two live
+  ``repro-serve`` processes, with and without ``--metrics``, the arms
+  interleaved round by round; same recording-only treatment, plus the
+  enabled arm's scrape must be non-vacuous.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 
@@ -46,7 +48,7 @@ def _sim_samples() -> int:
 
 
 def _serve_rounds() -> int:
-    return 40 if os.environ.get("REPRO_SCALE", "benchmark") == "smoke" else 120
+    return 40 if os.environ.get("REPRO_SCALE", "benchmark") == "smoke" else 2000
 
 
 def _run_sim_once(parts, test, metrics):
@@ -121,40 +123,51 @@ def test_sim_overhead_and_parity():
     _publish_merged(text, rows)
 
 
-def _drive_serve(url: str, num_rounds: int) -> float:
+def _drive_serve(urls, num_rounds: int) -> list:
+    """Seconds each server spent on ``num_rounds`` identical rounds.
+
+    The arms are interleaved round by round (alternating which goes
+    first), so machine drift over the run lands on both alike.
+    """
     model = MulticlassLogisticRegression(DIM, CLASSES)
     rng = np.random.default_rng(4242)
-    client = ServiceClient(url, timeout=10.0)
-    token = client.join(0)
-    start = time.perf_counter()
+    clients = [ServiceClient(url, timeout=10.0) for url in urls]
+    tokens = [client.join(0) for client in clients]
+    seconds = [0.0] * len(urls)
     for seq in range(num_rounds):
-        response = client.checkout(CheckoutRequest(0, token, 0.0))
-        client.checkins([CheckinMessage(
-            device_id=0, token=token,
-            gradient=rng.normal(size=model.num_parameters),
-            num_samples=SERVE_BATCH, noisy_error_count=0,
-            noisy_label_counts=rng.integers(0, 5, size=CLASSES),
-            checkout_iteration=response.server_iteration,
-            checkin_seq=seq,
-        )])
-    return time.perf_counter() - start
+        gradient = rng.normal(size=model.num_parameters)
+        label_counts = rng.integers(0, 5, size=CLASSES)
+        arms = range(len(urls))
+        for arm in arms if seq % 2 == 0 else reversed(arms):
+            start = time.perf_counter()
+            response = clients[arm].checkout(
+                CheckoutRequest(0, tokens[arm], 0.0))
+            clients[arm].checkins([CheckinMessage(
+                device_id=0, token=tokens[arm], gradient=gradient,
+                num_samples=SERVE_BATCH, noisy_error_count=0,
+                noisy_label_counts=label_counts,
+                checkout_iteration=response.server_iteration,
+                checkin_seq=seq,
+            )])
+            seconds[arm] += time.perf_counter() - start
+    return seconds
 
 
 def test_serve_overhead():
     num_rounds = _serve_rounds()
 
-    process, url = spawn_server(max_iterations=10**7)
-    try:
-        disabled_time = _drive_serve(url, num_rounds)
-        status = ServiceClient(url).status()
-        assert status.iteration == num_rounds
-    finally:
-        stop_server(process)
-
-    process, url = spawn_server(max_iterations=10**7, extra=("--metrics",))
-    try:
-        enabled_time = _drive_serve(url, num_rounds)
-        scraped = ServiceClient(url).metrics_snapshot()
+    with contextlib.ExitStack() as servers:
+        urls = []
+        for extra in ((), ("--metrics",)):
+            process, url = spawn_server(max_iterations=10**7, extra=extra)
+            servers.callback(stop_server, process)
+            urls.append(url)
+        disabled_time, enabled_time = _drive_serve(urls, num_rounds)
+        for url in urls:
+            status = ServiceClient(url).status()
+            assert status.iteration == num_rounds
+            assert status.rejected_messages == 0
+        scraped = ServiceClient(urls[1]).metrics_snapshot()
         assert scraped["enabled"] is True
         checkins = [
             c["value"] for c in scraped["counters"]
@@ -162,8 +175,6 @@ def test_serve_overhead():
             and c["labels"].get("endpoint") == "checkins"
         ]
         assert checkins == [num_rounds]  # non-vacuous scrape
-    finally:
-        stop_server(process)
 
     overhead_pct = 100.0 * (enabled_time - disabled_time) / disabled_time
     rows = {
@@ -176,7 +187,8 @@ def test_serve_overhead():
         },
     }
     text = (
-        "obs_overhead serve arm (single client loop; timing non-gating)\n"
+        "obs_overhead serve arm (single client loop, arms interleaved "
+        "round by round; timing non-gating)\n"
         f"  disabled : {num_rounds} rounds in {disabled_time:.3f}s = "
         f"{num_rounds / disabled_time:.0f} rounds/s\n"
         f"  enabled  : {num_rounds} rounds in {enabled_time:.3f}s = "

@@ -24,6 +24,15 @@ or raises; no request, however garbled, takes a host down:
 * requests the stdlib refuses before routing (unsupported method,
   unparseable request line) get the same typed envelope and the same
   counters, under endpoint ``other``.
+
+Two guarantees hold for every response.  It leaves in **one write**,
+head and body together, on a ``TCP_NODELAY`` socket: split in two, the
+body of any response under one MSS sits behind Nagle until the client's
+delayed ACK (~44 ms per keep-alive request).  And it is **booked before
+it is answered**: the counters, the per-endpoint series and the trace
+record of request N are all visible by the time a client holds response
+N, so ``<prefix>_request_seconds`` and a trace's ``duration_ms`` end at
+"response encoded", not "response written".
 """
 
 from __future__ import annotations
@@ -45,6 +54,17 @@ from repro.utils.exceptions import AuthenticationError, ProtocolError
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 _JSON = "application/json"
+
+#: How often the serve loop looks for a stop request; ``stop()`` blocks
+#: for at most this long (the stdlib's default is 0.5 s).
+_STOP_POLL_SECONDS = 0.02
+
+
+class _Server(ThreadingHTTPServer):
+    daemon_threads = True
+    # A crowd joins at once: the stdlib's backlog of 5 turns 64
+    # simultaneous connects into resets and SYN retransmits.
+    request_queue_size = 1024
 
 
 class Request(NamedTuple):
@@ -127,6 +147,9 @@ class HttpHost:
         class _Handler(BaseHTTPRequestHandler):
             # Per-request handler bound to the enclosing host.
             protocol_version = "HTTP/1.1"
+            # TCP_NODELAY on every accepted socket: a response too large
+            # for one segment must not wait on the client's ACK either.
+            disable_nagle_algorithm = True
 
             def log_message(self, format, *args):  # noqa: A002 - stdlib signature
                 pass  # keep request logs out of stdout; counters cover it
@@ -147,8 +170,7 @@ class HttpHost:
                     message or f"request refused ({code})",
                 ))
 
-        self._http = ThreadingHTTPServer((host, int(port)), _Handler)
-        self._http.daemon_threads = True
+        self._http = _Server((host, int(port)), _Handler)
 
     # -- lifecycle ------------------------------------------------------ #
 
@@ -174,7 +196,8 @@ class HttpHost:
             raise ProtocolError("host already started")
         self._serving = True
         self._thread = threading.Thread(
-            target=self._http.serve_forever, name=self._thread_name, daemon=True
+            target=self._http.serve_forever, args=(_STOP_POLL_SECONDS,),
+            name=self._thread_name, daemon=True,
         )
         self._thread.start()
         return self
@@ -183,7 +206,7 @@ class HttpHost:
         """Serve on the calling thread (the ``repro-serve`` entry point)."""
         try:
             self._serving = True
-            self._http.serve_forever()
+            self._http.serve_forever(_STOP_POLL_SECONDS)
         finally:
             # An exception (e.g. SIGINT/SIGTERM) may land anywhere in
             # this frame — including *before* the serve loop's own
@@ -297,7 +320,8 @@ class HttpHost:
             # stdlib gave up on is still on the wire; closing after any
             # error keeps the stream in sync under one rule.
             handler.close_connection = True
-        self._send(handler, status, payload, content_type)
+        # Book, then answer: whoever holds response N — the next request
+        # on the wire or an in-process reader — finds request N counted.
         elapsed = time.perf_counter() - start
         with self._counter_lock:
             self.requests_served += 1
@@ -308,6 +332,7 @@ class HttpHost:
             self._m_errors[endpoint].inc()
         self._m_latency[endpoint].observe(elapsed)
         trace.finish(status)
+        self._send(handler, status, payload, content_type)
 
     @staticmethod
     def _read_body(handler) -> bytes:
@@ -327,16 +352,21 @@ class HttpHost:
     @staticmethod
     def _send(handler, status: int, payload: str, content_type: str) -> None:
         body = payload.encode("utf-8")
+        head = (
+            f"HTTP/1.1 {status} {handler.responses.get(status, ('',))[0]}\r\n"
+            f"Server: {handler.version_string()}\r\n"
+            f"Date: {handler.date_time_string()}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+        )
+        if handler.close_connection:
+            # Tell a keep-alive client now, or it finds the socket
+            # dead on its next request and pays a replay.
+            head += "Connection: close\r\n"
         try:
-            handler.send_response(status)
-            handler.send_header("Content-Type", content_type)
-            handler.send_header("Content-Length", str(len(body)))
-            if handler.close_connection:
-                # Tell a keep-alive client now, or it finds the socket
-                # dead on its next request and pays a replay.
-                handler.send_header("Connection", "close")
-            handler.end_headers()
-            handler.wfile.write(body)
+            # One write on the unbuffered wfile is one sendall(): head
+            # and body share a segment whenever they fit in one.
+            handler.wfile.write(head.encode("latin-1") + b"\r\n" + body)
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away; nothing to answer
 

@@ -31,8 +31,8 @@ def drive_traffic(service, rounds=3):
     for _ in range(rounds):
         client.checkins([checkin_for(client, 7, token)])
     client.status()
-    # Responses are sent BEFORE the server thread records counters and
-    # finishes the trace; quiesce so in-process snapshot reads see them.
+    # Counters and traces are booked before the response leaves; drain
+    # only settles the in-flight gauge for in-process snapshot reads.
     assert service.drain()
     return client
 
@@ -161,7 +161,7 @@ class TestTracing:
         service, _, tracer = observed
         with pytest.raises(urllib.error.HTTPError):
             urllib.request.urlopen(service.url + "/v1/nope")
-        assert service.drain()  # record lands after the 404 is sent
+        assert service.drain()
         statuses = [r["status"] for r in tracer.snapshot()]
         assert 404 in statuses
 

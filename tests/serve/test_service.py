@@ -14,6 +14,8 @@ parametrized fixture.
 import http.client
 import json
 import socket
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -39,9 +41,9 @@ DIM, CLASSES = 3, 2
 NUM_PARAMETERS = MulticlassLogisticRegression(DIM, CLASSES).num_parameters
 
 
-def make_core(max_iterations=1000, target_error=None):
+def make_core(max_iterations=1000, target_error=None, dim=DIM, classes=CLASSES):
     return ServerCore(
-        MulticlassLogisticRegression(DIM, CLASSES),
+        MulticlassLogisticRegression(dim, classes),
         config=ServerConfig(
             max_iterations=max_iterations, target_error=target_error
         ),
@@ -262,18 +264,18 @@ class TestRobustness:
 
 @pytest.fixture(params=["service", "frontend"])
 def build_host(request):
-    """``build(port=0)`` → an unstarted host of the parametrized kind.
+    """``build(port=0, **core)`` → an unstarted host of the parametrized kind.
 
     The front end is a two-shard in-process tier: live ``CrowdService``
     workers behind ``StaticEndpoints``, torn down with the fixture.
     """
     workers = []
 
-    def build(port=0):
+    def build(port=0, **core):
         metrics = MetricsRegistry("contract")
         if request.param == "service":
-            return CrowdService(make_core(), port=port, metrics=metrics)
-        shards = [CrowdService(make_core()).start() for _ in range(2)]
+            return CrowdService(make_core(**core), port=port, metrics=metrics)
+        shards = [CrowdService(make_core(**core)).start() for _ in range(2)]
         workers.extend(shards)
         endpoints = StaticEndpoints(
             {shard: worker.url for shard, worker in enumerate(shards)}
@@ -415,3 +417,97 @@ class TestHostContract:
             assert response.status == 200
             assert wire.decode_status(payload).iteration == 0
         conn.close()
+
+
+class TestHostStalls:
+    """Waits that were the kernel's, not ours, and must stay gone.  Each
+    bound sits an order of magnitude from both sides of its defect."""
+
+    #: 44 ms per request with the response split in two segments (Nagle
+    #: against the client's delayed ACK); ~0.2 ms in one.
+    STALL_FREE_MS = 5.0
+
+    def mean_ms(self, call, repeats=50):
+        call()  # open the pooled connection outside the timed loop
+        start = time.perf_counter()
+        for _ in range(repeats):
+            call()
+        return (time.perf_counter() - start) * 1e3 / repeats
+
+    def test_keepalive_status_does_not_stall(self, host):
+        client = ServiceClient(host.url)
+        assert self.mean_ms(client.status) < self.STALL_FREE_MS
+
+    def test_keepalive_checkout_does_not_stall(self, build_host):
+        # The 500-parameter model: a 5.4 kB response, still one segment.
+        with build_host(dim=50, classes=10) as host:
+            client = ServiceClient(host.url)
+            request = CheckoutRequest(0, client.join(0), 0.0)
+            assert client.checkout(request).parameters.size == 500
+            assert (self.mean_ms(lambda: client.checkout(request))
+                    < self.STALL_FREE_MS)
+
+    def test_stop_returns_promptly(self, build_host):
+        # The stdlib serve loop polls for a stop request every 0.5 s.
+        host = build_host().start()
+        client = ServiceClient(host.url)
+        client.status()
+        client.close()
+        start = time.perf_counter()
+        host.stop()
+        assert time.perf_counter() - start < 0.25
+
+    def test_a_crowd_can_join_at_once(self, host):
+        # 64 connects released together: a listen backlog of 5 resets
+        # most of them, and retries=0 turns every reset into a raise.
+        crowd = 64
+        barrier = threading.Barrier(crowd)
+        failures = []
+
+        def join(device_id):
+            try:
+                barrier.wait(timeout=30)
+                client = ServiceClient(host.url, retries=0)
+                client.join(device_id)
+                client.close()
+            except Exception as error:  # noqa: BLE001 - reported below
+                failures.append(error)
+
+        threads = [threading.Thread(target=join, args=(m,)) for m in range(crowd)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert ServiceClient(host.url).status().registered_devices == crowd
+
+    def test_request_is_booked_before_its_response(self, host, monkeypatch):
+        # Hold the handler thread *after* the real send: whatever it
+        # still has to record then is invisible to a client that
+        # already holds the response.
+        send = host._send
+
+        def send_then_linger(*args):
+            send(*args)
+            time.sleep(0.2)
+
+        monkeypatch.setattr(host, "_send", send_then_linger)
+        client = ServiceClient(host.url)
+        client.status()
+        assert host.requests_served == 1
+        with pytest.raises(RemoteAuthenticationError):
+            client.checkout(CheckoutRequest(99, "nope", 0.0))
+        assert host.requests_served == 2
+        assert host.errors_returned == {wire.ErrorCode.AUTH_FAILED: 1}
+        booked = {
+            (counter["name"].split("_", 1)[1], counter["labels"]["endpoint"]):
+                counter["value"]
+            for counter in host.metrics_snapshot()["counters"]
+            if "endpoint" in counter["labels"] and counter["value"]
+        }
+        assert booked == {
+            ("requests_total", "status"): 1,
+            ("requests_total", "checkout"): 1,
+            ("errors_total", "checkout"): 1,
+        }

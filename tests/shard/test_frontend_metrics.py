@@ -61,8 +61,8 @@ def drive(tier, rng, per_shard=3):
             core = tier.services[shard].core
             client.checkins([make_message(core, device, token, rng)])
     client.status()
-    # Workers ack before recording their counters; quiesce so the next
-    # scrape sees every series at its final value.
+    # Workers book their counters before they ack; drain only settles
+    # each in-flight gauge so the next scrape sees it at rest.
     for service in tier.services:
         assert service.drain()
     return client
