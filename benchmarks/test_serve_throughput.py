@@ -4,11 +4,10 @@ The CI ``serve-smoke`` job runs this module.  It spawns the real
 ``repro-serve`` console entry point (a subprocess, loopback port 0),
 then:
 
-1. **Parity gate** — a full ``CrowdSimulator`` training run through
-   :class:`~repro.serve.remote.HttpTransport` against the live process
-   must end **bit-identical** (final parameters, curve, counters) to the
-   in-process :class:`~repro.network.transport.DirectTransport` run of
-   the same spec.  This is the assertion the job gates on.
+1. **Parity gate** — a full ``CrowdSimulator`` training run over
+   ``transport="http"`` against the live process must end
+   **bit-identical** (final parameters, curve, counters) to the
+   in-process fused (``transport="direct"``) run of the same spec.  This is the assertion the job gates on.
 2. **Concurrent smoke** — ≥ 8 :class:`~repro.serve.RemoteDevice`
    threads drive the same server at once; the run must finish with zero
    server-side errors and ``iterations == accepted check-ins``.
@@ -194,7 +193,7 @@ def test_serve_smoke_and_throughput():
         ).run()
         sequential_elapsed = time.perf_counter() - start
 
-        # THE GATE: learning-state parity with DirectTransport, bit for bit.
+        # THE GATE: learning-state parity with the fused run, bit for bit.
         assert_traces_identical(direct, http, context="serve_smoke")
         assert np.array_equal(direct.final_parameters, http.final_parameters)
         status = ServiceClient(url).status()
@@ -268,7 +267,7 @@ def test_serve_smoke_and_throughput():
         "serve_throughput (loopback repro-serve subprocess; timing non-gating)",
         f"  sequential : {sequential_rounds} rounds in "
         f"{sequential_elapsed:.2f}s = {sequential_rps:.0f} rounds/s "
-        f"(bit-identical to DirectTransport)",
+        f"(bit-identical to the in-process fused run)",
         f"  concurrent : {NUM_DEVICES} devices x "
         f"{expected_rounds // NUM_DEVICES} rounds in "
         f"{concurrent_elapsed:.2f}s = {concurrent_rps:.0f} rounds/s "
@@ -368,7 +367,7 @@ def _drive_crowd(url: str, num_rounds: int, gateways=None, assignment=None,
 
 def _direct_reference(num_rounds: int, seed: int = 50) -> ServerCore:
     """In-process Device + ServerCore replay of ``_drive_crowd``'s
-    schedule — the DirectTransport-semantics parity target."""
+    schedule — the fused-round parity target."""
     model = MulticlassLogisticRegression(DIM, CLASSES)
     core = ServerCore(
         model,

@@ -8,9 +8,9 @@ Two tables:
   must travel the event queue (:class:`SimulatedTransport`).
 * ``protocol_throughput`` — the b = 1, τ = 0 protocol-bound row
   (figs. 4/7's setting): one full check-out/check-in round trip per
-  sample.  The fused :class:`DirectTransport` path is benchmarked
+  sample.  The fused (``transport="direct"``) path is benchmarked
   against the event-driven path on the *same* configuration, and the
-  run **gates on the equivalence assertion** — both transports must
+  run **gates on the equivalence assertion** — both styles must
   produce bit-identical traces.
 
 Wall-clock numbers are recorded (via ``publish_table`` →

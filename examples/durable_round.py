@@ -19,8 +19,8 @@ Why this works (see README "Durability & fault tolerance"):
 
 Acts:
 
-1. Reference run: ``CrowdSimulator`` with the in-process
-   ``DirectTransport``.
+1. Reference run: ``CrowdSimulator`` with fused in-process rounds
+   (``transport="direct"``).
 2. The same spec against a real ``repro-serve`` subprocess with a state
    dir, while a watchdog thread SIGKILLs and restarts it twice mid-run.
 3. Verdict: final parameters and the whole error curve must match act 1

@@ -8,8 +8,8 @@ and the server applies the same updates in the same order.
 
 Three acts:
 
-1. Reference run: ``CrowdSimulator`` with the fused in-process
-   ``DirectTransport``.
+1. Reference run: ``CrowdSimulator`` with fused in-process rounds
+   (``transport="direct"``).
 2. The same spec over the wire: a :class:`~repro.serve.CrowdService`
    hosting an identically configured ``ServerCore`` on a loopback port
    (exactly what ``repro-serve`` launches), driven through
@@ -121,7 +121,7 @@ def main() -> int:
     parts = iid_partition(train, NUM_DEVICES, np.random.default_rng(0))
     max_iterations = sum(len(p) for p in parts) + 1
 
-    print(f"-- act 1: in-process reference (DirectTransport), M={NUM_DEVICES}, "
+    print(f"-- act 1: in-process reference (fused rounds), M={NUM_DEVICES}, "
           f"b={BATCH_SIZE}")
     base = dict(num_devices=NUM_DEVICES, batch_size=BATCH_SIZE, num_snapshots=8)
     direct = simulator(
@@ -158,7 +158,7 @@ def main() -> int:
               f"{service.total_errors} errors")
 
     identical = np.array_equal(direct.final_parameters, http.final_parameters)
-    print(f"   final parameters bit-identical to DirectTransport: {identical}")
+    print(f"   final parameters bit-identical to the fused run: {identical}")
     if not identical:
         print("   !! parity violated — HTTP and in-process runs diverged")
         return 1

@@ -10,9 +10,8 @@ raw little-endian float64 buffer.  Packing is bit-exact by construction
 and signed zeros included) and roughly two orders of magnitude cheaper
 than JSON float lists — the difference between the serve path being
 serialization-bound and request-bound (see the gateway arm of the
-serve-throughput benchmark).  Decoders also accept plain JSON lists for
-these fields, so clients on platforms without the packed encoder can
-still produce valid payloads; small integer vectors (label counts) stay
+serve-throughput benchmark).  Packed is the only form the decoders
+accept for these fields; small integer vectors (label counts) stay
 lists.
 
 Round-trip fidelity is exact for the integer fields and bit-exact for
@@ -61,15 +60,16 @@ def pack_float_array(array: np.ndarray) -> str:
 
 
 def unpack_float_array(value: Any) -> np.ndarray:
-    """Inverse of :func:`pack_float_array`; also accepts a plain list.
+    """Inverse of :func:`pack_float_array`.
 
-    A string is treated as packed base64; anything else goes through
-    ``np.asarray`` (the portable JSON-list form).  Raises
-    :class:`ProtocolError` on undecodable base64 or a buffer that is not
-    a whole number of float64s.
+    Raises :class:`ProtocolError` on anything but a packed string:
+    undecodable base64, or a buffer that is not a whole number of
+    float64s.
     """
     if not isinstance(value, str):
-        return np.asarray(value, dtype=np.float64)
+        raise ProtocolError(
+            f"float array must be a packed string, got {type(value).__name__}"
+        )
     try:
         buffer = base64.b64decode(value.encode("ascii"), validate=True)
     except (binascii.Error, UnicodeEncodeError) as error:

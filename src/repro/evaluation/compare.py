@@ -1,8 +1,8 @@
 """Exact structural comparison of run traces.
 
 The simulator promises *bit-identical* :class:`~repro.simulation.trace
-.RunTrace`\\ s across execution strategies — the fused
-:class:`~repro.network.transport.DirectTransport` versus the event-driven
+.RunTrace`\\ s across execution strategies — synchronous fused rounds
+versus the event-driven
 :class:`~repro.network.transport.SimulatedTransport`, and today's code
 versus the recorded golden fingerprints in ``tests/data/`` — not
 "close", identical.  :func:`assert_traces_identical` is that promise made

@@ -15,8 +15,8 @@ gateways instead of millions of device sockets:
   :data:`repro.registry.GATEWAY_ASSIGNMENTS`) plus per-gateway link
   properties, modelled separately per hop.
 * :class:`~repro.gateway.transport.GatewayTransport` — the simulator
-  plug-in on the PR 4 transport seam: two-hop event-driven legs and
-  event-queue-clocked flushes.
+  plug-in: event-driven :class:`~repro.network.transport.Link`\\ s of
+  two-hop legs and event-queue-clocked flushes.
 * :class:`~repro.gateway.edge.EdgeGateway` — the live-service
   counterpart: pools :class:`~repro.serve.remote.RemoteDevice` uploads
   into single ``POST /v1/checkins`` requests against a running

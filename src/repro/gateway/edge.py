@@ -20,8 +20,7 @@ device in the epoch computes against the same w(t₀) and the server
 applies the batch later.  A **sequential** pass-through gateway
 (``flush_size=1``) degenerates to fetch → compute → flush → invalidate
 per round, which is bit-identical to per-device HTTP traffic (the
-benchmark's parity arm pins this against a local
-:class:`~repro.network.transport.DirectTransport` run).
+benchmark's parity arm pins this against a local fused run).
 
 ``share_checkouts=False`` forwards each device's own checkout request
 upstream unchanged — full per-device downlink traffic, batched uplink

@@ -1,8 +1,9 @@
 """Event-driven gateway tier for the simulator.
 
-A :class:`GatewayTransport` implements the PR 4 transport seam with a
-middle tier: every device link runs through its assigned gateway, so
-each protocol leg crosses **two** hops — device↔gateway (that device's
+A :class:`GatewayTransport` builds event-driven
+:class:`~repro.network.transport.Link`\\ s with a middle tier: every
+device's three legs run through its assigned gateway, so each protocol
+leg crosses **two** hops — device↔gateway (that device's
 edge link) and gateway↔server (the gateway's backhaul) — each with its
 own delay/outage model from the gateway's
 :class:`~repro.gateway.topology.GatewayProfile`.
@@ -37,7 +38,7 @@ from repro.gateway.aggregator import GatewayAggregator
 from repro.gateway.topology import GatewayProfile, TwoTierTopology
 from repro.network.channel import ChannelStats
 from repro.network.events import EventHandle, EventQueue
-from repro.network.transport import DeviceLink, Transport
+from repro.network.transport import Link
 from repro.utils.rng import RngFactory
 
 #: The simulator's batch sink: receives each flushed gateway batch.
@@ -333,31 +334,7 @@ class _GatewayUplink:
         return True
 
 
-class GatewayLink(DeviceLink):
-    """A device's three legs, all routed through its gateway."""
-
-    __slots__ = ("gateway_index", "request", "checkout", "checkin")
-
-    def __init__(self, node: _GatewayNode, rng: np.random.Generator, device_id: int):
-        self.gateway_index = node.index
-        self.request = _GatewayLeg(
-            node, rng, "request", down=False, name=f"request-{device_id}"
-        )
-        self.checkout = _GatewayLeg(
-            node, rng, "checkout", down=True, name=f"checkout-{device_id}"
-        )
-        self.checkin = _GatewayUplink(node, rng, name=f"checkin-{device_id}")
-
-    @property
-    def messages_dropped(self) -> int:
-        return (
-            self.request.stats.messages_dropped
-            + self.checkout.stats.messages_dropped
-            + self.checkin.stats.messages_dropped
-        )
-
-
-class GatewayTransport(Transport):
+class GatewayTransport:
     """Two-tier transport: device links run through aggregating gateways.
 
     Parameters
@@ -374,8 +351,6 @@ class GatewayTransport(Transport):
     rng_factory:
         Source of the per-gateway RNG streams (``"gateway"``, index g).
     """
-
-    synchronous = False
 
     def __init__(
         self,
@@ -425,11 +400,18 @@ class GatewayTransport(Transport):
 
     def connect(
         self, device_id: int, rng: Optional[np.random.Generator] = None
-    ) -> GatewayLink:
+    ) -> Link:
+        """A device's three legs, all routed through its gateway."""
         if rng is None:
             rng = np.random.default_rng()
         node = self._nodes[int(self._assignment[device_id])]
-        return GatewayLink(node, rng, device_id)
+        return Link(
+            _GatewayLeg(node, rng, "request", down=False,
+                        name=f"request-{device_id}"),
+            _GatewayLeg(node, rng, "checkout", down=True,
+                        name=f"checkout-{device_id}"),
+            _GatewayUplink(node, rng, name=f"checkin-{device_id}"),
+        )
 
     def drain_stranded(self) -> bool:
         """Flush every gateway's leftovers; True if any progress was made.

@@ -3,9 +3,9 @@
 Models Section IV-B3's three delay legs (τ_req, τ_co, τ_ci) with pluggable
 delay distributions (uniform by default, per footnote 7) and Remark 1's
 non-critical communication failures.  :mod:`repro.network.transport`
-abstracts how protocol messages travel: event-driven channels
-(:class:`SimulatedTransport`) or synchronous fused rounds
-(:class:`DirectTransport`) for zero-delay configurations.
+holds the device↔server seam of event-driven runs: one :class:`Link` of
+three legs per device, built by :class:`SimulatedTransport`.  Fused
+(zero-delay, reliable) rounds need no link.
 """
 
 from repro.network.channel import Channel, ChannelStats
@@ -26,14 +26,7 @@ from repro.network.outage import (
     OutageModel,
     WindowedOutage,
 )
-from repro.network.transport import (
-    DeviceLink,
-    DirectLink,
-    DirectTransport,
-    SimulatedLink,
-    SimulatedTransport,
-    Transport,
-)
+from repro.network.transport import Link, SimulatedTransport
 
 __all__ = [
     "BernoulliOutage",
@@ -42,19 +35,15 @@ __all__ = [
     "ChannelStats",
     "ConstantDelay",
     "DelayModel",
-    "DeviceLink",
-    "DirectLink",
-    "DirectTransport",
     "EventHandle",
     "EventQueue",
     "ExponentialDelay",
+    "Link",
     "LinkDelays",
     "LogNormalDelay",
     "NoOutage",
     "OutageModel",
-    "SimulatedLink",
     "SimulatedTransport",
-    "Transport",
     "UniformDelay",
     "WindowedOutage",
     "ZeroDelay",

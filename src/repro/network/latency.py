@@ -33,10 +33,10 @@ class DelayModel(ABC):
     def is_zero(self) -> bool:
         """True when every sample is exactly 0.0 **and** draws no RNG.
 
-        Zero-delay links are what make the synchronous
-        :class:`~repro.network.transport.DirectTransport` equivalent to
-        event-driven delivery, so the default is conservative: only
-        models that guarantee both properties override this.
+        Zero-delay links are what make a fused synchronous round
+        equivalent to event-driven delivery, so the default is
+        conservative: only models that guarantee both properties
+        override this.
         """
         return False
 

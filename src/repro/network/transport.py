@@ -1,74 +1,59 @@
-"""Transports: how protocol messages travel between devices and server.
+"""The device↔server seam: how the Fig. 2 legs reach the other side.
 
-The device↔server boundary is transport-agnostic: the protocol core
-(:class:`~repro.core.server_core.ServerCore`) and the device runtime never
-schedule events or open sockets themselves.  A :class:`Transport` decides
-how each leg of the Fig. 2 round trip — request (τ_req), check-out
-(τ_co), check-in (τ_ci) — reaches the other side, and hands back one
-:class:`DeviceLink` per device carrying the three legs plus their traffic
-counters.
+The protocol core (:class:`~repro.core.server_core.ServerCore`) and the
+device runtime never schedule events or open sockets themselves.  A round
+trip — request (τ_req), check-out (τ_co), check-in (τ_ci) — runs in one
+of two styles:
 
-Two implementations:
-
-* :class:`SimulatedTransport` — the event-driven network of Section V-C:
-  each leg is a delayed, possibly lossy
-  :class:`~repro.network.channel.Channel` on a shared
-  :class:`~repro.network.events.EventQueue`.  Delivery callbacks travel
-  as ``(callback, args)`` pairs end to end, so no closure is allocated
-  per message.
-* :class:`DirectTransport` — the zero-delay fast path: every leg is
-  reliable and instantaneous, so a whole round trip executes as one
-  synchronous call chain (see ``ServerCore.serve_round``) with **no**
-  event-queue traffic at all.  It refuses construction with non-zero
-  delays or a lossy outage model, because synchronous execution is only
-  equivalent to the event-driven schedule when nothing can interleave
-  within a round trip.  Per-leg counters are still maintained, so
-  communication accounting is identical to the simulated network.
-
-A third implementation, :class:`~repro.serve.remote.HttpTransport`,
-lives in the serve layer: same synchronous round-trip contract as
-:class:`DirectTransport` (its links subclass :class:`DirectLink`), but
-the server side is a live :class:`~repro.serve.service.CrowdService`
-reached over HTTP.
+* **fused** — zero delay, reliable network: nothing can interleave within
+  a round trip, so the whole of it executes as one synchronous call chain
+  (see ``ServerCore.serve_round``) with no event-queue traffic and *no
+  link at all*; ``CommunicationStats`` books the traffic.  The server side
+  is the in-process core or, over HTTP, a live
+  :class:`~repro.serve.service.CrowdService`
+  (:class:`~repro.serve.remote.RemoteServerCore`).
+* **event-driven** — the network of Section V-C: each device owns one
+  :class:`Link` whose three legs schedule deliveries on the shared
+  :class:`~repro.network.events.EventQueue`.  :class:`SimulatedTransport`
+  builds links of delayed, possibly lossy
+  :class:`~repro.network.channel.Channel`\\ s;
+  :class:`~repro.gateway.transport.GatewayTransport` builds links whose
+  legs cross an aggregating gateway.  Delivery callbacks travel as
+  ``(callback, args)`` pairs end to end, so no closure is allocated per
+  message.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Optional
 
 import numpy as np
 
-from repro.network.channel import Channel, ChannelStats
+from repro.network.channel import Channel
 from repro.network.events import EventQueue
 from repro.network.latency import LinkDelays
 from repro.network.outage import NoOutage, OutageModel
-from repro.utils.exceptions import ConfigurationError
 
 
-class DeviceLink(ABC):
-    """One device's three transport legs plus their traffic counters."""
+class Link:
+    """One device's three event-driven legs: request, check-out, check-in.
 
-    __slots__ = ()
-
-    @property
-    @abstractmethod
-    def messages_dropped(self) -> int:
-        """Messages lost across all three legs."""
-
-
-class SimulatedLink(DeviceLink):
-    """Three event-queue channels: request, check-out, check-in."""
+    A leg is anything with :meth:`Channel.send
+    <repro.network.channel.Channel.send>`'s signature and a ``.stats``
+    (:class:`~repro.network.channel.ChannelStats`) — a plain channel or
+    a gateway hop.
+    """
 
     __slots__ = ("request", "checkout", "checkin")
 
-    def __init__(self, request: Channel, checkout: Channel, checkin: Channel):
+    def __init__(self, request, checkout, checkin):
         self.request = request
         self.checkout = checkout
         self.checkin = checkin
 
     @property
     def messages_dropped(self) -> int:
+        """Messages lost across all three legs."""
         return (
             self.request.stats.messages_dropped
             + self.checkout.stats.messages_dropped
@@ -76,58 +61,7 @@ class SimulatedLink(DeviceLink):
         )
 
 
-class DirectLink(DeviceLink):
-    """Reliable, instantaneous legs — counters only, no scheduling.
-
-    ``note_request``/``note_checkout``/``note_checkin`` record one sent
-    message on the corresponding leg; delivery is the caller running the
-    receiver's code synchronously.
-    """
-
-    __slots__ = ("request_stats", "checkout_stats", "checkin_stats")
-
-    def __init__(self):
-        self.request_stats = ChannelStats()
-        self.checkout_stats = ChannelStats()
-        self.checkin_stats = ChannelStats()
-
-    def _note(self, stats: ChannelStats, payload_floats: int) -> None:
-        stats.messages_sent += 1
-        stats.payload_floats += payload_floats
-
-    def note_request(self, payload_floats: int = 0) -> None:
-        self._note(self.request_stats, payload_floats)
-
-    def note_checkout(self, payload_floats: int = 0) -> None:
-        self._note(self.checkout_stats, payload_floats)
-
-    def note_checkin(self, payload_floats: int = 0) -> None:
-        self._note(self.checkin_stats, payload_floats)
-
-    @property
-    def messages_dropped(self) -> int:
-        """Always 0: direct legs are reliable by construction."""
-        return 0
-
-
-class Transport(ABC):
-    """Factory for per-device links with a declared execution style.
-
-    ``synchronous`` tells the driver whether a round trip completes
-    inside the send call (fused path) or via scheduled deliveries.
-    """
-
-    #: Whether round trips execute synchronously (no event scheduling).
-    synchronous: bool = False
-
-    @abstractmethod
-    def connect(
-        self, device_id: int, rng: Optional[np.random.Generator] = None
-    ) -> DeviceLink:
-        """Create the three transport legs for one device."""
-
-
-class SimulatedTransport(Transport):
+class SimulatedTransport:
     """Event-driven delivery over per-device delayed, lossy channels.
 
     Parameters
@@ -140,8 +74,6 @@ class SimulatedTransport(Transport):
         Failure model shared by all legs (reliable by default).
     """
 
-    synchronous = False
-
     def __init__(
         self,
         queue: EventQueue,
@@ -152,18 +84,11 @@ class SimulatedTransport(Transport):
         self._delays = delays if delays is not None else LinkDelays.zero()
         self._outage = outage if outage is not None else NoOutage()
 
-    @property
-    def queue(self) -> EventQueue:
-        return self._queue
-
-    @property
-    def delays(self) -> LinkDelays:
-        return self._delays
-
     def connect(
         self, device_id: int, rng: Optional[np.random.Generator] = None
-    ) -> SimulatedLink:
-        return SimulatedLink(
+    ) -> Link:
+        """Create the three channels for one device."""
+        return Link(
             Channel(self._queue, self._delays.request, self._outage, rng,
                     name=f"request-{device_id}"),
             Channel(self._queue, self._delays.checkout, self._outage, rng,
@@ -171,34 +96,3 @@ class SimulatedTransport(Transport):
             Channel(self._queue, self._delays.checkin, self._outage, rng,
                     name=f"checkin-{device_id}"),
         )
-
-
-class DirectTransport(Transport):
-    """Synchronous fused-round execution for zero-delay, reliable links.
-
-    Raises :class:`~repro.utils.exceptions.ConfigurationError` when asked
-    to carry delayed or lossy traffic — those need the event queue.
-    """
-
-    synchronous = True
-
-    def __init__(
-        self,
-        delays: Optional[LinkDelays] = None,
-        outage: Optional[OutageModel] = None,
-    ):
-        if delays is not None and not delays.is_zero:
-            raise ConfigurationError(
-                "DirectTransport requires zero link delays; use "
-                "SimulatedTransport for delayed networks"
-            )
-        if outage is not None and not isinstance(outage, NoOutage):
-            raise ConfigurationError(
-                "DirectTransport requires a reliable network (NoOutage); "
-                "use SimulatedTransport for lossy links"
-            )
-
-    def connect(
-        self, device_id: int, rng: Optional[np.random.Generator] = None
-    ) -> DirectLink:
-        return DirectLink()

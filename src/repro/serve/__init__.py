@@ -24,12 +24,7 @@ from repro.serve.client import (
     RemoteServiceError,
     ServiceClient,
 )
-from repro.serve.remote import (
-    HttpLink,
-    HttpTransport,
-    RemoteDevice,
-    RemoteServerCore,
-)
+from repro.serve.remote import HttpTransport, RemoteDevice, RemoteServerCore
 from repro.serve.service import CrowdService
 from repro.serve.wire import (
     PROTOCOL_VERSION,
@@ -44,7 +39,6 @@ __all__ = [
     "CheckinBatchResult",
     "CrowdService",
     "ErrorCode",
-    "HttpLink",
     "HttpTransport",
     "RemoteAuthenticationError",
     "RemoteDevice",

@@ -330,7 +330,7 @@ class ServiceClient:
         a resumed server never collides with the dedupe ledger.
         """
         raw = self._call("POST", "/v1/join", wire.encode_join_request(device_id))
-        _, token, last_seq = wire.decode_join_response_seq(raw)
+        _, token, last_seq = wire.decode_join_response(raw)
         return token, last_seq
 
     def checkout(self, request: CheckoutRequest) -> CheckoutResponse:

@@ -1,12 +1,11 @@
 """The remote deployment path: drive real devices against a live server.
 
-Three pieces close the loop that :mod:`repro.network.transport` opened:
+Three pieces run the fused round-trip style (see
+:mod:`repro.network.transport`) with the server in another process:
 
-* :class:`HttpTransport` — a :class:`~repro.network.transport.Transport`
-  whose links carry the Fig. 2 legs over HTTP.  Like
-  :class:`~repro.network.transport.DirectTransport` it is synchronous
-  (a round trip completes inside the send call); unlike it, the server
-  side lives in another process.
+* :class:`HttpTransport` — a handle on the
+  :class:`~repro.serve.client.ServiceClient` that carries the Fig. 2
+  legs over HTTP; a round trip completes inside the calls.
 * :class:`RemoteServerCore` — a client-side proxy exposing the
   :class:`~repro.core.server_core.ServerCore` protocol surface
   (``register_device`` / ``handle_checkout`` / ``handle_checkins`` /
@@ -17,12 +16,12 @@ Three pieces close the loop that :mod:`repro.network.transport` opened:
   server_url=...)`` swaps the core out from under it and nothing else
   moves.
 * :class:`RemoteDevice` — a standalone client runtime pairing one
-  :class:`~repro.core.device.Device` (Algorithm 1, untouched) with an
-  :class:`HttpLink`; real deployments (and the concurrent smoke tests)
+  :class:`~repro.core.device.Device` (Algorithm 1, untouched) with a
+  service client; real deployments (and the concurrent smoke tests)
   drive many of these from independent threads.
 
-Parity: a sequential run through this path is **bit-identical** to a
-:class:`DirectTransport` run of the same spec — floats round-trip
+Parity: a sequential run through this path is **bit-identical** to an
+in-process fused run of the same spec — floats round-trip
 exactly through the JSON wire format and the server applies the same
 updates in the same order.  With concurrent clients the arrival order
 at the server is scheduling-dependent, so only aggregate invariants
@@ -47,7 +46,6 @@ from repro.core.protocol import (
 from repro.core.server_core import RoundOutcome
 from repro.core.stopping import StopDecision, StopReason
 from repro.models.base import Model
-from repro.network.transport import DirectLink, Transport
 from repro.serve.client import RemoteServiceError, ServiceClient
 from repro.serve import wire
 from repro.utils.exceptions import ConfigurationError, ProtocolError
@@ -56,31 +54,14 @@ if TYPE_CHECKING:
     from repro.gateway.edge import EdgeGateway
 
 
-class HttpLink(DirectLink):
-    """One device's legs over HTTP: per-leg counters + the shared client.
+class HttpTransport:
+    """A handle on the client whose round trips reach a live ``CrowdService``.
 
-    Counter semantics match :class:`DirectLink` — ``note_*`` records one
-    sent message per leg — so communication accounting is identical
-    across direct, simulated, and HTTP runs.
+    The caller blocks for the whole checkout→compute→check-in chain, so
+    nothing interleaves within one client's round trip (the server may
+    interleave *other clients'* updates — exactly the asynchrony of a
+    real deployment).
     """
-
-    __slots__ = ("client",)
-
-    def __init__(self, client: ServiceClient):
-        super().__init__()
-        self.client = client
-
-
-class HttpTransport(Transport):
-    """Transport whose round trips travel to a live ``CrowdService``.
-
-    Synchronous like :class:`DirectTransport`: the caller blocks for the
-    whole checkout→compute→check-in chain, so nothing interleaves within
-    one client's round trip (the server may interleave *other clients'*
-    updates — exactly the asynchrony of a real deployment).
-    """
-
-    synchronous = True
 
     def __init__(self, client_or_url):
         if isinstance(client_or_url, ServiceClient):
@@ -92,18 +73,13 @@ class HttpTransport(Transport):
     def client(self) -> ServiceClient:
         return self._client
 
-    def connect(
-        self, device_id: int, rng: Optional[np.random.Generator] = None
-    ) -> HttpLink:
-        return HttpLink(self._client)
-
 
 class RemoteDevice:
     """One live device: Algorithm 1 locally, Fig. 2 legs over HTTP.
 
     Wraps an ordinary :class:`~repro.core.device.Device` — sampling,
     buffering, gradients, and sanitization are exactly the in-process
-    code — and runs its check-out/check-in round against the link's
+    code — and runs its check-out/check-in round against the client's
     remote service.  Thread-safe across *instances* (one per device);
     a single instance must be driven from one thread.
 
@@ -121,12 +97,12 @@ class RemoteDevice:
     def __init__(
         self,
         device: Device,
-        link: HttpLink,
+        client: ServiceClient,
         gateway: Optional["EdgeGateway"] = None,
         first_checkin_seq: int = 0,
     ):
         self.device = device
-        self.link = link
+        self.client = client
         self.gateway = gateway
         self._stopped = False
         self._pending_checkin: Optional[CheckinMessage] = None
@@ -162,11 +138,11 @@ class RemoteDevice:
         restored from a snapshot cannot reuse sequence numbers its
         dedupe ledger would swallow.
         """
-        token, last_seq = transport.client.join_info(device_id)
-        link = transport.connect(device_id)
+        client = transport.client
+        token, last_seq = client.join_info(device_id)
         return cls(
             Device(device_id, model, config, token, rng),
-            link,
+            client,
             gateway,
             first_checkin_seq=last_seq + 1,
         )
@@ -220,25 +196,22 @@ class RemoteDevice:
         request = CheckoutRequest(
             device_id=device.device_id, token=device.token, request_time=float(now)
         )
-        self.link.note_request(request.payload_floats)
         try:
             if gateway is not None:
                 response = gateway.checkout(request)
             else:
-                response = self.link.client.checkout(request)
+                response = self.client.checkout(request)
         except RemoteServiceError as error:
             device.on_checkout_failed()
             if error.code == wire.ErrorCode.STOPPED:
                 self._stopped = True
                 return None
             raise
-        self.link.note_checkout(response.payload_floats)
         result = device.complete_checkout(
             response.parameters, response.server_iteration
         )
         message = replace(result.message, checkin_seq=self._next_checkin_seq)
         self._next_checkin_seq += 1
-        self.link.note_checkin(message.payload_floats)
         if gateway is not None:
             self._last_gateway_ack = None
             gateway.add(message, on_ack=self._on_gateway_ack)
@@ -257,7 +230,7 @@ class RemoteDevice:
         """POST one check-in; on transient failure keep it for retry."""
         self._pending_checkin = message
         try:
-            outcome = self.link.client.checkins([message])
+            outcome = self.client.checkins([message])
         except RemoteServiceError as error:
             if error.code == wire.ErrorCode.STOPPED:
                 # The task ended while the message was in flight: the

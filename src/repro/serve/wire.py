@@ -50,8 +50,11 @@ Fidelity notes
   identical doubles; scalar floats serialize via ``repr``, which
   round-trips every finite IEEE-754 double bit for bit.  A sequential
   training run over this wire format therefore matches an in-process
-  run float for float.  Decoders also accept plain JSON lists for the
-  packed fields (the portable client form).
+  run float for float.  Packed is the only form the message decoders
+  accept.  ``status``'s optional ``parameters`` is the one vector still
+  sent as a JSON float list (its own decoder, :func:`decode_status`):
+  packing it is a body-schema change that would move
+  :data:`PROTOCOL_VERSION`.
 * :attr:`~repro.core.protocol.CheckinMessage.releases` (device-side
   privacy accounting records) do **not** travel — the codec omits them
   by design, mirroring the paper's deployment where the server only
@@ -300,17 +303,9 @@ def encode_join_response(
     return encode_envelope("join_response", body)
 
 
-def decode_join_response(raw: Union[str, bytes]) -> Tuple[int, str]:
-    _, body = parse_envelope(raw, "join_response")
-    try:
-        return int(body["device_id"]), str(body["token"])
-    except (KeyError, TypeError, ValueError) as error:
-        raise WireError(ErrorCode.MALFORMED, f"malformed join_response: {error}")
-
-
-def decode_join_response_seq(raw: Union[str, bytes]) -> Tuple[int, str, int]:
-    """Like :func:`decode_join_response`, plus the server's
-    ``last_checkin_seq`` for the device (``-1`` when absent)."""
+def decode_join_response(raw: Union[str, bytes]) -> Tuple[int, str, int]:
+    """``(device_id, token, last_checkin_seq)``; the server's last applied
+    sequence number for the device is ``-1`` when absent."""
     _, body = parse_envelope(raw, "join_response")
     try:
         return (

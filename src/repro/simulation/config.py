@@ -62,17 +62,17 @@ class SimulationConfig:
         §IV-B3 adaptive-minibatch refinement.  ``None`` keeps b fixed.
     transport:
         How protocol messages travel.  ``"auto"`` (default) picks
-        :class:`~repro.network.transport.DirectTransport` — fused
-        synchronous rounds, no per-message heap events — whenever every
-        link delay is exactly zero and the network is reliable, and the
-        event-driven :class:`~repro.network.transport.SimulatedTransport`
-        otherwise.  ``"direct"``/``"simulated"`` force a choice
-        (``"direct"`` raises unless the config is zero-delay and
-        outage-free).  The two transports produce bit-identical
+        ``"direct"`` — fused synchronous rounds, no per-message heap
+        events — whenever every link delay is exactly zero and the
+        network is reliable, and the event-driven
+        :class:`~repro.network.transport.SimulatedTransport` otherwise.
+        ``"direct"``/``"simulated"`` force a choice (``"direct"`` and
+        ``"http"`` raise unless the config is zero-delay and
+        outage-free).  The two styles produce bit-identical
         :class:`~repro.simulation.trace.RunTrace`\\ s on every config
         where both are valid.  ``"http"`` drives a **live**
         :class:`~repro.serve.service.CrowdService` at ``server_url``
-        through :class:`~repro.serve.remote.HttpTransport`: the same
+        through :class:`~repro.serve.remote.RemoteServerCore`: the same
         fused-round schedule as ``"direct"`` (and, for a server hosting
         the matching spec, a bit-identical trace), with the server side
         in another process.  Never auto-selected.  Server-owned knobs
@@ -208,11 +208,14 @@ class SimulationConfig:
                     "gateway profiles (device_delays/server_delays/...); "
                     "leave link_delays and outage at their defaults"
                 )
-        if self.transport == "http" and not self.direct_transport_eligible:
+        if (
+            self.transport in ("direct", "http")
+            and not self.direct_transport_eligible
+        ):
             raise ConfigurationError(
-                "transport='http' runs fused synchronous rounds: it needs "
-                "zero link delays and a reliable network (use "
-                "SimulatedTransport to model delays/outages in-process)"
+                f"transport={self.transport!r} runs fused synchronous "
+                f"rounds: it needs zero link delays and a reliable network "
+                f"(use transport='simulated' to model delays/outages)"
             )
         if self.transport == "http":
             # The live server owns the optimizer and the stopping rule;

@@ -1,9 +1,9 @@
 """Event-driven simulation of a Crowd-ML deployment (Section V-C).
 
 The :class:`CrowdSimulator` wires M :class:`~repro.core.device.Device`
-actors and one :class:`~repro.core.server_core.ServerCore` over a
-:class:`~repro.network.transport.Transport` and drives the whole system
-from a deterministic :class:`~repro.network.events.EventQueue`:
+actors to one :class:`~repro.core.server_core.ServerCore` and drives the
+whole system from a deterministic
+:class:`~repro.network.events.EventQueue`:
 
 * each device's samples arrive at rate F_s (staggered start offsets);
 * a full minibatch triggers the Fig. 2 round trip — request (τ_req),
@@ -23,36 +23,35 @@ trigger, and advances the whole span of arrivals in a single vectorized
 :meth:`~repro.core.device.Device.observe_batch` call when a trigger or a
 check-out delivery fires.
 
-How the round trip itself executes depends on the transport
-(``SimulationConfig.transport``):
+The round trip itself executes in one of two styles, picked by
+``SimulationConfig.resolved_transport()``:
 
-* :class:`~repro.network.transport.SimulatedTransport` schedules each
-  message leg on the event queue through a delayed, possibly lossy
-  :class:`~repro.network.channel.Channel`.  Deliveries travel as
-  ``(bound method, args)`` pairs — no per-message closures.  When τ > 0
-  synchronizes several check-ins onto the *same* arrival timestamp, the
-  first delivery drains the whole contiguous run from the heap and
-  applies it as one :meth:`ServerCore.handle_checkins
+* **event-driven** (``"simulated"``, ``"gateway"``) — each device owns a
+  :class:`~repro.network.transport.Link` whose three legs schedule
+  deliveries on the event queue (delayed, possibly lossy
+  :class:`~repro.network.channel.Channel`\\ s, or two-hop gateway legs).
+  Deliveries travel as ``(bound method, args)`` pairs — no per-message
+  closures.  When τ > 0 synchronizes several check-ins onto the *same*
+  arrival timestamp, the first delivery drains the whole contiguous run
+  from the heap and applies it as one :meth:`ServerCore.handle_checkins
   <repro.core.server_core.ServerCore.handle_checkins>` batch —
   bit-identical to dispatching each event (order, snapshots, staleness,
   and stopping are segmented exactly; the recorded-trace suite gates it).
-* :class:`~repro.network.transport.DirectTransport` (auto-selected for
-  zero-delay, outage-free configs) runs the whole round *synchronously*
-  inside the trigger event via :meth:`ServerCore.serve_round
-  <repro.core.server_core.ServerCore.serve_round>`: with nothing able to
-  interleave between legs at the same timestamp, the fused path is
+* **fused** (``"direct"``, auto-selected for zero-delay, outage-free
+  configs, and ``"http"``) — no link: the whole round runs
+  *synchronously* inside the trigger event via
+  :meth:`ServerCore.serve_round
+  <repro.core.server_core.ServerCore.serve_round>`.  With nothing able
+  to interleave between legs at the same timestamp, the fused path is
   bit-identical to the event-driven one while firing **one** heap event
   per check-out instead of four (see the recorded-trace regression
-  suite).
-* :class:`~repro.serve.remote.HttpTransport`
-  (``transport="http", server_url=...``) runs the same fused-round
-  schedule as the direct path, but the server side is a **live**
-  :class:`~repro.serve.service.CrowdService` in another process:
-  :class:`~repro.serve.remote.RemoteServerCore` stands in for the local
-  core, every leg is a ``/v1/checkout`` / ``/v1/checkins`` HTTP round
-  trip, and — for a server hosting the matching spec — the resulting
-  trace is bit-identical to a :class:`DirectTransport` run (floats
-  survive the JSON wire format exactly).
+  suite).  Under ``transport="http", server_url=...`` the server side is
+  a **live** :class:`~repro.serve.service.CrowdService` in another
+  process: :class:`~repro.serve.remote.RemoteServerCore` stands in for
+  the local core, every leg is a ``/v1/checkout`` / ``/v1/checkins``
+  HTTP round trip, and — for a server hosting the matching spec — the
+  resulting trace is bit-identical to a ``"direct"`` run (floats survive
+  the wire format exactly).
 """
 
 from __future__ import annotations
@@ -66,18 +65,13 @@ from repro.core.config import DeviceConfig, ServerConfig
 from repro.core.device import Device
 from repro.core.protocol import CheckinMessage, CheckoutRequest, CheckoutResponse
 from repro.core.server_core import ServerCore
+from repro.core.stopping import StopDecision
 from repro.data.dataset import Dataset
 from repro.evaluation.curves import ErrorCurve
 from repro.evaluation.metrics import SnapshotEvaluator, snapshot_grid
 from repro.models.base import Model
 from repro.network.events import EventQueue
-from repro.network.transport import (
-    DirectLink,
-    DirectTransport,
-    SimulatedLink,
-    SimulatedTransport,
-    Transport,
-)
+from repro.network.transport import Link, SimulatedTransport
 from repro.obs.metrics import NULL_REGISTRY
 from repro.optim import paper_sgd
 from repro.privacy.budget import split_budget
@@ -88,7 +82,10 @@ from repro.utils.rng import RngFactory
 
 
 class _DeviceActor:
-    """A device plus its precomputed arrival plan and transport link.
+    """A device plus its precomputed arrival plan and its link.
+
+    ``link`` is the device's event-driven
+    :class:`~repro.network.transport.Link`, ``None`` on the fused path.
 
     ``arrival_times[k]`` is the exact event time of the k-th arrival,
     ``arrival_order[k]`` the dataset row it delivers, and
@@ -103,7 +100,13 @@ class _DeviceActor:
         "trigger_index",
     )
 
-    def __init__(self, device: Device, dataset: Dataset, link, start_offset: float):
+    def __init__(
+        self,
+        device: Device,
+        dataset: Dataset,
+        link: Optional[Link],
+        start_offset: float,
+    ):
         self.device = device
         self.dataset = dataset
         self.link = link
@@ -171,23 +174,16 @@ class CrowdSimulator:
         self._queue = EventQueue()
 
         resolved = config.resolved_transport()
-        self._remote = resolved == "http"
+        # Fused rounds (zero delay, reliable — checked by the config) run
+        # synchronously and need no link; an event-driven run's transport
+        # connects one per device.
+        self._fused = resolved in ("direct", "http")
         self._gateway = None
-        if self._remote:
-            # Imported here for layering, not laziness: the simulation
-            # package must stay importable standalone without a hard
-            # dependency on the serve layer (which depends back on
-            # network/ and core/).
-            from repro.serve.client import ServiceClient
-            from repro.serve.remote import HttpTransport, RemoteServerCore
-
-            self._transport: Transport = HttpTransport(
-                ServiceClient(config.server_url, retries=config.http_retries)
-            )
-        elif resolved == "gateway":
-            # Same layering rule as the serve import above: gateway/
-            # depends on network/ and core/, so simulation/ must not
-            # import it unconditionally.
+        transport = None
+        if resolved == "gateway":
+            # Imported here for layering, not laziness: gateway/ depends
+            # on network/ and core/, so simulation/ must not import it
+            # unconditionally.
             from repro.gateway.transport import GatewayTransport
 
             self._on_gateway_batch_handler = self._on_gateway_batch
@@ -198,25 +194,27 @@ class CrowdSimulator:
                 self._on_gateway_batch_handler,
                 self._rng_factory,
             )
-            self._transport = self._gateway
-        elif resolved == "direct":
-            self._transport = DirectTransport(config.link_delays, config.outage)
-        else:
-            self._transport = SimulatedTransport(
+            transport = self._gateway
+        elif not self._fused:
+            transport = SimulatedTransport(
                 self._queue, config.link_delays, config.outage
             )
-        self._direct = self._transport.synchronous
         self._coalesce = config.coalesce_checkins
 
         total_samples = sum(len(ds) for ds in device_datasets) * config.num_passes
-        if self._remote:
+        if resolved == "http":
             # The live server owns the model, optimizer, and stopping
             # config; the local ones must merely describe the same task.
             # Retrying clients must tag check-ins with sequence numbers:
             # a retry whose original response was lost is then answered
             # from the server's dedupe ledger instead of applied twice.
+            # (Imported here for the same layering rule as gateway/.)
+            from repro.serve.client import ServiceClient
+            from repro.serve.remote import RemoteServerCore
+
             core = RemoteServerCore(
-                self._transport.client, tag_checkins=config.http_retries > 0
+                ServiceClient(config.server_url, retries=config.http_retries),
+                tag_checkins=config.http_retries > 0,
             )
             core.validate_model(model)
             self._core = core
@@ -238,7 +236,9 @@ class CrowdSimulator:
             self._core = ServerCore(model, optimizer, server_config)
         self._total_samples = total_samples
 
-        self._actors = [self._build_actor(m) for m in range(config.num_devices)]
+        self._actors = [
+            self._build_actor(m, transport) for m in range(config.num_devices)
+        ]
 
         self._grid = snapshot_grid(max(total_samples, 1), config.num_snapshots)
         self._grid_pos = 0
@@ -284,11 +284,6 @@ class CrowdSimulator:
         return self._config
 
     @property
-    def transport(self) -> Transport:
-        """The transport protocol messages actually travel through."""
-        return self._transport
-
-    @property
     def gateway(self):
         """The :class:`~repro.gateway.transport.GatewayTransport` when a
         two-tier topology is configured, else ``None``."""
@@ -305,7 +300,7 @@ class CrowdSimulator:
         being dispatched as their own event."""
         return self._coalesced_checkins
 
-    def _build_actor(self, device_index: int) -> _DeviceActor:
+    def _build_actor(self, device_index: int, transport) -> _DeviceActor:
         config = self._config
         budget = split_budget(config.epsilon, self._model.num_classes)
         device_config = DeviceConfig(
@@ -328,8 +323,10 @@ class CrowdSimulator:
             batch_policy=batch_policy,
         )
 
-        network_rng = self._rng_factory.generator("network", device_index)
-        link = self._transport.connect(device_index, network_rng)
+        link = None
+        if transport is not None:
+            network_rng = self._rng_factory.generator("network", device_index)
+            link = transport.connect(device_index, network_rng)
         offset_rng = self._rng_factory.generator("offset", device_index)
         # Stagger device start times over one full minibatch period: real
         # devices join a task at arbitrary times, so their check-in phases
@@ -449,7 +446,7 @@ class CrowdSimulator:
         if self._stopped_reason is not None:
             return
         self._advance_arrivals(actor, actor.trigger_index + 1)
-        if self._direct:
+        if self._fused:
             self._run_fused_round(actor)
             return
         delivered = self._send_checkout_request(actor)
@@ -470,8 +467,7 @@ class CrowdSimulator:
             request_time=self._queue.now,
         )
         self._comm.checkout_requests += 1
-        link: SimulatedLink = actor.link
-        return link.request.send(
+        return actor.link.request.send(
             self._on_request_handler,
             payload_floats=request.payload_floats,
             on_drop=actor.device.on_checkout_failed,
@@ -485,8 +481,7 @@ class CrowdSimulator:
             return
         response = self._core.handle_checkout(request)
         self._comm.downlink_floats += response.payload_floats
-        link: SimulatedLink = actor.link
-        delivered = link.checkout.send(
+        delivered = actor.link.checkout.send(
             self._on_checkout_handler,
             payload_floats=response.payload_floats,
             on_drop=actor.device.on_checkout_failed,
@@ -510,31 +505,44 @@ class CrowdSimulator:
     def _on_checkout_arrival(self, actor: _DeviceActor, response: CheckoutResponse) -> None:
         if self._stopped_reason is not None:
             return
-        self._comm.checkouts_delivered += 1
         # Samples that arrived while the check-out was in flight were
         # buffered (and consumed holdout randomness) before this delivery
         # fired.
         self._advance_arrivals_until(actor, self._queue.now)
-        if actor.device.buffer_size == 0:
+        self._device_round(actor, response)
+
+    def _device_round(
+        self, actor: _DeviceActor, response: CheckoutResponse
+    ) -> Optional[CheckinMessage]:
+        """Device side of a round: Routines 2 + 3 on a delivered check-out.
+
+        Returns the check-in — already sent on the device's link when it
+        has one (the fused path hands it to ``serve_round`` instead) — or
+        ``None`` when a racing check-out left nothing to compute on.
+        """
+        self._comm.checkouts_delivered += 1
+        device = actor.device
+        if device.buffer_size == 0:
             # Buffer was consumed by a racing check-out; nothing to do.
-            actor.device.on_checkout_failed()
+            device.on_checkout_failed()
             self._schedule_trigger(actor)
-            return
-        result = actor.device.complete_checkout(
+            return None
+        result = device.complete_checkout(
             response.parameters, response.server_iteration
         )
         self._online_errors.append(result.per_sample_errors)
         message = result.message
         self._comm.uplink_floats += message.payload_floats
-        link: SimulatedLink = actor.link
-        link.checkin.send(
-            self._on_checkin_handler,
-            payload_floats=message.payload_floats,
-            args=(actor, message),
-        )
+        if actor.link is not None:
+            actor.link.checkin.send(
+                self._on_checkin_handler,
+                payload_floats=message.payload_floats,
+                args=(actor, message),
+            )
         # The buffer is empty again (and an adaptive policy may have just
         # changed b): the next trigger is deterministic from here.
         self._schedule_trigger(actor)
+        return message
 
     def _on_checkin_arrival(self, actor: _DeviceActor, message: CheckinMessage) -> None:
         if self._stopped_reason is not None or self._core.stopped:
@@ -558,12 +566,15 @@ class CrowdSimulator:
                 return
         self._staleness.append(self._core.iteration - message.checkout_iteration)
         self._core.handle_checkin(message)
-        self._comm.checkins_delivered += 1
-        self._samples_consumed += message.num_samples
+        self._book_applied(1, message.num_samples, self._core.stopping_decision())
+
+    def _book_applied(self, checkins: int, samples: int, stop: StopDecision) -> None:
+        """Book applied check-ins: counters, due snapshots, the stop verdict."""
+        self._comm.checkins_delivered += checkins
+        self._samples_consumed += samples
         self._maybe_snapshot()
-        decision = self._core.stopping_decision()
-        if decision.stopped:
-            self._stopped_reason = decision.reason.value
+        if stop.stopped:
+            self._stopped_reason = stop.reason.value
 
     def _apply_checkin_run(self, messages: List[CheckinMessage]) -> None:
         """Apply a contiguous run of same-timestamp check-in deliveries.
@@ -620,12 +631,10 @@ class CrowdSimulator:
                     start_iteration + offset - message.checkout_iteration
                 )
             core.handle_checkins(segment)
-            self._comm.checkins_delivered += len(segment)
-            self._samples_consumed = consumed
-            self._maybe_snapshot()
-            decision = core.stopping_decision()
-            if decision.stopped:
-                self._stopped_reason = decision.reason.value
+            self._book_applied(
+                len(segment), consumed - self._samples_consumed,
+                core.stopping_decision(),
+            )
             i = j
 
     def _on_gateway_batch(self, messages: List[CheckinMessage]) -> None:
@@ -650,7 +659,7 @@ class CrowdSimulator:
         self._apply_checkin_run(run)
 
     # ------------------------------------------------------------------ #
-    # The check-out/check-in round trip — direct transport (fused)       #
+    # The check-out/check-in round trip — fused                          #
     # ------------------------------------------------------------------ #
 
     def _run_fused_round(self, actor: _DeviceActor) -> None:
@@ -670,14 +679,12 @@ class CrowdSimulator:
             request_time=self._queue.now,
         )
         self._comm.checkout_requests += 1
-        link: DirectLink = actor.link
-        link.note_request(request.payload_floats)
         outcome = self._core.serve_round(
             (request,), self._complete_fused_round, (actor,)
         )
         if outcome.responses[0] is None:
             # Stopped or rejected before the checkout was served.  On the
-            # local direct path this cannot happen mid-run (a stop always
+            # local fused path this cannot happen mid-run (a stop always
             # surfaces through the check-in that caused it); on the remote
             # path it can — the live server may have stopped between
             # rounds (or under a concurrent client) and reject the
@@ -701,35 +708,19 @@ class CrowdSimulator:
             if outcome.stop.stopped:
                 self._stopped_reason = outcome.stop.reason.value
             return
-        self._comm.checkins_delivered += 1
-        self._samples_consumed += message.num_samples
-        self._maybe_snapshot()
-        if outcome.stop.stopped:
-            self._stopped_reason = outcome.stop.reason.value
+        self._book_applied(1, message.num_samples, outcome.stop)
 
     def _complete_fused_round(
         self, response: CheckoutResponse, actor: _DeviceActor
     ) -> Optional[CheckinMessage]:
-        """Device side of a fused round: Routines 2 + 3 plus bookkeeping."""
-        self._comm.checkouts_delivered += 1
+        """Device side of a fused round, as ``serve_round``'s callback."""
         self._comm.downlink_floats += response.payload_floats
-        link: DirectLink = actor.link
-        link.note_checkout(response.payload_floats)
-        device = actor.device
-        if device.buffer_size == 0:
-            device.on_checkout_failed()
-            self._schedule_trigger(actor)
-            return None
-        result = device.complete_checkout(
-            response.parameters, response.server_iteration
-        )
-        self._online_errors.append(result.per_sample_errors)
-        message = result.message
-        self._comm.uplink_floats += message.payload_floats
-        link.note_checkin(message.payload_floats)
-        self._schedule_trigger(actor)
-        # Applied immediately after return: zero interleaved updates.
-        self._staleness.append(self._core.iteration - message.checkout_iteration)
+        message = self._device_round(actor, response)
+        if message is not None:
+            # Applied immediately after return: zero interleaved updates.
+            self._staleness.append(
+                self._core.iteration - message.checkout_iteration
+            )
         return message
 
     # ------------------------------------------------------------------ #
@@ -799,9 +790,10 @@ class CrowdSimulator:
             (actor.device.accountant.spend().per_sample_epsilon for actor in self._actors),
             default=0.0,
         )
-        self._comm.messages_dropped = sum(
-            actor.link.messages_dropped for actor in self._actors
-        )
+        if not self._fused:
+            self._comm.messages_dropped = sum(
+                actor.link.messages_dropped for actor in self._actors
+            )
         if self._gateway is not None:
             # Whole batches lost on a gateway's backhaul (per-device
             # drops — edge-hop losses and capacity overflow — are

@@ -274,7 +274,7 @@ class TestConfigWiring:
         assert simulator.gateway is not None
         assert len(simulator.gateway.nodes) == 3
         assert simulator.gateway.assignment.shape == (6,)
-        assert not simulator.transport.synchronous
+        assert simulator.config.resolved_transport() == "gateway"
 
     def test_gateways_exclude_flat_link_knobs(self):
         with pytest.raises(ConfigurationError, match="gateway"):

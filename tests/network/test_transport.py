@@ -7,7 +7,6 @@ from repro.data import iid_partition, make_mnist_like
 from repro.models import MulticlassLogisticRegression
 from repro.network import (
     BernoulliOutage,
-    DirectTransport,
     EventQueue,
     LinkDelays,
     NoOutage,
@@ -26,7 +25,6 @@ class TestSimulatedTransport:
         assert link.request.name == "request-3"
         assert link.checkout.name == "checkout-3"
         assert link.checkin.name == "checkin-3"
-        assert not transport.synchronous
 
     def test_send_travels_through_queue(self):
         queue = EventQueue()
@@ -49,27 +47,37 @@ class TestSimulatedTransport:
 
 class TestDirectTransport:
     def test_rejects_nonzero_delays(self):
-        with pytest.raises(ConfigurationError):
-            DirectTransport(LinkDelays.uniform(0.5))
+        with pytest.raises(ConfigurationError, match="zero link delays"):
+            SimulationConfig(num_devices=2, transport="direct",
+                             link_delays=LinkDelays.uniform(0.5))
 
     def test_rejects_lossy_outage(self):
-        with pytest.raises(ConfigurationError):
-            DirectTransport(LinkDelays.zero(), BernoulliOutage(0.1))
+        with pytest.raises(ConfigurationError, match="reliable"):
+            SimulationConfig(num_devices=2, transport="direct",
+                             link_delays=LinkDelays.zero(),
+                             outage=BernoulliOutage(0.1))
 
     def test_accepts_zero_delay_reliable(self):
-        transport = DirectTransport(LinkDelays.zero(), NoOutage())
-        assert transport.synchronous
-        link = transport.connect(0)
-        assert link.messages_dropped == 0
+        train, test = make_mnist_like(num_train=40, num_test=20, seed=0)
+        parts = iid_partition(train, 2, np.random.default_rng(0))
+        config = SimulationConfig(num_devices=2, transport="direct",
+                                  link_delays=LinkDelays.zero(),
+                                  outage=NoOutage())
+        assert config.resolved_transport() == "direct"
+        trace = CrowdSimulator(MulticlassLogisticRegression(50, 10),
+                               parts, test, config, seed=0).run()
+        assert trace.communication.checkins_delivered > 0
+        assert trace.communication.messages_dropped == 0
 
     def test_counters_track_legs(self):
-        link = DirectTransport().connect(0)
-        link.note_request(0)
-        link.note_checkout(500)
-        link.note_checkin(512)
-        assert link.request_stats.messages_sent == 1
-        assert link.checkout_stats.payload_floats == 500
-        assert link.checkin_stats.payload_floats == 512
+        queue = EventQueue()
+        link = SimulatedTransport(queue).connect(0, np.random.default_rng(0))
+        link.request.send(lambda: None, payload_floats=0)
+        link.checkout.send(lambda: None, payload_floats=500)
+        link.checkin.send(lambda: None, payload_floats=512)
+        assert link.request.stats.messages_sent == 1
+        assert link.checkout.stats.payload_floats == 500
+        assert link.checkin.stats.payload_floats == 512
 
 
 class TestConfigResolution:
@@ -90,9 +98,9 @@ class TestConfigResolution:
     def test_forced_direct_on_delayed_config_raises(self):
         train, test = make_mnist_like(num_train=40, num_test=20, seed=0)
         parts = iid_partition(train, 2, np.random.default_rng(0))
-        config = SimulationConfig(num_devices=2, transport="direct",
-                                  link_delays=LinkDelays.uniform(0.5))
         with pytest.raises(ConfigurationError):
+            config = SimulationConfig(num_devices=2, transport="direct",
+                                      link_delays=LinkDelays.uniform(0.5))
             CrowdSimulator(MulticlassLogisticRegression(50, 10),
                            parts, test, config, seed=0)
 

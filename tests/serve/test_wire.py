@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.codec import encode_message
 from repro.core.protocol import (
     CheckinAck,
     CheckinMessage,
@@ -133,6 +134,10 @@ class TestMessageEnvelopes:
             {"messages": []},                    # empty batch
             {"messages": [42]},                  # non-object entry
             {"messages": [{"type": "checkin"}]},  # missing fields
+            {"messages": [{                      # gradient as a JSON list
+                **encode_message(make_checkin()),
+                "gradient": make_checkin().gradient.tolist(),
+            }]},
         ],
     )
     def test_checkin_batch_malformed(self, body):
@@ -200,4 +205,4 @@ class TestStatusAndErrors:
     def test_join_round_trip(self):
         assert wire.decode_join_request(wire.encode_join_request(9)) == 9
         assert wire.decode_join_response(
-            wire.encode_join_response(9, "tok")) == (9, "tok")
+            wire.encode_join_response(9, "tok")) == (9, "tok", -1)

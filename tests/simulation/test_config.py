@@ -61,16 +61,16 @@ class TestHttpTransport:
     def test_http_rejects_delays_and_outages(self):
         from repro.network.outage import BernoulliOutage
 
-        with pytest.raises(ConfigurationError, match="zero link delays"):
-            SimulationConfig(
-                num_devices=5, transport="http", server_url="http://127.0.0.1:1",
-                link_delays=LinkDelays.uniform(0.5),
-            )
-        with pytest.raises(ConfigurationError, match="reliable"):
-            SimulationConfig(
-                num_devices=5, transport="http", server_url="http://127.0.0.1:1",
-                outage=BernoulliOutage(0.5),
-            )
+        http = dict(transport="http", server_url="http://127.0.0.1:1")
+        for fused in (http, dict(transport="direct")):
+            with pytest.raises(ConfigurationError, match="zero link delays"):
+                SimulationConfig(
+                    num_devices=5, link_delays=LinkDelays.uniform(0.5), **fused
+                )
+            with pytest.raises(ConfigurationError, match="reliable"):
+                SimulationConfig(
+                    num_devices=5, outage=BernoulliOutage(0.5), **fused
+                )
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -102,13 +102,13 @@ def test_auto_transport_selects_direct_when_eligible(data):
         MulticlassLogisticRegression(50, 10), parts, test,
         SimulationConfig(num_devices=10), seed=0,
     )
-    assert zero.transport.synchronous
+    assert zero.config.resolved_transport() == "direct"
     delayed = CrowdSimulator(
         MulticlassLogisticRegression(50, 10), parts, test,
         SimulationConfig(num_devices=10, link_delays=LinkDelays.uniform(0.5)),
         seed=0,
     )
-    assert not delayed.transport.synchronous
+    assert delayed.config.resolved_transport() == "simulated"
 
 
 def test_single_device(data, golden):

@@ -24,12 +24,15 @@ class TestExports:
         import repro.evaluation
         import repro.experiments
         import repro.features
+        import repro.gateway
         import repro.models
         import repro.network
+        import repro.obs
         import repro.optim
         import repro.persist
         import repro.portal
         import repro.privacy
+        import repro.serve
         import repro.shard
         import repro.simulation
         import repro.store
@@ -39,11 +42,14 @@ class TestExports:
         import repro.analysis
         import repro.core
         import repro.data
+        import repro.gateway
         import repro.models
         import repro.network
+        import repro.obs
         import repro.optim
         import repro.persist
         import repro.privacy
+        import repro.serve
         import repro.shard
         import repro.simulation
 
@@ -51,11 +57,14 @@ class TestExports:
             repro.analysis,
             repro.core,
             repro.data,
+            repro.gateway,
             repro.models,
             repro.network,
+            repro.obs,
             repro.optim,
             repro.persist,
             repro.privacy,
+            repro.serve,
             repro.shard,
             repro.simulation,
         ):
