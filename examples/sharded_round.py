@@ -3,14 +3,15 @@
 The sharded-serving headline in one script: an N-worker tier behind one
 shard front end, driven by retrying clients while a worker is SIGKILLed
 mid-campaign.  The supervisor fences the dead incarnation's epoch,
-respawns the shard from its newest durable snapshot, and traffic keeps
-flowing — and at the end, every shard's parameters are **bit-identical**
+respawns the shard from its durable state (snapshot + log tail), and
+traffic keeps flowing — and at the end, every shard's parameters are **bit-identical**
 to an uninterrupted in-process replay of the same messages.
 
 Why this works (see README "Sharded serving"):
 
-* each worker is a full durable server: write-ahead checkpoints into its
-  own ``shard-<k>/`` subdirectory before every ack;
+* each worker is a full durable server: every accepted check-in is
+  logged and synced into its own ``shard-<k>/`` subdirectory before
+  its ack;
 * the supervisor advances a monotonic fence epoch before each respawn,
   so a zombie incarnation's late writes are refused, never interleaved;
 * clients retry through the front end's 503s during the failover window,
@@ -22,7 +23,7 @@ Acts:
 2. Drive seeded traffic through a retrying client; a ``WorkerKiller``
    SIGKILLs a random worker every few batches.
 3. Verdict: kills happened, zero front-end internal errors, aggregate
-   iteration count exact, and each shard's durable snapshot restores to
+   iteration count exact, and each shard's state dir recovers to
    the same bits as an uninterrupted reference core.
 
 Usage::
@@ -44,7 +45,7 @@ from repro.core.protocol import CheckinMessage
 from repro.core.server_core import ServerCore
 from repro.models import MulticlassLogisticRegression
 from repro.optim import paper_sgd
-from repro.persist import SnapshotStore, WorkerKiller, restore_core
+from repro.persist import SnapshotStore, WorkerKiller
 from repro.serve import ServiceClient
 from repro.shard import ShardFrontEnd, ShardRouter, ShardSupervisor, ShardWorker
 
@@ -199,13 +200,13 @@ def main() -> int:
         print(f"   !! dirty worker shutdown: {exit_codes}")
         ok = False
     for shard in range(NUM_SHARDS):
-        loaded = SnapshotStore(os.path.join(state_dir, f"shard-{shard}")
-                               ).load_latest()
-        if loaded is None:
-            print(f"   !! shard {shard} left no durable snapshot")
+        recovered = SnapshotStore(os.path.join(state_dir, f"shard-{shard}")
+                                  ).recover(make_model())
+        if recovered is None:
+            print(f"   !! shard {shard} left no durable state")
             ok = False
             continue
-        restored = restore_core(loaded[0], make_model())
+        restored = recovered.core
         reference = references[shard]
         if restored.iteration != reference.iteration or not np.array_equal(
             restored.parameters, reference.parameters

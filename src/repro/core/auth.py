@@ -56,7 +56,9 @@ class DeviceRegistry:
     @property
     def num_registered(self) -> int:
         """Number of currently registered, non-revoked devices."""
-        return len([d for d in self._tokens if d not in self._revoked])
+        # A count, not a scan (read under the core lock); revoked ids
+        # need not be enrolled, hence the intersection.
+        return len(self._tokens) - len(self._revoked & self._tokens.keys())
 
     def is_registered(self, device_id: int) -> bool:
         return int(device_id) in self._tokens and int(device_id) not in self._revoked

@@ -246,6 +246,13 @@ class ServerCore:
         }
         self._stop_cache = None
 
+    def advance_counters(self, checkouts: int, rejected: int, duplicates: int) -> None:
+        """Log replay: raise the counters to what unlogged traffic
+        (check-outs, batches that applied nothing) had made them."""
+        self._checkouts_served = max(self._checkouts_served, checkouts)
+        self._rejected_messages = max(self._rejected_messages, rejected)
+        self._duplicates_suppressed = max(self._duplicates_suppressed, duplicates)
+
     def register_device(self, device_id: int) -> str:
         """Enroll a device (Web-portal join flow); returns its token."""
         return self._registry.register(device_id)

@@ -6,13 +6,13 @@ Three layers, bottom-up:
   serialization of full :class:`~repro.core.server_core.ServerCore`
   state (``restore_core(snapshot_core(core))`` is indistinguishable from
   the live core, property-tested).
-* :mod:`repro.persist.checkpoint` — write-ahead checkpoint files under a
-  state dir, with atomic writes, checksums, retention pruning, and
-  newest-valid-wins recovery.
+* :mod:`repro.persist.checkpoint` — write-ahead durability under a state
+  dir: accepted requests appended to a checksummed, fenced log before
+  their ack, snapshots as compaction points, recovery by log replay.
 * :mod:`repro.persist.faults` — the adversary: a seeded lossy TCP proxy,
-  a SIGKILL-able ``repro-serve`` subprocess harness, and the sharded
-  tier's every-K-batches worker killer, used by the durability tests and
-  the chaos campaigns.
+  a SIGKILL-able ``repro-serve`` subprocess harness, the sharded tier's
+  every-K-batches worker killer and a power cut's torn / lost log tail,
+  used by the durability tests and the chaos campaigns.
 
 The checkpoint layer also carries the sharded tier's incarnation fence
 (``epoch.json`` + :class:`FencedWriteError`) — see the

@@ -1,8 +1,7 @@
-"""Fault injection for the serve path: a lossy TCP proxy + process killer.
+"""Fault injection for the serve path: lossy proxy, process killer, power cut.
 
 Durability claims are only worth what a fault campaign says they are, so
-this module provides the two fault sources the durable-serving tests
-inject:
+this module provides the fault sources the durable-serving tests inject:
 
 * :class:`FaultyProxy` — an in-process TCP proxy between a client and a
   live :class:`~repro.serve.service.CrowdService`.  Per connection it
@@ -25,6 +24,8 @@ inject:
   loop fail the shard over.  The client keeps retrying through the
   front end; the acceptance gate is per-shard bit-parity with an
   uninterrupted run.
+* :func:`tear_log_tail` / :func:`lose_log_tail` — a power cut's outcomes
+  on a dead server's log: cut *inside* the last record, or ``k`` back.
 
 All record counters so tests can assert the campaign actually injected
 faults rather than passing vacuously.
@@ -41,6 +42,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import urlparse
 
+from repro.persist.checkpoint import RECORD_HEADER_BYTES, SnapshotStore, read_segment
 from repro.serve.launch import LaunchError, crash, launch, shut_down
 from repro.utils.exceptions import ReproError
 
@@ -293,6 +295,33 @@ class FaultyProxy:
                 client.close()
             except OSError:
                 pass
+
+
+def _log_tail(state_dir: str) -> Tuple[str, List[int]]:
+    """The newest log segment and the byte offsets its records start at."""
+    path = SnapshotStore(state_dir).segment_paths()[-1]
+    offsets = [0]
+    for record in read_segment(path):
+        offsets.append(offsets[-1] + RECORD_HEADER_BYTES + len(record.payload))
+    return path, offsets
+
+
+def tear_log_tail(state_dir: str, keep: float = 0.5) -> int:
+    """Cut the log inside its last record, keeping the fraction ``keep``
+    (in ``[0, 1)``) of its bytes; returns how many bytes that left."""
+    path, offsets = _log_tail(state_dir)
+    kept = int((offsets[-1] - offsets[-2]) * keep)
+    os.truncate(path, offsets[-2] + kept)
+    return kept
+
+
+def lose_log_tail(state_dir: str, records: int) -> int:
+    """Cut the newest segment ``records`` whole records (or as many as
+    it has) before its end; returns how many went."""
+    path, offsets = _log_tail(state_dir)
+    dropped = min(records, len(offsets) - 1)
+    os.truncate(path, offsets[-1 - dropped])
+    return dropped
 
 
 class ServeProcess:

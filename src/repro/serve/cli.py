@@ -12,7 +12,7 @@ the c/√t schedule) and hosts it with
     # ephemeral port: parse the announced URL from the first stdout line
     repro-serve --num-features 50 --num-classes 10 --port 0
 
-    # durable: checkpoint every update, resume after any crash
+    # durable: log + fsync every update before its ack, resume any crash
     repro-serve --num-features 50 --num-classes 10 --port 8900 \\
                 --state-dir /var/lib/crowdml --checkpoint-every 1
 
@@ -24,15 +24,15 @@ the c/√t schedule) and hosts it with
 The first line printed is always ``serving on http://HOST:PORT`` (flushed
 immediately), so scripts and CI can scrape the bound port.
 
-Durability: with ``--state-dir`` the service checkpoints the full core
-state write-ahead (see :mod:`repro.persist`); on startup it resumes from
-the newest valid snapshot in that directory (torn files are skipped), so
-a SIGKILLed server restarted with the same flags picks the run up where
-the last durable checkpoint left it.  SIGINT/SIGTERM shut down
-gracefully — the listener stops, in-flight requests drain, and a final
-snapshot is flushed; exit code 0 means the shutdown was clean, 3 that
-the drain timed out or the final flush failed (state is whatever the
-last successful checkpoint captured).
+Durability: with ``--state-dir`` the service appends every accepted
+request to a checksummed log before acking it (see :mod:`repro.persist`),
+``fsync``ing at the ``--checkpoint-every`` cadence; snapshots are only
+compaction points.  On startup it recovers the newest valid snapshot
+plus the log records after it (torn files and a torn log tail are
+skipped), so a SIGKILLed server restarted with the same flags resumes at
+its last acked update.  SIGINT/SIGTERM shut down gracefully — listener
+stops, in-flight requests drain, a final snapshot is flushed; exit 0 is
+clean, 3 a drain timeout or failed flush (the log has every acked update).
 
 The optimizer mirrors :class:`~repro.simulation.simulator.CrowdSimulator`
 exactly (same schedule, same projection), so a remote run against a
@@ -56,7 +56,6 @@ from repro.optim import paper_sgd
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceRecorder
 from repro.persist.checkpoint import Checkpointer, CheckpointPolicy, SnapshotStore
-from repro.persist.snapshot import restore_core
 from repro.registry import MODELS, SHARD_ROUTING
 from repro.serve.host import HttpHost
 from repro.serve.launch import ANNOUNCEMENT
@@ -108,18 +107,20 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable POST /v1/join (closed deployment: use "
                              "--register or a provisioned --server-key)")
     parser.add_argument("--state-dir", default=None, metavar="DIR",
-                        help="durable state directory: checkpoint here and "
-                             "resume from the newest valid snapshot at startup")
+                        help="durable state directory: log accepted requests "
+                             "here; recover snapshot + log tail at startup")
     parser.add_argument("--checkpoint-every", type=int, default=1, metavar="N",
-                        help="checkpoint after every N applied updates "
-                             "(default 1 = write-ahead each update; 0 "
-                             "disables the count trigger)")
+                        help="durability cadence: fsync the log every N "
+                             "applied updates (default 1 = before each ack; "
+                             "N > 1 risks N-1 acked updates on power loss, "
+                             "none on SIGKILL; 0 disables the count trigger)")
     parser.add_argument("--checkpoint-seconds", type=float, default=None,
                         metavar="S",
-                        help="additionally checkpoint every S seconds of "
-                             "wall clock (default: off)")
+                        help="additionally fsync the log every S seconds "
+                             "of wall clock (default: off)")
     parser.add_argument("--retain", type=int, default=4, metavar="K",
-                        help="keep the newest K snapshots (default 4)")
+                        help="keep the newest K snapshots and the log "
+                             "segments they may replay (default 4)")
     parser.add_argument("--workers", type=int, default=0, metavar="N",
                         help="run a sharded tier: N worker processes "
                              "(one ServerCore + shard-<k>/ snapshots each) "
@@ -156,11 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
 def build_service(args: argparse.Namespace) -> CrowdService:
     """Construct the core + service a parsed command line describes.
 
-    With ``--state-dir``, the newest valid snapshot there supersedes the
-    command-line task state (parameters, counters, registry — the flags
-    still define the model shape, which the snapshot must match); the
-    chosen resume point is recorded on the returned service as
-    ``service.resumed_from`` (``None`` for a fresh start).
+    With ``--state-dir``, the state recovered from it (newest valid
+    snapshot + log tail) supersedes the command-line task state (the
+    flags still define the model shape, which the snapshot must match);
+    the resume point is recorded on the returned service as
+    ``service.resumed_from`` (``None`` = fresh) + ``records_replayed``.
     """
     model = MODELS.create(
         args.model, num_features=args.num_features, num_classes=args.num_classes
@@ -178,6 +179,7 @@ def build_service(args: argparse.Namespace) -> CrowdService:
     shard_epoch = args.shard_epoch if args.shard_epoch >= 0 else None
     checkpointer = None
     resumed_from = None
+    records_replayed = 0
     core = None
     if args.state_dir is not None:
         store = SnapshotStore(args.state_dir, retain=args.retain,
@@ -198,11 +200,11 @@ def build_service(args: argparse.Namespace) -> CrowdService:
             every_seconds=args.checkpoint_seconds,
         )
         checkpointer = Checkpointer(store, policy)
-        loaded = store.load_latest()
-        if loaded is not None:
-            snapshot, resumed_from = loaded
-            core = restore_core(snapshot, model)
-            checkpointer.note_restored(core)
+        recovered = store.recover(model)
+        if recovered is not None:
+            core, resumed_from, records_replayed = recovered
+            # Compact: the next start then replays none of this tail.
+            checkpointer.checkpoint(core)
     if core is None:
         # The one shared construction CrowdSimulator also uses —
         # bit-parity of remote runs against in-process runs rests on it.
@@ -240,6 +242,7 @@ def build_service(args: argparse.Namespace) -> CrowdService:
         metrics=metrics, tracer=tracer,
     )
     service.resumed_from = resumed_from
+    service.records_replayed = records_replayed
     return service
 
 
@@ -409,7 +412,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if service.resumed_from is not None:
         print(
             f"resumed iteration {service.core.iteration} "
-            f"from {service.resumed_from}",
+            f"from {service.resumed_from} + {service.records_replayed} "
+            f"log records",
             flush=True,
         )
 

@@ -62,15 +62,15 @@ class CrowdService(HttpHost):
         is provisioned out of band.
     checkpointer:
         Optional :class:`~repro.persist.checkpoint.Checkpointer`.  When
-        set, the service checkpoints **write-ahead**: after a check-in
-        batch mutates the core, the policy-gated snapshot is written
-        while the core lock is still held and *before* the ack leaves
-        the server.  With ``every_n_updates=1`` a crash can therefore
-        only lose updates whose acks the clients never saw — which they
-        retry, and the sequence-number dedupe applies exactly once.
-        Registrations checkpoint unconditionally (tokens must never be
-        handed out and then forgotten).  A failing snapshot write fails
-        the request (500) rather than acknowledging undurable state.
+        set, the service commits **write-ahead**: the body of a check-in
+        batch that advanced the core is appended to the log (``fsync``ed
+        at the policy's cadence) while the core lock is still held and
+        *before* the ack leaves the server.  With ``every_n_updates=1`` a
+        crash or power cut can therefore only lose updates whose acks the
+        clients never saw — which they retry, and the dedupe applies once.
+        Joins commit and sync unconditionally (tokens must never be
+        handed out and then forgotten).  A failing append or ``fsync``
+        fails the request (500) rather than acking undurable state.
     shard_epoch:
         Incarnation epoch of this worker on a sharded tier (``None`` =
         unsharded).  Stamped into every check-in result and status body
@@ -169,7 +169,9 @@ class CrowdService(HttpHost):
                 # Unconditional: a token handed out must survive a crash,
                 # or the device's traffic is rejected after resume.
                 with trace.phase("checkpoint"):
-                    self._checkpointer.checkpoint(self._core)
+                    self._checkpointer.commit(
+                        self._core, request.body, self._core.iteration, join=True
+                    )
         finally:
             self._lock.release()
         with trace.phase("encode"):
@@ -225,14 +227,18 @@ class CrowdService(HttpHost):
                     wire.ErrorCode.STOPPED,
                     "task has stopped; no further check-ins",
                 )
+            iteration_before = self._core.iteration
             with trace.phase("core_apply"):
                 acks = self._core.handle_checkins(messages)
                 iteration = self._core.iteration
                 stop = self._core.stopping_decision()
             if self._checkpointer is not None:
-                # Write-ahead: durable before the ack leaves the server.
+                # Write-ahead: logged before the ack leaves the server (a batch
+                # that applied nothing logs nothing, unless a commit is owed).
                 with trace.phase("checkpoint"):
-                    self._checkpointer.after_update(self._core)
+                    self._checkpointer.commit(
+                        self._core, request.body, iteration_before
+                    )
         finally:
             self._lock.release()
         with trace.phase("encode"):

@@ -4,7 +4,7 @@ The tier partitions devices across worker processes by stable hash of
 ``device_id`` (:mod:`repro.shard.routing`); each worker is a full
 :class:`~repro.core.server_core.ServerCore` +
 :class:`~repro.persist.checkpoint.Checkpointer` over its own
-``shard-<k>/`` snapshot directory.  A
+``shard-<k>/`` state directory.  A
 :class:`~repro.shard.supervisor.ShardSupervisor` health-checks the
 workers and fails a dead or wedged shard over onto a replacement
 incarnation at a higher epoch, while the

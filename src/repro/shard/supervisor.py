@@ -14,15 +14,15 @@ slot.  Its job splits in three:
   declare a live-but-wedged worker dead (the zombie case — the process
   exists, the service doesn't answer).
 * **Fail over** — advance the fence (fencing the old incarnation's
-  writes *before* anything reads the snapshot to restore from), then
-  respawn on the shard's own port.  When the port cannot be rebound —
-  typically because the zombie still holds the listening socket — the
-  shard is restored onto a **sibling slot**: a fresh process on a new
-  ephemeral port, resumed from the shard's newest valid snapshot, and
-  the routing table repoints.  Either way the replacement serves the
-  exact durable state; the fenced zombie's late writes are refused at
-  the store and its late answers carry a stale epoch the front end
-  rejects.
+  writes *before* anything reads the snapshot and log to recover
+  from), then respawn on the shard's own port.  When the port cannot
+  be rebound — typically because the zombie still holds the listening
+  socket — the shard is restored onto a **sibling slot**: a fresh
+  process on a new ephemeral port, recovered from the shard's state
+  dir (snapshot + log tail), and the routing table repoints.  Either
+  way the replacement serves the exact durable state; the fenced
+  zombie's late writes are refused at the store and its late answers
+  carry a stale epoch the front end rejects.
 
 The front end reads :meth:`endpoints` on every request, so a repointed
 shard takes effect immediately; requests that race the failover window
@@ -232,8 +232,8 @@ class ShardSupervisor:
             # end instead of a socket error from a corpse.
             self._set_endpoint(shard, None, -1)
             # Fence BEFORE reading anything: after this returns, a write
-            # from the old epoch is refused, so the snapshot the
-            # replacement restores is the newest state that can ever
+            # from the old epoch is refused, so the snapshot + log the
+            # replacement recovers is the newest state that can ever
             # exist for the old incarnation.
             epoch = SnapshotStore(worker.shard_dir).advance_fence()
             self._m_fence_epochs[shard].set(epoch)

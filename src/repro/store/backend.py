@@ -41,18 +41,26 @@ class StoreError(RuntimeError):
     """A store invariant was violated (bad key, format mismatch, ...)."""
 
 
-def write_json_atomic(path: str, payload: Any) -> None:
-    """Write ``payload`` as JSON so readers see the old file or the new.
+def fsync_directory(directory: str) -> None:
+    """Make a create or rename inside ``directory`` survive power loss."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def write_bytes_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` so readers see the old file or the new, durably.
 
     The temp file lives in the destination directory, so ``os.replace``
-    is a same-filesystem atomic rename.
+    is a same-filesystem atomic rename; file ``fsync``ed before, directory after.
     """
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
     try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -62,6 +70,13 @@ def write_json_atomic(path: str, payload: Any) -> None:
         except OSError:
             pass
         raise
+    fsync_directory(directory)
+
+
+def write_json_atomic(path: str, payload: Any) -> None:
+    """:func:`write_bytes_atomic` of ``payload`` as readable JSON."""
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    write_bytes_atomic(path, text.encode("utf-8"))
 
 
 class DirectoryBackend:

@@ -73,6 +73,24 @@ class TestRevocation:
         assert registry.num_registered == 0
         assert not registry.is_registered(1)
 
+    def test_num_registered_counts_register_revoke_reregister(self):
+        """A count, not a scan — so it must track every transition,
+        including a revocation of a device that never enrolled."""
+        registry = DeviceRegistry()
+        for device_id in range(5):
+            registry.register(device_id)
+        registry.revoke(1)
+        registry.revoke(3)
+        registry.revoke(3)   # idempotent
+        registry.revoke(99)  # never enrolled: not a negative enrollment
+        assert registry.num_registered == 3
+        registry.register(3)  # rejoins
+        registry.register(0)  # re-registration of a live device
+        assert registry.num_registered == 4
+        assert registry.num_registered == sum(
+            registry.is_registered(d) for d in range(100)
+        )
+
     def test_reregistration_after_revoke(self):
         """Devices can leave and rejoin the task (Fig. 2 caption)."""
         registry = DeviceRegistry()

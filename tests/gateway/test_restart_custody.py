@@ -21,7 +21,7 @@ from repro.core.server_core import ServerCore
 from repro.gateway.edge import EdgeGateway
 from repro.models import MulticlassLogisticRegression
 from repro.optim import paper_sgd
-from repro.persist import Checkpointer, SnapshotStore, restore_core
+from repro.persist import Checkpointer, SnapshotStore
 from repro.serve.client import RemoteServiceError, ServiceClient
 from repro.serve.service import CrowdService
 
@@ -97,8 +97,7 @@ def test_buffered_batch_survives_server_bounce(tmp_path):
     assert acks == []
 
     # Restore from the state dir onto the same port.
-    loaded, _ = store.load_latest()
-    core2 = restore_core(loaded, make_model())
+    core2 = store.recover(make_model()).core
     service2 = CrowdService(
         core2, port=port, checkpointer=Checkpointer(store)
     ).start()
@@ -146,8 +145,7 @@ def test_replayed_batch_not_double_counted_after_restart(tmp_path):
     service.stop()
     client.close()  # sever the kept-alive socket to the old instance
 
-    loaded, _ = store.load_latest()
-    core2 = restore_core(loaded, make_model())
+    core2 = store.recover(make_model()).core
     service2 = CrowdService(
         core2, port=port, checkpointer=Checkpointer(store)
     ).start()

@@ -13,8 +13,10 @@ from repro.persist import (
     CheckpointPolicy,
     SnapshotError,
     SnapshotStore,
+    canonical_json,
     core_states_equal,
     restore_core,
+    snapshot_checksum,
     snapshot_core,
 )
 
@@ -85,6 +87,31 @@ def test_store_roundtrip(tmp_path, core_and_tokens, traffic_rng):
     assert os.path.basename(path) == "snapshot-000000000003.json"
     loaded, loaded_path = store.load_latest()
     assert loaded_path == path
+    assert core_states_equal(core, restore_core(loaded, make_model()))
+
+
+def test_store_writes_the_checksummed_bytes_and_still_reads_pretty_files(
+    tmp_path, core_and_tokens, traffic_rng
+):
+    core, tokens = core_and_tokens
+    advance(core, tokens, traffic_rng, updates=2)
+    store = SnapshotStore(str(tmp_path / "state"))
+    path = store.write(snapshot_core(core))
+    with open(path) as handle:
+        written = handle.read()
+    # One serialization: the body on disk is byte-for-byte the canonical
+    # form the checksum was computed over.
+    assert canonical_json(snapshot_core(core)) in written
+    payload = json.loads(written)
+    assert payload["checksum"] == snapshot_checksum(payload["snapshot"])
+    # A file from before this format — the same payload pretty-printed
+    # with sorted keys — still loads: the checksum is re-derived from
+    # the parsed body, not from the bytes.
+    with open(path, "w") as handle:
+        json.dump(payload, handle, sort_keys=True, indent=2)
+        handle.write("\n")
+    assert os.path.getsize(path) > len(written)
+    loaded, _ = store.load_latest()
     assert core_states_equal(core, restore_core(loaded, make_model()))
 
 

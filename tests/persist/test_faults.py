@@ -90,8 +90,8 @@ def test_chaos_campaign_exactly_once(service, traffic_rng):
 
 
 def test_chaos_campaign_state_remains_restorable(service, traffic_rng):
-    """After the dust settles, the newest checkpoint equals the live core."""
-    from repro.persist import core_states_equal, restore_core
+    """After the dust settles, the recovered state equals the live core."""
+    from repro.persist import core_states_equal
     from tests.persist.conftest import make_model
 
     proxy = FaultyProxy(service.url, seed=3, drop_response=0.3)
@@ -102,9 +102,10 @@ def test_chaos_campaign_state_remains_restorable(service, traffic_rng):
         for seq in range(8):
             message = make_message(service.core, 0, token, traffic_rng, seq=seq)
             assert client.checkins([message]).acks[0] is not None
-    loaded, _ = service._checkpointer.store.load_latest()
-    restored = restore_core(loaded, make_model())
-    assert core_states_equal(service.core, restored)
+    state_dir = service._checkpointer.store.state_dir
+    recovered = SnapshotStore(state_dir).recover(make_model())
+    assert recovered.records_replayed > 0  # the log, not a snapshot per ack
+    assert core_states_equal(service.core, recovered.core)
 
 
 def test_refusing_proxy_without_retries_fails_fast(service):

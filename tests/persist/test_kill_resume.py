@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 from repro.persist import ServeProcess, SnapshotStore, restore_core
+from repro.persist.checkpoint import read_segment
+from repro.persist.faults import tear_log_tail
 from repro.serve.client import ServiceClient
 
 from tests.persist.conftest import DIM, CLASSES, make_core, make_message, make_model
@@ -167,16 +169,15 @@ def test_torn_snapshot_falls_back_and_retry_heals(tmp_path, traffic_rng):
             client.checkins([message])
         server.sigkill()
 
-        # Tear the newest snapshot: the resume must fall back to the
-        # previous one (iteration 4), not start over or crash.
+        # Tear the newest log record (what a crash mid-append leaves):
+        # the resume must discard it and come up at iteration 4, not
+        # start over or crash.
         store = SnapshotStore(state_dir)
-        newest = store.snapshot_paths()[0]
-        assert newest.endswith("snapshot-000000000005.json")
-        with open(newest) as handle:
-            content = handle.read()
-        with open(newest, "w") as handle:
-            handle.write(content[: len(content) // 2])
-        del store  # release the fcntl lock before the server takes it
+        records = read_segment(store.segment_paths()[-1])
+        assert records[-1].iteration_before == 4
+        assert tear_log_tail(state_dir) > 0
+        assert len(read_segment(store.segment_paths()[-1])) == len(records) - 1
+        del store
 
         server.start()
         client = make_client(server.url)

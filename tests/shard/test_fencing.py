@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from repro.persist import FencedWriteError, SnapshotStore, snapshot_core
+from repro.persist import Checkpointer, FencedWriteError, SnapshotStore, snapshot_core
+from repro.persist.checkpoint import KIND_CHECKINS, read_segment
 from repro.serve.cli import build_parser, build_service
 from repro.utils.exceptions import ReproError
 
@@ -69,6 +70,30 @@ class TestFencedWrites:
         # The refused write left nothing behind.
         newest, _ = zombie.load_latest()
         assert newest["optimizer"]["iteration"] == 1
+
+    def test_append_refused_once_fence_passes_leaves_no_bytes(self, tmp_path):
+        setup = SnapshotStore(str(tmp_path))
+        zombie = SnapshotStore(str(tmp_path), epoch=setup.advance_fence())
+        core = make_core()
+        size = zombie.append(KIND_CHECKINS, 0, core, b"accepted request")
+        (segment,) = zombie.segment_paths()
+        assert os.path.getsize(segment) == size
+        assert read_segment(segment)[0].epoch == zombie.epoch
+        setup.advance_fence()  # the supervisor fences the takeover
+        with pytest.raises(FencedWriteError, match="fenced at epoch"):
+            zombie.append(KIND_CHECKINS, 0, core, b"accepted request")
+        # The refused append left nothing behind, and opened no segment.
+        assert os.path.getsize(segment) == size
+        assert zombie.segment_paths() == [segment]
+        # The same refusal through the checkpointer: the commit raises
+        # (the service answers 500 — no ack) on every later attempt too.
+        checkpointer = Checkpointer(zombie)
+        checkpointer.note_restored(core)
+        for _ in range(2):
+            with pytest.raises(FencedWriteError):
+                checkpointer.commit(core, b"accepted request", 0, join=True)
+        assert os.path.getsize(segment) == size
+        assert len(zombie.snapshot_paths()) == 0
 
     def test_unfenced_writer_ignores_fence(self, tmp_path):
         # epoch=None is the single-process mode; a fence file present in
