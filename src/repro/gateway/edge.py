@@ -63,13 +63,10 @@ class EdgeGateway:
         The gateway's own enrollment id for shared check-outs (default
         :data:`GATEWAY_DEVICE_ID`; pick distinct ids for multiple
         gateways on one service).
-    shard_router:
-        Optional :class:`~repro.shard.routing.ShardRouter` matching the
-        upstream's sharded tier.  A mixed flush is pre-split into one
-        uplink batch per owning shard, so every batch reaching the
-        :class:`~repro.shard.frontend.ShardFrontEnd` is single-shard and
-        takes its verbatim-passthrough fast path instead of being split
-        and re-encoded there.  ``None`` (default) posts flushes whole.
+
+    Every flush goes upstream whole, one request; in front of a sharded
+    tier the :class:`~repro.shard.frontend.ShardFrontEnd` is the one place
+    a mixed batch is split per owning shard.
 
     Single-threaded per instance, like :class:`RemoteDevice`: drive one
     gateway (and its devices) from one thread, or add external locking.
@@ -84,7 +81,6 @@ class EdgeGateway:
         capacity: Optional[int] = None,
         share_checkouts: bool = True,
         device_id: int = GATEWAY_DEVICE_ID,
-        shard_router=None,
         metrics=None,
     ):
         if isinstance(client_or_url, ServiceClient):
@@ -93,15 +89,12 @@ class EdgeGateway:
             self._client = ServiceClient(str(client_or_url))
         self._share = bool(share_checkouts)
         self._device_id = int(device_id)
-        self._router = shard_router
         self._token: Optional[str] = None
         self._cached: Optional[CheckoutResponse] = None
         self._stopped = False
         self._last_result: Optional[wire.CheckinBatchResult] = None
         #: HTTP requests this gateway has made upstream (checkouts + batches).
         self.requests_made = 0
-        #: Flushes that were pre-split into per-shard uplink batches.
-        self.shard_splits = 0
         self.aggregator = GatewayAggregator(
             self._post_batch,
             flush_size=flush_size,
@@ -141,7 +134,6 @@ class EdgeGateway:
         the gateway's own counters merged with its aggregator's."""
         out = self.aggregator.stats_snapshot()
         out["requests_made"] = self.requests_made
-        out["shard_splits"] = self.shard_splits
         out["pending"] = self.aggregator.pending
         return out
 
@@ -216,60 +208,14 @@ class EdgeGateway:
     def _post_batch(self, messages: List[CheckinMessage]):
         """Aggregator upstream: ``POST /v1/checkins`` for the batch.
 
-        With a ``shard_router``, a mixed flush goes up as one sub-batch
-        per owning shard (acks merged back into flush order); a
-        single-shard flush — and every flush without a router — is one
-        request.  A 409 (task stopped) rejects the affected batch as
-        all-``None`` acks — mirroring :meth:`ServerCore.handle_checkins
+        A 409 (task stopped) rejects the batch as all-``None`` acks —
+        mirroring :meth:`ServerCore.handle_checkins
         <repro.core.server_core.ServerCore.handle_checkins>` refusing
         every message after the stop.  Transient failures propagate; the
         aggregator keeps custody of the flush and the next flush retries
-        it (the batched Remark 1; replayed sub-batches that already
-        landed are deduped by the server's ledger).
+        it (the batched Remark 1; a replayed batch that already landed is
+        deduped by the server's ledger).
         """
-        if self._router is None:
-            return self._post_single(messages)
-        groups = self._router.split(
-            messages, device_id_of=lambda message: message.device_id
-        )
-        if len(groups) == 1:
-            return self._post_single(messages)
-        self.shard_splits += 1
-        acks: List[Optional[CheckinAck]] = [None] * len(messages)
-        iteration_total = 0
-        stopped_flags: List[bool] = []
-        stop_reason: Optional[str] = None
-        for shard in sorted(groups):
-            entries = groups[shard]
-            try:
-                result = self._client.checkins([m for _, m in entries])
-            except RemoteServiceError as error:
-                if error.code == wire.ErrorCode.STOPPED:
-                    # This shard's task ended; its acks stay None.
-                    self.requests_made += 1
-                    stopped_flags.append(True)
-                    continue
-                raise
-            self.requests_made += 1
-            for (index, _), ack in zip(entries, result.acks):
-                acks[index] = ack
-            iteration_total += result.server_iteration
-            stopped_flags.append(result.stopped)
-            if result.stopped and stop_reason is None:
-                stop_reason = result.stop_reason
-        self._cached = None
-        all_stopped = bool(stopped_flags) and all(stopped_flags)
-        self._last_result = wire.CheckinBatchResult(
-            tuple(acks),
-            iteration_total,
-            all_stopped,
-            stop_reason if all_stopped and stop_reason is not None else "running",
-        )
-        if all_stopped:
-            self._stopped = True
-        return acks
-
-    def _post_single(self, messages: List[CheckinMessage]):
         try:
             result = self._client.checkins(messages)
         except RemoteServiceError as error:

@@ -125,34 +125,6 @@ class EventQueue:
             raise ConfigurationError(f"delay must be non-negative, got {delay}")
         return self.schedule(self._now + delay, callback, tag, args)
 
-    def take_matching(self, callback: EventCallback) -> Optional[tuple]:
-        """Consume the head event iff it is due *now* through ``callback``.
-
-        Returns the head event's ``args`` — marking it fired without
-        dispatching it — when the next live event is scheduled at exactly
-        the current time and carries ``callback``; returns ``None``
-        otherwise (later timestamp, different callback, or empty queue).
-
-        This lets a handler drain a **contiguous** run of same-timestamp
-        deliveries in one dispatch (e.g. batching simultaneous check-in
-        arrivals): only events that would have fired immediately next are
-        taken, so the observable firing order is exactly preserved.
-        """
-        heap = self._heap
-        while heap:
-            time, _, event = heap[0]
-            if event.cancelled:
-                heapq.heappop(heap)
-                continue
-            if time != self._now or event.callback is not callback:
-                return None
-            heapq.heappop(heap)
-            event.fired = True
-            self._pending -= 1
-            self._fired += 1
-            return event.args
-        return None
-
     def step(self) -> bool:
         """Fire the next event; return False when the queue is empty."""
         while self._heap:

@@ -10,8 +10,8 @@ of two styles:
   (see ``ServerCore.serve_round``) with no event-queue traffic and *no
   link at all*; ``CommunicationStats`` books the traffic.  The server side
   is the in-process core or, over HTTP, a live
-  :class:`~repro.serve.service.CrowdService`
-  (:class:`~repro.serve.remote.RemoteServerCore`).
+  :class:`~repro.serve.service.CrowdService` behind its fused-round
+  proxy, :class:`~repro.serve.remote.RemoteServerCore`.
 * **event-driven** — the network of Section V-C: each device owns one
   :class:`Link` whose three legs schedule deliveries on the shared
   :class:`~repro.network.events.EventQueue`.  :class:`SimulatedTransport`

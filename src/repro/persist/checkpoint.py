@@ -92,6 +92,11 @@ COMPACT_LOG_BYTES = 16 * 1024 * 1024
 #: Record kind = the route whose accepted request body the payload is.
 KIND_CHECKINS, KIND_JOIN = 1, 2
 
+#: Seconds a writer waits for the state-dir lock.  It is held for one
+#: snapshot write or prune (milliseconds), so a longer wait means a wedged
+#: holder — fail the request well inside the client's 30 s socket timeout.
+_LOCK_TIMEOUT = 10.0
+
 _SNAPSHOT_PREFIX = "snapshot-"
 _SEGMENT_PREFIX = "segment-"
 _FENCE_FILENAME = "epoch.json"
@@ -195,9 +200,8 @@ class SnapshotStore:
 
     Parameters
     ----------
-    state_dir / retain / lock_timeout:
-        Directory, newest-K retention, and fcntl lock acquisition
-        timeout.
+    state_dir / retain:
+        Directory and newest-K retention.
     epoch:
         Incarnation epoch of this writer (``None`` = unfenced, the
         single-process default).  A fenced store stamps its epoch into
@@ -210,7 +214,6 @@ class SnapshotStore:
         self,
         state_dir: str,
         retain: int = 4,
-        lock_timeout: float = 10.0,
         epoch: Optional[int] = None,
     ):
         if retain < 1:
@@ -227,7 +230,7 @@ class SnapshotStore:
         self._segment = None  # the live segment, opened by the first append
         self.log_bytes = 0  # appended by this store since its last snapshot
         self._lock = FileLock(
-            os.path.join(self.state_dir, "lock"), timeout=lock_timeout
+            os.path.join(self.state_dir, "lock"), timeout=_LOCK_TIMEOUT
         )
         self._check_marker()
 

@@ -9,11 +9,10 @@
   :class:`~repro.core.server_core.ServerCore`
   (``/v1/checkout``, ``/v1/checkins``, ``/v1/status``, ``/v1/join``).
 * :class:`ServiceClient` — the JSON-over-HTTP client.
-* :class:`HttpTransport` / :class:`RemoteDevice` /
-  :class:`RemoteServerCore` — the pieces that let the unchanged device
-  runtime (and the whole :class:`~repro.simulation.simulator.CrowdSimulator`
-  via ``SimulationConfig(transport="http", server_url=...)``) drive a
-  live server.
+* :class:`HttpTransport` / :class:`RemoteDevice` — the unchanged device
+  runtime driving a live server; :class:`RemoteServerCore` — the
+  fused-round proxy the :class:`~repro.simulation.simulator.CrowdSimulator`
+  uses under ``SimulationConfig(transport="http", server_url=...)``.
 * ``repro-serve`` (:mod:`repro.serve.cli`) — launch a service from the
   command line; :mod:`repro.serve.launch` spawns and signals it as a
   subprocess.

@@ -6,15 +6,14 @@ Three pieces run the fused round-trip style (see
 * :class:`HttpTransport` — a handle on the
   :class:`~repro.serve.client.ServiceClient` that carries the Fig. 2
   legs over HTTP; a round trip completes inside the calls.
-* :class:`RemoteServerCore` — a client-side proxy exposing the
-  :class:`~repro.core.server_core.ServerCore` protocol surface
-  (``register_device`` / ``handle_checkout`` / ``handle_checkins`` /
-  ``serve_round`` / ``stopped`` …) over a
-  :class:`~repro.serve.client.ServiceClient`.  This is what lets
-  :class:`~repro.simulation.simulator.CrowdSimulator` run **unchanged**
-  against a live service: ``SimulationConfig(transport="http",
-  server_url=...)`` swaps the core out from under it and nothing else
-  moves.
+* :class:`RemoteServerCore` — the fused-round proxy: the part of
+  :class:`~repro.core.server_core.ServerCore` a fused run touches
+  (``register_device`` / ``serve_round`` / ``iteration`` /
+  ``parameters``) over a :class:`~repro.serve.client.ServiceClient`.
+  This is what lets :class:`~repro.simulation.simulator.CrowdSimulator`
+  run **unchanged** against a live service:
+  ``SimulationConfig(transport="http", server_url=...)`` swaps the core
+  out from under it and nothing else moves.
 * :class:`RemoteDevice` — a standalone client runtime pairing one
   :class:`~repro.core.device.Device` (Algorithm 1, untouched) with a
   service client; real deployments (and the concurrent smoke tests)
@@ -48,7 +47,7 @@ from repro.core.stopping import StopDecision, StopReason
 from repro.models.base import Model
 from repro.serve.client import RemoteServiceError, ServiceClient
 from repro.serve import wire
-from repro.utils.exceptions import ConfigurationError, ProtocolError
+from repro.utils.exceptions import ConfigurationError
 
 if TYPE_CHECKING:
     from repro.gateway.edge import EdgeGateway
@@ -252,13 +251,13 @@ class RemoteDevice:
 
 
 class RemoteServerCore:
-    """Client-side proxy with the :class:`ServerCore` protocol surface.
+    """Client-side fused-round proxy for a live ``CrowdService``.
 
-    Single-message endpoints keep the wire semantics (reject by
-    raising); the batch endpoints mirror the core's non-raising ``None``
-    slots.  ``iteration``/``stopped`` reflect the latest server state
-    this client has *seen* — exact for a single sequential client,
-    a lower bound under concurrency.
+    ``transport="http"`` is fused-only, so the simulator reaches the
+    server through :meth:`serve_round` and nothing else; rejections come
+    back as the core's non-raising ``None`` slots.  ``iteration``
+    reflects the latest server state this client has *seen* — exact for
+    a single sequential client, a lower bound under concurrency.
 
     With ``tag_checkins=True`` every check-in leaving this proxy is
     stamped with a per-device ``checkin_seq`` (numbering seeded from the
@@ -285,10 +284,6 @@ class RemoteServerCore:
         self._iteration = status.iteration
         self._stop = status.stop_decision
 
-    @property
-    def client(self) -> ServiceClient:
-        return self._client
-
     def validate_model(self, model: Model) -> None:
         """Fail fast when the local task definition cannot match the server's."""
         if model.num_parameters != self._num_parameters:
@@ -305,25 +300,12 @@ class RemoteServerCore:
         """t as of the most recent server response seen by this client."""
         return self._iteration
 
-    def stopping_decision(self) -> StopDecision:
-        return self._stop
-
-    @property
-    def stopped(self) -> bool:
-        return self._stop.stopped
-
     @property
     def parameters(self) -> np.ndarray:
         """Fetch the current w from the server (one status round trip)."""
         status = self._client.status(include_parameters=True)
         self._observe(status.iteration, status.stop_decision)
         return status.parameters
-
-    def refresh(self) -> wire.ServiceStatus:
-        """Re-poll ``/v1/status`` (e.g. to see stops caused by other clients)."""
-        status = self._client.status()
-        self._observe(status.iteration, status.stop_decision)
-        return status
 
     def _observe(self, iteration: int, stop: StopDecision) -> None:
         if iteration > self._iteration:
@@ -348,43 +330,6 @@ class RemoteServerCore:
         seq = self._next_seqs.get(device_id, 0)
         self._next_seqs[device_id] = seq + 1
         return replace(message, checkin_seq=seq)
-
-    def handle_checkout(self, request: CheckoutRequest) -> CheckoutResponse:
-        response = self._client.checkout(request)
-        self._observe(response.server_iteration, StopDecision.running())
-        return response
-
-    def handle_checkin(self, message: CheckinMessage) -> CheckinAck:
-        """Single-message wire semantics: a rejected check-in raises."""
-        result = self._client.checkins([self._tag(message)])
-        self._observe(result.server_iteration, result.stop_decision)
-        ack = result.acks[0]
-        if ack is None:
-            raise ProtocolError(
-                f"server rejected check-in from device {message.device_id}"
-            )
-        return ack
-
-    def handle_checkins(
-        self, messages: Sequence[CheckinMessage]
-    ) -> List[Optional[CheckinAck]]:
-        """Batch-native: one ``POST /v1/checkins`` per call.
-
-        Mirrors the core's non-raising contract: a batch the server
-        refuses wholesale because the task already stopped (409) comes
-        back as all-``None`` acks, exactly like ``ServerCore`` rejecting
-        every message of the batch.
-        """
-        messages = [self._tag(m) for m in messages]
-        try:
-            result = self._client.checkins(messages)
-        except RemoteServiceError as error:
-            if error.code == wire.ErrorCode.STOPPED:
-                self._stop = StopDecision(True, self._refresh_stop_reason())
-                return [None] * len(messages)
-            raise
-        self._observe(result.server_iteration, result.stop_decision)
-        return list(result.acks)
 
     def serve_round(
         self,

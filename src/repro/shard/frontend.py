@@ -53,6 +53,11 @@ from repro.serve.host import HttpHost, Request
 from repro.shard.routing import ShardRouter
 from repro.utils.exceptions import AuthenticationError
 
+#: Upstream retries (timeout and backoff are ``ServiceClient``'s own
+#: defaults): two fast ones ride out the instant of a worker restart
+#: without surfacing a 503 for every blip.
+_WORKER_RETRIES = 2
+
 
 class StaticEndpoints:
     """A fixed (but mutable) shard→endpoint table for in-process tiers.
@@ -101,10 +106,6 @@ class ShardFrontEnd(HttpHost):
         :class:`StaticEndpoints` (anything with ``endpoints()``).
     host / port:
         Bind address of the front end itself (``port=0`` = ephemeral).
-    worker_timeout / worker_retries / worker_backoff:
-        Upstream :class:`~repro.serve.client.ServiceClient` knobs.  A
-        couple of fast retries ride out the instant of a worker restart
-        without surfacing a 503 for every blip.
     """
 
     def __init__(
@@ -113,9 +114,6 @@ class ShardFrontEnd(HttpHost):
         endpoints,
         host: str = "127.0.0.1",
         port: int = 0,
-        worker_timeout: float = 30.0,
-        worker_retries: int = 2,
-        worker_backoff: float = 0.05,
         metrics=None,
     ):
         super().__init__(
@@ -133,9 +131,6 @@ class ShardFrontEnd(HttpHost):
         )
         self._router = router
         self._resolver = endpoints
-        self._worker_timeout = float(worker_timeout)
-        self._worker_retries = int(worker_retries)
-        self._worker_backoff = float(worker_backoff)
         registry = self._metrics
         self._m_shard_requests = {
             shard: registry.counter(
@@ -177,12 +172,13 @@ class ShardFrontEnd(HttpHost):
         with self._clients_lock:
             client = self._clients.get(url)
             if client is None:
-                client = ServiceClient(
-                    url,
-                    timeout=self._worker_timeout,
-                    retries=self._worker_retries,
-                    backoff=self._worker_backoff,
-                )
+                # A new URL means a failover repointed a shard: forget the
+                # clients (and their pooled sockets) of addresses that
+                # left the endpoint table.
+                live = {entry[0] for entry in self._resolver.endpoints().values()}
+                for stale in self._clients.keys() - live:
+                    del self._clients[stale]
+                client = ServiceClient(url, retries=_WORKER_RETRIES)
                 self._clients[url] = client
             return client
 

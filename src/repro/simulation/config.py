@@ -89,13 +89,6 @@ class SimulationConfig:
         on transient failures (connection refused/reset, 5xx), with
         exponential backoff — how a run rides out a server bounce.
         Default 0 = fail fast, the historical behaviour.
-    coalesce_checkins:
-        Event-driven transport only: drain contiguous same-timestamp
-        check-in deliveries as one
-        :meth:`~repro.core.server_core.ServerCore.handle_checkins`
-        batch instead of one event dispatch each.  Bit-identical traces
-        either way (the recorded-trace suite gates both); the knob
-        exists for A/B measurement.
     snapshot_subsample:
         Opt-in cap on the number of test examples used per error
         snapshot (drawn once per run from a dedicated RNG stream).
@@ -139,7 +132,6 @@ class SimulationConfig:
     transport: str = "auto"
     server_url: Optional[str] = None
     http_retries: int = 0
-    coalesce_checkins: bool = True
     snapshot_subsample: Optional[int] = None
     gateways: Optional["TwoTierTopology"] = None
 

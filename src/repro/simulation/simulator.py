@@ -31,11 +31,11 @@ The round trip itself executes in one of two styles, picked by
   deliveries on the event queue (delayed, possibly lossy
   :class:`~repro.network.channel.Channel`\\ s, or two-hop gateway legs).
   Deliveries travel as ``(bound method, args)`` pairs — no per-message
-  closures.  When τ > 0 synchronizes several check-ins onto the *same*
-  arrival timestamp, the first delivery drains the whole contiguous run
-  from the heap and applies it as one :meth:`ServerCore.handle_checkins
-  <repro.core.server_core.ServerCore.handle_checkins>` batch —
-  bit-identical to dispatching each event (order, snapshots, staleness,
+  closures — and every check-in delivery is its own event, applied in
+  heap order.  A gateway's flushed batch is one delivery carrying many
+  check-ins; it is applied as segmented :meth:`ServerCore.handle_checkins
+  <repro.core.server_core.ServerCore.handle_checkins>` batches,
+  bit-identical to one delivery per message (order, snapshots, staleness,
   and stopping are segmented exactly; the recorded-trace suite gates it).
 * **fused** (``"direct"``, auto-selected for zero-delay, outage-free
   configs, and ``"http"``) — no link: the whole round runs
@@ -186,12 +186,11 @@ class CrowdSimulator:
             # unconditionally.
             from repro.gateway.transport import GatewayTransport
 
-            self._on_gateway_batch_handler = self._on_gateway_batch
             self._gateway = GatewayTransport(
                 self._queue,
                 config.gateways,
                 config.num_devices,
-                self._on_gateway_batch_handler,
+                self._on_gateway_batch,
                 self._rng_factory,
             )
             transport = self._gateway
@@ -199,7 +198,6 @@ class CrowdSimulator:
             transport = SimulatedTransport(
                 self._queue, config.link_delays, config.outage
             )
-        self._coalesce = config.coalesce_checkins
 
         total_samples = sum(len(ds) for ds in device_datasets) * config.num_passes
         if resolved == "http":
@@ -256,7 +254,6 @@ class CrowdSimulator:
         self._comm = CommunicationStats()
         self._staleness: list[int] = []
         self._stopped_reason: Optional[str] = None
-        self._coalesced_checkins = 0
         # Bound-method handles created once: every schedule/send passes one
         # of these plus an args tuple, so the hot loop allocates neither
         # closures nor fresh bound methods per message.
@@ -293,12 +290,6 @@ class CrowdSimulator:
     def events_fired(self) -> int:
         """Heap events executed so far (the throughput benchmark's y axis)."""
         return self._queue.fired
-
-    @property
-    def coalesced_checkins(self) -> int:
-        """Check-in deliveries absorbed into a batch drain instead of
-        being dispatched as their own event."""
-        return self._coalesced_checkins
 
     def _build_actor(self, device_index: int, transport) -> _DeviceActor:
         config = self._config
@@ -547,23 +538,6 @@ class CrowdSimulator:
     def _on_checkin_arrival(self, actor: _DeviceActor, message: CheckinMessage) -> None:
         if self._stopped_reason is not None or self._core.stopped:
             return
-        if self._coalesce:
-            # Batch drain: if the very next events are further check-in
-            # deliveries at this exact timestamp (τ > 0 synchronizing
-            # several devices), consume them now and apply the whole run
-            # as handle_checkins batches.  Only *contiguous* head events
-            # are taken, so nothing that could observe server state (a
-            # checkout arrival, a trigger) is ever reordered around an
-            # update.
-            taken = self._queue.take_matching(self._on_checkin_handler)
-            if taken is not None:
-                run = [message]
-                while taken is not None:
-                    run.append(taken[1])
-                    taken = self._queue.take_matching(self._on_checkin_handler)
-                self._coalesced_checkins += len(run) - 1
-                self._apply_checkin_run(run)
-                return
         self._staleness.append(self._core.iteration - message.checkout_iteration)
         self._core.handle_checkin(message)
         self._book_applied(1, message.num_samples, self._core.stopping_decision())
@@ -577,7 +551,7 @@ class CrowdSimulator:
             self._stopped_reason = stop.reason.value
 
     def _apply_checkin_run(self, messages: List[CheckinMessage]) -> None:
-        """Apply a contiguous run of same-timestamp check-in deliveries.
+        """Apply the check-ins of one gateway batch delivery.
 
         Bit-identical to firing one ``_on_checkin_arrival`` per message:
         the run is split into :meth:`ServerCore.handle_checkins
@@ -640,23 +614,13 @@ class CrowdSimulator:
     def _on_gateway_batch(self, messages: List[CheckinMessage]) -> None:
         """A gateway's flushed check-in batch reached the server.
 
-        The batch is applied through the same segmented
-        :meth:`_apply_checkin_run` as coalesced per-message deliveries,
-        so a pass-through gateway (every batch a single message) is
-        bit-identical to per-device delivery.  Batches from other
-        gateways landing on the same timestamp are drained into the run
-        too, exactly like same-timestamp per-message deliveries.
+        The batch is applied through the segmented
+        :meth:`_apply_checkin_run`, so a pass-through gateway (every
+        batch a single message) is bit-identical to per-device delivery.
         """
         if self._stopped_reason is not None or self._core.stopped:
             return
-        run = list(messages)
-        if self._coalesce:
-            taken = self._queue.take_matching(self._on_gateway_batch_handler)
-            while taken is not None:
-                run.extend(taken[0])
-                self._coalesced_checkins += len(taken[0])
-                taken = self._queue.take_matching(self._on_gateway_batch_handler)
-        self._apply_checkin_run(run)
+        self._apply_checkin_run(messages)
 
     # ------------------------------------------------------------------ #
     # The check-out/check-in round trip — fused                          #

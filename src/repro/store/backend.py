@@ -34,6 +34,10 @@ STORE_FORMAT = 1
 MANIFEST_NAME = "manifest.json"
 RESULT_NAME = "result.json"
 
+#: Seconds a writer waits for a per-entry lock: one put holds it for a
+#: single result write, so 30 s only has to ride out a slow shared disk.
+_LOCK_TIMEOUT = 30.0
+
 _HEX = set(string.hexdigits.lower())
 
 
@@ -82,9 +86,8 @@ def write_json_atomic(path: str, payload: Any) -> None:
 class DirectoryBackend:
     """Filesystem backend: one directory per entry, fanned out by prefix."""
 
-    def __init__(self, root: str, lock_timeout: float = 30.0):
+    def __init__(self, root: str):
         self.root = os.path.abspath(root)
-        self._lock_timeout = lock_timeout
         os.makedirs(self.runs_dir, exist_ok=True)
         os.makedirs(self.locks_dir, exist_ok=True)
         self._check_format_marker()
@@ -111,7 +114,7 @@ class DirectoryBackend:
         """The writer lock for ``key``'s entry."""
         self._validate_key(key)
         return FileLock(os.path.join(self.locks_dir, f"{key}.lock"),
-                        timeout=self._lock_timeout)
+                        timeout=_LOCK_TIMEOUT)
 
     @staticmethod
     def _validate_key(key: str) -> None:

@@ -85,8 +85,6 @@ class RunStore:
     ----------
     root:
         Store directory (created on demand).
-    lock_timeout:
-        Seconds a writer waits for a per-entry lock.
 
     Examples
     --------
@@ -101,8 +99,8 @@ class RunStore:
     0.5
     """
 
-    def __init__(self, root: str, lock_timeout: float = 30.0):
-        self._backend = DirectoryBackend(root, lock_timeout=lock_timeout)
+    def __init__(self, root: str):
+        self._backend = DirectoryBackend(root)
 
     @classmethod
     def from_env(cls, default: Optional[str] = None) -> Optional["RunStore"]:

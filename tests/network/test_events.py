@@ -187,51 +187,47 @@ class TestArgsSlots:
 
 
 class TestTakeMatching:
-    """Draining contiguous same-timestamp events from inside a handler."""
+    """Same-timestamp events fire one ``step()`` each, in insertion order.
+
+    (The scenarios of the deleted ``take_matching`` drain, driven through
+    ``step()``: what a handler used to pull off the heap now simply fires
+    next.)
+    """
+
+    @staticmethod
+    def step_all(queue):
+        """Step to exhaustion, recording ``(fired, pending)`` after each."""
+        progress = []
+        while queue.step():
+            progress.append((queue.fired, queue.pending))
+        return progress
 
     def test_takes_contiguous_same_time_same_callback(self):
         queue = EventQueue()
         fired = []
-
-        def deliver(tag):
-            fired.append(tag)
-            # Drain everything contiguous at this timestamp.
-            taken = queue.take_matching(deliver)
-            while taken is not None:
-                fired.append(("drained", *taken))
-                taken = queue.take_matching(deliver)
-
-        queue.schedule(1.0, deliver, args=("a",))
-        queue.schedule(1.0, deliver, args=("b",))
-        queue.schedule(1.0, deliver, args=("c",))
-        count = queue.run()
-        # One dispatch; the other two were consumed by take_matching.
-        assert fired == ["a", ("drained", "b"), ("drained", "c")]
-        assert count == 1
-        assert queue.fired == 3  # drained events still count as fired
-        assert queue.pending == 0
+        queue.schedule(1.0, fired.append, args=("a",))
+        queue.schedule(1.0, fired.append, args=("b",))
+        queue.schedule(1.0, fired.append, args=("c",))
+        progress = self.step_all(queue)
+        # One dispatch per event, insertion order.
+        assert fired == ["a", "b", "c"]
+        assert progress == [(1, 2), (2, 1), (3, 0)]
+        assert queue.now == 1.0
 
     def test_stops_at_different_callback(self):
         queue = EventQueue()
         order = []
 
-        def deliver(tag):
-            order.append(tag)
-            taken = queue.take_matching(deliver)
-            while taken is not None:
-                order.append(("drained", *taken))
-                taken = queue.take_matching(deliver)
-
         def other(tag):
             order.append(("other", tag))
 
-        queue.schedule(1.0, deliver, args=("a",))
+        queue.schedule(1.0, order.append, args=("a",))
         queue.schedule(1.0, other, args=("x",))
-        queue.schedule(1.0, deliver, args=("b",))
-        queue.run()
-        # "b" is NOT drained: "other" sits between them, so firing order
-        # is preserved exactly.
+        queue.schedule(1.0, order.append, args=("b",))
+        progress = self.step_all(queue)
+        # "other" sits between the two deliveries and fires there.
         assert order == ["a", ("other", "x"), "b"]
+        assert progress == [(1, 2), (2, 1), (3, 0)]
 
     def test_stops_at_later_timestamp(self):
         queue = EventQueue()
@@ -239,34 +235,27 @@ class TestTakeMatching:
 
         def deliver(tag):
             seen.append((queue.now, tag))
-            taken = queue.take_matching(deliver)
-            while taken is not None:
-                seen.append((queue.now, "drained", *taken))
-                taken = queue.take_matching(deliver)
 
         queue.schedule(1.0, deliver, args=("a",))
         queue.schedule(2.0, deliver, args=("b",))
-        queue.run()
+        progress = self.step_all(queue)
         assert seen == [(1.0, "a"), (2.0, "b")]
+        assert progress == [(1, 1), (2, 0)]
 
     def test_skips_cancelled_events(self):
         queue = EventQueue()
-        taken_args = []
-
-        def deliver(tag):
-            taken = queue.take_matching(deliver)
-            while taken is not None:
-                taken_args.append(taken)
-                taken = queue.take_matching(deliver)
-
-        queue.schedule(1.0, deliver, args=("head",))
-        cancelled = queue.schedule(1.0, deliver, args=("gone",))
-        queue.schedule(1.0, deliver, args=("kept",))
+        fired = []
+        queue.schedule(1.0, fired.append, args=("head",))
+        cancelled = queue.schedule(1.0, fired.append, args=("gone",))
+        queue.schedule(1.0, fired.append, args=("kept",))
         cancelled.cancel()
-        queue.run()
-        assert taken_args == [("kept",)]
-        assert queue.pending == 0
+        assert queue.pending == 2
+        progress = self.step_all(queue)
+        # The cancelled head is skipped without counting as fired.
+        assert fired == ["head", "kept"]
+        assert progress == [(1, 1), (2, 0)]
 
     def test_empty_queue_returns_none(self):
         queue = EventQueue()
-        assert queue.take_matching(lambda: None) is None
+        assert queue.step() is False
+        assert (queue.fired, queue.pending) == (0, 0)

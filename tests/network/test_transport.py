@@ -46,6 +46,9 @@ class TestSimulatedTransport:
 
 
 class TestDirectTransport:
+    """``transport="direct"``: the fused style — no transport object, the
+    whole round runs inline — and the configs it refuses."""
+
     def test_rejects_nonzero_delays(self):
         with pytest.raises(ConfigurationError, match="zero link delays"):
             SimulationConfig(num_devices=2, transport="direct",

@@ -81,8 +81,7 @@ class TestUniformSnapshots:
         gateway = EdgeGateway("http://127.0.0.1:1", flush_size=4)
         snapshot = gateway.stats_snapshot()
         assert_uniform(snapshot)
-        for key in ("checkins_added", "flushes", "requests_made",
-                    "shard_splits", "pending"):
+        for key in ("checkins_added", "flushes", "requests_made", "pending"):
             assert key in snapshot
 
     def test_faulty_proxy(self):

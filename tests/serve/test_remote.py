@@ -25,7 +25,7 @@ from repro.serve import (
     ServiceClient,
 )
 from repro.simulation import CrowdSimulator, SimulationConfig
-from repro.utils.exceptions import ConfigurationError, ProtocolError
+from repro.utils.exceptions import ConfigurationError
 
 NUM_DEVICES = 5
 DIM, CLASSES = 50, 10
@@ -252,29 +252,33 @@ class TestRemoteServerCore:
         with CrowdService(make_core(100)) as service:
             remote = RemoteServerCore(ServiceClient(service.url))
             token = remote.register_device(0)
-            response = remote.handle_checkout(CheckoutRequest(0, token, 0.0))
-            assert response.server_iteration == 0
             from repro.core.protocol import CheckinMessage
 
-            message = CheckinMessage(
-                device_id=0, token=token,
-                gradient=np.zeros(response.parameters.shape[0]),
-                num_samples=1, noisy_error_count=0,
-                noisy_label_counts=np.zeros(CLASSES, dtype=np.int64),
-                checkout_iteration=0,
-            )
-            ack = remote.handle_checkin(message)
-            assert ack.server_iteration == 1
+            def checkin_with(message_token):
+                def complete(response):
+                    assert response.server_iteration == remote.iteration
+                    return CheckinMessage(
+                        device_id=0, token=message_token,
+                        gradient=np.zeros(response.parameters.shape[0]),
+                        num_samples=1, noisy_error_count=0,
+                        noisy_label_counts=np.zeros(CLASSES, dtype=np.int64),
+                        checkout_iteration=response.server_iteration,
+                    )
+                return complete
+
+            request = CheckoutRequest(0, token, 0.0)
+            accepted = remote.serve_round((request,), checkin_with(token))
+            assert accepted.responses[0].server_iteration == 0
+            assert accepted.acks[0].server_iteration == 1
             assert remote.iteration == 1
-            # Rejected single check-in raises, like ServerCore.
-            bad = CheckinMessage(
-                device_id=0, token="forged", gradient=message.gradient,
-                num_samples=1, noisy_error_count=0,
-                noisy_label_counts=message.noisy_label_counts,
-                checkout_iteration=0,
-            )
-            with pytest.raises(ProtocolError):
-                remote.handle_checkin(bad)
+            # A forged check-in comes back as a None slot — serve_round
+            # mirrors ServerCore's non-raising contract — and is not applied.
+            forged = remote.serve_round((request,), checkin_with("forged"))
+            assert forged.responses[0] is not None
+            assert forged.messages[0].token == "forged"
+            assert forged.acks[0] is None
+            assert not forged.stop.stopped
+            assert remote.iteration == 1
 
     def test_parameters_fetches_live_vector(self):
         core = make_core(100)

@@ -11,6 +11,7 @@ import pytest
 
 from repro.persist import SnapshotStore
 from repro.serve.client import RemoteServiceError, ServiceClient
+from repro.shard import ShardFrontEnd, ShardRouter
 
 from tests.shard.conftest import make_client, start_supervised_tier
 
@@ -91,10 +92,21 @@ class TestZombieFencing:
         yield supervisor
         supervisor.stop(graceful=False)
 
+    @pytest.fixture
+    def zombie_frontend(self, zombie_tier):
+        frontend = ShardFrontEnd(ShardRouter(2), zombie_tier).start()
+        yield frontend
+        frontend.stop()
+
     def test_wedged_worker_fails_over_to_sibling_and_is_fenced(
-        self, zombie_tier, tmp_path
+        self, zombie_tier, zombie_frontend, tmp_path
     ):
         zombie_url, _ = zombie_tier.endpoints()[0]
+        # Warm the front end on both shards, so the failover below has an
+        # upstream client to the zombie to forget.
+        via_frontend = make_client(zombie_frontend.url)
+        assert via_frontend.status().registered_devices == 4
+        assert zombie_url in zombie_frontend._clients
         zombie_tier.workers[0].suspend()  # SIGSTOP: alive but silent
         assert wait_until(
             lambda: zombie_tier.endpoints().get(0, (None, -1))[1] == 1,
@@ -131,3 +143,11 @@ class TestZombieFencing:
         # Meanwhile the current incarnation serves the shard normally.
         replacement = make_client(zombie_tier.endpoints()[0][0])
         assert replacement.status().epoch == 1
+
+        # Traffic resumes through the front end: it holds one upstream
+        # client per live shard URL and none for the fenced address.
+        assert via_frontend.join(0) == token
+        assert via_frontend.status().registered_devices == 4
+        live = {url for url, _ in zombie_tier.endpoints().values()}
+        assert set(zombie_frontend._clients) == live
+        assert zombie_url not in zombie_frontend._clients

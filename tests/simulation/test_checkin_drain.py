@@ -1,23 +1,30 @@
-"""Same-timestamp check-in batch drain: bit-identical to event dispatch.
+"""Batched check-in application: bit-identical to one event per message.
 
-With τ > 0 several check-ins can land on the same arrival timestamp; the
-simulator drains such a contiguous run from the heap and applies it via
-``ServerCore.handle_checkins`` segments.  These tests prove the drained
-path reproduces the sequential per-event path *exactly* — including
-snapshot placement, staleness bookkeeping, the max-iterations guard, and
-ρ-target stops — plus end-to-end queue behaviour (contiguity, ordering
-around interleaved events, the ``coalesce_checkins`` switch).
+A gateway's flushed batch reaches the server as one delivery and is
+applied via ``ServerCore.handle_checkins`` segments
+(``_apply_checkin_run``).  These tests prove the batched path reproduces
+the sequential per-event path *exactly* — including snapshot placement,
+staleness bookkeeping, the max-iterations guard, and ρ-target stops —
+and pin what same-timestamp per-message deliveries do at the queue level
+(one event each, insertion order, interleaved events in position).  The
+same-timestamp heap drain these tests used to A/B was deleted in PR 17
+(zero hits over every shipped caller); the full-run cases now pin the
+traces it produced.
 """
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from repro.core.protocol import CheckinMessage
 from repro.data import iid_partition, make_mnist_like
-from repro.evaluation import assert_traces_identical
 from repro.models import MulticlassLogisticRegression
 from repro.network.latency import ConstantDelay, LinkDelays
 from repro.simulation import CrowdSimulator, SimulationConfig
+
+from tests.simulation._golden import trace_fingerprint
 
 NUM_DEVICES = 6
 DIM, CLASSES = 50, 10
@@ -29,7 +36,7 @@ def data():
     return iid_partition(train, NUM_DEVICES, np.random.default_rng(0)), test
 
 
-def make_sim(data, coalesce, **config_extra):
+def make_sim(data, **config_extra):
     parts, test = data
     config = SimulationConfig(
         num_devices=NUM_DEVICES,
@@ -37,7 +44,6 @@ def make_sim(data, coalesce, **config_extra):
         num_snapshots=6,
         link_delays=LinkDelays.uniform(0.4),
         transport="simulated",
-        coalesce_checkins=coalesce,
         **config_extra,
     )
     return CrowdSimulator(
@@ -91,8 +97,8 @@ class TestApplyRunEquivalence:
     """White-box: _apply_checkin_run vs one _on_checkin_arrival per message."""
 
     def apply_both_ways(self, data, messages, **config_extra):
-        batched = make_sim(data, coalesce=True, **config_extra)
-        sequential = make_sim(data, coalesce=False, **config_extra)
+        batched = make_sim(data, **config_extra)
+        sequential = make_sim(data, **config_extra)
         batched._apply_checkin_run(messages)
         for message in messages:
             sequential._on_checkin_arrival(None, message)
@@ -102,21 +108,21 @@ class TestApplyRunEquivalence:
     def test_plain_run_single_segment(self, data):
         self.apply_both_ways(data, [])
         batched = self.apply_both_ways(
-            data, craft_messages(make_sim(data, True), 8))
+            data, craft_messages(make_sim(data), 8))
         assert batched.core.iteration == 8
 
     def test_snapshot_crossings_split_segments(self, data):
         # 180 samples total, 6 snapshots -> grid points every ~30 samples;
         # 25 messages x 2 samples cross the grid mid-run, so the error
         # snapshot must be taken at intermediate parameters.
-        sim = make_sim(data, True)
+        sim = make_sim(data)
         messages = craft_messages(sim, 25)
         batched = self.apply_both_ways(data, messages)
         assert batched._grid_pos > 0
         assert batched._snapshot_iters  # crossings actually happened
 
     def test_max_iterations_guard_drops_tail(self, data):
-        messages = craft_messages(make_sim(data, True), 10)
+        messages = craft_messages(make_sim(data), 10)
         batched = self.apply_both_ways(data, messages, max_iterations=4)
         assert batched.core.iteration == 4
         assert batched._stopped_reason == "max_iterations"
@@ -128,7 +134,7 @@ class TestApplyRunEquivalence:
         # All-zero noisy error counts drive the DP estimate to 0, so the
         # rho-stop trips as soon as min_samples_for_error_stop (100) is
         # counted — mid-run at 40 x 3 = 120 samples.
-        sim = make_sim(data, True, target_error=0.5)
+        sim = make_sim(data, target_error=0.5)
         messages = craft_messages(sim, 40, num_samples=3)
         zeroed = [
             CheckinMessage(
@@ -145,10 +151,10 @@ class TestApplyRunEquivalence:
 
 
 class TestQueueLevelDrain:
-    """End to end through the heap: contiguity, ordering, the counter."""
+    """End to end through the heap: one event each, in insertion order."""
 
-    def run_scheduled(self, data, coalesce, interleave=False):
-        sim = make_sim(data, coalesce)
+    def run_scheduled(self, data, interleave=False):
+        sim = make_sim(data)
         messages = craft_messages(sim, 6)
         observed = []
 
@@ -165,56 +171,78 @@ class TestQueueLevelDrain:
             sim._queue.schedule(
                 1.0, sim._on_checkin_handler, args=(sim._actors[0], message),
             )
+        fired_iterations = []
         while sim._queue.step():
-            pass
-        return sim, observed
+            fired_iterations.append(sim.core.iteration)
+        return sim, messages, observed, fired_iterations
+
+    def batch_applied(self, data, messages):
+        """The state ``_apply_checkin_run`` produces for ``messages``."""
+        batched = make_sim(data)
+        batched._apply_checkin_run(messages)
+        return batched
 
     def test_same_timestamp_run_is_coalesced(self, data):
-        batched, _ = self.run_scheduled(data, coalesce=True)
-        sequential, _ = self.run_scheduled(data, coalesce=False)
-        assert batched.coalesced_checkins == 5
-        assert sequential.coalesced_checkins == 0
-        assert_same_state(batched, sequential)
-        # Drained deliveries still count as fired events.
-        assert batched.events_fired == sequential.events_fired
+        sim, messages, _, fired_iterations = self.run_scheduled(data)
+        # One event per delivery, each applying exactly one check-in.
+        assert sim.events_fired == 6
+        assert fired_iterations == [1, 2, 3, 4, 5, 6]
+        assert sim._queue.pending == 0
+        assert_same_state(self.batch_applied(data, messages), sim)
 
     def test_interleaved_event_breaks_the_run_in_order(self, data):
-        batched, observed = self.run_scheduled(data, coalesce=True, interleave=True)
-        sequential, observed_seq = self.run_scheduled(
-            data, coalesce=False, interleave=True)
-        # The foreign event observed the server mid-run at the same
-        # iteration count on both paths: 3 check-ins applied before it.
-        assert observed == observed_seq == [("foreign", 3)]
-        assert batched.coalesced_checkins == 2 + 2  # runs of 3 either side
-        assert_same_state(batched, sequential)
+        sim, messages, observed, fired_iterations = self.run_scheduled(
+            data, interleave=True)
+        # The foreign event observed the server mid-run: 3 check-ins
+        # applied before it, and it applied none itself.
+        assert observed == [("foreign", 3)]
+        assert sim.events_fired == 7
+        assert fired_iterations == [1, 2, 3, 3, 4, 5, 6]
+        assert_same_state(self.batch_applied(data, messages), sim)
+
+
+def _trace_digest(trace) -> str:
+    fingerprint = trace_fingerprint(trace)
+    return hashlib.sha256(
+        json.dumps(fingerprint, sort_keys=True).encode()
+    ).hexdigest()
 
 
 class TestFullRunEquivalence:
-    """Whole simulations with the knob on vs off stay bit-identical."""
+    """Whole simulations reproduce the traces the parent commit (PR 16)
+    recorded with the same-timestamp drain on."""
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            dict(),
-            dict(link_delays=LinkDelays(
-                ConstantDelay(0.37), ConstantDelay(0.61), ConstantDelay(0.23))),
-            dict(max_iterations=30),
-            dict(target_error=0.88),
-        ],
-    )
+    #: (sha256 of the trace fingerprint, events fired), per parametrized
+    #: case, recorded at commit 6e81cbb with ``coalesce_checkins=True``.
+    RECORDED = [
+        ("3fb902c7e0a8103413ea9c247fb883869b232d10c522138ef8f5bae1eda0434e", 240),
+        ("1768f9f631ddd926a2e612cabe342738989f48128c123fdfd462e6bdb594c96e", 240),
+        ("165fd3720e5c0999fed9e8058ce494c968c3cb6e03685bf1b6d5f3b6c12c1d05", 126),
+        ("32008ce8a430fa4d817ffa7e3b305523fb6ac3a7b26c04c2b0c2bb8d2dd70c2a", 142),
+    ]
+    CASES = [
+        dict(),
+        dict(link_delays=LinkDelays(
+            ConstantDelay(0.37), ConstantDelay(0.61), ConstantDelay(0.23))),
+        dict(max_iterations=30),
+        dict(target_error=0.88),
+    ]
+
+    @pytest.mark.parametrize("overrides", CASES)
     def test_coalesce_flag_preserves_traces(self, data, overrides):
         parts, test = data
-        traces = []
-        for coalesce in (True, False):
-            config = SimulationConfig(
-                num_devices=NUM_DEVICES, batch_size=3, num_snapshots=6,
-                link_delays=overrides.get(
-                    "link_delays", LinkDelays.uniform(0.4)),
-                transport="simulated", coalesce_checkins=coalesce,
-                **{k: v for k, v in overrides.items() if k != "link_delays"},
-            )
-            traces.append(CrowdSimulator(
-                MulticlassLogisticRegression(DIM, CLASSES), parts, test,
-                config, seed=11,
-            ).run())
-        assert_traces_identical(traces[0], traces[1], context=str(overrides))
+        config = SimulationConfig(
+            num_devices=NUM_DEVICES, batch_size=3, num_snapshots=6,
+            link_delays=overrides.get(
+                "link_delays", LinkDelays.uniform(0.4)),
+            transport="simulated",
+            **{k: v for k, v in overrides.items() if k != "link_delays"},
+        )
+        simulator = CrowdSimulator(
+            MulticlassLogisticRegression(DIM, CLASSES), parts, test,
+            config, seed=11,
+        )
+        trace = simulator.run()
+        digest, events_fired = self.RECORDED[self.CASES.index(overrides)]
+        assert simulator.events_fired == events_fired, str(overrides)
+        assert _trace_digest(trace) == digest, str(overrides)

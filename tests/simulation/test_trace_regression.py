@@ -7,9 +7,9 @@ figure-level configuration matrix (Figs. 3-9 knobs: delays, privacy,
 holdouts, outages, churn, adaptive batching, buffer pressure, stopping
 rules).  Every configuration must keep producing those exact traces —
 through the :class:`~repro.network.transport.SimulatedTransport` path
-always, and through the fused
-:class:`~repro.network.transport.DirectTransport` path wherever it is
-eligible (zero delay, no outage).  This is the contract that lets the
+always, and through the fused ``transport="direct"`` path (no link,
+``ServerCore.serve_round``) wherever it is eligible (zero delay, no
+outage).  This is the contract that lets the
 run store serve results recorded before the transport redesign.
 
 Regenerate after an *intentional* trace change (or on a platform with a

@@ -1,5 +1,7 @@
 """Tests of the top-level public API surface."""
 
+import dataclasses
+import inspect
 import math
 
 import pytest
@@ -70,6 +72,51 @@ class TestExports:
         ):
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+class TestOptionsCensus:
+    """Every independently settable value doubles what tests and
+    benchmarks must cover, so a new knob must show up as a one-line diff
+    here (and an unused one should leave the same way)."""
+
+    def test_option_counts_are_pinned(self):
+        from repro.gateway.edge import EdgeGateway
+        from repro.persist import Checkpointer, CheckpointPolicy, SnapshotStore
+        from repro.serve import CrowdService, ServiceClient
+        from repro.serve.cli import build_parser
+        from repro.serve.host import HttpHost
+        from repro.shard import ShardFrontEnd
+        from repro.simulation import SimulationConfig
+
+        constructor_parameters = {
+            HttpHost: 6,
+            CrowdService: 8,
+            ShardFrontEnd: 5,
+            EdgeGateway: 7,
+            ServiceClient: 8,
+            SnapshotStore: 3,
+            Checkpointer: 2,
+            CheckpointPolicy: 2,
+        }
+        counted = {
+            cls: len(inspect.signature(cls).parameters)
+            for cls in constructor_parameters
+        }
+        assert counted == constructor_parameters
+        assert len(dataclasses.fields(SimulationConfig)) == 22
+        repro_serve_arguments = [
+            action for action in build_parser()._actions if action.dest != "help"
+        ]
+        assert len(repro_serve_arguments) == 24
+
+    def test_remote_server_core_is_the_fused_round_proxy(self):
+        from repro.serve import RemoteServerCore
+
+        public = {n for n in vars(RemoteServerCore) if not n.startswith("_")}
+        assert public == {
+            "iteration", "parameters", "register_device", "serve_round",
+            "validate_model",
+        }
 
 
 class TestQuickCrowdRun:
