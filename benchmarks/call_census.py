@@ -2,6 +2,8 @@
 
     python benchmarks/call_census.py run DIR -- python3 bench/run.py --smoke
     python benchmarks/call_census.py report DIR      # table per package
+    python benchmarks/call_census.py report --functions DIR
+                    # one line per never-entered function: file:line name lines
 
 ``run`` drops a ``sitecustomize.py`` into DIR, puts DIR first on
 ``PYTHONPATH`` and sets ``REPRO_CALL_CENSUS=DIR``, so the command *and every
@@ -49,24 +51,41 @@ def run(out, command):
     return subprocess.call(command, env=env)
 
 
-def report(out):
+def report(out, list_functions=False):
     entered = set()
     for path in glob.glob(os.path.join(out, "*.txt")):
         with open(path) as handle:
             entered.update(handle.read().splitlines())
     lines, never = collections.Counter(), collections.Counter()
-    for path in glob.glob(os.path.join(SRC, "**", "*.py"), recursive=True):
+    for path in sorted(glob.glob(os.path.join(SRC, "**", "*.py"), recursive=True)):
         with open(path) as handle:
             tree = ast.parse(handle.read())
         owner = {}  # line -> first line of the innermost function holding it
-        for node in ast.walk(tree):  # breadth-first: outer functions before nested
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                # co_firstlineno is the first decorator's line when decorated.
-                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                owner.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1), first))
-        package = os.path.relpath(path, SRC).split(os.sep)[0]
+        names = {}  # first line -> qualified name
+
+        def visit(node, prefix):  # depth-first: outer functions before nested
+            for child in ast.iter_child_nodes(node):
+                inner = prefix
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = f"{prefix}{child.name}."
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    # co_firstlineno is the first decorator's line when decorated.
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    names[first] = inner[:-1]
+                    owner.update(dict.fromkeys(range(child.lineno, child.end_lineno + 1), first))
+                visit(child, inner)
+
+        visit(tree, "")
+        relative = os.path.relpath(path, SRC)
+        package = relative.split(os.sep)[0]
         lines[package] += len(owner)
-        never[package] += sum(f"{path}:{first}" not in entered for first in owner.values())
+        for first, own in sorted(collections.Counter(owner.values()).items()):
+            if f"{path}:{first}" not in entered:
+                never[package] += own
+                if list_functions:
+                    print(f"{relative}:{first} {names[first]} {own}")
+    if list_functions:
+        return
     print("| package | function lines | entered by no traced caller |\n|---|---|---|")
     for package in sorted(lines):
         print(f"| `{package}` | {lines[package]} | {never[package]} |")
@@ -77,4 +96,5 @@ def report(out):
 if __name__ == "__main__":
     if sys.argv[1] == "run":
         sys.exit(run(sys.argv[2], sys.argv[sys.argv.index("--") + 1:]))
-    report(sys.argv[2])
+    arguments = [a for a in sys.argv[2:] if a != "--functions"]
+    report(arguments[0], list_functions="--functions" in sys.argv)

@@ -41,7 +41,7 @@ def run_ablation():
     for name, partition in partitions.items():
         config = SimulationConfig(
             num_devices=DEVICES, learning_rate_constant=30.0,
-            l2_regularization=1e-4, num_passes=3,
+            num_passes=3,
         )
         crowd = run_crowd_trials(
             model_factory, train, test, config, num_trials=1, partition=partition,

@@ -29,7 +29,6 @@ from benchmarks.test_serve_throughput import (
     CLASSES,
     DIM,
     spawn_server,
-    stop_server,
 )
 from benchmarks.test_sim_throughput import _config, _data
 from repro.core.protocol import CheckinMessage, CheckoutRequest
@@ -37,6 +36,7 @@ from repro.evaluation import assert_traces_identical
 from repro.models import MulticlassLogisticRegression
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import ServiceClient
+from repro.serve.launch import shut_down
 from repro.simulation import CrowdSimulator
 
 REPEATS = 5  # best-of-N wall clock per arm (arms interleaved pairwise)
@@ -160,7 +160,7 @@ def test_serve_overhead():
         urls = []
         for extra in ((), ("--metrics",)):
             process, url = spawn_server(max_iterations=10**7, extra=extra)
-            servers.callback(stop_server, process)
+            servers.callback(shut_down, process)
             urls.append(url)
         disabled_time, enabled_time = _drive_serve(urls, num_rounds)
         for url in urls:

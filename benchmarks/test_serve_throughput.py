@@ -29,10 +29,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
-import signal
-import subprocess
-import sys
 import tempfile
 import threading
 import time
@@ -51,6 +47,7 @@ from repro.gateway.edge import EdgeGateway
 from repro.models import MulticlassLogisticRegression
 from repro.optim import paper_sgd
 from repro.serve import HttpTransport, RemoteDevice, ServiceClient
+from repro.serve.launch import launch, shut_down
 from repro.simulation import CrowdSimulator, SimulationConfig
 
 DIM, CLASSES = 50, 10
@@ -71,69 +68,32 @@ def _scale():
 
 
 def spawn_server(max_iterations: int, extra: tuple = ()):
-    """Launch the actual repro-serve entry point; returns (process, url)."""
+    """Launch the actual repro-serve entry point; returns (process, url).
+
+    The CLI binds its listener before it announces, so the URL
+    :func:`repro.serve.launch.launch` returns is already reachable.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro.serve.cli",
-         "--num-features", str(DIM), "--num-classes", str(CLASSES),
+    return launch(
+        ["--num-features", str(DIM), "--num-classes", str(CLASSES),
          "--learning-rate-constant", str(LEARNING_RATE),
          "--projection-radius", str(PROJECTION_RADIUS),
          "--max-iterations", str(max_iterations),
          "--port", "0", *extra],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        env, timeout=30.0,
     )
-    line = process.stdout.readline()
-    match = re.match(r"serving on (http://[\d.]+:\d+)$", line.strip())
-    assert match, f"repro-serve did not announce a URL: {line!r}"
-    url = match.group(1)
-    client = ServiceClient(url, timeout=10)
-    deadline = time.time() + 15
-    while time.time() < deadline:
-        try:
-            client.status()
-            break
-        except Exception:
-            time.sleep(0.05)
-    else:
-        raise AssertionError("repro-serve never became reachable")
-    return process, url
 
 
 def spawn_sharded_server(num_workers: int, state_dir: str,
                          max_iterations: int):
     """Launch ``repro-serve --workers N``; returns (process, frontend_url)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    return spawn_server(
+        max_iterations,
+        extra=("--workers", str(num_workers), "--state-dir", state_dir),
     )
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro.serve.cli",
-         "--num-features", str(DIM), "--num-classes", str(CLASSES),
-         "--learning-rate-constant", str(LEARNING_RATE),
-         "--projection-radius", str(PROJECTION_RADIUS),
-         "--max-iterations", str(max_iterations),
-         "--port", "0", "--workers", str(num_workers),
-         "--state-dir", state_dir],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-    )
-    line = process.stdout.readline()
-    match = re.match(r"serving on (http://[\d.]+:\d+)$", line.strip())
-    assert match, f"sharded repro-serve did not announce a URL: {line!r}"
-    url = match.group(1)
-    client = ServiceClient(url, timeout=10)
-    deadline = time.time() + 30
-    while time.time() < deadline:
-        try:
-            client.status()
-            break
-        except Exception:
-            time.sleep(0.05)
-    else:
-        raise AssertionError("sharded repro-serve never became reachable")
-    return process, url
 
 
 def scrape_latency_percentiles(url: str) -> dict:
@@ -159,15 +119,6 @@ def scrape_latency_percentiles(url: str) -> dict:
             "p99_ms": round(pcts["p99"] * 1e3, 3),
         }
     return out
-
-
-def stop_server(process) -> None:
-    process.send_signal(signal.SIGTERM)
-    try:
-        process.wait(timeout=15)
-    except subprocess.TimeoutExpired:
-        process.kill()
-        process.wait(timeout=15)
 
 
 def test_serve_smoke_and_throughput():
@@ -201,7 +152,7 @@ def test_serve_smoke_and_throughput():
         sequential_rounds = http.communication.checkins_delivered
         sequential_rps = sequential_rounds / max(sequential_elapsed, 1e-9)
     finally:
-        stop_server(process)
+        shut_down(process)
 
     # Concurrent multi-client smoke on a fresh server — observed, so the
     # published table carries per-endpoint latency percentiles (PR 9).
@@ -245,7 +196,7 @@ def test_serve_smoke_and_throughput():
         latency = scrape_latency_percentiles(url)
         assert latency.get("checkins", {}).get("count", 0) > 0
     finally:
-        stop_server(process)
+        shut_down(process)
 
     metrics = {
         "sequential": {
@@ -420,7 +371,7 @@ def test_gateway_throughput():
         assert status.iteration == total_rounds
         assert all(d.rounds_completed == num_rounds for d in devices)
     finally:
-        stop_server(process)
+        shut_down(process)
     baseline_rps = total_rounds / max(baseline_elapsed, 1e-9)
     metrics["per_device_http"] = {
         "devices": CROWD_DEVICES,
@@ -463,7 +414,7 @@ def test_gateway_throughput():
             # per round instead of 2·dpg.
             assert requests == num_gateways * (1 + 2 * num_rounds)
         finally:
-            stop_server(process)
+            shut_down(process)
         rps = total_rounds / max(elapsed, 1e-9)
         speedups[dpg] = rps / baseline_rps
         metrics[f"gateway_dpg_{dpg}"] = {
@@ -507,7 +458,7 @@ def test_gateway_throughput():
         assert status.iteration == reference.iteration == total_rounds
         assert np.array_equal(status.parameters, reference.parameters)
     finally:
-        stop_server(process)
+        shut_down(process)
     metrics["gateway_parity"] = {
         "devices": CROWD_DEVICES,
         "rounds": total_rounds,
@@ -585,13 +536,8 @@ def test_multi_worker_throughput():
             per_shard = {row["shard"]: row["iteration"]
                          for row in status.shards}
         finally:
-            process.send_signal(signal.SIGTERM)
-            try:
-                assert process.wait(timeout=60) == 0
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait(timeout=30)
-                raise
+            # Exit 0 = every worker drained and flushed cleanly.
+            assert shut_down(process, timeout=60.0) == 0
 
     rps = expected_rounds / max(elapsed, 1e-9)
     metrics = {
@@ -660,7 +606,7 @@ def test_keepalive_connection_reuse():
         assert status.rejected_messages == 0
         server = scrape_latency_percentiles(url)
     finally:
-        stop_server(process)
+        shut_down(process)
 
     # THE GATE: the whole run rides one pooled socket — the reuse ratio
     # equals the request count, not ~2 (one handshake per round trip).

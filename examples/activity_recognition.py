@@ -45,7 +45,6 @@ def main() -> None:
         num_devices=NUM_DEVICES,
         batch_size=1,
         learning_rate_constant=100.0,
-        l2_regularization=0.0,
     )
     trace = CrowdSimulator(model, streams, test, config, seed=0).run()
 

@@ -36,7 +36,6 @@ def run(train, test, batch_size: int, delay_multiples: int) -> float:
         batch_size=batch_size,
         epsilon=EPSILON,
         learning_rate_constant=30.0,
-        l2_regularization=1e-4,
         link_delays=LinkDelays.uniform(tau),
         num_passes=3,
     )

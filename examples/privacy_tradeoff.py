@@ -42,7 +42,6 @@ def crowd_error(train, test, epsilon: float) -> float:
         batch_size=BATCH_SIZE,
         epsilon=epsilon,
         learning_rate_constant=30.0,
-        l2_regularization=1e-4,
         num_passes=3,
     )
     return run_crowd_trials(model_factory, train, test, config,

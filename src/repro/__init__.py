@@ -18,7 +18,7 @@ arXiv:1501.02484).  The package is organized as:
   runner behind every figure.
 * :mod:`repro.evaluation` — metrics and error-curve aggregation.
 * :mod:`repro.registry` — named component registries (models, datasets,
-  partitioners, schedules, privacy mechanisms) so experiments refer to
+  partitioners, schedules, gateway assignments) so experiments refer to
   components as data and third parties can plug in their own.
 * :mod:`repro.experiments` — the declarative experiment layer:
   :class:`ArmSpec` / :class:`ExperimentSpec` (JSON-serializable figure
@@ -110,7 +110,6 @@ from repro.registry import (
     DATASETS,
     MODELS,
     PARTITIONERS,
-    PRIVACY_MECHANISMS,
     Registry,
     RegistryError,
     SCHEDULES,
@@ -152,7 +151,6 @@ __all__ = [
     "MulticlassLinearSVM",
     "MulticlassLogisticRegression",
     "PARTITIONERS",
-    "PRIVACY_MECHANISMS",
     "PrivacyBudget",
     "Registry",
     "RegistryError",

@@ -5,17 +5,15 @@ N worker processes, each hosting an independent
 :class:`~repro.core.server_core.ServerCore`.  This module holds the
 transport-free arithmetic that tier is built on:
 
-* :func:`stable_device_hash` — the deterministic 32-bit scramble used by
-  the default routing policy.  Stable across processes and Python
-  versions (no ``PYTHONHASHSEED`` dependence), so a respawned worker, a
-  restarted front end, and an offline reference computation all agree on
-  which shard owns a device.
-* :func:`merge_counters` — combine per-shard
-  :meth:`~repro.core.server_core.ServerCore.counters_state` dicts into
-  one crowd-wide view (plain sums; the dedupe ledgers are disjoint by
-  construction, so a key collision is a routing bug and raises).
-* :func:`merge_status_counts` — the same merge for the ``/v1/status``
-  counter fields the front end aggregates across workers.
+* :func:`stable_device_hash` — the deterministic 32-bit scramble
+  :class:`~repro.shard.routing.ShardRouter` routes by.  Stable across
+  processes and Python versions (no ``PYTHONHASHSEED`` dependence), so a
+  respawned worker, a restarted front end, and an offline reference
+  computation all agree on which shard owns a device.
+* :func:`merge_status_counts` — combine the ``/v1/status`` counter
+  fields the front end aggregates across workers into one crowd-wide
+  view (plain sums; shards own disjoint device sets, so nothing is
+  counted twice).
 
 Shards are *independent* Crowd-ML tasks over disjoint device subsets:
 each worker runs its own iteration counter and parameter vector, so the
@@ -38,7 +36,7 @@ _KNUTH = 2654435761
 
 
 class ShardMergeError(ReproError):
-    """Per-shard states that cannot be merged (overlapping ledgers)."""
+    """Per-shard statuses that cannot be merged (none, or mixed shapes)."""
 
 
 def stable_device_hash(device_id: int) -> int:
@@ -49,37 +47,6 @@ def stable_device_hash(device_id: int) -> int:
     and must never decide routing).
     """
     return (int(device_id) * _KNUTH) & 0xFFFFFFFF
-
-
-def merge_counters(states: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
-    """Combine per-shard ``counters_state()`` dicts into one crowd view.
-
-    Integer counters sum; the per-device dedupe ledgers
-    (``applied_seqs``) union.  Shards own disjoint device sets, so the
-    same device appearing in two ledgers means traffic was routed to the
-    wrong worker — that raises :class:`ShardMergeError` rather than
-    silently picking a winner.
-    """
-    merged: Dict[str, Any] = {
-        "checkouts_served": 0,
-        "rejected_messages": 0,
-        "duplicates_suppressed": 0,
-        "applied_seqs": {},
-    }
-    for state in states:
-        merged["checkouts_served"] += int(state["checkouts_served"])
-        merged["rejected_messages"] += int(state["rejected_messages"])
-        merged["duplicates_suppressed"] += int(state.get("duplicates_suppressed", 0))
-        for device_id, entry in dict(state.get("applied_seqs", {})).items():
-            key = str(device_id)
-            if key in merged["applied_seqs"]:
-                raise ShardMergeError(
-                    f"device {key} appears in more than one shard's dedupe "
-                    f"ledger; shards must own disjoint device sets"
-                )
-            merged["applied_seqs"][key] = [int(entry[0]), int(entry[1])]
-    merged["applied_seqs"] = dict(sorted(merged["applied_seqs"].items()))
-    return merged
 
 
 #: ``/v1/status`` counter fields that sum across shards.
@@ -137,7 +104,6 @@ def merge_status_counts(statuses: Iterable[Mapping[str, Any]]) -> Dict[str, Any]
 
 __all__ = [
     "ShardMergeError",
-    "merge_counters",
     "merge_status_counts",
     "stable_device_hash",
 ]

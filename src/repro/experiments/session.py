@@ -31,6 +31,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
+from functools import partial
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Tuple)
 
@@ -44,8 +45,8 @@ from repro.network import LinkDelays
 from repro.privacy import CentralizedBudget
 from repro.registry import DATASETS, MODELS, PARTITIONERS, SCHEDULES
 from repro.simulation import CrowdSimulator, SimulationConfig
+from repro.simulation.runner import run_crowd_trial
 from repro.utils.exceptions import ConfigurationError
-from repro.utils.rng import RngFactory
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from repro.store import RunStore
@@ -187,7 +188,6 @@ def _simulation_config(payload: Dict[str, Any]) -> SimulationConfig:
         batch_size=payload["batch_size"],
         epsilon=payload["epsilon"],
         learning_rate_constant=payload["learning_rate_constant"],
-        l2_regularization=payload["l2_regularization"],
         link_delays=LinkDelays.uniform(tau) if tau > 0 else LinkDelays.zero(),
         num_passes=payload["num_passes"],
         gateways=gateways,
@@ -205,24 +205,18 @@ def _crowd_rate_constant(payload: Dict[str, Any]) -> float:
 
 
 def _run_crowd_trial(payload: Dict[str, Any]) -> ErrorCurve:
-    """One Crowd-ML trial, seeded exactly like ``run_crowd_trials``."""
+    """One Crowd-ML trial — trial ``payload["trial"]`` of ``run_crowd_trials``."""
     train: Dataset = payload["train"]
-    trial: int = payload["trial"]
-    factory = RngFactory(payload["base_seed"])
-    partition = PARTITIONERS.get(payload["partition"])
-    assignment_rng = factory.generator("assignment", trial)
-    device_datasets = partition(
-        train, payload["num_devices"], assignment_rng,
-        **payload["partition_kwargs"],
-    )
-    simulator = CrowdSimulator(
+    return run_crowd_trial(
         _build_model(payload, train),
-        device_datasets,
+        train,
         payload["test"],
         _simulation_config(payload),
-        seed=factory.seed("simulator", trial),
-    )
-    return simulator.run().curve
+        payload["base_seed"],
+        payload["trial"],
+        partial(PARTITIONERS.get(payload["partition"]),
+                **payload["partition_kwargs"]),
+    ).curve
 
 
 def _run_central_batch(payload: Dict[str, Any]) -> float:
@@ -281,7 +275,6 @@ def _run_activity_online(payload: Dict[str, Any]) -> ErrorCurve:
         num_devices=len(streams),
         batch_size=payload["batch_size"],
         learning_rate_constant=_crowd_rate_constant(payload),
-        l2_regularization=payload["l2_regularization"],
     )
     simulator = CrowdSimulator(
         _build_model(payload, streams[0]), streams, payload["test"], config,

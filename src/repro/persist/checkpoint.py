@@ -577,9 +577,3 @@ class Checkpointer:
         ):
             return self.checkpoint(core)
         return None
-
-    def note_restored(self, core) -> None:
-        """Record a resume point so the next trigger measures from it."""
-        self._last_iteration = core.iteration
-        self._last_time = time.monotonic()
-        self._needs_snapshot = False

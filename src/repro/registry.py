@@ -1,9 +1,9 @@
 """Named, parameterized component registries.
 
 The declarative experiment layer (:mod:`repro.experiments`) refers to
-models, dataset makers, partitioners, learning-rate schedules, and privacy
-mechanisms *by name*, so that an :class:`~repro.experiments.ArmSpec` is pure
-data (serializable to JSON) and a worker process can rebuild every component
+models, dataset makers, partitioners and learning-rate schedules *by
+name*, so that an :class:`~repro.experiments.ArmSpec` is pure data
+(serializable to JSON) and a worker process can rebuild every component
 from ``(name, kwargs)`` pairs.  Downstream code extends the system without
 touching core modules::
 
@@ -13,7 +13,7 @@ touching core modules::
     def _build(num_features, num_classes, **kwargs):
         return MyModel(num_features, num_classes, **kwargs)
 
-Six registries are populated at import time with every built-in component:
+Five registries are populated at import time with every built-in component:
 
 * :data:`MODELS` — ``logistic``, ``linear_svm``, ``ridge``.
 * :data:`DATASETS` — ``mnist_like``, ``cifar_like``, ``activity_stream``,
@@ -21,12 +21,8 @@ Six registries are populated at import time with every built-in component:
 * :data:`PARTITIONERS` — ``iid``, ``dirichlet``, ``shard``.
 * :data:`SCHEDULES` — ``inverse_sqrt``, ``constant``, ``inverse_time``,
   ``step_decay``.
-* :data:`PRIVACY_MECHANISMS` — ``laplace``, ``discrete_laplace``,
-  ``gaussian``, ``exponential``.
 * :data:`GATEWAY_ASSIGNMENTS` — ``round_robin``, ``block``, ``hash``
   device→gateway assignment policies for the two-tier topology.
-* :data:`SHARD_ROUTING` — ``stable_hash``, ``modulo`` device→shard
-  routing policies for the multi-worker serving tier.
 """
 
 from __future__ import annotations
@@ -145,19 +141,10 @@ DATASETS = Registry("dataset maker")
 PARTITIONERS = Registry("partitioner")
 #: Learning-rate schedules (Eq. 5 and Remark 3 alternatives).
 SCHEDULES = Registry("schedule")
-#: Differential-privacy noise mechanisms.
-PRIVACY_MECHANISMS = Registry("privacy mechanism")
 #: Device→gateway assignment policies for the two-tier gateway topology.
 #: Factories take ``num_devices`` and ``num_gateways`` and return a
 #: sequence of gateway indices, one per device.
 GATEWAY_ASSIGNMENTS = Registry("gateway assignment policy")
-#: Device→shard routing policies for the sharded serving tier
-#: (:mod:`repro.shard`).  Factories take no arguments and return a
-#: routing function ``(device_id, num_shards) -> shard_index``.  Unlike
-#: :data:`GATEWAY_ASSIGNMENTS` (which precomputes a list for a known
-#: device population), routing functions handle *open* device-id spaces:
-#: any id a client ever presents maps to a shard.
-SHARD_ROUTING = Registry("shard routing policy")
 
 
 def _register_builtins() -> None:
@@ -181,12 +168,6 @@ def _register_builtins() -> None:
         InverseTimeRate,
         StepDecayRate,
     )
-    from repro.privacy import (
-        DiscreteLaplaceMechanism,
-        ExponentialMechanism,
-        GaussianMechanism,
-        LaplaceMechanism,
-    )
 
     MODELS.register("logistic", MulticlassLogisticRegression)
     MODELS.register("linear_svm", MulticlassLinearSVM)
@@ -205,11 +186,6 @@ def _register_builtins() -> None:
     SCHEDULES.register("constant", ConstantRate)
     SCHEDULES.register("inverse_time", InverseTimeRate)
     SCHEDULES.register("step_decay", StepDecayRate)
-
-    PRIVACY_MECHANISMS.register("laplace", LaplaceMechanism)
-    PRIVACY_MECHANISMS.register("discrete_laplace", DiscreteLaplaceMechanism)
-    PRIVACY_MECHANISMS.register("gaussian", GaussianMechanism)
-    PRIVACY_MECHANISMS.register("exponential", ExponentialMechanism)
 
     # Pure index math, defined inline so the registry stays import-light
     # (repro.gateway imports this module, not the other way round).
@@ -230,26 +206,6 @@ def _register_builtins() -> None:
     GATEWAY_ASSIGNMENTS.register("block", _block)
     GATEWAY_ASSIGNMENTS.register("hash", _hash)
 
-    # Shard routing functions must be stable across processes (a front
-    # end, its workers, and an offline reference all recompute them), so
-    # they are pure integer math like the gateway policies above.
-    def _shard_stable_hash():
-        from repro.core.sharding import stable_device_hash
-
-        def route(device_id: int, num_shards: int) -> int:
-            return stable_device_hash(device_id) % num_shards
-
-        return route
-
-    def _shard_modulo():
-        def route(device_id: int, num_shards: int) -> int:
-            return int(device_id) % num_shards
-
-        return route
-
-    SHARD_ROUTING.register("stable_hash", _shard_stable_hash)
-    SHARD_ROUTING.register("modulo", _shard_modulo)
-
 
 _register_builtins()
 
@@ -258,9 +214,7 @@ __all__ = [
     "GATEWAY_ASSIGNMENTS",
     "MODELS",
     "PARTITIONERS",
-    "PRIVACY_MECHANISMS",
     "Registry",
     "RegistryError",
     "SCHEDULES",
-    "SHARD_ROUTING",
 ]

@@ -56,7 +56,7 @@ from repro.optim import paper_sgd
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceRecorder
 from repro.persist.checkpoint import Checkpointer, CheckpointPolicy, SnapshotStore
-from repro.registry import MODELS, SHARD_ROUTING
+from repro.registry import MODELS
 from repro.serve.host import HttpHost
 from repro.serve.launch import ANNOUNCEMENT
 from repro.serve.service import CrowdService
@@ -127,10 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "behind a health-checked front end on --port; "
                              "requires --state-dir (default 0 = single "
                              "unsharded service)")
-    parser.add_argument("--shard-policy", default="stable_hash",
-                        choices=SHARD_ROUTING.names(),
-                        help="device->shard routing policy "
-                             "(default stable_hash)")
     parser.add_argument("--shard-index", type=int, default=None, metavar="K",
                         help="worker mode: serve shard K of --shard-count "
                              "(normally set by the supervisor, not by hand)")
@@ -175,7 +171,7 @@ def build_service(args: argparse.Namespace) -> CrowdService:
             )
         from repro.shard.routing import ShardRouter
 
-        router = ShardRouter(args.shard_count, policy=args.shard_policy)
+        router = ShardRouter(args.shard_count)
     shard_epoch = args.shard_epoch if args.shard_epoch >= 0 else None
     checkpointer = None
     resumed_from = None
@@ -265,7 +261,6 @@ def _worker_base_args(args: argparse.Namespace) -> List[str]:
         "--checkpoint-every", str(args.checkpoint_every),
         "--retain", str(args.retain),
         "--shard-count", str(args.workers),
-        "--shard-policy", args.shard_policy,
     ]
     if args.no_projection:
         base.append("--no-projection")
@@ -325,13 +320,12 @@ def run_sharded(args: argparse.Namespace) -> int:
         print(f"repro-serve: shard tier failed to start: {error}",
               file=sys.stderr)
         return 2
-    router = ShardRouter(args.workers, policy=args.shard_policy)
+    router = ShardRouter(args.workers)
     frontend = ShardFrontEnd(router, supervisor, host=args.host, port=args.port,
                              metrics=metrics)
     print(f"{ANNOUNCEMENT}{frontend.url}", flush=True)
     print(
-        f"sharded tier: {args.workers} workers policy={args.shard_policy} "
-        f"protocol=v{PROTOCOL_VERSION}",
+        f"sharded tier: {args.workers} workers protocol=v{PROTOCOL_VERSION}",
         flush=True,
     )
     for shard, (url, epoch) in sorted(supervisor.endpoints().items()):
@@ -406,7 +400,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.shard_index is not None:
         print(
             f"shard {args.shard_index}/{args.shard_count} "
-            f"policy={args.shard_policy} epoch={args.shard_epoch}",
+            f"epoch={args.shard_epoch}",
             flush=True,
         )
     if service.resumed_from is not None:

@@ -27,14 +27,16 @@ Retries
 -------
 
 With ``retries > 0`` the client additionally retries *transient*
-failures — connection refused/reset on a fresh socket, timeouts, and
-5xx ``internal`` answers — with exponential backoff plus jitter.  4xx
-typed errors (auth, malformed, stopped, version mismatch) never retry:
-the server answered, the answer is the answer.  Retrying a request whose
+failures — connection refused/reset on a fresh socket, timeouts, a
+response cut short mid-body, and 5xx ``internal`` answers — with
+exponential backoff plus jitter.  4xx typed errors (auth, malformed,
+stopped, version mismatch) never retry: the server answered, the answer
+is the answer.  Retrying a request whose
 *response* was lost can re-submit an already-applied check-in; that is
 safe if and only if messages carry ``checkin_seq`` (the server's dedupe
 ledger answers the replay with the original ack) — which is exactly what
-:class:`~repro.serve.remote.RemoteDevice` does.
+:class:`~repro.serve.remote.RemoteDevice` and
+:class:`~repro.serve.remote.RemoteServerCore` do.
 """
 
 from __future__ import annotations
@@ -62,6 +64,13 @@ _STALE_SOCKET_ERRORS = (
     ConnectionResetError,
     BrokenPipeError,
 )
+#: Everything else the transport can raise mid-exchange — as transient as
+#: a reset.  ``HTTPException`` covers ``IncompleteRead``: the server died
+#: while writing the body (neither a stale socket nor an ``OSError``).
+_TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
+#: Uniform multiplicative jitter on each retry sleep (up to +25 %),
+#: decorrelating a thundering herd of retriers.  No caller ever set it.
+_JITTER = 0.25
 
 
 class RemoteServiceError(ProtocolError):
@@ -125,11 +134,8 @@ class ServiceClient:
         historical behaviour).  See the module docstring for what
         retries — and what makes retried check-ins idempotent.
     backoff / backoff_max:
-        First retry sleeps ``backoff`` seconds (plus jitter), doubling
-        per attempt up to ``backoff_max``.
-    jitter:
-        Uniform multiplicative jitter fraction on each sleep (0.25 =
-        up to +25%), decorrelating a thundering herd of retriers.
+        First retry sleeps ``backoff`` seconds (plus up to 25 % jitter),
+        doubling per attempt up to ``backoff_max``.
     retry_rng:
         Source of the jitter draws: a :class:`random.Random`, an int
         seed, or ``None`` (default) for an unseeded generator.  Chaos
@@ -144,7 +150,6 @@ class ServiceClient:
         retries: int = 0,
         backoff: float = 0.05,
         backoff_max: float = 2.0,
-        jitter: float = 0.25,
         retry_rng=None,
         metrics=None,
     ):
@@ -162,7 +167,6 @@ class ServiceClient:
         self._retries = int(retries)
         self._backoff = float(backoff)
         self._backoff_max = float(backoff_max)
-        self._jitter = float(jitter)
         if retry_rng is None:
             self._rng = random.Random()
         elif isinstance(retry_rng, random.Random):
@@ -180,14 +184,6 @@ class ServiceClient:
         self._m_connections = registry.counter("client_connections_opened_total")
         self._m_reconnects = registry.counter("client_reconnects_total")
         self._m_retries = registry.counter("client_retries_total")
-
-    @property
-    def base_url(self) -> str:
-        return self._base_url
-
-    @property
-    def retries(self) -> int:
-        return self._retries
 
     @property
     def reuse_ratio(self) -> float:
@@ -265,13 +261,13 @@ class ServiceClient:
             conn, _ = self._connection()
             try:
                 status, data = self._roundtrip(conn, method, path, body)
-            except OSError as retry_error:
+            except _TRANSPORT_ERRORS as retry_error:
                 self._discard()
                 raise RemoteServiceError(
                     wire.ErrorCode.UNREACHABLE,
                     f"cannot reach {self._base_url}: {retry_error}",
                 )
-        except OSError as error:
+        except _TRANSPORT_ERRORS as error:
             self._discard()
             raise RemoteServiceError(
                 wire.ErrorCode.UNREACHABLE,
@@ -299,7 +295,7 @@ class ServiceClient:
             with self._counter_lock:
                 self.retries_used += 1
             self._m_retries.inc()
-            time.sleep(delay * (1.0 + self._jitter * self._rng.random()))
+            time.sleep(delay * (1.0 + _JITTER * self._rng.random()))
             delay = min(delay * 2.0, self._backoff_max)
         raise AssertionError("unreachable")  # pragma: no cover
 

@@ -259,20 +259,17 @@ class RemoteServerCore:
     reflects the latest server state this client has *seen* — exact for
     a single sequential client, a lower bound under concurrency.
 
-    With ``tag_checkins=True`` every check-in leaving this proxy is
-    stamped with a per-device ``checkin_seq`` (numbering seeded from the
-    join response), making re-submissions idempotent on the server.
-    This is what makes a *retrying* :class:`ServiceClient` safe: a
-    replayed check-in whose original response was lost is answered from
-    the server's dedupe ledger instead of applied twice.
-    :class:`~repro.simulation.simulator.CrowdSimulator` enables it
-    whenever ``http_retries > 0``.  Off by default — untagged messages
-    are byte-identical to the pre-sequencing wire format.
+    Every check-in leaving this proxy is stamped with a per-device
+    ``checkin_seq`` (numbering seeded from the join response), exactly
+    as :class:`RemoteDevice` stamps its own, making re-submissions
+    idempotent on the server.  This is what makes a *retrying*
+    :class:`ServiceClient` safe: a replayed check-in whose original
+    response was lost is answered from the server's dedupe ledger
+    instead of applied twice.
     """
 
-    def __init__(self, client: ServiceClient, tag_checkins: bool = False):
+    def __init__(self, client: ServiceClient):
         self._client = client
-        self._tag_checkins = bool(tag_checkins)
         self._next_seqs: dict = {}
         status = client.status()
         if status.protocol_version != wire.PROTOCOL_VERSION:
@@ -318,14 +315,11 @@ class RemoteServerCore:
     def register_device(self, device_id: int) -> str:
         """Enroll a device through ``POST /v1/join``; returns its token."""
         token, last_seq = self._client.join_info(device_id)
-        if self._tag_checkins:
-            self._next_seqs[int(device_id)] = last_seq + 1
+        self._next_seqs[int(device_id)] = last_seq + 1
         return token
 
     def _tag(self, message: CheckinMessage) -> CheckinMessage:
-        """Stamp the next per-device sequence number (when tagging)."""
-        if not self._tag_checkins or message.checkin_seq >= 0:
-            return message
+        """Stamp the next per-device sequence number."""
         device_id = int(message.device_id)
         seq = self._next_seqs.get(device_id, 0)
         self._next_seqs[device_id] = seq + 1

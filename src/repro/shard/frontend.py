@@ -98,8 +98,8 @@ class ShardFrontEnd(HttpHost):
     ----------
     router:
         The :class:`~repro.shard.routing.ShardRouter` deciding device
-        ownership (must match the ``--shard-policy``/``--shard-count``
-        the workers were launched with).
+        ownership (its shard count must match the ``--shard-count`` the
+        workers were launched with).
     endpoints:
         Endpoint resolver — a
         :class:`~repro.shard.supervisor.ShardSupervisor` or
@@ -151,10 +151,6 @@ class ShardFrontEnd(HttpHost):
         self.split_batches = 0
         #: worker answers refused for carrying a fenced (stale) epoch.
         self.stale_epoch_rejections = 0
-
-    @property
-    def router(self) -> ShardRouter:
-        return self._router
 
     # -- upstream forwarding --------------------------------------------- #
 

@@ -1,17 +1,16 @@
 """Device→shard routing for the multi-worker serving tier.
 
-A :class:`ShardRouter` binds a routing *policy* (a pure function
-``(device_id, num_shards) -> shard``) to a fixed shard count.  Policies
-come from the :data:`~repro.registry.SHARD_ROUTING` registry by name —
-downstream code plugs in a new partitioning without touching this module
-— or are passed as a callable directly.
+A :class:`ShardRouter` binds the one routing function,
+``stable_device_hash(device_id) % num_shards``, to a fixed shard count.
 
-The router is deliberately state-free: the front end, every worker, the
-supervisor, and an offline reference computation each build their own
-router from ``(num_shards, policy_name)`` and must agree on every
-device, which is why built-in policies are stable integer math
+The router is deliberately state-free: the front end, every worker, and
+an offline reference computation each build their own router from
+``num_shards`` alone and must agree on every device, which is why
+routing is stable integer math
 (:func:`~repro.core.sharding.stable_device_hash`) rather than anything
-process-salted.
+process-salted — and why it is not an option: a tier whose processes
+could be launched with different routings would enroll devices on one
+shard and route them to another.
 
 Besides single-id routing, the router knows how to :meth:`split` an
 ordered batch into per-shard groups (preserving each item's original
@@ -24,25 +23,21 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.registry import SHARD_ROUTING
+from repro.core.sharding import stable_device_hash
 from repro.utils.exceptions import ReproError
 
 
 class ShardRoutingError(ReproError):
-    """A routing policy misbehaved (bad shard index, bad merge shape)."""
+    """Per-shard answers that do not line up with what was forwarded."""
 
 
 class ShardRouter:
-    """Map device ids onto ``num_shards`` workers with a named policy.
+    """Map device ids onto ``num_shards`` workers.
 
     Parameters
     ----------
     num_shards:
         How many shards the tier runs (>= 1).
-    policy:
-        A :data:`~repro.registry.SHARD_ROUTING` name (default
-        ``"stable_hash"``) or a callable ``(device_id, num_shards) ->
-        shard`` for ad-hoc policies.
 
     Examples
     --------
@@ -53,26 +48,14 @@ class ShardRouter:
     [0, 1, 2, 3]
     """
 
-    def __init__(self, num_shards: int, policy="stable_hash"):
+    def __init__(self, num_shards: int):
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         self.num_shards = int(num_shards)
-        if callable(policy):
-            self.policy_name = getattr(policy, "__name__", "<callable>")
-            self._route = policy
-        else:
-            self.policy_name = str(policy)
-            self._route = SHARD_ROUTING.create(self.policy_name)
 
     def shard_of(self, device_id: int) -> int:
-        """The shard owning ``device_id`` (validated ``0 <= k < N``)."""
-        shard = int(self._route(int(device_id), self.num_shards))
-        if not 0 <= shard < self.num_shards:
-            raise ShardRoutingError(
-                f"policy {self.policy_name!r} routed device {device_id} to "
-                f"shard {shard}, outside [0, {self.num_shards})"
-            )
-        return shard
+        """The shard owning ``device_id``; any integer id maps into ``[0, N)``."""
+        return stable_device_hash(device_id) % self.num_shards
 
     def split(
         self,

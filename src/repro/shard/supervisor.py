@@ -10,7 +10,7 @@ slot.  Its job splits in three:
 * **Watch** — a daemon thread probes each worker every
   ``health_interval`` seconds: process liveness first (a SIGKILLed
   worker is detected without any network timeout), then a heartbeat
-  ``GET /v1/status``.  ``heartbeat_misses`` consecutive probe failures
+  ``GET /v1/status``.  Two consecutive probe failures
   declare a live-but-wedged worker dead (the zombie case — the process
   exists, the service doesn't answer).
 * **Fail over** — advance the fence (fencing the old incarnation's
@@ -43,6 +43,15 @@ from repro.shard.worker import ShardWorker, WorkerSpawnError
 from repro.utils.exceptions import ReproError
 
 
+#: Consecutive heartbeat failures before a *live* process is declared
+#: wedged (process exits fail over on the first sweep regardless), and
+#: the in-place respawn attempts (linear backoff) before failing over to
+#: a sibling slot.  No caller, tests included, ever set them.
+_HEARTBEAT_MISSES = 2
+_SPAWN_ATTEMPTS = 3
+_SPAWN_BACKOFF = 0.2
+
+
 class SupervisorError(ReproError):
     """The supervisor was driven outside its lifecycle contract."""
 
@@ -65,13 +74,6 @@ class ShardSupervisor:
         Seconds between probe sweeps (the detection latency floor).
     heartbeat_timeout:
         Socket timeout of one heartbeat ``GET /v1/status``.
-    heartbeat_misses:
-        Consecutive heartbeat failures before a *live* process is
-        declared wedged and failed over (process exits fail over on the
-        first sweep regardless).
-    spawn_attempts / spawn_backoff:
-        In-place respawn attempts on the shard's own port before
-        failing over to a sibling slot (fresh ephemeral port).
     kill_zombies:
         SIGKILL a live-but-wedged incarnation before respawning
         (default).  ``False`` leaves the zombie running — the
@@ -84,9 +86,6 @@ class ShardSupervisor:
         workers: Sequence[ShardWorker],
         health_interval: float = 0.5,
         heartbeat_timeout: float = 2.0,
-        heartbeat_misses: int = 2,
-        spawn_attempts: int = 3,
-        spawn_backoff: float = 0.2,
         kill_zombies: bool = True,
         metrics=None,
     ):
@@ -95,9 +94,6 @@ class ShardSupervisor:
         self.workers: List[ShardWorker] = list(workers)
         self.health_interval = float(health_interval)
         self.heartbeat_timeout = float(heartbeat_timeout)
-        self.heartbeat_misses = int(heartbeat_misses)
-        self.spawn_attempts = int(spawn_attempts)
-        self.spawn_backoff = float(spawn_backoff)
         self.kill_zombies = bool(kill_zombies)
         self._table_lock = threading.Lock()
         self._endpoints: Dict[int, Tuple[str, int]] = {}
@@ -132,10 +128,6 @@ class ShardSupervisor:
 
     # -- lifecycle ------------------------------------------------------- #
 
-    @property
-    def num_shards(self) -> int:
-        return len(self.workers)
-
     def start(self) -> "ShardSupervisor":
         """Fence + spawn every shard at epoch, then start the watch thread."""
         if self._started:
@@ -156,7 +148,7 @@ class ShardSupervisor:
         self._thread.start()
         return self
 
-    def stop(self, graceful: bool = True, timeout: float = 30.0) -> Dict[int, Optional[int]]:
+    def stop(self, graceful: bool = True) -> Dict[int, Optional[int]]:
         """Stop watching, shut every worker down; per-shard exit codes.
 
         ``graceful`` terminates with SIGTERM so each worker drains and
@@ -166,25 +158,17 @@ class ShardSupervisor:
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
-        return self._shutdown_workers(graceful=graceful, timeout=timeout)
+        return self._shutdown_workers(graceful)
 
-    def _shutdown_workers(
-        self, graceful: bool, timeout: float = 30.0
-    ) -> Dict[int, Optional[int]]:
+    def _shutdown_workers(self, graceful: bool) -> Dict[int, Optional[int]]:
         codes: Dict[int, Optional[int]] = {}
         for shard, worker in enumerate(self.workers):
             if graceful:
-                codes[shard] = worker.terminate(timeout=timeout)
+                codes[shard] = worker.terminate()
             else:
                 worker.stop()
                 codes[shard] = None
         return codes
-
-    def __enter__(self) -> "ShardSupervisor":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
     # -- routing table --------------------------------------------------- #
 
@@ -260,12 +244,12 @@ class ShardSupervisor:
 
     def _spawn_with_retry(self, worker: ShardWorker, epoch: int, port: int) -> str:
         last_error: Optional[WorkerSpawnError] = None
-        for attempt in range(self.spawn_attempts):
+        for attempt in range(_SPAWN_ATTEMPTS):
             try:
                 return worker.spawn(epoch=epoch, port=port)
             except WorkerSpawnError as error:
                 last_error = error
-                time.sleep(self.spawn_backoff * (attempt + 1))
+                time.sleep(_SPAWN_BACKOFF * (attempt + 1))
         raise last_error
 
     # -- the watch loop -------------------------------------------------- #
@@ -312,7 +296,7 @@ class ShardSupervisor:
         except Exception:  # noqa: BLE001 - any probe failure is a miss
             self._misses[shard] += 1
             self._bump("heartbeat_misses")
-            if self._misses[shard] >= self.heartbeat_misses:
+            if self._misses[shard] >= _HEARTBEAT_MISSES:
                 self._bump("heartbeat_failovers")
                 self.failover(shard, reason="heartbeat")
         else:

@@ -44,8 +44,8 @@ class ShardWorker:
         The shard's durable state directory (``<state>/shard-<k>``).
     base_args:
         ``repro-serve`` arguments shared by every incarnation — the
-        model/task flags, ``--shard-index``/``--shard-count``/
-        ``--shard-policy``, checkpoint cadence — everything except
+        model/task flags, ``--shard-index``/``--shard-count``,
+        checkpoint cadence — everything except
         ``--port``, ``--state-dir``, and ``--shard-epoch``, which
         :meth:`spawn` supplies per incarnation.
     env:
@@ -83,7 +83,7 @@ class ShardWorker:
 
     # -- lifecycle ------------------------------------------------------- #
 
-    def spawn(self, epoch: int, port: int, timeout: float = 20.0) -> str:
+    def spawn(self, epoch: int, port: int) -> str:
         """Start one incarnation; returns the announced URL.
 
         ``port=0`` binds an ephemeral port (read the real one back from
@@ -104,7 +104,7 @@ class ShardWorker:
             "--shard-epoch", str(int(epoch)),
         ]
         try:
-            self.process, self.url = launch(args, self.env, timeout)
+            self.process, self.url = launch(args, self.env)
         except LaunchError as error:
             raise WorkerSpawnError(f"shard {self.index} epoch {epoch}: {error}")
         self.port = int(self.url.rsplit(":", 1)[1])
@@ -163,11 +163,11 @@ class ShardWorker:
                 woken += 1
         return woken
 
-    def terminate(self, timeout: float = 30.0) -> Optional[int]:
+    def terminate(self) -> Optional[int]:
         """Graceful SIGTERM (drain + final snapshot); returns exit code."""
         if self.process is None:
             return None
-        code = shut_down(self.process, timeout)
+        code = shut_down(self.process)
         # Orphans never shut down gracefully — they are fenced zombies.
         self._reap(self.orphans)
         return code

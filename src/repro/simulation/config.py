@@ -30,8 +30,6 @@ class SimulationConfig:
         Total per-sample privacy level ε (``math.inf`` = the ε⁻¹ = 0 arms).
     learning_rate_constant:
         c in η(t) = c/√t (Eq. 5).
-    l2_regularization:
-        λ of Eq. (2).
     link_delays:
         The τ_req/τ_co/τ_ci distributions (``LinkDelays.zero()`` for the
         no-delay arms).
@@ -116,7 +114,6 @@ class SimulationConfig:
     batch_size: int = 1
     epsilon: float = math.inf
     learning_rate_constant: float = 1.0
-    l2_regularization: float = 0.0
     link_delays: LinkDelays = field(default_factory=LinkDelays.zero)
     sampling_rate: float = 1.0
     num_passes: int = 1
@@ -174,8 +171,6 @@ class SimulationConfig:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate_constant <= 0:
             raise ConfigurationError("learning_rate_constant must be positive")
-        if self.l2_regularization < 0:
-            raise ConfigurationError("l2_regularization must be non-negative")
         if self.sampling_rate <= 0:
             raise ConfigurationError("sampling_rate must be positive")
         if self.num_passes < 1:

@@ -44,6 +44,26 @@ class TrialSetReport:
         return self.mean_curve.tail_error(fraction)
 
 
+def run_crowd_trial(
+    model: Model, train: Dataset, test: Dataset, config: SimulationConfig,
+    base_seed: int, trial: int, partition: PartitionFn = iid_partition,
+) -> RunTrace:
+    """Run trial number ``trial`` of the series seeded by ``base_seed``.
+
+    The one place the trial-seeding convention lives (the ``"assignment"``
+    and ``"simulator"`` streams of ``RngFactory(base_seed)``), so trial
+    ``k`` is the same run in a loop here or as a lone session task.
+    """
+    factory = RngFactory(base_seed)
+    device_datasets = partition(
+        train, config.num_devices, factory.generator("assignment", trial)
+    )
+    return CrowdSimulator(
+        model, device_datasets, test, config,
+        seed=factory.seed("simulator", trial),
+    ).run()
+
+
 def run_crowd_trials(
     model_factory: Callable[[], Model],
     train: Dataset,
@@ -62,18 +82,11 @@ def run_crowd_trials(
     if num_trials < 1:
         raise ValueError(f"num_trials must be >= 1, got {num_trials}")
     partition = partition if partition is not None else iid_partition
-    factory = RngFactory(base_seed)
-    traces: list[RunTrace] = []
-    for trial in range(num_trials):
-        assignment_rng = factory.generator("assignment", trial)
-        device_datasets = partition(train, config.num_devices, assignment_rng)
-        simulator = CrowdSimulator(
-            model_factory(),
-            device_datasets,
-            test,
-            config,
-            seed=factory.seed("simulator", trial),
+    traces = tuple(
+        run_crowd_trial(
+            model_factory(), train, test, config, base_seed, trial, partition
         )
-        traces.append(simulator.run())
+        for trial in range(num_trials)
+    )
     mean_curve = average_curves([trace.curve for trace in traces])
-    return TrialSetReport(mean_curve=mean_curve, traces=tuple(traces))
+    return TrialSetReport(mean_curve=mean_curve, traces=traces)

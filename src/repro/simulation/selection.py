@@ -52,7 +52,8 @@ def select_hyperparameters(
     """Grid-search (λ, c) by averaged validation error.
 
     ``model_builder`` maps an λ to a fresh model; every other simulation
-    knob comes from ``base_config`` (its own λ/c fields are overridden).
+    knob comes from ``base_config`` (its own c is overridden; λ lives in
+    the model).
     The winner minimizes the trial-averaged tail error on ``validation``.
 
     >>> # doctest-level smoke is exercised in the unit tests
@@ -65,8 +66,7 @@ def select_hyperparameters(
     for l2 in l2_grid:
         for c in learning_rate_grid:
             config = dataclasses.replace(
-                base_config, l2_regularization=float(l2),
-                learning_rate_constant=float(c),
+                base_config, learning_rate_constant=float(c)
             )
             report = run_crowd_trials(
                 lambda l2=l2: model_builder(float(l2)),

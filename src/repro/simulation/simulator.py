@@ -190,7 +190,7 @@ class CrowdSimulator:
                 self._queue,
                 config.gateways,
                 config.num_devices,
-                self._on_gateway_batch,
+                self._apply_checkin_run,
                 self._rng_factory,
             )
             transport = self._gateway
@@ -203,16 +203,12 @@ class CrowdSimulator:
         if resolved == "http":
             # The live server owns the model, optimizer, and stopping
             # config; the local ones must merely describe the same task.
-            # Retrying clients must tag check-ins with sequence numbers:
-            # a retry whose original response was lost is then answered
-            # from the server's dedupe ledger instead of applied twice.
             # (Imported here for the same layering rule as gateway/.)
             from repro.serve.client import ServiceClient
             from repro.serve.remote import RemoteServerCore
 
             core = RemoteServerCore(
-                ServiceClient(config.server_url, retries=config.http_retries),
-                tag_checkins=config.http_retries > 0,
+                ServiceClient(config.server_url, retries=config.http_retries)
             )
             core.validate_model(model)
             self._core = core
@@ -610,17 +606,6 @@ class CrowdSimulator:
                 core.stopping_decision(),
             )
             i = j
-
-    def _on_gateway_batch(self, messages: List[CheckinMessage]) -> None:
-        """A gateway's flushed check-in batch reached the server.
-
-        The batch is applied through the segmented
-        :meth:`_apply_checkin_run`, so a pass-through gateway (every
-        batch a single message) is bit-identical to per-device delivery.
-        """
-        if self._stopped_reason is not None or self._core.stopped:
-            return
-        self._apply_checkin_run(messages)
 
     # ------------------------------------------------------------------ #
     # The check-out/check-in round trip — fused                          #

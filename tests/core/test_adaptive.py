@@ -127,7 +127,6 @@ class TestSimulationIntegration:
                 batch_size=1,
                 epsilon=10.0,
                 learning_rate_constant=30.0,
-                l2_regularization=1e-4,
                 link_delays=LinkDelays.uniform(4.0),
                 num_passes=4,
                 batch_policy_factory=policy_factory,

@@ -25,7 +25,6 @@ class TestFig3Pipeline:
             num_devices=7,
             batch_size=1,
             learning_rate_constant=1.0,
-            l2_regularization=0.0,
         )
         simulator = CrowdSimulator(model, device_streams, test, config, seed=0)
         trace = simulator.run()

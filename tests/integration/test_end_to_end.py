@@ -47,7 +47,6 @@ class TestFig4Shape:
         train, test = data
         config = SimulationConfig(
             num_devices=50, num_passes=3, learning_rate_constant=LEARNING_RATE,
-            l2_regularization=L2,
         )
         report = run_crowd_trials(model_factory, train, test, config, num_trials=2)
         assert report.tail_error() <= batch_error + 0.05
@@ -84,7 +83,7 @@ class TestFig5Shape:
         ).evaluate(train, test, np.random.default_rng(0))
         config = SimulationConfig(
             num_devices=50, batch_size=20, epsilon=self.EPSILON, num_passes=4,
-            learning_rate_constant=LEARNING_RATE, l2_regularization=L2,
+            learning_rate_constant=LEARNING_RATE,
         )
         report = run_crowd_trials(model_factory, train, test, config, num_trials=2)
         assert report.tail_error() < private_batch - 0.2
@@ -95,7 +94,7 @@ class TestFig5Shape:
         def tail(b):
             config = SimulationConfig(
                 num_devices=50, batch_size=b, epsilon=self.EPSILON, num_passes=4,
-                learning_rate_constant=LEARNING_RATE, l2_regularization=L2,
+                learning_rate_constant=LEARNING_RATE,
             )
             return run_crowd_trials(
                 model_factory, train, test, config, num_trials=2
@@ -130,7 +129,6 @@ class TestFig6Shape:
             epsilon=self.EPSILON,
             num_passes=4,
             learning_rate_constant=LEARNING_RATE,
-            l2_regularization=L2,
         )
         tau = config.delay_in_sample_units(delay_multiples)
         config = SimulationConfig(
@@ -139,7 +137,6 @@ class TestFig6Shape:
             epsilon=self.EPSILON,
             num_passes=4,
             learning_rate_constant=LEARNING_RATE,
-            l2_regularization=L2,
             link_delays=LinkDelays.uniform(tau),
         )
         return run_crowd_trials(

@@ -257,7 +257,9 @@ def test_checkpointer_note_restored_resets_baseline(
         SnapshotStore(str(tmp_path / "state")),
         CheckpointPolicy(every_n_updates=2, every_seconds=None),
     )
-    checkpointer.note_restored(core)
+    # What build_service does after recovery: one compacting snapshot,
+    # which is also the baseline the next trigger measures from.
+    checkpointer.checkpoint(core)
     # The 5 pre-restore updates don't count toward the next trigger.
     assert checkpointer.after_update(core) is None
     advance(core, tokens, traffic_rng, updates=2)

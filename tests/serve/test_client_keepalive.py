@@ -166,6 +166,66 @@ def test_retries_ride_out_a_flaky_start():
             state["service"].stop()
 
 
+def test_response_cut_mid_body_is_transient():
+    # A server SIGKILLed while writing: the headers promise 100 bytes,
+    # 11 arrive, the socket closes.  That is ``IncompleteRead`` (an
+    # ``HTTPException``, not an ``OSError``) — it must surface typed,
+    # be retried, and never leave the dead connection pooled.
+    port = free_port()
+    listener = socket.socket()
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    listener.bind(("127.0.0.1", port))
+    listener.listen(8)
+    listener.settimeout(10.0)  # a client that stops coming ends the stub
+    state = {}
+
+    def truncate(times):
+        for _ in range(times):
+            conn, _ = listener.accept()
+            conn.recv(65536)
+            conn.sendall(
+                b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                b"Content-Length: 100\r\n\r\n" + b'{"version":'
+            )
+            conn.close()
+
+    def truncate_then_up():
+        try:
+            truncate(3)  # every attempt of the retries=2 client
+            state["exhausted"].wait(timeout=30)
+            truncate(1)
+        except OSError:
+            return
+        finally:
+            listener.close()
+        state["service"] = make_service(port).start()
+
+    state["exhausted"] = threading.Event()
+    starter = threading.Thread(target=truncate_then_up)
+    starter.start()
+    try:
+        url = f"http://127.0.0.1:{port}"
+        client = ServiceClient(url, timeout=5.0, retries=2, backoff=0.01,
+                               backoff_max=0.02)
+        with pytest.raises(RemoteServiceError) as excinfo:
+            client.status()
+        assert excinfo.value.code == wire.ErrorCode.UNREACHABLE
+        assert client.retries_used == 2
+        assert client.connections_opened == 3  # none was kept pooled
+        assert client.reconnects == 0
+        state["exhausted"].set()
+        patient = ServiceClient(url, timeout=5.0, retries=20, backoff=0.02,
+                                backoff_max=0.1)
+        assert patient.status().iteration == 0
+        assert patient.retries_used >= 1
+    finally:
+        state["exhausted"].set()
+        starter.join(timeout=30)
+        assert not starter.is_alive()
+        if "service" in state:
+            state["service"].stop()
+
+
 def test_typed_4xx_answers_never_retry():
     with make_service() as service:
         client = ServiceClient(service.url, timeout=5.0, retries=5,

@@ -123,7 +123,6 @@ def start_supervised_tier(state_dir, num_shards: int, extra=(), **kwargs):
     workers = make_workers(state_dir, num_shards, extra=extra)
     kwargs.setdefault("health_interval", 0.15)
     kwargs.setdefault("heartbeat_timeout", 1.0)
-    kwargs.setdefault("heartbeat_misses", 2)
     supervisor = ShardSupervisor(workers, **kwargs)
     supervisor.start()
     return supervisor

@@ -75,6 +75,10 @@ class TestFencedWrites:
         setup = SnapshotStore(str(tmp_path))
         zombie = SnapshotStore(str(tmp_path), epoch=setup.advance_fence())
         core = make_core()
+        # The startup snapshot every worker primes its dir with; commits
+        # append to the log from here on.
+        checkpointer = Checkpointer(zombie)
+        checkpointer.checkpoint(core)
         size = zombie.append(KIND_CHECKINS, 0, core, b"accepted request")
         (segment,) = zombie.segment_paths()
         assert os.path.getsize(segment) == size
@@ -86,14 +90,14 @@ class TestFencedWrites:
         assert os.path.getsize(segment) == size
         assert zombie.segment_paths() == [segment]
         # The same refusal through the checkpointer: the commit raises
-        # (the service answers 500 — no ack) on every later attempt too.
-        checkpointer = Checkpointer(zombie)
-        checkpointer.note_restored(core)
+        # (the service answers 500 — no ack) on every later attempt too
+        # (the first as a refused append, the next as the refused
+        # snapshot a failed commit owes).
         for _ in range(2):
             with pytest.raises(FencedWriteError):
                 checkpointer.commit(core, b"accepted request", 0, join=True)
         assert os.path.getsize(segment) == size
-        assert len(zombie.snapshot_paths()) == 0
+        assert len(zombie.snapshot_paths()) == 1  # the pre-fence one only
 
     def test_unfenced_writer_ignores_fence(self, tmp_path):
         # epoch=None is the single-process mode; a fence file present in

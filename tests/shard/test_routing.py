@@ -1,33 +1,69 @@
-"""ShardRouter: policies, splitting, and merge discipline."""
+"""ShardRouter: the one routing function, splitting, and merge discipline."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.core.sharding import stable_device_hash
-from repro.registry import SHARD_ROUTING
 from repro.shard import ShardRouter, ShardRoutingError
+
+from tests.shard.conftest import owned_devices
+
+#: Ids a hostile or merely unusual client may present: negative, at and
+#: beyond the 32-bit hash width, beyond 64 bits.
+EXTREME_IDS = (-1, -2, -(2**31), -(2**63), 2**32 - 1, 2**32, 2**32 + 1,
+               2**63, 2**64 + 7, 10**30)
 
 
 class TestRegistryPolicies:
+    """Formerly one case per registered policy; routing is now a single
+    function, so each case pins a property of that function."""
+
     def test_builtins_registered(self):
-        assert "stable_hash" in SHARD_ROUTING.names()
-        assert "modulo" in SHARD_ROUTING.names()
+        # Every id lands in [0, n), and no shard is unreachable.
+        for n in (1, 2, 3, 5, 8):
+            router = ShardRouter(n)
+            shards = [router.shard_of(d) for d in range(4096)]
+            assert all(0 <= shard < n for shard in shards)
+            assert set(shards) == set(range(n))
 
     def test_stable_hash_matches_core_hash(self):
-        router = ShardRouter(5, policy="stable_hash")
-        for device_id in range(50):
-            assert router.shard_of(device_id) == stable_device_hash(device_id) % 5
+        for n in (1, 2, 5, 4096):
+            router = ShardRouter(n)
+            for device_id in (*range(50), *EXTREME_IDS):
+                assert router.shard_of(device_id) == stable_device_hash(device_id) % n
 
     def test_modulo_policy(self):
-        router = ShardRouter(3, policy="modulo")
-        assert [router.shard_of(d) for d in range(6)] == [0, 1, 2, 0, 1, 2]
+        # Pinned tables (recorded at the parent commit): a changed
+        # routing would look for a device on a shard other than the one
+        # whose state dir enrolled it.
+        assert [ShardRouter(3).shard_of(d) for d in range(8)] == [0, 1, 1, 2, 2, 2, 0, 0]
+        assert [ShardRouter(5).shard_of(d) for d in range(8)] == [0, 1, 1, 2, 2, 2, 3, 3]
 
     def test_callable_policy(self):
-        router = ShardRouter(4, policy=lambda device_id, n: device_id % n)
-        assert router.shard_of(7) == 3
+        # Stable across processes: a worker launched with another hash
+        # salt computes the table the front end computes.
+        ids = list(range(64)) + list(EXTREME_IDS)
+        program = (
+            "from repro.shard import ShardRouter; r = ShardRouter(7); "
+            f"print([r.shard_of(d) for d in {ids!r}])"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="12345")
+        child = subprocess.run(
+            [sys.executable, "-c", program], env=env, capture_output=True,
+            text=True, timeout=60, check=True,
+        )
+        router = ShardRouter(7)
+        assert child.stdout.strip() == str([router.shard_of(d) for d in ids])
 
     def test_unknown_policy_raises(self):
-        with pytest.raises(Exception):
-            ShardRouter(2, policy="no-such-policy")
+        # The shard count is the router's only parameter.
+        with pytest.raises(TypeError):
+            ShardRouter(2, policy="modulo")
+        with pytest.raises(TypeError):
+            ShardRouter(2, "stable_hash")
 
 
 class TestShardOf:
@@ -48,37 +84,45 @@ class TestShardOf:
             ShardRouter(0)
 
     def test_out_of_range_policy_caught(self):
-        router = ShardRouter(2, policy=lambda device_id, n: 5)
-        with pytest.raises(ShardRoutingError, match="outside"):
-            router.shard_of(1)
+        # Nothing a client presents can route outside [0, n): negative
+        # ids and ids wider than the 32-bit hash included.
+        for n in (1, 2, 3, 7, 4096):
+            router = ShardRouter(n)
+            for device_id in EXTREME_IDS:
+                assert 0 <= router.shard_of(device_id) < n
 
 
 class TestSplitMerge:
     def test_split_preserves_order_and_indices(self):
-        router = ShardRouter(2, policy="modulo")
-        items = [{"device_id": d} for d in (0, 1, 2, 3, 4)]
+        router = ShardRouter(2)
+        a, b = owned_devices(router, 0), owned_devices(router, 1)
+        items = [{"device_id": d} for d in (a[0], b[0], a[1], b[1], a[2])]
         groups = router.split(items)
         assert groups[0] == [(0, items[0]), (2, items[2]), (4, items[4])]
         assert groups[1] == [(1, items[1]), (3, items[3])]
 
     def test_split_custom_key(self):
-        router = ShardRouter(2, policy="modulo")
-        groups = router.split([10, 11], device_id_of=lambda x: x)
-        assert set(groups) == {0, 1}
+        router = ShardRouter(2)
+        keys = [owned_devices(router, 0)[0], owned_devices(router, 1)[0]]
+        groups = router.split(keys, device_id_of=lambda x: x)
+        assert groups == {0: [(0, keys[0])], 1: [(1, keys[1])]}
 
     def test_merge_restores_original_order(self):
-        router = ShardRouter(2, policy="modulo")
-        items = [{"device_id": d} for d in (0, 1, 2, 3)]
+        router = ShardRouter(2)
+        a, b = owned_devices(router, 0), owned_devices(router, 1)
+        order = (a[0], b[0], b[1], a[1])
+        items = [{"device_id": d} for d in order]
         groups = router.split(items)
+        assert set(groups) == {0, 1}
         answers = {
             shard: [f"ack-{item['device_id']}" for _, item in entries]
             for shard, entries in groups.items()
         }
         merged = ShardRouter.merge(groups, answers, len(items))
-        assert merged == ["ack-0", "ack-1", "ack-2", "ack-3"]
+        assert merged == [f"ack-{d}" for d in order]
 
     def test_merge_length_mismatch_raises(self):
-        router = ShardRouter(2, policy="modulo")
-        groups = router.split([{"device_id": 0}, {"device_id": 2}])
+        router = ShardRouter(2)
+        groups = router.split([{"device_id": d} for d in owned_devices(router, 0)[:2]])
         with pytest.raises(ShardRoutingError, match="answered"):
             ShardRouter.merge(groups, {0: ["only-one"]}, 2)

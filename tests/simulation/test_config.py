@@ -22,7 +22,7 @@ class TestValidation:
             {"num_devices": 0},
             {"num_devices": 5, "batch_size": 0},
             {"num_devices": 5, "learning_rate_constant": 0.0},
-            {"num_devices": 5, "l2_regularization": -1.0},
+            {"num_devices": 5, "holdout_fraction": -0.1},
             {"num_devices": 5, "sampling_rate": 0.0},
             {"num_devices": 5, "num_passes": 0},
             {"num_devices": 5, "holdout_fraction": 1.0},
@@ -34,6 +34,16 @@ class TestValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigurationError):
             SimulationConfig(**kwargs)
+
+    def test_l2_is_the_models_knob(self):
+        # λ of Eq. (2) lives in the model, which is where a bad value is
+        # rejected; the simulation config has no field to shadow it.
+        from repro.models import MulticlassLogisticRegression
+
+        with pytest.raises(ConfigurationError):
+            MulticlassLogisticRegression(4, 3, l2_regularization=-1.0)
+        with pytest.raises(TypeError):
+            SimulationConfig(num_devices=5, l2_regularization=1e-4)
 
     def test_unconstrained_projection_allowed(self):
         config = SimulationConfig(num_devices=5, projection_radius=None)

@@ -82,18 +82,22 @@ class TestOptionsCensus:
     def test_option_counts_are_pinned(self):
         from repro.gateway.edge import EdgeGateway
         from repro.persist import Checkpointer, CheckpointPolicy, SnapshotStore
-        from repro.serve import CrowdService, ServiceClient
+        from repro import registry
+        from repro.serve import CrowdService, RemoteServerCore, ServiceClient
         from repro.serve.cli import build_parser
         from repro.serve.host import HttpHost
-        from repro.shard import ShardFrontEnd
+        from repro.shard import ShardFrontEnd, ShardRouter, ShardSupervisor
         from repro.simulation import SimulationConfig
 
         constructor_parameters = {
             HttpHost: 6,
             CrowdService: 8,
             ShardFrontEnd: 5,
+            ShardRouter: 1,
+            ShardSupervisor: 5,
             EdgeGateway: 7,
-            ServiceClient: 8,
+            ServiceClient: 7,
+            RemoteServerCore: 1,
             SnapshotStore: 3,
             Checkpointer: 2,
             CheckpointPolicy: 2,
@@ -103,11 +107,16 @@ class TestOptionsCensus:
             for cls in constructor_parameters
         }
         assert counted == constructor_parameters
-        assert len(dataclasses.fields(SimulationConfig)) == 22
+        assert len(dataclasses.fields(SimulationConfig)) == 21
         repro_serve_arguments = [
             action for action in build_parser()._actions if action.dest != "help"
         ]
-        assert len(repro_serve_arguments) == 24
+        assert len(repro_serve_arguments) == 23
+        registries = [
+            name for name, value in vars(registry).items()
+            if isinstance(value, registry.Registry)
+        ]
+        assert len(registries) == 5
 
     def test_remote_server_core_is_the_fused_round_proxy(self):
         from repro.serve import RemoteServerCore
