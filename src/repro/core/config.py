@@ -27,11 +27,6 @@ class DeviceConfig:
     holdout_fraction:
         Remark 2: probability a sample is set aside as held-out test data —
         its error is counted but its gradient never enters the average.
-    max_checkout_retries:
-        How many failed check-outs a device tolerates before dropping the
-        current oversized buffer back to capacity (Remark 1's "retries
-        later" is the normal path; this is a final safety valve, 0 = never
-        drop).
     gradient_noise:
         "laplace" (Eq. 10, the default) or "gaussian" (footnote 1's
         (ε, δ) variant).
@@ -43,7 +38,6 @@ class DeviceConfig:
     buffer_capacity: int
     budget: PrivacyBudget
     holdout_fraction: float = 0.0
-    max_checkout_retries: int = 0
     gradient_noise: str = "laplace"
     gaussian_delta: float = 1e-6
 
@@ -68,8 +62,6 @@ class DeviceConfig:
             raise ConfigurationError(
                 f"holdout_fraction must be in [0, 1), got {self.holdout_fraction}"
             )
-        if self.max_checkout_retries < 0:
-            raise ConfigurationError("max_checkout_retries must be >= 0")
 
     @classmethod
     def default(

@@ -4,8 +4,9 @@ A :class:`Device` buffers locally generated samples (Routine 1), and when a
 minibatch is full it asks for a check-out.  Once the current parameters
 arrive, :meth:`Device.complete_checkout` runs Routine 2 — predict, count
 errors and labels, compute the averaged regularized gradient — and
-Routine 3 — sanitize everything with the device's privacy mechanisms —
-returning the :class:`~repro.core.protocol.CheckinMessage` to upload.
+Routine 3 — sanitize everything, with the crowd's shared noise calibration
+and the device's own rng — returning the
+:class:`~repro.core.protocol.CheckinMessage` to upload.
 
 The device is transport-agnostic: the simulator (or a real network stack)
 decides how requests and messages travel.  Failed check-outs simply leave
@@ -393,9 +394,7 @@ class Device:
             error_count = int(errors.sum())
             gradient_samples = num_samples
         if is_classification:
-            label_counts = np.bincount(
-                labels, minlength=self._model.num_classes
-            ).astype(np.int64)
+            label_counts = np.bincount(labels, minlength=self._model.num_classes)
         else:
             # Regression has no label histogram; report the sample count in
             # the single "class" slot so monitoring stays well-defined.
@@ -405,8 +404,9 @@ class Device:
             averaged_gradient, error_count, label_counts, gradient_samples
         )
         # Run-length groups: O(1) ledger growth per check-in instead of
-        # O(C) record appends (bit-identical spend arithmetic).
-        self._accountant.charge_checkin(sanitized.release_groups)
+        # O(C) record appends (bit-identical spend arithmetic); their sums
+        # come precomputed from the crowd-shared calibration.
+        self._accountant.charge_checkin(sanitized.release_groups, sanitized.release_sums)
 
         message = CheckinMessage(
             device_id=self._device_id,

@@ -3,30 +3,37 @@
 Bundles the three mechanisms of Eqs. (10)-(12): Laplace noise on the
 averaged gradient calibrated to the model's minibatch sensitivity, and
 discrete Laplace noise on the misclassification count and each label count.
-The sanitizer is constructed once per device from its
-:class:`~repro.privacy.budget.PrivacyBudget` and calibrates the gradient
-mechanism to the realized minibatch size ``n_s`` (≥ b), which sets the
-sensitivity ``S = 4/n_s``.  Calibrated mechanisms (and their accounting
-records) are memoized per ``n_s``: check-ins with the same realized batch
-size — the overwhelmingly common case, and every check-in of a fused
-batch — reuse one mechanism object instead of rebuilding it, drawing from
-the same shared RNG stream so the noise sequence is unchanged.
+
+Everything in the routine that does not depend on the device's RNG — the
+noise scale for a realized minibatch size ``n_s`` (≥ b, sensitivity
+``S = 4/n_s``), the two geometric success probabilities, the accounting
+records and their sums — is identical for every device of a crowd, so it
+lives once, in a :class:`SanitizerCalibration` shared by all sanitizers
+built for the same ``(model, budget, gradient_noise, gaussian_delta)``.
+A :class:`CheckinSanitizer` is that calibration plus the device's ``rng``;
+``sanitize`` is the draws and nothing else, so a device's first round
+costs what its hundredth does.
 
 Footnote 1's (ε, δ) variant is available by constructing the sanitizer
-with ``gradient_noise="gaussian"``: the gradient mechanism becomes the
-analytic Gaussian mechanism, calibrated with the same 4/n_s bound (valid
+with ``gradient_noise="gaussian"``: the gradient noise becomes the
+analytic Gaussian mechanism's, calibrated with the same 4/n_s bound (valid
 for L2 since ‖·‖₂ ≤ ‖·‖₁).
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import NamedTuple, Tuple, Union
 
 import numpy as np
 
 from repro.models.base import Model
+from repro.privacy.accountant import checkin_sums
 from repro.privacy.budget import PrivacyBudget
-from repro.privacy.discrete_laplace import DiscreteLaplaceMechanism
+from repro.privacy.discrete_laplace import (
+    DiscreteLaplaceMechanism,
+    discrete_laplace_noise,
+)
 from repro.privacy.gaussian import GaussianMechanism
 from repro.privacy.laplace import LaplaceMechanism
 from repro.privacy.mechanism import AggregatedRelease, ReleaseRecord
@@ -38,10 +45,10 @@ class SanitizedCheckin(NamedTuple):
 
     ``releases`` is the expanded per-release view carried on the wire
     message; ``release_groups`` is the same information run-length encoded
-    (gradient, error, C× label) for the accountant's O(1) charge path.
-    (A NamedTuple: immutable like the frozen dataclass it replaced, but
-    constructed without per-field ``object.__setattr__`` — one is built
-    per check-in.)
+    (gradient, error, C× label) and ``release_sums`` its (ε, δ, count)
+    totals, for the accountant's O(1) charge path.  All three are the
+    shared calibration's objects, never per-check-in allocations.
+    (A NamedTuple: one is built per check-in.)
     """
 
     gradient: np.ndarray
@@ -49,6 +56,81 @@ class SanitizedCheckin(NamedTuple):
     label_counts: np.ndarray
     releases: Tuple[ReleaseRecord, ...]
     release_groups: Tuple[AggregatedRelease, ...]
+    release_sums: Tuple[float, float, int]
+
+
+class SanitizerCalibration:
+    """The RNG-independent half of Routine 3, one per crowd.
+
+    Levels are validated once, through the mechanism constructors.  Holds
+    no reference to the model (:func:`shared_calibration` keys weakly on
+    it), so methods that need the sensitivity oracle take it.
+    """
+
+    def __init__(self, budget: PrivacyBudget, gradient_noise: str, gaussian_delta: float):
+        if gradient_noise not in ("laplace", "gaussian"):
+            raise ConfigurationError(
+                f"gradient_noise must be 'laplace' or 'gaussian', got "
+                f"{gradient_noise!r}"
+            )
+        self.budget = budget
+        self.gradient_noise = gradient_noise
+        self.gaussian_delta = gaussian_delta
+        error_mechanism = DiscreteLaplaceMechanism(budget.epsilon_error)
+        label_mechanism = DiscreteLaplaceMechanism(budget.epsilon_label)
+        self.error_success = error_mechanism.success_probability
+        self.label_success = label_mechanism.success_probability
+        # Count releases never vary (fixed ε, sensitivity 1).
+        self._error_release = error_mechanism.record(1.0)
+        self._label_release = label_mechanism.record(1.0)
+        #: (n_s, number of label counts) -> (gradient noise scale, releases,
+        #: release_groups, release_sums); see :meth:`calibrate`.
+        self.rounds: dict = {}
+
+    def gradient_mechanism(self, sensitivity: float, rng=None):
+        """A gradient mechanism calibrated to ``sensitivity``."""
+        epsilon = self.budget.epsilon_gradient
+        if self.gradient_noise == "gaussian":
+            return GaussianMechanism(epsilon, self.gaussian_delta, sensitivity, rng)
+        return LaplaceMechanism(epsilon, sensitivity, rng)
+
+    def calibrate(self, model: Model, num_samples: int, num_labels: int) -> tuple:
+        """Build and remember the ``rounds`` entry for one realized round:
+        the Laplace ``S/ε_g`` or Gaussian σ (0 = no noise) and the three
+        accounting views :class:`SanitizedCheckin` carries."""
+        sensitivity = model.gradient_sensitivity(num_samples)
+        mechanism = self.gradient_mechanism(sensitivity)
+        gaussian = self.gradient_noise == "gaussian"
+        scale = mechanism.sigma if gaussian else mechanism.scale
+        gradient_release = mechanism.record(sensitivity)
+        groups = (
+            AggregatedRelease(gradient_release, 1),
+            AggregatedRelease(self._error_release, 1),
+        )
+        if num_labels:
+            groups += (AggregatedRelease(self._label_release, num_labels),)
+        releases = (gradient_release, self._error_release)
+        releases += (self._label_release,) * num_labels
+        entry = (scale, releases, groups, checkin_sums(groups))
+        self.rounds[num_samples, num_labels] = entry
+        return entry
+
+
+#: model -> {(budget, gradient_noise, gaussian_delta): calibration}.  Weak
+#: on the model, so a crowd's calibrations die with its task definition.
+#: Every entry is a pure function of its key: threads racing on a miss
+#: only compute the same values twice.
+_CALIBRATIONS = weakref.WeakKeyDictionary()
+
+
+def shared_calibration(model: Model, *key) -> SanitizerCalibration:
+    """The one calibration every sanitizer built on ``model`` with the same
+    ``(budget, gradient_noise, gaussian_delta)`` shares."""
+    per_model = _CALIBRATIONS.setdefault(model, {})
+    calibration = per_model.get(key)
+    if calibration is None:
+        calibration = per_model[key] = SanitizerCalibration(*key)
+    return calibration
 
 
 class CheckinSanitizer:
@@ -73,93 +155,37 @@ class CheckinSanitizer:
         gradient_noise: str = "laplace",
         gaussian_delta: float = 1e-6,
     ):
-        if gradient_noise not in ("laplace", "gaussian"):
-            raise ConfigurationError(
-                f"gradient_noise must be 'laplace' or 'gaussian', got "
-                f"{gradient_noise!r}"
-            )
         self._model = model
-        self._budget = budget
         self._rng = rng
-        self._gradient_noise = gradient_noise
-        self._gaussian_delta = float(gaussian_delta)
-        self._error_mechanism = DiscreteLaplaceMechanism(budget.epsilon_error, rng)
-        self._label_mechanism = DiscreteLaplaceMechanism(budget.epsilon_label, rng)
-        # Count-release records never vary (fixed ε, sensitivity 1): build
-        # them once instead of C + 1 dataclass allocations per check-in.
-        self._error_release = self._error_mechanism.record(1.0)
-        self._label_release = self._label_mechanism.record(1.0)
-        # Per-n_s caches: the calibrated gradient mechanism, its release
-        # record, and the full release tuples.  All check-ins with the
-        # same realized minibatch size share one mechanism object (same
-        # rng stream, so the noise sequence is unchanged).
-        self._gradient_mechanisms: dict = {}
-        self._release_cache: dict = {}
-
-    @property
-    def budget(self) -> PrivacyBudget:
-        return self._budget
+        self._calibration = shared_calibration(
+            model, budget, gradient_noise, float(gaussian_delta)
+        )
+        self._draw_gradient_noise = (
+            rng.normal if gradient_noise == "gaussian" else rng.laplace
+        )
+        # gradient_mechanism()'s rng-bound views; sanitize never reads them.
+        self._bound_mechanisms: dict = {}
 
     @property
     def gradient_noise(self) -> str:
         """Which mechanism sanitizes gradients: "laplace" or "gaussian"."""
-        return self._gradient_noise
+        return self._calibration.gradient_noise
 
     def gradient_mechanism(
         self, num_samples: int
     ) -> Union[LaplaceMechanism, GaussianMechanism]:
-        """Noise mechanism calibrated to this minibatch's sensitivity.
+        """Noise mechanism calibrated to this minibatch's sensitivity and
+        drawing from this sanitizer's rng, memoized per ``num_samples``.
 
-        Memoized per ``num_samples``: the calibration depends only on the
-        realized minibatch size, and the mechanism draws from the shared
-        device RNG, so reusing the object leaves the noise stream
-        bit-identical to rebuilding it per check-in.
+        For inspection: :meth:`sanitize` draws the same noise straight from
+        the shared calibration's scale, without building one.
         """
-        mechanism = self._gradient_mechanisms.get(num_samples)
+        mechanism = self._bound_mechanisms.get(num_samples)
         if mechanism is None:
-            sensitivity = self._model.gradient_sensitivity(num_samples)
-            if self._gradient_noise == "gaussian":
-                mechanism = GaussianMechanism(
-                    self._budget.epsilon_gradient,
-                    self._gaussian_delta,
-                    sensitivity_l2=sensitivity,
-                    rng=self._rng,
-                )
-            else:
-                mechanism = LaplaceMechanism(
-                    self._budget.epsilon_gradient, sensitivity, self._rng
-                )
-            self._gradient_mechanisms[num_samples] = mechanism
+            mechanism = self._bound_mechanisms[num_samples] = (
+                self._calibration.gradient_mechanism(
+                    self._model.gradient_sensitivity(num_samples), self._rng))
         return mechanism
-
-    def _releases_for(
-        self, mechanism, num_samples: int, num_labels: int
-    ) -> Tuple[Tuple[ReleaseRecord, ...], Tuple[AggregatedRelease, ...]]:
-        """The (expanded, run-length) accounting tuples for one check-in.
-
-        Fully determined by ``(num_samples, num_labels)``, so both views
-        are built once and reused — no per-check-in record allocations.
-        """
-        key = (num_samples, num_labels)
-        cached = self._release_cache.get(key)
-        if cached is None:
-            gradient_sensitivity = getattr(
-                mechanism, "sensitivity", None
-            ) or getattr(mechanism, "sensitivity_l2", 0.0)
-            gradient_release = mechanism.record(gradient_sensitivity)
-            expanded = (
-                gradient_release,
-                self._error_release,
-            ) + (self._label_release,) * num_labels
-            groups = (
-                AggregatedRelease(gradient_release, 1),
-                AggregatedRelease(self._error_release, 1),
-            )
-            if num_labels:
-                groups += (AggregatedRelease(self._label_release, num_labels),)
-            cached = (expanded, groups)
-            self._release_cache[key] = cached
-        return cached
 
     def sanitize(
         self,
@@ -168,20 +194,29 @@ class CheckinSanitizer:
         label_counts: np.ndarray,
         num_samples: int,
     ) -> SanitizedCheckin:
-        """Apply all three mechanisms and collect accounting records."""
-        gradient_mech = self.gradient_mechanism(num_samples)
-        noisy_gradient = gradient_mech.release(averaged_gradient)
-        noisy_error = self._error_mechanism.release(int(error_count))
-        noisy_labels = self._label_mechanism.release(
-            np.asarray(label_counts, dtype=np.int64)
+        """Apply all three mechanisms, in that order, and attach the
+        accounting records.  A level of ε = ∞ draws nothing; the outputs
+        never alias the inputs."""
+        calibration = self._calibration
+        key = (num_samples, label_counts.shape[0])
+        scale, *records = calibration.rounds.get(key) or calibration.calibrate(
+            self._model, *key
         )
-        releases, release_groups = self._releases_for(
-            gradient_mech, num_samples, label_counts.shape[0]
-        )
-        return SanitizedCheckin(
-            gradient=noisy_gradient,
-            error_count=noisy_error,
-            label_counts=np.asarray(noisy_labels, dtype=np.int64),
-            releases=releases,
-            release_groups=release_groups,
-        )
+        if scale:
+            noisy_gradient = averaged_gradient + self._draw_gradient_noise(
+                0.0, scale, averaged_gradient.shape
+            )
+        else:
+            noisy_gradient = averaged_gradient.astype(np.float64)
+        noisy_error = int(error_count)
+        if calibration.error_success:
+            noisy_error += int(
+                discrete_laplace_noise(calibration.error_success, self._rng, 1)[0]
+            )
+        if calibration.label_success:
+            noisy_labels = label_counts + discrete_laplace_noise(
+                calibration.label_success, self._rng, label_counts.shape
+            )
+        else:
+            noisy_labels = label_counts.astype(np.int64)
+        return SanitizedCheckin(noisy_gradient, noisy_error, noisy_labels, *records)

@@ -478,10 +478,9 @@ class ServerCore:
         )
         self._optimizer.step(message.gradient)
         if self._accountant is not None and message.releases:
-            # The raw tuple goes straight to the accountant: it run-length
-            # encodes internally, and devices reuse one memoized releases
-            # tuple across check-ins, so the accountant's identity memo
-            # hits — pre-aggregating here would allocate per message.
+            # The raw tuple goes straight to the accountant, which
+            # run-length encodes internally — pre-aggregating here would
+            # allocate per message.
             self._accountant.charge_checkin(message.releases)
         self._stop_cache = None
         iteration = self.iteration

@@ -65,6 +65,32 @@ def aggregate_releases(
     return tuple(AggregatedRelease(record, count) for record, count in groups)
 
 
+def checkin_sums(records: Sequence[ReleaseLike]) -> Tuple[float, float, int]:
+    """The (ε, δ, release count) that one check-in of ``records`` charges.
+
+    A group of ``count`` records sums by repeated addition, not
+    ``epsilon * count``: that preserves the exact left-to-right IEEE-754
+    sum of the expanded list.
+    """
+    checkin_epsilon = 0.0
+    checkin_delta = 0.0
+    total = 0
+    for entry in records:
+        if type(entry) is AggregatedRelease:
+            record, count = entry.record, entry.count
+        else:
+            record, count = entry, 1
+        epsilon = record.epsilon
+        if not math.isinf(epsilon):
+            for _ in range(count):
+                checkin_epsilon += epsilon
+        if record.delta != 0.0:
+            for _ in range(count):
+                checkin_delta += record.delta
+        total += count
+    return checkin_epsilon, checkin_delta, total
+
+
 @dataclass(frozen=True)
 class PrivacySpend:
     """Aggregate ε/δ consumed so far, under both accounting views."""
@@ -102,19 +128,15 @@ class PrivacyAccountant:
         self._per_sample_epsilon = 0.0
         self._total_epsilon = 0.0
         self._total_delta = 0.0
-        # Devices charge the *same* release-group tuple every check-in
-        # (the sanitizer memoizes it per realized batch size), so the
-        # summation over its entries is computed once per distinct tuple
-        # object.  The strong reference keeps the id stable.
-        self._last_records = None
-        self._last_sums = (0.0, 0.0, 0)
 
     @property
     def per_sample_cap(self) -> Optional[float]:
         """The enforced per-sample ε cap, or ``None``."""
         return self._per_sample_cap
 
-    def charge_checkin(self, records: Iterable[ReleaseLike]) -> None:
+    def charge_checkin(
+        self, records: Iterable[ReleaseLike], sums: Optional[Tuple[float, float, int]] = None
+    ) -> None:
         """Account for one check-in consisting of several mechanism releases.
 
         All releases in one check-in touch the *same* minibatch, so their
@@ -124,37 +146,14 @@ class PrivacyAccountant:
         ``records`` may contain plain :class:`ReleaseRecord`\\ s and/or
         :class:`~repro.privacy.mechanism.AggregatedRelease` run-length
         groups; a group of ``count`` records is charged exactly as if the
-        record appeared ``count`` times in sequence (the ε sum is
-        accumulated by repeated addition, so the float result is
-        bit-identical to the expanded form).
+        record appeared ``count`` times in sequence (bit-identical to the
+        expanded form, see :func:`checkin_sums`).  ``sums`` is
+        ``checkin_sums(records)`` for a caller that already holds it: a
+        device's sanitizer calibration computes it once for the whole crowd.
         """
         if not isinstance(records, (list, tuple)):
             records = tuple(records)
-        if records is self._last_records:
-            checkin_epsilon, checkin_delta, total = self._last_sums
-        else:
-            checkin_epsilon = 0.0
-            checkin_delta = 0.0
-            total = 0
-            for entry in records:
-                if type(entry) is AggregatedRelease:
-                    record, count = entry.record, entry.count
-                else:
-                    record, count = entry, 1
-                epsilon = record.epsilon
-                if not math.isinf(epsilon):
-                    # Repeated addition, not epsilon * count: preserves the
-                    # exact left-to-right IEEE-754 sum of the expanded list.
-                    for _ in range(count):
-                        checkin_epsilon += epsilon
-                if record.delta != 0.0:
-                    for _ in range(count):
-                        checkin_delta += record.delta
-                total += count
-            if isinstance(records, tuple):
-                # Only tuples are safely immutable enough to memoize by id.
-                self._last_records = records
-                self._last_sums = (checkin_epsilon, checkin_delta, total)
+        checkin_epsilon, checkin_delta, total = sums or checkin_sums(records)
         candidate = max(self._per_sample_epsilon, checkin_epsilon)
         if self._per_sample_cap is not None and candidate > self._per_sample_cap + 1e-12:
             raise PrivacyBudgetExceededError(
@@ -171,8 +170,8 @@ class PrivacyAccountant:
             if runs:
                 last = runs[-1]
                 last_record = last[0]
-                # Identity first (memoized records repeat across
-                # check-ins), then a cheap ε guard before the full
+                # Identity first (a crowd's calibration records repeat
+                # across check-ins), then a cheap ε guard before the full
                 # dataclass comparison — the common case is "different".
                 if last_record is record or (
                     last_record.epsilon == record.epsilon

@@ -41,29 +41,40 @@ def discrete_laplace_variance(epsilon: float, score_scale: float = 2.0) -> float
     return 2.0 * p / (1.0 - p) ** 2
 
 
+def geometric_success(epsilon: float, score_scale: float = 2.0) -> float:
+    """Success probability ``1 - e^{-ε/score_scale}`` of the two geometrics.
+
+    Returns 0 for ε = ∞: no noise, and nothing is drawn.
+    """
+    if math.isinf(epsilon):
+        return 0.0
+    return 1.0 - math.exp(-check_positive(epsilon, "epsilon") / score_scale)
+
+
+def discrete_laplace_noise(success: float, rng: np.random.Generator, shape) -> np.ndarray:
+    """``G₁ - G₂`` with ``Gᵢ ~ Geometric(success)``, int64 of ``shape``.
+
+    The one sampling implementation: the mechanism below and the device
+    sanitizer both draw through it.  numpy's geometric counts trials
+    (support 1, 2, ...); the two ``- 1`` shifts to the failures-count
+    convention cancel in the difference.
+    """
+    return rng.geometric(success, shape) - rng.geometric(success, shape)
+
+
 def sample_discrete_laplace(
     epsilon: float,
     rng: np.random.Generator,
     size=None,
     score_scale: float = 2.0,
 ) -> IntOrArray:
-    """Draw discrete Laplace noise ``P(z) ∝ exp(-ε|z|/score_scale)``.
-
-    Uses the identity ``z = G₁ - G₂`` with geometric ``Gᵢ`` counting
-    failures before the first success with success probability ``1 - p``.
-    """
-    if math.isinf(epsilon):
+    """Draw discrete Laplace noise ``P(z) ∝ exp(-ε|z|/score_scale)``."""
+    success = geometric_success(epsilon, score_scale)
+    if not success:
         return 0 if size is None else np.zeros(size, dtype=np.int64)
-    p = math.exp(-check_positive(epsilon, "epsilon") / score_scale)
-    # numpy's geometric counts trials (support 1, 2, ...); subtract 1 for
-    # the failures-count convention (support 0, 1, ...).
-    shape = size if size is not None else 1
-    g1 = rng.geometric(1.0 - p, size=shape) - 1
-    g2 = rng.geometric(1.0 - p, size=shape) - 1
-    noise = (g1 - g2).astype(np.int64)
     if size is None:
-        return int(noise[0])
-    return noise
+        return int(discrete_laplace_noise(success, rng, 1)[0])
+    return discrete_laplace_noise(success, rng, size)
 
 
 class DiscreteLaplaceMechanism(Mechanism):
@@ -96,50 +107,36 @@ class DiscreteLaplaceMechanism(Mechanism):
         super().__init__(epsilon, rng)
         self._clip_negative = bool(clip_negative)
         self._score_scale = check_positive(score_scale, "score_scale")
+        self._success = geometric_success(self._epsilon, self._score_scale)
 
     @property
     def score_scale(self) -> float:
         """Denominator in the exponent, 2 for the paper's Eqs. (11)-(12)."""
         return self._score_scale
 
+    @property
+    def success_probability(self) -> float:
+        """Geometric success probability of the draws (0 when ε = ∞)."""
+        return self._success
+
     def noise_variance(self) -> float:
         """Variance of the added integer noise."""
         return discrete_laplace_variance(self._epsilon, self._score_scale)
 
     def release(self, value: IntOrArray) -> IntOrArray:
-        """Return ``value + z`` with discrete Laplace ``z`` (elementwise)."""
-        if self._is_identity:
-            # ε = ∞ adds no noise and draws nothing from the RNG (matching
-            # sample_discrete_laplace's short-circuit); only the clipping
-            # semantics are preserved.  The int64-ndarray test comes first:
-            # that is every label-count release of a non-private run.
-            if isinstance(value, np.ndarray) and value.ndim > 0:
-                counts = value if value.dtype == np.int64 else value.astype(np.int64)
-            elif np.isscalar(value) or (
-                isinstance(value, np.ndarray) and value.ndim == 0
-            ):
-                noisy = int(value)
-                return max(noisy, 0) if self._clip_negative else noisy
-            else:
-                counts = np.asarray(value, dtype=np.int64)
-            if self._clip_negative:
-                return np.maximum(counts, 0)
-            # Match the noisy path's contract: the release never aliases
-            # the caller's buffer.
-            return counts.copy() if counts is value else counts
+        """Return ``value + z`` with discrete Laplace ``z`` (elementwise).
+
+        ε = ∞ adds no noise and draws nothing from the RNG; the release
+        never aliases the caller's buffer.
+        """
         if np.isscalar(value) or (isinstance(value, np.ndarray) and value.ndim == 0):
-            true = int(value)
-            noisy = true + int(
-                sample_discrete_laplace(self._epsilon, self._rng, None, self._score_scale)
-            )
-            if self._clip_negative:
-                noisy = max(noisy, 0)
-            return noisy
+            noisy = int(value)
+            if self._success:
+                noisy += int(discrete_laplace_noise(self._success, self.rng, 1)[0])
+            return max(noisy, 0) if self._clip_negative else noisy
         counts = np.asarray(value, dtype=np.int64)
-        noise = sample_discrete_laplace(
-            self._epsilon, self._rng, counts.shape, self._score_scale
-        )
-        noisy = counts + noise
-        if self._clip_negative:
-            noisy = np.maximum(noisy, 0)
-        return noisy
+        if self._success:
+            noisy = counts + discrete_laplace_noise(self._success, self.rng, counts.shape)
+        else:
+            noisy = counts.copy() if counts is value else counts
+        return np.maximum(noisy, 0) if self._clip_negative else noisy

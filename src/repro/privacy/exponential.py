@@ -63,7 +63,7 @@ class ExponentialMechanism(Mechanism):
     def release(self, scores: np.ndarray) -> int:
         """Sample a candidate index with probability ∝ exp(ε·score/2Δ)."""
         probs = self.probabilities(scores)
-        return int(self._rng.choice(probs.shape[0], p=probs))
+        return int(self.rng.choice(probs.shape[0], p=probs))
 
 
 def label_flip_distribution(epsilon: float, num_classes: int) -> np.ndarray:

@@ -94,4 +94,4 @@ class GaussianMechanism(Mechanism):
         value = np.asarray(value, dtype=np.float64)
         if self.is_identity:
             return value.copy()
-        return value + self._rng.normal(0.0, self._sigma, size=value.shape)
+        return value + self.rng.normal(0.0, self._sigma, value.shape)

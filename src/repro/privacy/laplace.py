@@ -94,5 +94,4 @@ class LaplaceMechanism(Mechanism):
         value = np.asarray(value, dtype=np.float64)
         if self.is_identity:
             return value.copy()
-        noise = self._rng.laplace(loc=0.0, scale=self._scale, size=value.shape)
-        return value + noise
+        return value + self.rng.laplace(0.0, self._scale, value.shape)

@@ -84,9 +84,9 @@ class Mechanism(ABC):
 
     def __init__(self, epsilon: float, rng: Optional[np.random.Generator] = None):
         self._epsilon = validate_epsilon(epsilon)
-        self._rng = rng if rng is not None else np.random.default_rng()
-        # ε is immutable, so the identity check is decided once: release()
-        # consults this flag on every message.
+        # None until first used: a crowd-shared calibration validates its
+        # levels through these constructors and never draws from them.
+        self._rng = rng
         self._is_identity = math.isinf(self._epsilon)
 
     @property
@@ -106,7 +106,10 @@ class Mechanism(ABC):
 
     @property
     def rng(self) -> np.random.Generator:
-        """The random generator used to draw noise."""
+        """The random generator used to draw noise (a fresh
+        non-deterministic one when none was given)."""
+        if self._rng is None:
+            self._rng = np.random.default_rng()
         return self._rng
 
     @abstractmethod

@@ -230,6 +230,13 @@ class CrowdSimulator:
             self._core = ServerCore(model, optimizer, server_config)
         self._total_samples = total_samples
 
+        # Crowd constants, built once: every device gets the same objects.
+        self._device_config = DeviceConfig(
+            batch_size=config.batch_size,
+            buffer_capacity=config.batch_size * config.buffer_factor,
+            budget=split_budget(config.epsilon, model.num_classes),
+            holdout_fraction=config.holdout_fraction,
+        )
         self._actors = [
             self._build_actor(m, transport) for m in range(config.num_devices)
         ]
@@ -289,13 +296,6 @@ class CrowdSimulator:
 
     def _build_actor(self, device_index: int, transport) -> _DeviceActor:
         config = self._config
-        budget = split_budget(config.epsilon, self._model.num_classes)
-        device_config = DeviceConfig(
-            batch_size=config.batch_size,
-            buffer_capacity=config.batch_size * config.buffer_factor,
-            budget=budget,
-            holdout_fraction=config.holdout_fraction,
-        )
         device_rng = self._rng_factory.generator("device", device_index)
         # Local cores mint the token in-process; a RemoteServerCore routes
         # the same call through POST /v1/join on the live service.
@@ -306,7 +306,7 @@ class CrowdSimulator:
             else None
         )
         device = Device(
-            device_index, self._model, device_config, token, device_rng,
+            device_index, self._model, self._device_config, token, device_rng,
             batch_policy=batch_policy,
         )
 
@@ -706,6 +706,10 @@ class CrowdSimulator:
             if not self._gateway.drain_stranded():
                 break
 
+        # Break the simulator -> handle -> simulator cycles: a finished run
+        # (and its M devices) is freed by refcount, not a gen-2 collection.
+        self._on_trigger_handler = self._on_request_handler = None
+        self._on_checkout_handler = self._on_checkin_handler = None
         loop_seconds = time.perf_counter() - loop_start
         finalize_start = time.perf_counter()
 

@@ -80,6 +80,9 @@ class TestOptionsCensus:
     here (and an unused one should leave the same way)."""
 
     def test_option_counts_are_pinned(self):
+        from repro.core.config import DeviceConfig
+        from repro.core.device import Device
+        from repro.core.sanitizer import CheckinSanitizer
         from repro.gateway.edge import EdgeGateway
         from repro.persist import Checkpointer, CheckpointPolicy, SnapshotStore
         from repro import registry
@@ -101,6 +104,10 @@ class TestOptionsCensus:
             SnapshotStore: 3,
             Checkpointer: 2,
             CheckpointPolicy: 2,
+            # Sharing the sanitizer calibration is not something a caller
+            # can switch off: no parameter selects it.
+            Device: 7,
+            CheckinSanitizer: 5,
         }
         counted = {
             cls: len(inspect.signature(cls).parameters)
@@ -108,6 +115,7 @@ class TestOptionsCensus:
         }
         assert counted == constructor_parameters
         assert len(dataclasses.fields(SimulationConfig)) == 21
+        assert len(dataclasses.fields(DeviceConfig)) == 6
         repro_serve_arguments = [
             action for action in build_parser()._actions if action.dest != "help"
         ]
