@@ -1,8 +1,8 @@
 """HTTP client for a remote :class:`~repro.serve.service.CrowdService`.
 
 :class:`ServiceClient` speaks the :mod:`repro.serve.wire` envelopes over
-pooled stdlib :class:`http.client.HTTPConnection` sockets — no
-third-party HTTP stack — and converts ``error`` envelopes back into
+pooled keep-alive sockets framed by :mod:`repro.serve.http1` (as the
+host's are; one ``sendall`` a request) and converts ``error`` envelopes back into
 typed exceptions, so callers handle a remote rejection exactly like a
 local :class:`~repro.core.server_core.ServerCore` raise:
 :class:`RemoteAuthenticationError` for bad tokens,
@@ -28,8 +28,8 @@ Retries
 
 With ``retries > 0`` the client additionally retries *transient*
 failures — connection refused/reset on a fresh socket, timeouts, a
-response cut short mid-body, and 5xx ``internal`` answers — with
-exponential backoff plus jitter.  4xx typed errors (auth, malformed,
+response cut short or framed ambiguously, and 5xx ``internal`` answers —
+with exponential backoff plus jitter.  4xx typed errors (auth, malformed,
 stopped, version mismatch) never retry: the server answered, the answer
 is the answer.  Retrying a request whose
 *response* was lost can re-submit an already-applied check-in; that is
@@ -41,33 +41,27 @@ ledger answers the replay with the original ack) — which is exactly what
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
+import socket
 import threading
 import time
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, BinaryIO, Dict, Optional, Sequence, Tuple
 from urllib.parse import urlparse
 
 from repro.core.protocol import CheckinMessage, CheckoutRequest, CheckoutResponse
 from repro.obs.metrics import NULL_REGISTRY
-from repro.serve import wire
+from repro.serve import http1, wire
 from repro.utils.exceptions import AuthenticationError, ProtocolError
 
 #: Errors that mean "the pooled socket died between requests" — eligible
-#: for the transparent reconnect-and-replay (RemoteDisconnected covers
-#: the common FIN-between-requests case; BadStatusLine a half-closed
-#: pipe that garbled the status line).
-_STALE_SOCKET_ERRORS = (
-    http.client.RemoteDisconnected,
-    http.client.BadStatusLine,
-    ConnectionResetError,
-    BrokenPipeError,
-)
+#: for the transparent reconnect-and-replay (``http1`` raises the common
+#: FIN-between-requests case, an empty read, as a reset too).
+_STALE_SOCKET_ERRORS = (ConnectionResetError, BrokenPipeError)
 #: Everything else the transport can raise mid-exchange — as transient as
-#: a reset.  ``HTTPException`` covers ``IncompleteRead``: the server died
-#: while writing the body (neither a stale socket nor an ``OSError``).
-_TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
+#: a reset.  ``FramingError`` covers a body cut short: the server died
+#: while writing it (neither a stale socket nor an ``OSError``).
+_TRANSPORT_ERRORS = (OSError, http1.FramingError)
 #: Uniform multiplicative jitter on each retry sleep (up to +25 %),
 #: decorrelating a thundering herd of retriers.  No caller ever set it.
 _JITTER = 0.25
@@ -161,6 +155,7 @@ class ServiceClient:
             )
         self._host = parsed.hostname
         self._port = parsed.port if parsed.port is not None else 80
+        self._headers = (("Host", parsed.netloc), ("Content-Type", "application/json"))
         self._timeout = float(timeout)
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
@@ -194,81 +189,64 @@ class ServiceClient:
 
     # -- connection pool (one per thread) ------------------------------- #
 
-    def _connection(self) -> Tuple[http.client.HTTPConnection, bool]:
-        """This thread's pooled connection; ``(conn, was_reused)``."""
+    def _connection(self) -> Tuple[socket.socket, BinaryIO]:
+        """This thread's pooled ``(socket, reader)``, connected on first use."""
         conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            return conn, True
-        conn = http.client.HTTPConnection(
-            self._host, self._port, timeout=self._timeout
-        )
-        self._local.conn = conn
-        with self._counter_lock:
-            self.connections_opened += 1
-        self._m_connections.inc()
-        return conn, False
-
-    def _discard(self) -> None:
-        conn = getattr(self._local, "conn", None)
-        self._local.conn = None
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
+        if conn is None:
+            with self._counter_lock:
+                self.connections_opened += 1
+            self._m_connections.inc()
+            sock = socket.create_connection((self._host, self._port), self._timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = self._local.conn = (sock, sock.makefile("rb"))
+        return conn
 
     def close(self) -> None:
         """Close the calling thread's pooled connection (if any)."""
-        self._discard()
+        conn = getattr(self._local, "conn", None)
+        self._local.conn = None
+        if conn is not None:
+            sock, reader = conn
+            try:
+                reader.close()
+                sock.close()
+            except OSError:
+                pass
 
     # -- request plumbing ----------------------------------------------- #
 
-    def _roundtrip(
-        self, conn: http.client.HTTPConnection, method: str, path: str,
-        body: Optional[bytes],
-    ) -> Tuple[int, bytes]:
-        conn.request(
-            method, path, body=body, headers={"Content-Type": "application/json"}
-        )
-        response = conn.getresponse()
-        data = response.read()  # must drain fully before the socket is reused
-        if response.will_close:
-            self._discard()
+    def _roundtrip(self, method: str, path: str, body: Optional[bytes]) -> Tuple[int, bytes]:
+        sock, reader = self._connection()
+        # Head and body in one segment, as the host answers.
+        sock.sendall(http1.build(f"{method} {path} HTTP/1.1", self._headers, body or b""))
+        status, _, data, keep_alive = http1.read_response(reader)
+        if not keep_alive:
+            self.close()
         with self._counter_lock:
             self.requests_sent += 1
         self._m_requests.inc()
-        return response.status, data
+        return status, data
 
     def _call_once(self, method: str, path: str, body: Optional[bytes]) -> bytes:
-        conn, reused = self._connection()
+        reused = getattr(self._local, "conn", None) is not None
         try:
-            status, data = self._roundtrip(conn, method, path, body)
-        except _STALE_SOCKET_ERRORS as error:
-            self._discard()
-            if not reused:
-                # A fresh socket that dies mid-exchange is a real
-                # transient failure, not keep-alive staleness.
-                raise RemoteServiceError(
-                    wire.ErrorCode.UNREACHABLE,
-                    f"connection to {self._base_url} failed: {error}",
-                )
-            # The pooled socket went stale between requests; nothing
-            # reached the server on this attempt.  Replay once on a
-            # fresh connection, transparently.
-            with self._counter_lock:
-                self.reconnects += 1
-            self._m_reconnects.inc()
-            conn, _ = self._connection()
             try:
-                status, data = self._roundtrip(conn, method, path, body)
-            except _TRANSPORT_ERRORS as retry_error:
-                self._discard()
-                raise RemoteServiceError(
-                    wire.ErrorCode.UNREACHABLE,
-                    f"cannot reach {self._base_url}: {retry_error}",
-                )
+                status, data = self._roundtrip(method, path, body)
+            except _STALE_SOCKET_ERRORS:
+                if not reused:
+                    # A fresh socket that dies mid-exchange is a real
+                    # transient failure, not keep-alive staleness.
+                    raise
+                # The pooled socket went stale between requests; nothing
+                # reached the server on this attempt.  Replay once on a
+                # fresh connection, transparently.
+                self.close()
+                with self._counter_lock:
+                    self.reconnects += 1
+                self._m_reconnects.inc()
+                status, data = self._roundtrip(method, path, body)
         except _TRANSPORT_ERRORS as error:
-            self._discard()
+            self.close()
             raise RemoteServiceError(
                 wire.ErrorCode.UNREACHABLE,
                 f"cannot reach {self._base_url}: {error}",

@@ -1,12 +1,12 @@
 """``HttpHost`` — the one HTTP front for the wire protocol.
 
 Everything an HTTP server for :mod:`repro.serve.wire` needs that is not
-protocol-specific lives here, once: the listener and its single
-:class:`~http.server.BaseHTTPRequestHandler` subclass (one thread per
-connection), the start/serve/stop/drain lifecycle, the capped body read,
-the exception → typed ``error``-envelope mapping, the response writer,
-the request/error counters with their per-endpoint metric series, and
-the ``GET /v1/metrics`` rendering.
+protocol-specific lives here, once: the listener (one thread per
+connection) and its keep-alive loop over :mod:`repro.serve.http1`, the
+start/serve/stop/drain lifecycle, the capped body read, the exception →
+typed ``error``-envelope mapping, the response writer, the request/error
+counters with their per-endpoint metric series, and the
+``GET /v1/metrics`` rendering.
 
 A host is a subclass that hands :class:`HttpHost` a ``(method, path) →
 handler`` table and extends :meth:`HttpHost.metrics_snapshot`;
@@ -21,9 +21,9 @@ or raises; no request, however garbled, takes a host down:
   ``ProtocolError`` as 400 ``malformed``;
 * an unexpected exception is caught, counted, and answered as a 500
   ``internal`` envelope while the host keeps serving;
-* requests the stdlib refuses before routing (unsupported method,
-  unparseable request line) get the same typed envelope and the same
-  counters, under endpoint ``other``.
+* requests refused before routing (unsupported method, unparseable
+  request line or header block) get the same typed envelope and the
+  same counters, under endpoint ``other``.
 
 Two guarantees hold for every response.  It leaves in **one write**,
 head and body together, on a ``TCP_NODELAY`` socket: split in two, the
@@ -39,15 +39,16 @@ from __future__ import annotations
 
 import json
 import os
+import socketserver
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs
 
 from repro.obs.metrics import NULL_REGISTRY, render_prometheus
 from repro.obs.trace import NULL_TRACER
-from repro.serve import wire
+from repro.serve import http1, wire
 from repro.utils.exceptions import AuthenticationError, ProtocolError
 
 #: Requests with a larger declared body are refused outright (413).
@@ -60,7 +61,8 @@ _JSON = "application/json"
 _STOP_POLL_SECONDS = 0.02
 
 
-class _Server(ThreadingHTTPServer):
+class _Server(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
     daemon_threads = True
     # A crowd joins at once: the stdlib's backlog of 5 turns 64
     # simultaneous connects into resets and SYN retransmits.
@@ -142,45 +144,30 @@ class HttpHost:
         self.requests_served = 0
         #: error responses sent, keyed by wire error code.
         self.errors_returned: Dict[str, int] = {}
+        #: ``(second, text)`` of the last ``Date`` header formatted.
+        self._date = (0, "")
         owner = self
 
-        class _Handler(BaseHTTPRequestHandler):
-            # Per-request handler bound to the enclosing host.
-            protocol_version = "HTTP/1.1"
+        class _Handler(socketserver.StreamRequestHandler):
+            # Per-connection handler bound to the enclosing host.
             # TCP_NODELAY on every accepted socket: a response too large
             # for one segment must not wait on the client's ACK either.
             disable_nagle_algorithm = True
 
-            def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-                pass  # keep request logs out of stdout; counters cover it
+            def handle(self):
+                owner._serve_connection(self.rfile, self.wfile)
 
-            def do_POST(self):
-                owner._dispatch(self, "POST")
-
-            def do_GET(self):
-                owner._dispatch(self, "GET")
-
-            def send_error(self, code, message=None, explain=None):
-                # The stdlib's own refusals (raised before do_GET/do_POST
-                # is reached) would otherwise answer text/html and skip
-                # every counter.
-                owner._dispatch(self, self.command, refusal=wire.WireError(
-                    wire.ErrorCode.METHOD_NOT_ALLOWED if code == 501
-                    else wire.ErrorCode.MALFORMED,
-                    message or f"request refused ({code})",
-                ))
-
-        self._http = _Server((host, int(port)), _Handler)
+        self._server = _Server((host, int(port)), _Handler)
 
     # -- lifecycle ------------------------------------------------------ #
 
     @property
     def host(self) -> str:
-        return self._http.server_address[0]
+        return self._server.server_address[0]
 
     @property
     def port(self) -> int:
-        return self._http.server_address[1]
+        return self._server.server_address[1]
 
     @property
     def url(self) -> str:
@@ -196,7 +183,7 @@ class HttpHost:
             raise ProtocolError("host already started")
         self._serving = True
         self._thread = threading.Thread(
-            target=self._http.serve_forever, args=(_STOP_POLL_SECONDS,),
+            target=self._server.serve_forever, args=(_STOP_POLL_SECONDS,),
             name=self._thread_name, daemon=True,
         )
         self._thread.start()
@@ -206,7 +193,7 @@ class HttpHost:
         """Serve on the calling thread (the ``repro-serve`` entry point)."""
         try:
             self._serving = True
-            self._http.serve_forever(_STOP_POLL_SECONDS)
+            self._server.serve_forever(_STOP_POLL_SECONDS)
         finally:
             # An exception (e.g. SIGINT/SIGTERM) may land anywhere in
             # this frame — including *before* the serve loop's own
@@ -223,12 +210,12 @@ class HttpHost:
         waiting for a loop exit that can never happen.
         """
         if self._serving:
-            self._http.shutdown()
+            self._server.shutdown()
             self._serving = False
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
-        self._http.server_close()
+        self._server.server_close()
 
     def drain(self, timeout: float = 10.0) -> bool:
         """Wait until no request is mid-dispatch; True if quiesced.
@@ -255,27 +242,47 @@ class HttpHost:
 
     # -- request plumbing ----------------------------------------------- #
 
-    def _dispatch(self, handler, method, refusal=None) -> None:
-        """Answer one request; every exit path sends exactly one response."""
-        with self._idle:
-            self._inflight += 1
-        self._m_inflight.inc()
-        try:
-            self._respond(handler, method, refusal)
-        finally:
-            self._m_inflight.dec()
+    def _serve_connection(self, rfile, wfile) -> None:
+        """One connection's keep-alive loop: a request per turn, each
+        answered with exactly one response, until either side closes."""
+        keep_alive = True
+        while keep_alive:
+            method, target, headers, refusal = "", "", {}, None
+            try:
+                start, headers = http1.read_head(rfile.readline)
+                method, target, keep_alive = http1.parse_request_line(start, headers)
+                if method not in ("GET", "POST"):
+                    refusal = wire.WireError(
+                        wire.ErrorCode.METHOD_NOT_ALLOWED,
+                        f"unsupported method {method!r}",
+                    )
+            except OSError:
+                return  # the peer closed (or reset) the connection between requests
+            except http1.FramingError as error:
+                refusal = error
             with self._idle:
-                self._inflight -= 1
-                if self._inflight == 0:
-                    self._idle.notify_all()
+                self._inflight += 1
+            self._m_inflight.inc()
+            try:
+                keep_alive = self._respond(
+                    rfile, wfile, method, target, headers, keep_alive, refusal
+                )
+            finally:
+                self._m_inflight.dec()
+                with self._idle:
+                    self._inflight -= 1
+                    if self._inflight == 0:
+                        self._idle.notify_all()
 
-    def _respond(self, handler, method, refusal) -> None:
+    def _respond(
+        self, rfile, wfile, method, target, headers, keep_alive, refusal
+    ) -> bool:
         code = None
         content_type = _JSON
-        # A request the stdlib refused may have no parsed path at all.
-        parsed = urlparse("" if refusal else handler.path)
-        endpoint = self._labels.get(parsed.path, "other")
-        trace = self._tracer.begin(f"{method} {parsed.path}")
+        # A request refused before routing is booked under endpoint "other".
+        path, _, query = ("" if refusal else target).partition("?")
+        endpoint = self._labels.get(path, "other")
+        trace = self._tracer.begin(f"{method} {path}")
         start = time.perf_counter()
         try:
             if refusal:
@@ -283,18 +290,17 @@ class HttpHost:
             # Read before routing, whatever the route: a declared body
             # left on a kept-alive socket would be parsed as the next
             # request line.
-            body = self._read_body(handler)
-            route = self._routes.get((method, parsed.path))
+            body = self._read_body(rfile, wfile, headers)
+            route = self._routes.get((method, path))
             if route is None:
-                if parsed.path in self._labels:
+                if path in self._labels:
                     raise wire.WireError(
                         wire.ErrorCode.METHOD_NOT_ALLOWED,
-                        f"{method} not supported on {parsed.path}",
+                        f"{method} not supported on {path}",
                     )
-                raise wire.WireError(
-                    wire.ErrorCode.NOT_FOUND, f"no route {parsed.path}"
-                )
-            result = route(Request(body, parse_qs(parsed.query), trace))
+                raise wire.WireError(wire.ErrorCode.NOT_FOUND, f"no route {path}")
+            # Only the status and metrics scrapes ever carry a query.
+            result = route(Request(body, parse_qs(query) if query else {}, trace))
             status, payload = result[0], result[1]
             if len(result) > 2:
                 content_type = result[2]
@@ -307,7 +313,7 @@ class HttpHost:
         except ProtocolError as error:
             # Route handlers raise their typed rejections (stopped task,
             # unavailable shard) as WireErrors, so a plain ProtocolError
-            # reaching here is a bad payload.
+            # reaching here is a bad payload (or frame: ``FramingError``).
             code = wire.ErrorCode.MALFORMED
             status, payload = 400, wire.encode_error(code, str(error))
         except Exception as error:  # noqa: BLE001 - the host must survive
@@ -315,11 +321,10 @@ class HttpHost:
             status, payload = 500, wire.encode_error(
                 code, f"{type(error).__name__}: {error}"
             )
-        if code is not None:
-            # A refused body (413, bad Content-Length) or a request the
-            # stdlib gave up on is still on the wire; closing after any
-            # error keeps the stream in sync under one rule.
-            handler.close_connection = True
+        # A refused body (413, bad Content-Length) or a request whose
+        # frame was given up on is still on the wire; closing after any
+        # error keeps the stream in sync under one rule.
+        keep_alive = keep_alive and code is None
         # Book, then answer: whoever holds response N — the next request
         # on the wire or an in-process reader — finds request N counted.
         elapsed = time.perf_counter() - start
@@ -332,41 +337,40 @@ class HttpHost:
             self._m_errors[endpoint].inc()
         self._m_latency[endpoint].observe(elapsed)
         trace.finish(status)
-        self._send(handler, status, payload, content_type)
+        self._send(wfile, status, payload, content_type, keep_alive)
+        return keep_alive
 
     @staticmethod
-    def _read_body(handler) -> bytes:
-        try:
-            length = int(handler.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0:
-            raise wire.WireError(wire.ErrorCode.MALFORMED, "bad Content-Length header")
+    def _read_body(rfile, wfile, headers) -> bytes:
+        length = http1.body_length(headers) or 0
         if length > MAX_BODY_BYTES:
             raise wire.WireError(
                 wire.ErrorCode.PAYLOAD_TOO_LARGE,
                 f"body of {length} bytes exceeds the {MAX_BODY_BYTES} byte limit",
             )
-        return handler.rfile.read(length)
+        if headers.get("expect", "").lower() == "100-continue":
+            # The client is holding the body back until told to go on.
+            wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return http1.read_body(rfile, length)
 
-    @staticmethod
-    def _send(handler, status: int, payload: str, content_type: str) -> None:
-        body = payload.encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {handler.responses.get(status, ('',))[0]}\r\n"
-            f"Server: {handler.version_string()}\r\n"
-            f"Date: {handler.date_time_string()}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-        )
-        if handler.close_connection:
+    def _send(self, wfile, status: int, payload: str, content_type: str,
+              keep_alive: bool) -> None:
+        now = int(time.time())
+        if self._date[0] != now:  # at most one format a second, not one a response
+            # English names: nothing in a serving process sets LC_TIME.
+            self._date = (now, time.strftime("%a, %d %b %Y %H:%M:%S GMT", time.gmtime(now)))
+        headers = [("Date", self._date[1]), ("Content-Type", content_type)]
+        if not keep_alive:
             # Tell a keep-alive client now, or it finds the socket
             # dead on its next request and pays a replay.
-            head += "Connection: close\r\n"
+            headers.append(("Connection", "close"))
         try:
             # One write on the unbuffered wfile is one sendall(): head
             # and body share a segment whenever they fit in one.
-            handler.wfile.write(head.encode("latin-1") + b"\r\n" + body)
+            wfile.write(http1.build(
+                f"HTTP/1.1 {status} {HTTPStatus(status).phrase}", headers,
+                payload.encode("utf-8"),
+            ))
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away; nothing to answer
 
