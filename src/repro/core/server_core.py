@@ -65,6 +65,36 @@ class RoundOutcome(NamedTuple):
     stop: StopDecision
 
 
+def fused_rounds(
+    requests: Sequence[CheckoutRequest],
+    complete: Callable[..., Optional[CheckinMessage]],
+    complete_args: tuple,
+    admit_checkout: Callable[[CheckoutRequest], CheckoutResponse | Exception],
+    admit_checkin: Callable[[CheckinMessage], CheckinAck | Exception],
+) -> Tuple[tuple, tuple, tuple]:
+    """The fused Fig. 2 loop behind :meth:`ServerCore.serve_round` and the
+    remote proxy's, each over its own gates: per request, ``admit_checkout``
+    → ``complete(response, *complete_args)`` → ``admit_checkin``.  A gate
+    returns its result, or the rejection as an *unraised* exception —
+    ``None`` in that slot of ``(responses, messages, acks)`` and those after."""
+    responses, messages, acks = [], [], []
+    for request in requests:
+        response = admit_checkout(request)
+        message = ack = None
+        if isinstance(response, Exception):
+            response = None
+        else:
+            message = complete(response, *complete_args)
+            if message is not None:
+                ack = admit_checkin(message)
+                if isinstance(ack, Exception):
+                    ack = None
+        responses.append(response)
+        messages.append(message)
+        acks.append(ack)
+    return tuple(responses), tuple(messages), tuple(acks)
+
+
 class ServerCore:
     """The central coordinator of the crowd-learning task.
 
@@ -273,6 +303,63 @@ class ServerCore:
     def stopped(self) -> bool:
         return self.stopping_decision().stopped
 
+    # -- the two admission gates (Algorithm 2's accept/reject rule) ----- #
+
+    def _reject(self, error: Exception) -> Exception:
+        self._rejected_messages += 1
+        return error
+
+    def _admit_checkout(
+        self, request: CheckoutRequest, copy: bool = False
+    ) -> CheckoutResponse | Exception:
+        """Check-out gate: authenticate → stopped → count → response.  A
+        rejection is counted and *returned*; the endpoint raises or drops
+        it.  Without ``copy`` the response carries ``parameters_view`` —
+        steps rebind rather than mutate, so it is stable without a
+        per-round copy, for a caller that never writes to it."""
+        try:
+            self._registry.authenticate(request.device_id, request.token)
+        except Exception as error:
+            return self._reject(error)
+        if self.stopped:
+            return self._reject(
+                ProtocolError("task has stopped; no further check-outs")
+            )
+        self._checkouts_served += 1
+        optimizer = self._optimizer
+        return CheckoutResponse(
+            device_id=request.device_id,
+            parameters=optimizer.parameters if copy else optimizer.parameters_view,
+            server_iteration=optimizer.iteration,
+            issued_time=request.request_time,
+        )
+
+    def _admit_checkin(
+        self, message: CheckinMessage, stopped: Optional[bool] = None
+    ) -> CheckinAck | Exception:
+        """Check-in gate: authenticate → gradient length → replay ack →
+        stopped → apply; rejections as from :meth:`_admit_checkout`.  A
+        caller that already knows the stopping state passes ``stopped``."""
+        try:
+            self._registry.authenticate(message.device_id, message.token)
+        except Exception as error:
+            return self._reject(error)
+        if message.gradient.shape[0] != self._model.num_parameters:
+            return self._reject(ProtocolError(
+                f"gradient length {message.gradient.shape[0]} != "
+                f"model num_parameters {self._model.num_parameters}"
+            ))
+        replay = self._replay_ack(message)
+        if replay is not None:
+            # A suppressed replay applies no update, so it is answered
+            # even once stopped and consumes no iteration budget.
+            return replay
+        if self.stopped if stopped is None else stopped:
+            return self._reject(
+                ProtocolError("task has stopped; no further check-ins")
+            )
+        return self._apply(message)
+
     # -- single-message endpoints (wire semantics: reject by raising) --- #
 
     def handle_checkout(self, request: CheckoutRequest) -> CheckoutResponse:
@@ -281,21 +368,10 @@ class ServerCore:
         Raises :class:`~repro.utils.exceptions.AuthenticationError` for
         unknown devices and :class:`ProtocolError` once stopped.
         """
-        try:
-            self._registry.authenticate(request.device_id, request.token)
-        except Exception:
-            self._rejected_messages += 1
-            raise
-        if self.stopped:
-            self._rejected_messages += 1
-            raise ProtocolError("task has stopped; no further check-outs")
-        self._checkouts_served += 1
-        return CheckoutResponse(
-            device_id=request.device_id,
-            parameters=self._optimizer.parameters,
-            server_iteration=self.iteration,
-            issued_time=request.request_time,
-        )
+        response = self._admit_checkout(request, copy=True)
+        if isinstance(response, Exception):
+            raise response
+        return response
 
     def handle_checkin(self, message: CheckinMessage) -> CheckinAck:
         """Server Routine 2: authenticate, accumulate stats, apply update.
@@ -304,24 +380,10 @@ class ServerCore:
         server was built with; gradient staleness (asynchrony) is inherent
         — the gradient may have been computed against an older w.
         """
-        try:
-            self._registry.authenticate(message.device_id, message.token)
-        except Exception:
-            self._rejected_messages += 1
-            raise
-        if message.gradient.shape[0] != self._model.num_parameters:
-            self._rejected_messages += 1
-            raise ProtocolError(
-                f"gradient length {message.gradient.shape[0]} != "
-                f"model num_parameters {self._model.num_parameters}"
-            )
-        replay = self._replay_ack(message)
-        if replay is not None:
-            return replay
-        if self.stopped:
-            self._rejected_messages += 1
-            raise ProtocolError("task has stopped; no further check-ins")
-        return self._apply(message)
+        ack = self._admit_checkin(message)
+        if isinstance(ack, Exception):
+            raise ack
+        return ack
 
     # -- batch endpoints ------------------------------------------------ #
 
@@ -334,41 +396,23 @@ class ServerCore:
         counters, attached accountant) to calling :meth:`handle_checkin`
         once per message and catching the rejections.  The stopping rule
         is amortized: without a ρ target the remaining iteration budget is
-        computed once for the whole batch; with one, the cached decision
+        closed-form (t against T_max); with one, the cached decision
         makes the per-message re-check allocation-free.
         """
         acks: List[Optional[CheckinAck]] = []
         self._m_batches.inc()
         self._m_batch_size.observe(len(messages))
-        num_parameters = self._model.num_parameters
         # Closed-form iteration budget: each accepted message advances t
-        # by exactly one, so without a target-error rule the stop point
-        # inside the batch is known up front.
+        # by exactly one, so without a target-error rule the batch stops
+        # where t reaches T_max and the decision need not be re-evaluated.
         track_error = self._config.target_error is not None
-        remaining = self._config.max_iterations - self.iteration
+        max_iterations = self._config.max_iterations
         for message in messages:
-            try:
-                self._registry.authenticate(message.device_id, message.token)
-            except Exception:
-                self._rejected_messages += 1
-                acks.append(None)
-                continue
-            if message.gradient.shape[0] != num_parameters:
-                self._rejected_messages += 1
-                acks.append(None)
-                continue
-            replay = self._replay_ack(message)
-            if replay is not None:
-                # A suppressed replay applies no update, so it does not
-                # consume the batch's iteration budget.
-                acks.append(replay)
-                continue
-            if remaining <= 0 or (track_error and self.stopped):
-                self._rejected_messages += 1
-                acks.append(None)
-                continue
-            acks.append(self._apply(message))
-            remaining -= 1
+            ack = self._admit_checkin(
+                message,
+                self.stopped if track_error else self.iteration >= max_iterations,
+            )
+            acks.append(None if isinstance(ack, Exception) else ack)
         decision = self._stop_cache
         if decision is not None:
             self._m_stopped.set(1.0 if decision.stopped else 0.0)
@@ -394,54 +438,12 @@ class ServerCore:
         or whose check-in is rejected yield ``None`` in the corresponding
         outcome slot (no exception), mirroring :meth:`handle_checkins`.
         """
-        responses: List[Optional[CheckoutResponse]] = []
-        messages: List[Optional[CheckinMessage]] = []
-        acks: List[Optional[CheckinAck]] = []
-        optimizer = self._optimizer
-        for request in requests:
-            try:
-                self._registry.authenticate(request.device_id, request.token)
-            except Exception:
-                self._rejected_messages += 1
-                responses.append(None)
-                messages.append(None)
-                acks.append(None)
-                continue
-            if self.stopped:
-                self._rejected_messages += 1
-                responses.append(None)
-                messages.append(None)
-                acks.append(None)
-                continue
-            self._checkouts_served += 1
-            # parameters_view: steps rebind rather than mutate, so the
-            # response's array is stable without a per-round copy.
-            response = CheckoutResponse(
-                device_id=request.device_id,
-                parameters=optimizer.parameters_view,
-                server_iteration=optimizer.iteration,
-                issued_time=request.request_time,
-            )
-            responses.append(response)
-            message = complete(response, *complete_args)
-            messages.append(message)
-            if message is None:
-                acks.append(None)
-                continue
-            if message.gradient.shape[0] != self._model.num_parameters:
-                self._rejected_messages += 1
-                acks.append(None)
-                continue
-            replay = self._replay_ack(message)
-            if replay is not None:
-                acks.append(replay)
-                continue
-            acks.append(self._apply(message))
+        slots = fused_rounds(
+            requests, complete, complete_args, self._admit_checkout, self._admit_checkin
+        )
         decision = self.stopping_decision()
         self._m_stopped.set(1.0 if decision.stopped else 0.0)
-        return RoundOutcome(
-            tuple(responses), tuple(messages), tuple(acks), decision
-        )
+        return RoundOutcome(*slots, decision)
 
     # -- internals ------------------------------------------------------ #
 

@@ -213,18 +213,22 @@ class GatewayAggregator:
         self.stats.checkins_added += 1
         if self._deadline_at is None and self._flush_deadline is not None:
             self._deadline_at = self._clock() + self._flush_deadline
-        if self._suspended:
+        return self._flush_if_triggered()
+
+    def _flush_if_triggered(self) -> Optional[List[Optional[CheckinAck]]]:
+        """Flush iff a trigger fires now: capacity, else size, else deadline."""
+        n = len(self._buffer)
+        if self._suspended or n == 0:
             return None
-        if self._capacity is not None and len(self._buffer) >= self._capacity:
+        if self._capacity is not None and n >= self._capacity:
             self.stats.capacity_flushes += 1
-            return self.flush()
-        if len(self._buffer) >= self._flush_size:
+        elif n >= self._flush_size:
             self.stats.size_flushes += 1
-            return self.flush()
-        if self._deadline_at is not None and self._clock() >= self._deadline_at:
+        elif self._deadline_at is not None and self._clock() >= self._deadline_at:
             self.stats.deadline_flushes += 1
-            return self.flush()
-        return None
+        else:
+            return None
+        return self.flush()
 
     def flush(self) -> Optional[List[Optional[CheckinAck]]]:
         """Flush the whole buffer upstream as one batch.
@@ -266,15 +270,8 @@ class GatewayAggregator:
         return acks
 
     def flush_if_due(self) -> Optional[List[Optional[CheckinAck]]]:
-        """Flush iff the deadline has passed (wall-clock hosts poll this)."""
-        if (
-            not self._suspended
-            and self._deadline_at is not None
-            and self._clock() >= self._deadline_at
-        ):
-            self.stats.deadline_flushes += 1
-            return self.flush()
-        return None
+        """Flush iff a trigger is due (wall-clock hosts poll the deadline)."""
+        return self._flush_if_triggered()
 
     # -- stall handling ------------------------------------------------- #
 
@@ -285,16 +282,4 @@ class GatewayAggregator:
     def resume(self) -> Optional[List[Optional[CheckinAck]]]:
         """Upstream link restored: flush now if the backlog warrants it."""
         self._suspended = False
-        n = len(self._buffer)
-        if n == 0:
-            return None
-        if self._capacity is not None and n >= self._capacity:
-            self.stats.capacity_flushes += 1
-            return self.flush()
-        if n >= self._flush_size:
-            self.stats.size_flushes += 1
-            return self.flush()
-        if self._deadline_at is not None and self._clock() >= self._deadline_at:
-            self.stats.deadline_flushes += 1
-            return self.flush()
-        return None
+        return self._flush_if_triggered()

@@ -13,8 +13,8 @@ owns a :class:`~repro.gateway.aggregator.GatewayAggregator` clocked by
 the event queue: device check-ins accumulate there, and a size threshold,
 an armed deadline timer, or a capacity bound flushes the whole buffer
 upstream as **one** batch event.  The simulator receives that batch
-through a single ``deliver_batch`` callback and applies it with the
-PR 5 ``_apply_checkin_run`` machinery — which is what keeps a
+through a single ``deliver_batch`` callback and applies its check-ins
+one by one, as it would separate deliveries — which is what keeps a
 transparent (pass-through, zero-delay, reliable) gateway bit-identical
 to no gateway at all: one extra hop event per check-in, same arrival
 timestamps, same application order, same RNG draws (zero-delay models

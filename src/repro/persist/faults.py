@@ -43,45 +43,33 @@ from typing import Dict, List, Optional, Tuple
 from urllib.parse import urlparse
 
 from repro.persist.checkpoint import RECORD_HEADER_BYTES, SnapshotStore, read_segment
+from repro.serve import http1
 from repro.serve.launch import LaunchError, crash, launch, shut_down
 from repro.utils.exceptions import ReproError
-
-_CRLF2 = b"\r\n\r\n"
 
 
 class FaultInjectionError(ReproError):
     """The fault harness itself failed (not an injected fault)."""
 
 
-def _read_http_message(sock: socket.socket, already: bytes = b"") -> Optional[bytes]:
+def _read_http_message(sock: socket.socket) -> Optional[bytes]:
     """Read one full HTTP message (headers + Content-Length body).
 
-    Returns the raw bytes, or ``None`` if the peer closed before a full
-    message arrived.  Chunked encoding is not handled — neither side of
-    this wire ever sends it.
+    Returns the raw bytes as they arrived, or ``None`` if the peer closed
+    before a full message this wire accepts (:mod:`repro.serve.http1`).
     """
-    data = already
-    while _CRLF2 not in data:
-        chunk = sock.recv(65536)
-        if not chunk:
+    lines: List[bytes] = []
+    with sock.makefile("rb") as rfile:
+        def tee(limit: int) -> bytes:
+            lines.append(rfile.readline(limit))
+            return lines[-1]
+
+        try:
+            _, headers = http1.read_head(tee)
+            body = http1.read_body(rfile, http1.body_length(headers) or 0)
+        except (http1.FramingError, ConnectionResetError):
             return None
-        data += chunk
-    head, _, rest = data.partition(_CRLF2)
-    content_length = 0
-    for line in head.split(b"\r\n")[1:]:
-        name, _, value = line.partition(b":")
-        if name.strip().lower() == b"content-length":
-            try:
-                content_length = int(value.strip())
-            except ValueError:
-                return None
-            break
-    while len(rest) < content_length:
-        chunk = sock.recv(65536)
-        if not chunk:
-            return None
-        rest += chunk
-    return head + _CRLF2 + rest[:content_length]
+    return b"".join(lines) + body
 
 
 class FaultyProxy:

@@ -307,25 +307,7 @@ def core_states_equal(a: ServerCore, b: ServerCore) -> bool:
     Compares everything a snapshot captures plus the recomputed stopping
     decision; the accountant comparison covers the full run-length ledger.
     """
-    if a.parameters.tobytes() != b.parameters.tobytes():
-        return False
-    if a.iteration != b.iteration:
-        return False
-    if a.counters_state() != b.counters_state():
-        return False
-    if a.registry.state_dict() != b.registry.state_dict():
-        return False
-    if a.monitor.state_dict() != b.monitor.state_dict():
-        return False
-    if (a.accountant is None) != (b.accountant is None):
-        return False
-    if a.accountant is not None and (
-        a.accountant.state_dict() != b.accountant.state_dict()
-    ):
-        return False
-    if _encode_optimizer(a.optimizer) != _encode_optimizer(b.optimizer):
-        return False
-    return a.stopping_decision() == b.stopping_decision()
+    return describe_mismatch(a, b) is None
 
 
 def describe_mismatch(a: ServerCore, b: ServerCore) -> Optional[str]:

@@ -31,7 +31,7 @@ see README "Serving" for the full caveat list.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -42,12 +42,12 @@ from repro.core.protocol import (
     CheckoutRequest,
     CheckoutResponse,
 )
-from repro.core.server_core import RoundOutcome
+from repro.core.server_core import RoundOutcome, fused_rounds
 from repro.core.stopping import StopDecision, StopReason
 from repro.models.base import Model
 from repro.serve.client import RemoteServiceError, ServiceClient
 from repro.serve import wire
-from repro.utils.exceptions import ConfigurationError
+from repro.utils.exceptions import ConfigurationError, ProtocolError
 
 if TYPE_CHECKING:
     from repro.gateway.edge import EdgeGateway
@@ -333,53 +333,46 @@ class RemoteServerCore:
     ) -> RoundOutcome:
         """Fig. 2 rounds against the live server, one request at a time.
 
-        Mirrors :meth:`ServerCore.serve_round` slot for slot: rejected
-        or stale requests yield ``None`` without raising, each accepted
-        check-in is applied before the next checkout is served (by the
-        remote core, in request order for this client).
+        :meth:`ServerCore.serve_round`'s loop over this client's gates:
+        rejected or stale requests yield ``None`` without raising, each
+        accepted check-in is applied before the next checkout is served
+        (by the remote core, in request order for this client).
         """
-        responses: List[Optional[CheckoutResponse]] = []
-        messages: List[Optional[CheckinMessage]] = []
-        acks: List[Optional[CheckinAck]] = []
-        for request in requests:
-            if self._stop.stopped:
-                responses.append(None)
-                messages.append(None)
-                acks.append(None)
-                continue
-            try:
-                response = self._client.checkout(request)
-            except RemoteServiceError as error:
-                if error.code in (wire.ErrorCode.STOPPED, wire.ErrorCode.AUTH_FAILED):
-                    if error.code == wire.ErrorCode.STOPPED:
-                        self._stop = StopDecision(True, self._refresh_stop_reason())
-                    responses.append(None)
-                    messages.append(None)
-                    acks.append(None)
-                    continue
-                raise
-            self._observe(response.server_iteration, StopDecision.running())
-            responses.append(response)
-            message = complete(response, *complete_args)
-            if message is not None:
-                message = self._tag(message)
-            messages.append(message)
-            if message is None:
-                acks.append(None)
-                continue
-            try:
-                result = self._client.checkins([message])
-            except RemoteServiceError as error:
-                if error.code == wire.ErrorCode.STOPPED:
-                    self._stop = StopDecision(True, self._refresh_stop_reason())
-                    acks.append(None)
-                    continue
-                raise
-            self._observe(result.server_iteration, result.stop_decision)
-            acks.append(result.acks[0])
-        return RoundOutcome(
-            tuple(responses), tuple(messages), tuple(acks), self._stop
+        def tagged(response: CheckoutResponse, *args):
+            message = complete(response, *args)
+            return None if message is None else self._tag(message)
+
+        slots = fused_rounds(
+            requests, tagged, complete_args, self._admit_checkout, self._admit_checkin
         )
+        return RoundOutcome(*slots, self._stop)
+
+    def _refusal(self, error: RemoteServiceError) -> RemoteServiceError:
+        """The server's typed refusal (stopped, or failed authentication),
+        unraised as the gates hand it back; any other failure raises."""
+        if error.code == wire.ErrorCode.STOPPED:
+            self._stop = StopDecision(True, self._refresh_stop_reason())
+        elif error.code != wire.ErrorCode.AUTH_FAILED:
+            raise error
+        return error
+
+    def _admit_checkout(self, request: CheckoutRequest):
+        if self._stop.stopped:
+            return ProtocolError("task has stopped; no further check-outs")
+        try:
+            response = self._client.checkout(request)
+        except RemoteServiceError as error:
+            return self._refusal(error)
+        self._observe(response.server_iteration, StopDecision.running())
+        return response
+
+    def _admit_checkin(self, message: CheckinMessage):
+        try:
+            result = self._client.checkins([message])
+        except RemoteServiceError as error:
+            return self._refusal(error)
+        self._observe(result.server_iteration, result.stop_decision)
+        return result.acks[0]
 
     def _refresh_stop_reason(self) -> StopReason:
         """One status poll to learn *why* the server stopped."""

@@ -385,28 +385,30 @@ def encode_checkin_batch(messages: Sequence[CheckinMessage]) -> str:
     )
 
 
-def decode_checkin_batch(raw: Union[str, bytes]) -> List[CheckinMessage]:
+def checkin_batch_entries(raw: Union[str, bytes]) -> List[Dict[str, Any]]:
+    """The structural check of a ``checkin_batch`` body: a non-empty list
+    of at most :data:`MAX_BATCH_MESSAGES` objects, returned undecoded
+    (the sharded front end routes on them without touching gradients)."""
     _, body = parse_envelope(raw, "checkin_batch")
     messages = body.get("messages")
-    if not isinstance(messages, list):
-        raise WireError(ErrorCode.MALFORMED, "checkin_batch needs a 'messages' list")
-    if not messages:
-        raise WireError(ErrorCode.MALFORMED, "checkin_batch carries no messages")
+    if not isinstance(messages, list) or not messages:
+        raise WireError(
+            ErrorCode.MALFORMED, "checkin_batch needs a non-empty 'messages' list"
+        )
     if len(messages) > MAX_BATCH_MESSAGES:
         raise WireError(
             ErrorCode.MALFORMED,
             f"checkin_batch carries {len(messages)} messages "
             f"(limit {MAX_BATCH_MESSAGES})",
         )
-    decoded = []
-    for entry in messages:
-        if not isinstance(entry, dict):
-            raise WireError(
-                ErrorCode.MALFORMED,
-                f"checkin_batch entries must be objects, got {type(entry).__name__}",
-            )
-        decoded.append(_decode_body_message(entry, CheckinMessage))
-    return decoded
+    if not all(isinstance(entry, dict) for entry in messages):
+        raise WireError(ErrorCode.MALFORMED, "checkin_batch entries must be objects")
+    return messages
+
+
+def decode_checkin_batch(raw: Union[str, bytes]) -> List[CheckinMessage]:
+    entries = checkin_batch_entries(raw)
+    return [_decode_body_message(entry, CheckinMessage) for entry in entries]
 
 
 def encode_checkin_result(

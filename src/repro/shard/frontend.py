@@ -245,25 +245,7 @@ class ShardFrontEnd(HttpHost):
 
     def _handle_checkins(self, request: Request):
         raw = request.body
-        _, body = wire.parse_envelope(raw, "checkin_batch")
-        messages = body.get("messages")
-        if not isinstance(messages, list) or not messages:
-            raise wire.WireError(
-                wire.ErrorCode.MALFORMED,
-                "checkin_batch needs a non-empty 'messages' list",
-            )
-        if len(messages) > wire.MAX_BATCH_MESSAGES:
-            raise wire.WireError(
-                wire.ErrorCode.MALFORMED,
-                f"checkin_batch carries {len(messages)} messages "
-                f"(limit {wire.MAX_BATCH_MESSAGES})",
-            )
-        for entry in messages:
-            if not isinstance(entry, dict):
-                raise wire.WireError(
-                    wire.ErrorCode.MALFORMED,
-                    "checkin_batch entries must be objects",
-                )
+        messages = wire.checkin_batch_entries(raw)
         groups = self._router.split(
             messages,
             device_id_of=lambda entry: self._device_id_of(entry, "checkin"),

@@ -33,10 +33,9 @@ The round trip itself executes in one of two styles, picked by
   Deliveries travel as ``(bound method, args)`` pairs — no per-message
   closures — and every check-in delivery is its own event, applied in
   heap order.  A gateway's flushed batch is one delivery carrying many
-  check-ins; it is applied as segmented :meth:`ServerCore.handle_checkins
-  <repro.core.server_core.ServerCore.handle_checkins>` batches,
-  bit-identical to one delivery per message (order, snapshots, staleness,
-  and stopping are segmented exactly; the recorded-trace suite gates it).
+  check-ins; the simulator applies them one :meth:`ServerCore.handle_checkin
+  <repro.core.server_core.ServerCore.handle_checkin>` at a time, in
+  batch order, exactly as if each had been its own delivery.
 * **fused** (``"direct"``, auto-selected for zero-delay, outage-free
   configs, and ``"http"``) — no link: the whole round runs
   *synchronously* inside the trigger event via
@@ -536,76 +535,21 @@ class CrowdSimulator:
             return
         self._staleness.append(self._core.iteration - message.checkout_iteration)
         self._core.handle_checkin(message)
-        self._book_applied(1, message.num_samples, self._core.stopping_decision())
+        self._book_applied(message.num_samples, self._core.stopping_decision())
 
-    def _book_applied(self, checkins: int, samples: int, stop: StopDecision) -> None:
-        """Book applied check-ins: counters, due snapshots, the stop verdict."""
-        self._comm.checkins_delivered += checkins
+    def _book_applied(self, samples: int, stop: StopDecision) -> None:
+        """Book one applied check-in: counters, due snapshots, the stop verdict."""
+        self._comm.checkins_delivered += 1
         self._samples_consumed += samples
         self._maybe_snapshot()
         if stop.stopped:
             self._stopped_reason = stop.reason.value
 
     def _apply_checkin_run(self, messages: List[CheckinMessage]) -> None:
-        """Apply the check-ins of one gateway batch delivery.
-
-        Bit-identical to firing one ``_on_checkin_arrival`` per message:
-        the run is split into :meth:`ServerCore.handle_checkins
-        <repro.core.server_core.ServerCore.handle_checkins>` segments so
-        that every point where the sequential path would observe
-        intermediate state falls on a segment boundary —
-
-        * a snapshot-grid crossing ends its segment (the error snapshot
-          must see the parameters *at* the crossing, not after the run);
-        * the remaining ``max_iterations`` budget caps a segment (the
-          sequential guard drops post-stop deliveries before they reach
-          the core, so they must never be submitted);
-        * with a ρ target the stop can flip after *any* update, so
-          segments shrink to one message (the batch win stays for the
-          T_max-bounded figure configs, where the budget is closed-form).
-
-        Every message inside a segment is then guaranteed to be accepted
-        (registered device, validated shape, budget in hand), which is
-        what lets staleness be bookkept from the segment's start
-        iteration: accepted check-in *k* observes exactly *k* prior
-        applies.
-        """
-        core = self._core
-        server_config = core.config
-        per_message_stop = server_config.target_error is not None
-        grid = self._grid
-        n = len(messages)
-        i = 0
-        while i < n:
-            if self._stopped_reason is not None or core.stopped:
-                # Remaining deliveries arrived after the stop: the
-                # sequential guard ignores them (delivered but unapplied).
-                return
-            limit = i + 1 if per_message_stop else n
-            # Budget >= 1 here: a spent budget implies core.stopped above.
-            limit = min(limit, i + server_config.max_iterations - core.iteration)
-            consumed = self._samples_consumed
-            j = i
-            while j < limit:
-                consumed += messages[j].num_samples
-                j += 1
-                if (
-                    self._grid_pos < grid.shape[0]
-                    and consumed >= grid[self._grid_pos]
-                ):
-                    break
-            segment = messages[i:j]
-            start_iteration = core.iteration
-            for offset, message in enumerate(segment):
-                self._staleness.append(
-                    start_iteration + offset - message.checkout_iteration
-                )
-            core.handle_checkins(segment)
-            self._book_applied(
-                len(segment), consumed - self._samples_consumed,
-                core.stopping_decision(),
-            )
-            i = j
+        """Apply one gateway batch delivery: one ``_on_checkin_arrival`` per
+        message, in batch order (deliveries after a stop are ignored there)."""
+        for message in messages:
+            self._on_checkin_arrival(None, message)
 
     # ------------------------------------------------------------------ #
     # The check-out/check-in round trip — fused                          #
@@ -657,7 +601,7 @@ class CrowdSimulator:
             if outcome.stop.stopped:
                 self._stopped_reason = outcome.stop.reason.value
             return
-        self._book_applied(1, message.num_samples, outcome.stop)
+        self._book_applied(message.num_samples, outcome.stop)
 
     def _complete_fused_round(
         self, response: CheckoutResponse, actor: _DeviceActor

@@ -171,6 +171,24 @@ class TestServeRound:
         assert calls == []
         assert core.rejected_messages == 1
 
+    @pytest.mark.parametrize("forged", [(9, "bogus"), (1, "bogus")])
+    def test_forged_checkin_from_complete_is_rejected(self, model, forged):
+        # The check-in leg of a fused round is authenticated like every
+        # other check-in: handle_checkins answers the same message [None].
+        core = make_core(model)
+        token = core.register_device(1)
+        message = checkin(*forged, np.ones(6))
+        outcome = core.serve_round(
+            [CheckoutRequest(1, token, 0.0)], lambda response: message,
+        )
+        assert outcome.responses[0] is not None
+        assert outcome.messages == (message,)
+        assert outcome.acks == (None,)
+        assert core.iteration == 0
+        assert core.rejected_messages == 1
+        assert np.array_equal(core.parameters, model.init_parameters())
+        assert core.handle_checkins([message]) == [None]
+
     def test_none_from_complete_skips_checkin(self, model):
         core = make_core(model)
         token = core.register_device(1)

@@ -1,4 +1,5 @@
-"""Property tests: ``ServerCore.handle_checkins`` ≡ sequential check-ins.
+"""Property tests: ``ServerCore.handle_checkins`` ≡ sequential check-ins
+≡ fused ``serve_round`` check-in legs.
 
 The batch endpoint promises *bit-identical* server state — model
 parameters, monitor accumulators, rejection counters, attached accountant
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CheckinMessage, ServerConfig, ServerCore
+from repro.core import CheckinMessage, CheckoutRequest, ServerConfig, ServerCore
 from repro.models import MulticlassLogisticRegression
 from repro.optim import SGD, InverseSqrtRate
 from repro.privacy import PrivacyAccountant, ReleaseRecord
@@ -127,6 +128,20 @@ def test_batch_equals_sequential(plan, seed, max_iterations, use_target):
 
     assert batch_acks == sequential_acks
     _assert_states_equal(_state(core_batch), _state(core_seq))
+
+    # Fused arm: each message is the check-in leg of its own serve_round,
+    # behind a valid check-out from the same device.  A stopped core
+    # refuses that check-out instead of the check-in — still one
+    # rejection per message, so acks and state match the sequential core.
+    core_fused, _ = _make_core(max_iterations, target_error)
+    fused_acks = []
+    for message in messages:
+        request = CheckoutRequest(
+            message.device_id, tokens[message.device_id], 0.0)
+        outcome = core_fused.serve_round([request], lambda response: message)
+        fused_acks.extend(outcome.acks)
+    assert fused_acks == sequential_acks
+    _assert_states_equal(_state(core_fused), _state(core_seq))
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,9 +1,9 @@
 """Batched check-in application: bit-identical to one event per message.
 
 A gateway's flushed batch reaches the server as one delivery and is
-applied via ``ServerCore.handle_checkins`` segments
-(``_apply_checkin_run``).  These tests prove the batched path reproduces
-the sequential per-event path *exactly* — including snapshot placement,
+applied by ``_apply_checkin_run``, message by message.  These tests
+prove the batched path reproduces the sequential per-event path
+*exactly* — including snapshot placement,
 staleness bookkeeping, the max-iterations guard, and ρ-target stops —
 and pin what same-timestamp per-message deliveries do at the queue level
 (one event each, insertion order, interleaved events in position).  The
