@@ -77,7 +77,12 @@ from repro.persist.snapshot import (
     snapshot_checksum,
     snapshot_core,
 )
-from repro.store.backend import fsync_directory, write_bytes_atomic, write_json_atomic
+from repro.store.backend import (
+    check_format_marker,
+    fsync_directory,
+    write_bytes_atomic,
+    write_json_atomic,
+)
 from repro.store.locking import FileLock
 
 #: On-disk format version of the state dir, recorded in ``state.json``.
@@ -232,20 +237,9 @@ class SnapshotStore:
         self._lock = FileLock(
             os.path.join(self.state_dir, "lock"), timeout=_LOCK_TIMEOUT
         )
-        self._check_marker()
-
-    def _check_marker(self) -> None:
-        marker_path = os.path.join(self.state_dir, "state.json")
-        if os.path.isfile(marker_path):
-            with open(marker_path) as handle:
-                marker = json.load(handle)
-            if marker.get("format") != STATE_FORMAT:
-                raise SnapshotError(
-                    f"state dir {self.state_dir} has format "
-                    f"{marker.get('format')!r}; this build reads {STATE_FORMAT}"
-                )
-        else:
-            write_json_atomic(marker_path, {"format": STATE_FORMAT})
+        check_format_marker(
+            os.path.join(self.state_dir, "state.json"), STATE_FORMAT, SnapshotError
+        )
 
     # -- paths ---------------------------------------------------------- #
 

@@ -47,13 +47,11 @@ from repro.optim.projection import (
     BoxProjection,
     IdentityProjection,
     L2BallProjection,
-    Projection,
 )
 from repro.optim.schedules import (
     ConstantRate,
     InverseSqrtRate,
     InverseTimeRate,
-    LearningRateSchedule,
     StepDecayRate,
 )
 from repro.optim.sgd import SGD, AdaGrad, AveragedSGD, Optimizer
@@ -74,79 +72,56 @@ class SnapshotError(ReproError):
 # --------------------------------------------------------------------- #
 
 
-def _encode_schedule(schedule: LearningRateSchedule) -> Dict[str, Any]:
-    if type(schedule) is ConstantRate:
-        return {"type": "constant", "constant": schedule.constant}
-    if type(schedule) is InverseSqrtRate:
-        return {"type": "inverse_sqrt", "constant": schedule.constant}
-    if type(schedule) is InverseTimeRate:
-        return {
-            "type": "inverse_time",
-            "constant": schedule.constant,
-            "decay": schedule.decay,
-        }
-    if type(schedule) is StepDecayRate:
-        return {
-            "type": "step_decay",
-            "constant": schedule.constant,
-            "factor": schedule.factor,
-            "period": schedule.period,
-        }
-    raise SnapshotError(f"cannot snapshot schedule {type(schedule).__name__}")
+#: family → ``type`` tag → (class, {constructor field: decoder}): the one
+#: list of the schedules and projections a snapshot can carry.
+_TAGGED = {
+    "schedule": {
+        "constant": (ConstantRate, {"constant": float}),
+        "inverse_sqrt": (InverseSqrtRate, {"constant": float}),
+        "inverse_time": (InverseTimeRate, {"constant": float, "decay": float}),
+        "step_decay": (
+            StepDecayRate, {"constant": float, "factor": float, "period": int}
+        ),
+    },
+    "projection": {
+        "identity": (IdentityProjection, {}),
+        "l2_ball": (L2BallProjection, {"radius": float}),
+        "box": (BoxProjection, {"bound": float}),
+    },
+}
 
 
-def _decode_schedule(state: Dict[str, Any]) -> LearningRateSchedule:
+def _encode_tagged(family: str, value) -> Dict[str, Any]:
+    for tag, (cls, fields) in _TAGGED[family].items():
+        if type(value) is cls:  # exact type: a subclass may carry more state
+            return {"type": tag, **{name: getattr(value, name) for name in fields}}
+    raise SnapshotError(f"cannot snapshot {family} {type(value).__name__}")
+
+
+def _decode_tagged(family: str, state: Dict[str, Any]):
     kind = state.get("type")
-    if kind == "constant":
-        return ConstantRate(float(state["constant"]))
-    if kind == "inverse_sqrt":
-        return InverseSqrtRate(float(state["constant"]))
-    if kind == "inverse_time":
-        return InverseTimeRate(float(state["constant"]), float(state["decay"]))
-    if kind == "step_decay":
-        return StepDecayRate(
-            float(state["constant"]), float(state["factor"]), int(state["period"])
-        )
-    raise SnapshotError(f"unknown schedule type {kind!r}")
-
-
-def _encode_projection(projection: Projection) -> Dict[str, Any]:
-    if type(projection) is IdentityProjection:
-        return {"type": "identity"}
-    if type(projection) is L2BallProjection:
-        return {"type": "l2_ball", "radius": projection.radius}
-    if type(projection) is BoxProjection:
-        return {"type": "box", "bound": projection.bound}
-    raise SnapshotError(f"cannot snapshot projection {type(projection).__name__}")
-
-
-def _decode_projection(state: Dict[str, Any]) -> Projection:
-    kind = state.get("type")
-    if kind == "identity":
-        return IdentityProjection()
-    if kind == "l2_ball":
-        return L2BallProjection(float(state["radius"]))
-    if kind == "box":
-        return BoxProjection(float(state["bound"]))
-    raise SnapshotError(f"unknown projection type {kind!r}")
+    if kind not in _TAGGED[family]:
+        raise SnapshotError(f"unknown {family} type {kind!r}")
+    cls, fields = _TAGGED[family][kind]
+    return cls(**{name: decode(state[name]) for name, decode in fields.items()})
 
 
 def _encode_optimizer(optimizer: Optimizer) -> Dict[str, Any]:
     state: Dict[str, Any] = {
         "parameters": pack_float_array(optimizer.parameters_view),
         "iteration": optimizer.iteration,
-        "projection": _encode_projection(optimizer.projection),
+        "projection": _encode_tagged("projection", optimizer.projection),
     }
     # Exact-type dispatch (AveragedSGD before SGD: it is a subclass).
     if type(optimizer) is AveragedSGD:
         state["type"] = "averaged_sgd"
-        state["schedule"] = _encode_schedule(optimizer.schedule)
+        state["schedule"] = _encode_tagged("schedule", optimizer.schedule)
         state["burn_in"] = optimizer.burn_in
         state["average"] = pack_float_array(optimizer.averaged_parameters)
         state["averaged_steps"] = optimizer.averaged_steps
     elif type(optimizer) is SGD:
         state["type"] = "sgd"
-        state["schedule"] = _encode_schedule(optimizer.schedule)
+        state["schedule"] = _encode_tagged("schedule", optimizer.schedule)
     elif type(optimizer) is AdaGrad:
         state["type"] = "adagrad"
         state["constant"] = optimizer.constant
@@ -160,17 +135,17 @@ def _encode_optimizer(optimizer: Optimizer) -> Dict[str, Any]:
 def _decode_optimizer(state: Dict[str, Any]) -> Optimizer:
     kind = state.get("type")
     parameters = unpack_float_array(state["parameters"])
-    projection = _decode_projection(state["projection"])
+    projection = _decode_tagged("projection", state["projection"])
     iteration = int(state["iteration"])
     if kind == "sgd":
         optimizer: Optimizer = SGD(
-            parameters, schedule=_decode_schedule(state["schedule"]),
+            parameters, schedule=_decode_tagged("schedule", state["schedule"]),
             projection=projection,
         )
         optimizer.restore_state(parameters, iteration)
     elif kind == "averaged_sgd":
         optimizer = AveragedSGD(
-            parameters, schedule=_decode_schedule(state["schedule"]),
+            parameters, schedule=_decode_tagged("schedule", state["schedule"]),
             projection=projection, burn_in=int(state["burn_in"]),
         )
         optimizer.restore_state(

@@ -242,45 +242,14 @@ def build_service(args: argparse.Namespace) -> CrowdService:
     return service
 
 
-def _worker_base_args(args: argparse.Namespace) -> List[str]:
-    """The ``repro-serve`` flags every shard worker incarnation shares.
+def run_sharded(args: argparse.Namespace, argv: List[str]) -> int:
+    """``--workers N``: supervise N shard workers behind one front end.
 
-    Per-incarnation flags (``--port``, ``--state-dir``, ``--shard-epoch``)
-    are supplied by :meth:`~repro.shard.worker.ShardWorker.spawn`;
-    ``--shard-index`` is appended per worker by :func:`run_sharded`.
+    Workers get ``argv`` as given (a new flag reaches them with no second
+    list to extend) minus the three per-process flags, plus
+    ``--shard-count`` and ``--shard-index``; ``ShardWorker.spawn`` adds
+    each incarnation's ``--port`` / ``--state-dir`` / ``--shard-epoch``.
     """
-    base = [
-        "--host", args.host,
-        "--model", args.model,
-        "--num-features", str(args.num_features),
-        "--num-classes", str(args.num_classes),
-        "--learning-rate-constant", str(args.learning_rate_constant),
-        "--projection-radius", str(args.projection_radius),
-        "--max-iterations", str(args.max_iterations),
-        "--server-key", args.server_key,
-        "--checkpoint-every", str(args.checkpoint_every),
-        "--retain", str(args.retain),
-        "--shard-count", str(args.workers),
-    ]
-    if args.no_projection:
-        base.append("--no-projection")
-    if args.target_error is not None:
-        base += ["--target-error", str(args.target_error)]
-    if args.checkpoint_seconds is not None:
-        base += ["--checkpoint-seconds", str(args.checkpoint_seconds)]
-    if args.register:
-        base += ["--register", str(args.register)]
-    if args.no_join:
-        base.append("--no-join")
-    if args.metrics:
-        base.append("--metrics")
-    if args.trace_dir is not None:
-        base += ["--trace-dir", args.trace_dir]
-    return base
-
-
-def run_sharded(args: argparse.Namespace) -> int:
-    """``--workers N``: supervise N shard workers behind one front end."""
     from repro.shard import ShardFrontEnd, ShardRouter, ShardSupervisor, ShardWorker
 
     if args.state_dir is None:
@@ -298,7 +267,11 @@ def run_sharded(args: argparse.Namespace) -> int:
     env["PYTHONPATH"] = package_root + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    base = _worker_base_args(args)
+    per_process = argparse.ArgumentParser(add_help=False)
+    for flag in ("--port", "--state-dir", "--workers"):
+        per_process.add_argument(flag)
+    base = per_process.parse_known_args(argv)[1]
+    base += ["--shard-count", str(args.workers)]
     workers = [
         ShardWorker(
             shard,
@@ -381,9 +354,10 @@ def serve_until_signalled(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     if args.workers > 0:
-        return run_sharded(args)
+        return run_sharded(args, argv)
     try:
         service = build_service(args)
     except ReproError as error:

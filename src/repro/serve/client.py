@@ -315,7 +315,15 @@ class ServiceClient:
     def checkins(self, messages: Sequence[CheckinMessage]) -> wire.CheckinBatchResult:
         """Upload a batch of check-ins; returns acks + server stop state."""
         raw = self._call("POST", "/v1/checkins", wire.encode_checkin_batch(messages))
-        return wire.decode_checkin_result(raw)
+        result = wire.decode_checkin_result(raw)
+        if len(result.acks) != len(messages):
+            # Callers zip acks to messages: a short answer would silently
+            # leave devices without one.
+            raise RemoteServiceError(
+                wire.ErrorCode.MALFORMED,
+                f"{len(result.acks)} acks for {len(messages)} check-ins", 200,
+            )
+        return result
 
     def status(self, include_parameters: bool = False) -> wire.ServiceStatus:
         """Fetch the server's counters (and optionally the full w)."""

@@ -32,6 +32,12 @@ kind                   body
 ``error``              ``{"code": str, "message": str}``
 =====================  =============================================
 
+Only this module reads or writes these bodies.  The sharded front end
+alone may look at one undecoded, and only through the router helpers
+(:func:`device_id_of`, :func:`checkin_batch_entries`,
+:func:`encode_checkin_entries`, :func:`answer_epoch`), so forwarding
+parses once and builds no gradients, acks or parameter array.
+
 Typed errors
 ------------
 
@@ -270,6 +276,26 @@ def _decode_body_message(body: Dict[str, Any], expected_type: type):
     return message
 
 
+def device_id_of(body: Dict[str, Any], kind: str = "checkin") -> int:
+    """Router helper: the ``device_id`` every request body (and every
+    ``checkin_batch`` entry) carries, read without decoding the rest."""
+    try:
+        return int(body["device_id"])
+    except (KeyError, TypeError, ValueError) as error:
+        raise WireError(ErrorCode.MALFORMED, f"malformed {kind}: {error}")
+
+
+def answer_epoch(raw: Union[str, bytes]) -> int:
+    """Router helper: the worker epoch stamped on a ``checkin_result`` or
+    ``status`` answer, read at body level (``-1`` = unstamped; also for
+    an answer that is no envelope — whoever decodes it complains)."""
+    try:
+        epoch = parse_envelope(raw)[1].get("epoch", -1)
+    except WireError:
+        return -1
+    return epoch if isinstance(epoch, int) else -1
+
+
 # --------------------------------------------------------------------- #
 # join                                                                  #
 # --------------------------------------------------------------------- #
@@ -280,11 +306,7 @@ def encode_join_request(device_id: int) -> str:
 
 
 def decode_join_request(raw: Union[str, bytes]) -> int:
-    _, body = parse_envelope(raw, "join_request")
-    try:
-        return int(body["device_id"])
-    except (KeyError, TypeError, ValueError) as error:
-        raise WireError(ErrorCode.MALFORMED, f"malformed join_request: {error}")
+    return device_id_of(parse_envelope(raw, "join_request")[1], "join_request")
 
 
 def encode_join_response(
@@ -380,9 +402,12 @@ def decode_checkout_response(raw: Union[str, bytes]) -> CheckoutResponse:
 
 
 def encode_checkin_batch(messages: Sequence[CheckinMessage]) -> str:
-    return encode_envelope(
-        "checkin_batch", {"messages": [encode_message(m) for m in messages]}
-    )
+    return encode_checkin_entries([encode_message(m) for m in messages])
+
+
+def encode_checkin_entries(entries: List[Dict[str, Any]]) -> str:
+    """Router helper: a (sub-)batch of entries still undecoded."""
+    return encode_envelope("checkin_batch", {"messages": entries})
 
 
 def checkin_batch_entries(raw: Union[str, bytes]) -> List[Dict[str, Any]]:

@@ -12,8 +12,8 @@ incarnation at a higher epoch, while the
 endpoint routing across whatever incarnations are live.
 """
 
-from repro.shard.frontend import ShardFrontEnd, StaticEndpoints
-from repro.shard.routing import ShardRouter, ShardRoutingError
+from repro.shard.frontend import ShardFrontEnd
+from repro.shard.routing import ShardRouter, ShardRoutingError, StaticEndpoints
 from repro.shard.supervisor import ShardSupervisor, SupervisorError
 from repro.shard.worker import ShardWorker, WorkerSpawnError
 

@@ -10,10 +10,13 @@ end routes each request to the worker owning the device:
 * ``POST /v1/checkins`` — a batch whose messages all route to one shard
   is forwarded verbatim; a mixed batch (a gateway flushing several
   devices) is split into per-shard sub-batches and the acks merged back
-  into the original message order.  The merged ``server_iteration`` is
-  the sum of the answering shards' iterations (total applied updates),
-  and the batch reports ``stopped`` only when every involved shard has
-  stopped.
+  into the original message order.  Either way the answer is the one a
+  single server holding every device would give: ``409 stopped`` when
+  every involved shard had already stopped; otherwise an already-stopped
+  shard's slots are ``null``, ``server_iteration`` sums the shards that
+  answered, and the result reads ``stopped`` (with the first stopped
+  shard's reason) only when this batch carried the last involved shard
+  over its stop — ``running`` while any of them is live.
 * ``GET /v1/status`` — aggregated counters across all shards
   (:func:`~repro.core.sharding.merge_status_counts`) plus a per-shard
   detail list; ``?shard=k`` passes one worker's status through verbatim
@@ -27,9 +30,11 @@ answers 503 ``unavailable`` — retryable by
 epoch older than the table's are refused the same way (a fenced zombie's
 late reply must not reach a client as truth).
 
-Splitting and forwarding never decodes gradients: the front end parses
-envelope JSON only, so the hot path stays request-bound, not
-serialization-bound.
+Splitting and forwarding never decodes gradients and knows no body
+layout: :mod:`repro.serve.wire` is the one reader and writer (its router
+helpers for a body forwarded undecoded, ``decode_checkin_result`` /
+``encode_checkin_result`` for a mixed batch's acks), so the hot path
+stays request-bound, not serialization-bound.
 
 Exactly-once across a split: if forwarding sub-batch 2 fails after
 sub-batch 1 was applied, the whole request errors and the client retries
@@ -39,10 +44,9 @@ its original acks, so nothing double-applies.
 
 from __future__ import annotations
 
-import json
 import threading
 from functools import partial
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.sharding import ShardMergeError, merge_status_counts
 from repro.core.stopping import StopDecision, StopReason
@@ -59,38 +63,6 @@ from repro.utils.exceptions import AuthenticationError
 _WORKER_RETRIES = 2
 
 
-class StaticEndpoints:
-    """A fixed (but mutable) shard→endpoint table for in-process tiers.
-
-    Anything with an ``endpoints() -> {shard: (url, epoch)}`` method can
-    back a front end; production uses
-    :class:`~repro.shard.supervisor.ShardSupervisor`, tests use this.
-    Values may be bare URLs (epoch defaults to ``-1`` = unfenced).
-    """
-
-    def __init__(self, endpoints: Mapping[int, Union[str, Tuple[str, int]]]):
-        self._lock = threading.Lock()
-        self._endpoints: Dict[int, Tuple[str, int]] = {}
-        for shard, entry in endpoints.items():
-            if isinstance(entry, str):
-                self._endpoints[int(shard)] = (entry, -1)
-            else:
-                url, epoch = entry
-                self._endpoints[int(shard)] = (str(url), int(epoch))
-
-    def endpoints(self) -> Dict[int, Tuple[str, int]]:
-        with self._lock:
-            return dict(self._endpoints)
-
-    def set(self, shard: int, url: Optional[str], epoch: int = -1) -> None:
-        """Repoint (or with ``url=None`` unroute) one shard."""
-        with self._lock:
-            if url is None:
-                self._endpoints.pop(int(shard), None)
-            else:
-                self._endpoints[int(shard)] = (str(url), int(epoch))
-
-
 class ShardFrontEnd(HttpHost):
     """Route wire-protocol traffic across per-shard workers.
 
@@ -103,7 +75,8 @@ class ShardFrontEnd(HttpHost):
     endpoints:
         Endpoint resolver — a
         :class:`~repro.shard.supervisor.ShardSupervisor` or
-        :class:`StaticEndpoints` (anything with ``endpoints()``).
+        :class:`~repro.shard.routing.StaticEndpoints` (anything with
+        ``endpoints()``).
     host / port:
         Bind address of the front end itself (``port=0`` = ephemeral).
     """
@@ -199,7 +172,7 @@ class ShardFrontEnd(HttpHost):
             # Typed 4xx answers pass through with their own code/status.
             raise wire.WireError(error.code, str(error))
 
-    def _check_epoch(self, shard: int, raw_response: bytes) -> None:
+    def _check_epoch(self, shard: int, answered: int) -> None:
         """Refuse an answer stamped with an epoch the fence has passed.
 
         The table is re-read *after* the response arrived: a request
@@ -208,14 +181,9 @@ class ShardFrontEnd(HttpHost):
         the client's replay resolves the *current* endpoint, and the
         dedupe ledger keeps a replayed check-in exactly-once.
         """
-        try:
-            body = json.loads(raw_response).get("body", {})
-            answered = body.get("epoch", -1)
-        except (ValueError, AttributeError):
-            return  # unparseable → let the caller's decode complain
         entry = self._resolver.endpoints().get(shard)
         expected = entry[1] if entry is not None else -1
-        if isinstance(answered, int) and 0 <= answered < expected:
+        if 0 <= answered < expected:
             with self._counter_lock:
                 self.stale_epoch_rejections += 1
             self._m_stale_epoch.inc()
@@ -227,95 +195,60 @@ class ShardFrontEnd(HttpHost):
 
     # -- route handlers -------------------------------------------------- #
 
-    @staticmethod
-    def _device_id_of(body: Dict[str, Any], kind: str) -> int:
-        try:
-            return int(body["device_id"])
-        except (KeyError, TypeError, ValueError) as error:
-            raise wire.WireError(
-                wire.ErrorCode.MALFORMED, f"malformed {kind}: {error}"
-            )
-
     def _handle_routed(self, kind: str, path: str, request: Request):
         """join/checkout: single-device requests forwarded verbatim."""
-        raw = request.body
-        _, body = wire.parse_envelope(raw, kind)
-        shard = self._router.shard_of(self._device_id_of(body, kind))
-        return 200, self._forward(shard, "POST", path, raw).decode("utf-8")
+        _, body = wire.parse_envelope(request.body, kind)
+        shard = self._router.shard_of(wire.device_id_of(body, kind))
+        return 200, self._forward(shard, "POST", path, request.body).decode("utf-8")
 
     def _handle_checkins(self, request: Request):
         raw = request.body
         messages = wire.checkin_batch_entries(raw)
-        groups = self._router.split(
-            messages,
-            device_id_of=lambda entry: self._device_id_of(entry, "checkin"),
-        )
-        if len(groups) == 1:
-            # Single-shard batch: verbatim passthrough both ways.
-            (shard,) = groups
-            answer = self._forward(shard, "POST", "/v1/checkins", raw)
-            self._check_epoch(shard, answer)
-            return 200, answer.decode("utf-8")
-        return 200, self._split_checkins(raw, messages, groups)
-
-    def _split_checkins(
-        self,
-        raw: bytes,
-        messages: List[Dict[str, Any]],
-        groups: Dict[int, List[Tuple[int, Dict[str, Any]]]],
-    ) -> str:
-        with self._counter_lock:
-            self.split_batches += 1
-        self._m_split_batches.inc()
-        answers: Dict[int, List[Optional[Dict[str, Any]]]] = {}
-        iteration_total = 0
-        stopped_flags: List[bool] = []
-        stop_reason: Optional[str] = None
+        groups = self._router.split(messages)
+        verbatim = len(groups) == 1  # the request and its answer travel as-is
+        if not verbatim:
+            with self._counter_lock:
+                self.split_batches += 1
+            self._m_split_batches.inc()
+        acks: Dict[int, Sequence[Any]] = {}
+        answered: List[wire.CheckinBatchResult] = []
+        refusal: Optional[wire.WireError] = None
         for shard in sorted(groups):
             entries = groups[shard]
-            sub = wire.encode_envelope(
-                "checkin_batch", {"messages": [item for _, item in entries]}
-            )
+            body = raw if verbatim else wire.encode_checkin_entries(
+                [item for _, item in entries]
+            ).encode("utf-8")
             try:
-                answer = self._forward(
-                    shard, "POST", "/v1/checkins", sub.encode("utf-8")
-                )
+                answer = self._forward(shard, "POST", "/v1/checkins", body)
             except wire.WireError as error:
-                if error.code == wire.ErrorCode.STOPPED:
-                    # This shard's task ended: its half of the batch is
-                    # refused wholesale (all-None acks), like ServerCore
-                    # rejecting messages after the stop.
-                    answers[shard] = [None] * len(entries)
-                    stopped_flags.append(True)
-                    continue
-                raise
-            self._check_epoch(shard, answer)
-            _, result = wire.parse_envelope(answer, "checkin_result")
-            acks = result.get("acks")
-            if not isinstance(acks, list):
-                raise wire.WireError(
-                    wire.ErrorCode.INTERNAL,
-                    f"shard {shard} answered a checkin_result without acks",
-                )
-            answers[shard] = acks
-            iteration_total += int(result.get("server_iteration", 0))
-            group_stopped = bool(result.get("stopped", False))
-            stopped_flags.append(group_stopped)
-            if group_stopped and stop_reason is None:
-                stop_reason = str(result.get("stop_reason", "running"))
-        merged_acks = ShardRouter.merge(groups, answers, len(messages))
-        all_stopped = bool(stopped_flags) and all(stopped_flags)
-        return wire.encode_envelope(
-            "checkin_result",
-            {
-                "acks": merged_acks,
-                "server_iteration": iteration_total,
-                "stopped": all_stopped,
-                "stop_reason": (
-                    stop_reason if all_stopped and stop_reason is not None
-                    else "running"
-                ),
-            },
+                if error.code != wire.ErrorCode.STOPPED:
+                    raise
+                # This shard's task had already ended: its slots stay
+                # unacked, like ServerCore refusing messages after the stop.
+                refusal = refusal or error
+                acks[shard] = [None] * len(entries)
+                continue
+            if verbatim:
+                epoch = wire.answer_epoch(answer)  # parsed once, no acks built
+            else:
+                result = wire.decode_checkin_result(answer)
+                answered.append(result)
+                acks[shard] = result.acks
+                epoch = result.epoch
+            self._check_epoch(shard, epoch)
+        if refusal is not None and not answered:
+            # Every involved shard had already stopped: the 409 that one
+            # CrowdService holding all of these devices would answer.
+            raise refusal
+        if verbatim:
+            return 200, answer.decode("utf-8")
+        # A refusing shard had stopped before the batch, so the batch
+        # itself crossed the last stop iff every answer reads stopped.
+        stops = [result.stop_decision for result in answered if result.stopped]
+        return 200, wire.encode_checkin_result(
+            ShardRouter.merge(groups, acks, len(messages)),
+            sum(result.server_iteration for result in answered),
+            stops[0] if len(stops) == len(answered) else StopDecision.running(),
         )
 
     def _handle_status(self, request: Request):
@@ -335,7 +268,7 @@ class ShardFrontEnd(HttpHost):
                 )
             path = "/v1/status" + ("?parameters=1" if include else "")
             answer = self._forward(shard, "GET", path, None)
-            self._check_epoch(shard, answer)
+            self._check_epoch(shard, wire.answer_epoch(answer))
             return 200, answer.decode("utf-8")
         if include:
             raise wire.WireError(
@@ -345,18 +278,10 @@ class ShardFrontEnd(HttpHost):
         return 200, self._aggregate_status()
 
     def _aggregate_status(self) -> str:
-        table = self._resolver.endpoints()
         counts: List[Dict[str, Any]] = []
         rows: List[Dict[str, Any]] = []
         for shard in range(self._router.num_shards):
-            entry = table.get(shard)
-            if entry is None:
-                raise wire.WireError(
-                    wire.ErrorCode.UNAVAILABLE,
-                    f"shard {shard} has no healthy worker; aggregate status "
-                    f"unavailable mid-failover",
-                )
-            url, epoch = entry
+            url, epoch = self._endpoint(shard)
             try:
                 status = self._client_for(url).status()
             except RemoteServiceError as error:
@@ -364,16 +289,7 @@ class ShardFrontEnd(HttpHost):
                     wire.ErrorCode.UNAVAILABLE,
                     f"shard {shard} status probe failed: {error}",
                 )
-            counts.append({
-                "iteration": status.iteration,
-                "stopped": status.stopped,
-                "stop_reason": status.stop_reason,
-                "checkouts_served": status.checkouts_served,
-                "rejected_messages": status.rejected_messages,
-                "registered_devices": status.registered_devices,
-                "num_parameters": status.num_parameters,
-                "duplicates_suppressed": status.duplicates_suppressed,
-            })
+            counts.append(vars(status))
             row: Dict[str, Any] = {
                 "shard": shard,
                 "url": url,
@@ -393,18 +309,11 @@ class ShardFrontEnd(HttpHost):
             merged = merge_status_counts(counts)
         except ShardMergeError as error:
             raise wire.WireError(wire.ErrorCode.INTERNAL, str(error))
+        stop = StopDecision(
+            merged.pop("stopped"), StopReason(merged.pop("stop_reason"))
+        )
         return wire.encode_status(
-            iteration=merged["iteration"],
-            stop=StopDecision(
-                bool(merged["stopped"]), StopReason(merged["stop_reason"])
-            ),
-            checkouts_served=merged["checkouts_served"],
-            rejected_messages=merged["rejected_messages"],
-            registered_devices=merged["registered_devices"],
-            num_parameters=merged["num_parameters"],
-            duplicates_suppressed=merged["duplicates_suppressed"],
-            shards=rows,
-            **self._incarnation(),
+            stop=stop, shards=rows, **merged, **self._incarnation()
         )
 
     # -- observability ---------------------------------------------------- #
@@ -445,4 +354,4 @@ class ShardFrontEnd(HttpHost):
         return snapshot
 
 
-__all__ = ["ShardFrontEnd", "StaticEndpoints"]
+__all__ = ["ShardFrontEnd"]

@@ -17,13 +17,19 @@ ordered batch into per-shard groups (preserving each item's original
 position) and :meth:`merge` per-shard answer lists back into the
 original order — the two halves of forwarding one mixed check-in batch
 through per-shard workers.
+
+:class:`StaticEndpoints` is the tier's one shard→endpoint table.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+import threading
+from typing import (
+    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.core.sharding import stable_device_hash
+from repro.serve import wire
 from repro.utils.exceptions import ReproError
 
 
@@ -60,17 +66,15 @@ class ShardRouter:
     def split(
         self,
         items: Sequence[Any],
-        device_id_of: Optional[Callable[[Any], int]] = None,
+        device_id_of: Callable[[Any], int] = wire.device_id_of,
     ) -> Dict[int, List[Tuple[int, Any]]]:
         """Group an ordered batch by owning shard.
 
         Returns ``{shard: [(original_index, item), ...]}`` with each
         group in original order.  ``device_id_of`` extracts the routing
-        key (default: ``item["device_id"]`` — the raw JSON payload form
-        every wire message carries).
+        key (default: the wire's own reader of the raw JSON payload form
+        every check-in entry carries).
         """
-        if device_id_of is None:
-            device_id_of = lambda item: item["device_id"]  # noqa: E731
         groups: Dict[int, List[Tuple[int, Any]]] = {}
         for index, item in enumerate(items):
             shard = self.shard_of(device_id_of(item))
@@ -102,4 +106,34 @@ class ShardRouter:
         return merged
 
 
-__all__ = ["ShardRouter", "ShardRoutingError"]
+class StaticEndpoints:
+    """A lock-guarded (mutable) ``{shard: (url, epoch)}`` table.
+
+    Anything with an ``endpoints() -> {shard: (url, epoch)}`` method can
+    back a front end; :class:`~repro.shard.supervisor.ShardSupervisor`
+    holds one and repoints it on failover, in-process tiers pass one
+    directly.  Values may be bare URLs (epoch defaults to ``-1`` =
+    unfenced).
+    """
+
+    def __init__(self, endpoints: Mapping[int, Union[str, Tuple[str, int]]]):
+        self._lock = threading.Lock()
+        self._endpoints: Dict[int, Tuple[str, int]] = {}
+        for shard, entry in endpoints.items():
+            url, epoch = (entry, -1) if isinstance(entry, str) else entry
+            self.set(shard, url, epoch)
+
+    def endpoints(self) -> Dict[int, Tuple[str, int]]:
+        with self._lock:
+            return dict(self._endpoints)
+
+    def set(self, shard: int, url: Optional[str], epoch: int = -1) -> None:
+        """Repoint (or with ``url=None`` unroute) one shard."""
+        with self._lock:
+            if url is None:
+                self._endpoints.pop(int(shard), None)
+            else:
+                self._endpoints[int(shard)] = (str(url), int(epoch))
+
+
+__all__ = ["ShardRouter", "ShardRoutingError", "StaticEndpoints"]

@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.obs.metrics import NULL_REGISTRY
 from repro.persist.checkpoint import SnapshotStore
 from repro.serve.client import ServiceClient
+from repro.shard.routing import StaticEndpoints
 from repro.shard.worker import ShardWorker, WorkerSpawnError
 from repro.utils.exceptions import ReproError
 
@@ -95,8 +96,7 @@ class ShardSupervisor:
         self.health_interval = float(health_interval)
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.kill_zombies = bool(kill_zombies)
-        self._table_lock = threading.Lock()
-        self._endpoints: Dict[int, Tuple[str, int]] = {}
+        self._table = StaticEndpoints({})
         self._failover_lock = threading.Lock()
         self._misses = [0] * len(self.workers)
         self._heartbeat_clients: Dict[int, Tuple[str, ServiceClient]] = {}
@@ -138,7 +138,7 @@ class ShardSupervisor:
                 epoch = SnapshotStore(worker.shard_dir).advance_fence()
                 self._m_fence_epochs[shard].set(epoch)
                 url = self._spawn_with_retry(worker, epoch, _free_port())
-                self._set_endpoint(shard, url, epoch)
+                self._table.set(shard, url, epoch)
         except WorkerSpawnError:
             self._shutdown_workers(graceful=False)
             raise
@@ -172,21 +172,13 @@ class ShardSupervisor:
 
     # -- routing table --------------------------------------------------- #
 
-    def _set_endpoint(self, shard: int, url: Optional[str], epoch: int) -> None:
-        with self._table_lock:
-            if url is None:
-                self._endpoints.pop(shard, None)
-            else:
-                self._endpoints[shard] = (url, epoch)
-
     def endpoints(self) -> Dict[int, Tuple[str, int]]:
         """Current routing table: ``{shard: (url, epoch)}``.
 
         A shard mid-failover (or down) is absent — callers answer its
         traffic with a retryable 503 until it reappears.
         """
-        with self._table_lock:
-            return dict(self._endpoints)
+        return self._table.endpoints()
 
     def stats_snapshot(self) -> Dict[str, int]:
         """Consistent snapshot of the supervision counters."""
@@ -214,7 +206,7 @@ class ShardSupervisor:
             # Unroute first: traffic hitting the dying incarnation's
             # address during the window gets a clean 503 from the front
             # end instead of a socket error from a corpse.
-            self._set_endpoint(shard, None, -1)
+            self._table.set(shard, None)
             # Fence BEFORE reading anything: after this returns, a write
             # from the old epoch is refused, so the snapshot + log the
             # replacement recovers is the newest state that can ever
@@ -238,7 +230,7 @@ class ShardSupervisor:
                 url = worker.spawn(epoch=epoch, port=0)
                 self._bump("sibling_failovers")
             self._misses[shard] = 0
-            self._set_endpoint(shard, url, epoch)
+            self._table.set(shard, url, epoch)
             self._bump("failovers")
             return url
 

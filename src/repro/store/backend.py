@@ -83,6 +83,22 @@ def write_json_atomic(path: str, payload: Any) -> None:
     write_bytes_atomic(path, text.encode("utf-8"))
 
 
+def check_format_marker(path: str, expected: int, error: type) -> None:
+    """Write the ``{"format": N}`` marker of a fresh on-disk layout, or
+    refuse (``error``) one left by a build with another format."""
+    if os.path.isfile(path):
+        with open(path) as handle:
+            found = json.load(handle).get("format")
+        if found != expected:
+            raise error(
+                f"{path} has format {found!r}; this build reads format {expected}"
+            )
+    else:
+        # Concurrent initializers both write the same marker; the
+        # atomic replace makes the race harmless.
+        write_json_atomic(path, {"format": expected})
+
+
 class DirectoryBackend:
     """Filesystem backend: one directory per entry, fanned out by prefix."""
 
@@ -90,7 +106,9 @@ class DirectoryBackend:
         self.root = os.path.abspath(root)
         os.makedirs(self.runs_dir, exist_ok=True)
         os.makedirs(self.locks_dir, exist_ok=True)
-        self._check_format_marker()
+        check_format_marker(
+            os.path.join(self.root, "store.json"), STORE_FORMAT, StoreError
+        )
 
     # -- layout -------------------------------------------------------- #
 
@@ -101,10 +119,6 @@ class DirectoryBackend:
     @property
     def locks_dir(self) -> str:
         return os.path.join(self.root, "locks")
-
-    @property
-    def marker_path(self) -> str:
-        return os.path.join(self.root, "store.json")
 
     def entry_dir(self, key: str) -> str:
         self._validate_key(key)
@@ -122,21 +136,6 @@ class DirectoryBackend:
             raise StoreError(
                 f"malformed store key {key!r} (expected 64 hex chars)"
             )
-
-    def _check_format_marker(self) -> None:
-        if os.path.isfile(self.marker_path):
-            with open(self.marker_path) as handle:
-                marker = json.load(handle)
-            if marker.get("format") != STORE_FORMAT:
-                raise StoreError(
-                    f"store at {self.root} has format "
-                    f"{marker.get('format')!r}; this build reads format "
-                    f"{STORE_FORMAT}"
-                )
-        else:
-            # Concurrent initializers both write the same marker; the
-            # atomic replace makes the race harmless.
-            write_json_atomic(self.marker_path, {"format": STORE_FORMAT})
 
     # -- entry I/O ----------------------------------------------------- #
 

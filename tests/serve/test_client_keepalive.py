@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import socket
 import threading
+from typing import Optional
 
+import numpy as np
 import pytest
 
 from repro.core.config import ServerConfig
-from repro.core.protocol import CheckoutRequest
+from repro.core.protocol import CheckinAck, CheckinMessage, CheckoutRequest
 from repro.core.server_core import ServerCore
+from repro.core.stopping import StopDecision
 from repro.models import MulticlassLogisticRegression
 from repro.serve import wire
 from repro.serve.client import (
@@ -71,19 +74,20 @@ def test_each_thread_gets_its_own_connection():
         assert client.connections_opened == 2
 
 
-def one_shot_keepalive_stub(port: int) -> threading.Thread:
-    """Serve one valid keep-alive ``/v1/status`` response, then hang up.
+def one_shot_keepalive_stub(port: int, answer: Optional[str] = None) -> threading.Thread:
+    """Serve one keep-alive 200 (default: a valid ``/v1/status``
+    response), then hang up.
 
     The client pools the connection (the response did not announce a
     close); the silent FIN afterwards makes that pooled socket stale —
     the deterministic trigger for the reconnect-and-replay path.
     """
-    from repro.core.stopping import StopDecision
-
-    body = wire.encode_status(
-        iteration=0, stop=StopDecision.running(), checkouts_served=0,
-        rejected_messages=0, registered_devices=0, num_parameters=15,
-    ).encode("utf-8")
+    if answer is None:
+        answer = wire.encode_status(
+            iteration=0, stop=StopDecision.running(), checkouts_served=0,
+            rejected_messages=0, registered_devices=0, num_parameters=15,
+        )
+    body = answer.encode("utf-8")
     listener = socket.socket()
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     listener.bind(("127.0.0.1", port))
@@ -120,6 +124,30 @@ def test_stale_socket_reconnect_is_not_a_retry():
         assert client.connections_opened == 2
     finally:
         service.stop()
+
+
+def test_short_ack_list_is_refused_where_it_enters():
+    # Callers zip acks against what they sent (GatewayAggregator.flush
+    # against its callbacks): an answer one ack short must not get that far.
+    port = free_port()
+    stub = one_shot_keepalive_stub(port, wire.encode_checkin_result(
+        [CheckinAck(device_id=0, server_iteration=1)], 1, StopDecision.running(),
+    ))
+    client = ServiceClient(f"http://127.0.0.1:{port}", timeout=5.0, retries=0)
+    messages = [
+        CheckinMessage(
+            device_id=device_id, token="tok", gradient=np.zeros(15),
+            num_samples=1, noisy_error_count=0,
+            noisy_label_counts=np.zeros(3, dtype=np.int64), checkout_iteration=0,
+        )
+        for device_id in (0, 1)
+    ]
+    with pytest.raises(RemoteServiceError) as excinfo:
+        client.checkins(messages)
+    stub.join(timeout=10)
+    assert not stub.is_alive()
+    assert excinfo.value.code == wire.ErrorCode.MALFORMED
+    assert "1 acks for 2 check-ins" in str(excinfo.value)
 
 
 def test_fresh_socket_failure_is_transient_not_stale():

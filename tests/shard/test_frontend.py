@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.auth import DeviceRegistry
+from repro.core.stopping import StopDecision
 from repro.serve import wire
 from repro.serve.client import RemoteServiceError, ServiceClient
 from repro.serve.service import CrowdService
@@ -122,6 +123,95 @@ class TestMixedBatch:
             assert second.acks[1] is not None
             assert second.stopped is False  # shard 1 still live
             assert second.stop_reason == "running"
+        finally:
+            frontend.stop()
+            for service in services:
+                service.stop()
+
+    @staticmethod
+    def fronted_cores_answer(references, router, messages):
+        """The oracle: each sub-batch through its own core's
+        ``handle_checkins`` unless that core had already stopped
+        (``CrowdService``'s 409).  ``None`` = every involved core had."""
+        groups = router.split(messages, device_id_of=lambda m: m.device_id)
+        live = [s for s in sorted(groups) if not references[s].stopped]
+        if not live:
+            return None
+        acks = [None] * len(messages)
+        for shard in live:
+            answers = references[shard].handle_checkins(
+                [message for _, message in groups[shard]]
+            )
+            for (index, _), ack in zip(groups[shard], answers):
+                acks[index] = ack
+        stops = [references[s].stopping_decision() for s in live]
+        return (
+            tuple(acks),
+            sum(references[s].iteration for s in live),
+            next(stop for stop in stops if stop.stopped)
+            if all(stop.stopped for stop in stops) else StopDecision.running(),
+        )
+
+    @pytest.mark.parametrize("limits, batches, outcome", [
+        # (a) every involved shard had already stopped: one server's 409.
+        pytest.param((1, 1), [(0, 1), (0, 1)], "refused", id="all-stopped"),
+        # (b) one had: its slots stay null, the live half is acked.
+        pytest.param((1, 10_000), [(0, 1), (0, 1)], "running", id="one-stopped"),
+        # (c) the batch carries each shard's last allowed update.
+        pytest.param((1, 2), [(1,), (0, 1)], "stopped", id="crosses-last-stop"),
+    ])
+    def test_stop_rule_is_the_fronted_cores(
+        self, limits, batches, outcome, traffic_rng
+    ):
+        router = ShardRouter(2)
+
+        def make_cores():
+            return [
+                make_core(max_iterations=limit,
+                          registry=DeviceRegistry(server_key=SERVER_KEY))
+                for limit in limits
+            ]
+
+        cores, references = make_cores(), make_cores()
+        services = [CrowdService(core, port=0).start() for core in cores]
+        frontend = ShardFrontEnd(router, StaticEndpoints({
+            0: services[0].url, 1: services[1].url,
+        })).start()
+        try:
+            client = fast_client(frontend.url)
+            devices = [owned_devices(router, shard)[0] for shard in (0, 1)]
+            tokens = join_all(client, devices)
+            for reference, device_id in zip(references, devices):
+                reference.register_device(device_id)
+            for seq, shards in enumerate(batches):
+                messages = [
+                    make_message(cores[s], devices[s], tokens[devices[s]],
+                                 traffic_rng, seq=seq)
+                    for s in shards
+                ]
+                expected = self.fronted_cores_answer(references, router, messages)
+                if expected is None:
+                    with pytest.raises(RemoteServiceError) as excinfo:
+                        client.checkins(messages)
+                    assert excinfo.value.code == wire.ErrorCode.STOPPED
+                    assert excinfo.value.http_status == 409
+                    answered = "refused"
+                else:
+                    result = client.checkins(messages)
+                    assert (
+                        result.acks, result.server_iteration, result.stop_decision
+                    ) == expected
+                    answered = "stopped" if result.stopped else "running"
+                # Lock-step: the tier applied exactly what the cores did.
+                for core, reference in zip(cores, references):
+                    assert core.iteration == reference.iteration
+                    np.testing.assert_array_equal(
+                        core.parameters, reference.parameters
+                    )
+            assert answered == outcome
+            if outcome == "stopped":
+                assert result.stop_reason == "max_iterations"
+                assert result.server_iteration == sum(limits)
         finally:
             frontend.stop()
             for service in services:
