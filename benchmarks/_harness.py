@@ -9,9 +9,32 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 from typing import Any, Mapping, Optional
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+
+
+def scale_name() -> str:
+    """The ``REPRO_SCALE`` the run was asked for (default ``benchmark``)."""
+    name = os.environ.get("REPRO_SCALE", "benchmark")
+    return name if name in ("paper", "smoke") else "benchmark"
+
+
+def git_commit() -> str:
+    """``HEAD`` of the checkout the benchmarks run from (``-dirty`` when
+    tracked files differ from it), or ``"unknown"``."""
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=os.path.dirname(__file__),
+            capture_output=True, text=True, timeout=10, check=True,
+        ).stdout.strip()
+
+    try:
+        dirty = git("status", "--porcelain", "--untracked-files=no")
+        return git("rev-parse", "HEAD") + ("-dirty" if dirty else "")
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
 
 
 def run_once(benchmark, fn, *args, **kwargs):
@@ -40,15 +63,18 @@ def _metrics_payload(metrics: Any) -> Mapping[str, Any]:
 
 
 def publish_table(name: str, text: str,
-                  metrics: Optional[Any] = None) -> None:
+                  metrics: Optional[Any] = None, seed: int = 0) -> None:
     """Print a result table and persist it under benchmarks/results/.
 
     pytest captures stdout of passing tests, so the persisted copy is what
-    survives a quiet run; EXPERIMENTS.md references these files.
+    survives a quiet run.
 
     When ``metrics`` is given (a ``FigureResult`` or a plain mapping of
     arm → numbers), a machine-readable ``<name>.json`` lands beside the
     text table so the per-arm error trajectory is diffable across PRs.
+    It carries its provenance: the ``REPRO_SCALE`` it ran at, the
+    experiment ``seed`` (every figure runner defaults to 0) and the
+    ``git_commit`` of the checkout.
     """
     print()
     print(text)
@@ -56,7 +82,10 @@ def publish_table(name: str, text: str,
     with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as handle:
         handle.write(text + "\n")
     if metrics is not None:
-        payload = {"name": name, **_metrics_payload(metrics)}
+        payload = {
+            "name": name, "scale": scale_name(), "seed": seed,
+            "git_commit": git_commit(), **_metrics_payload(metrics),
+        }
         with open(os.path.join(RESULTS_DIR, f"{name}.json"), "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")

@@ -14,19 +14,13 @@ Shared helpers (``run_once``/``publish_table``) live in
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
+from benchmarks._harness import scale_name
 from repro.experiments import ExperimentScale
 
 
 @pytest.fixture(scope="session")
 def scale() -> ExperimentScale:
     """Experiment scale selected via the REPRO_SCALE env var."""
-    name = os.environ.get("REPRO_SCALE", "benchmark")
-    if name == "paper":
-        return ExperimentScale.paper()
-    if name == "smoke":
-        return ExperimentScale.smoke()
-    return ExperimentScale.benchmark()
+    return getattr(ExperimentScale, scale_name())()

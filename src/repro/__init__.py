@@ -77,109 +77,58 @@ from __future__ import annotations
 
 import math
 
-from repro.core import Device, DeviceConfig, ServerConfig, ServerCore
-from repro.data import make_cifar_like, make_mnist_like
-from repro.experiments import (
-    ArmSpec,
-    DatasetCache,
-    ExperimentScale,
-    ExperimentSession,
-    ExperimentSpec,
-    FigureResult,
-    run_fig3_experiment,
-    run_fig4_experiment,
-    run_fig5_experiment,
-    run_fig6_experiment,
-    run_fig7_experiment,
-    run_fig8_experiment,
-    run_fig9_experiment,
-)
-from repro.gateway import (
-    AggregatorStats,
-    GatewayAggregator,
-    GatewayProfile,
-    TwoTierTopology,
-)
-from repro.models import (
-    MulticlassLinearSVM,
-    MulticlassLogisticRegression,
-    RidgeRegression,
-)
-from repro.privacy import PrivacyBudget, split_budget
-from repro.registry import (
-    DATASETS,
-    MODELS,
-    PARTITIONERS,
-    Registry,
-    RegistryError,
-    SCHEDULES,
-)
-from repro.serve import (
-    CrowdService,
-    HttpTransport,
-    RemoteDevice,
-    ServiceClient,
-)
-from repro.simulation import (
-    CrowdSimulator,
-    RunTrace,
-    SimulationConfig,
-    TrialSetReport,
-    run_crowd_trials,
-)
-from repro.store import RunStore, StoreError
+from repro._lazy import lazy_namespace
 
 __version__ = "1.8.0"
 
-__all__ = [
-    "AggregatorStats",
-    "ArmSpec",
-    "CrowdService",
-    "CrowdSimulator",
-    "DATASETS",
-    "DatasetCache",
-    "Device",
-    "DeviceConfig",
-    "ExperimentScale",
-    "ExperimentSession",
-    "ExperimentSpec",
-    "FigureResult",
-    "GatewayAggregator",
-    "GatewayProfile",
-    "HttpTransport",
-    "MODELS",
-    "MulticlassLinearSVM",
-    "MulticlassLogisticRegression",
-    "PARTITIONERS",
-    "PrivacyBudget",
-    "Registry",
-    "RegistryError",
-    "RemoteDevice",
-    "RidgeRegression",
-    "RunStore",
-    "RunTrace",
-    "SCHEDULES",
-    "ServerConfig",
-    "ServerCore",
-    "ServiceClient",
-    "SimulationConfig",
-    "StoreError",
-    "TrialSetReport",
-    "TwoTierTopology",
-    "make_cifar_like",
-    "make_mnist_like",
-    "quick_crowd_run",
-    "run_crowd_trials",
-    "run_fig3_experiment",
-    "run_fig4_experiment",
-    "run_fig5_experiment",
-    "run_fig6_experiment",
-    "run_fig7_experiment",
-    "run_fig8_experiment",
-    "run_fig9_experiment",
-    "split_budget",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    "AggregatorStats": "gateway",
+    "ArmSpec": "experiments",
+    "CrowdService": "serve",
+    "CrowdSimulator": "simulation",
+    "DATASETS": "registry",
+    "DatasetCache": "experiments",
+    "Device": "core",
+    "DeviceConfig": "core",
+    "ExperimentScale": "experiments",
+    "ExperimentSession": "experiments",
+    "ExperimentSpec": "experiments",
+    "FigureResult": "experiments",
+    "GatewayAggregator": "gateway",
+    "GatewayProfile": "gateway",
+    "HttpTransport": "serve",
+    "MODELS": "registry",
+    "MulticlassLinearSVM": "models",
+    "MulticlassLogisticRegression": "models",
+    "PARTITIONERS": "registry",
+    "PrivacyBudget": "privacy",
+    "Registry": "registry",
+    "RegistryError": "registry",
+    "RemoteDevice": "serve",
+    "RidgeRegression": "models",
+    "RunStore": "store",
+    "RunTrace": "simulation",
+    "SCHEDULES": "registry",
+    "ServerConfig": "core",
+    "ServerCore": "core",
+    "ServiceClient": "serve",
+    "SimulationConfig": "simulation",
+    "StoreError": "store",
+    "TrialSetReport": "simulation",
+    "TwoTierTopology": "gateway",
+    "make_cifar_like": "data",
+    "make_mnist_like": "data",
+    "run_crowd_trials": "simulation",
+    "run_fig3_experiment": "experiments",
+    "run_fig4_experiment": "experiments",
+    "run_fig5_experiment": "experiments",
+    "run_fig6_experiment": "experiments",
+    "run_fig7_experiment": "experiments",
+    "run_fig8_experiment": "experiments",
+    "run_fig9_experiment": "experiments",
+    "split_budget": "privacy",
+})
+__all__ += ["quick_crowd_run", "__version__"]
 
 
 def quick_crowd_run(
@@ -200,7 +149,9 @@ def quick_crowd_run(
     ``num_passes`` passes over each device's local data, and returns the
     averaged :class:`~repro.simulation.TrialSetReport`.
     """
-    from repro.data import MNIST_CLASSES, MNIST_DIM
+    from repro.data import MNIST_CLASSES, MNIST_DIM, make_mnist_like
+    from repro.models import MulticlassLogisticRegression
+    from repro.simulation import SimulationConfig, run_crowd_trials
 
     train, test = make_mnist_like(num_train=num_train, num_test=num_test, seed=seed)
     config = SimulationConfig(

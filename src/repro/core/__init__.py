@@ -9,50 +9,31 @@ the asynchronous SGD update.  All privacy happens on-device
 ever crosses the :mod:`repro.network` channels.
 """
 
-from repro.core.adaptive import BatchPolicy, FixedBatch, StalenessAdaptiveBatch
-from repro.core.auth import DeviceRegistry
-from repro.core.codec import (
-    decode_from_json,
-    decode_message,
-    encode_message,
-    encode_to_json,
-)
-from repro.core.config import DeviceConfig, ServerConfig
-from repro.core.device import CheckinResult, Device
-from repro.core.monitor import ProgressMonitor
-from repro.core.protocol import (
-    CheckinAck,
-    CheckinMessage,
-    CheckoutRequest,
-    CheckoutResponse,
-)
-from repro.core.sanitizer import CheckinSanitizer, SanitizedCheckin
-from repro.core.server_core import RoundOutcome, ServerCore
-from repro.core.stopping import StopDecision, StopReason, evaluate_stopping
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "BatchPolicy",
-    "CheckinAck",
-    "FixedBatch",
-    "StalenessAdaptiveBatch",
-    "decode_from_json",
-    "decode_message",
-    "encode_message",
-    "encode_to_json",
-    "CheckinMessage",
-    "CheckinResult",
-    "CheckinSanitizer",
-    "CheckoutRequest",
-    "CheckoutResponse",
-    "Device",
-    "DeviceConfig",
-    "DeviceRegistry",
-    "ProgressMonitor",
-    "RoundOutcome",
-    "SanitizedCheckin",
-    "ServerConfig",
-    "ServerCore",
-    "StopDecision",
-    "StopReason",
-    "evaluate_stopping",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    "BatchPolicy": "adaptive",
+    "CheckinAck": "protocol",
+    "FixedBatch": "adaptive",
+    "StalenessAdaptiveBatch": "adaptive",
+    "decode_from_json": "codec",
+    "decode_message": "codec",
+    "encode_message": "codec",
+    "encode_to_json": "codec",
+    "CheckinMessage": "protocol",
+    "CheckinResult": "device",
+    "CheckinSanitizer": "sanitizer",
+    "CheckoutRequest": "protocol",
+    "CheckoutResponse": "protocol",
+    "Device": "device",
+    "DeviceConfig": "config",
+    "DeviceRegistry": "auth",
+    "ProgressMonitor": "monitor",
+    "RoundOutcome": "server_core",
+    "SanitizedCheckin": "sanitizer",
+    "ServerConfig": "config",
+    "ServerCore": "server_core",
+    "StopDecision": "stopping",
+    "StopReason": "stopping",
+    "evaluate_stopping": "stopping",
+})

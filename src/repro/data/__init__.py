@@ -6,68 +6,37 @@ DESIGN.md §3): :func:`make_mnist_like` (digits, Figs. 4-6),
 :mod:`repro.data.activity` (the Section V-B phone pipeline, Fig. 3).
 """
 
-from repro.data.activity import (
-    ACTIVITY_NAMES,
-    IN_VEHICLE,
-    NUM_ACTIVITIES,
-    ON_FOOT,
-    STILL,
-    ActivityConfig,
-    ActivityTraceGenerator,
-    collect_on_label_change,
-    make_activity_stream,
-)
-from repro.data.cifar_like import (
-    CIFAR_CLASSES,
-    CIFAR_DIM,
-    cifar_like_generator,
-    make_cifar_like,
-)
-from repro.data.dataset import Dataset, concatenate, train_test_split
-from repro.data.mnist_like import (
-    MNIST_CLASSES,
-    MNIST_DIM,
-    make_mnist_like,
-    mnist_like_generator,
-)
-from repro.data.partition import dirichlet_partition, iid_partition, shard_partition
-from repro.data.preprocessing import PcaL1Pipeline, preprocess_train_test
-from repro.data.synthetic import ClassClusterGenerator, ClusterSpec
-from repro.data.thermostat import (
-    THERMOSTAT_DIM,
-    make_thermostat_data,
-    make_thermostat_split,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "ACTIVITY_NAMES",
-    "ActivityConfig",
-    "ActivityTraceGenerator",
-    "CIFAR_CLASSES",
-    "CIFAR_DIM",
-    "ClassClusterGenerator",
-    "ClusterSpec",
-    "Dataset",
-    "IN_VEHICLE",
-    "MNIST_CLASSES",
-    "MNIST_DIM",
-    "NUM_ACTIVITIES",
-    "ON_FOOT",
-    "PcaL1Pipeline",
-    "STILL",
-    "THERMOSTAT_DIM",
-    "make_thermostat_data",
-    "make_thermostat_split",
-    "cifar_like_generator",
-    "collect_on_label_change",
-    "concatenate",
-    "dirichlet_partition",
-    "iid_partition",
-    "make_activity_stream",
-    "make_cifar_like",
-    "make_mnist_like",
-    "mnist_like_generator",
-    "preprocess_train_test",
-    "shard_partition",
-    "train_test_split",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    "ACTIVITY_NAMES": "activity",
+    "ActivityConfig": "activity",
+    "ActivityTraceGenerator": "activity",
+    "CIFAR_CLASSES": "cifar_like",
+    "CIFAR_DIM": "cifar_like",
+    "ClassClusterGenerator": "synthetic",
+    "ClusterSpec": "synthetic",
+    "Dataset": "dataset",
+    "IN_VEHICLE": "activity",
+    "MNIST_CLASSES": "mnist_like",
+    "MNIST_DIM": "mnist_like",
+    "NUM_ACTIVITIES": "activity",
+    "ON_FOOT": "activity",
+    "PcaL1Pipeline": "preprocessing",
+    "STILL": "activity",
+    "THERMOSTAT_DIM": "thermostat",
+    "make_thermostat_data": "thermostat",
+    "make_thermostat_split": "thermostat",
+    "cifar_like_generator": "cifar_like",
+    "collect_on_label_change": "activity",
+    "concatenate": "dataset",
+    "dirichlet_partition": "partition",
+    "iid_partition": "partition",
+    "make_activity_stream": "activity",
+    "make_cifar_like": "cifar_like",
+    "make_mnist_like": "mnist_like",
+    "mnist_like_generator": "mnist_like",
+    "preprocess_train_test": "preprocessing",
+    "shard_partition": "partition",
+    "train_test_split": "dataset",
+})

@@ -23,12 +23,11 @@ gateways instead of millions of device sockets:
   ``repro-serve``.
 """
 
-from repro.gateway.aggregator import AggregatorStats, GatewayAggregator
-from repro.gateway.topology import GatewayProfile, TwoTierTopology
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "AggregatorStats",
-    "GatewayAggregator",
-    "GatewayProfile",
-    "TwoTierTopology",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    "AggregatorStats": "aggregator",
+    "GatewayAggregator": "aggregator",
+    "GatewayProfile": "topology",
+    "TwoTierTopology": "topology",
+})

@@ -19,46 +19,24 @@ The checkpoint layer also carries the sharded tier's incarnation fence
 :mod:`repro.persist.checkpoint` docstring for the fencing protocol.
 """
 
-from repro.persist.checkpoint import (
-    STATE_FORMAT,
-    Checkpointer,
-    CheckpointPolicy,
-    FencedWriteError,
-    SnapshotStore,
-)
-from repro.persist.faults import (
-    FaultInjectionError,
-    FaultyProxy,
-    ServeProcess,
-    WorkerKiller,
-)
-from repro.persist.snapshot import (
-    SNAPSHOT_VERSION,
-    SnapshotError,
-    canonical_json,
-    core_states_equal,
-    describe_mismatch,
-    restore_core,
-    snapshot_checksum,
-    snapshot_core,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "SNAPSHOT_VERSION",
-    "STATE_FORMAT",
-    "CheckpointPolicy",
-    "Checkpointer",
-    "FaultInjectionError",
-    "FaultyProxy",
-    "FencedWriteError",
-    "ServeProcess",
-    "SnapshotError",
-    "SnapshotStore",
-    "WorkerKiller",
-    "canonical_json",
-    "core_states_equal",
-    "describe_mismatch",
-    "restore_core",
-    "snapshot_checksum",
-    "snapshot_core",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    "SNAPSHOT_VERSION": "snapshot",
+    "STATE_FORMAT": "checkpoint",
+    "CheckpointPolicy": "checkpoint",
+    "Checkpointer": "checkpoint",
+    "FaultInjectionError": "faults",
+    "FaultyProxy": "faults",
+    "FencedWriteError": "checkpoint",
+    "ServeProcess": "faults",
+    "SnapshotError": "snapshot",
+    "SnapshotStore": "checkpoint",
+    "WorkerKiller": "faults",
+    "canonical_json": "snapshot",
+    "core_states_equal": "snapshot",
+    "describe_mismatch": "snapshot",
+    "restore_core": "snapshot",
+    "snapshot_checksum": "snapshot",
+    "snapshot_core": "snapshot",
+})

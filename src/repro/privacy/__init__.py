@@ -18,82 +18,41 @@ This package implements every mechanism the paper relies on:
 * :class:`~repro.privacy.budget.PrivacyBudget` — the ε split itself.
 """
 
-from repro.privacy.accountant import (
-    PrivacyAccountant,
-    PrivacySpend,
-    aggregate_releases,
-)
-from repro.privacy.attacks import (
-    InversionResult,
-    evaluate_inversion,
-    inversion_attack_success,
-    invert_logistic_gradient,
-)
-from repro.privacy.budget import CentralizedBudget, PrivacyBudget, split_budget
-from repro.privacy.discrete_laplace import (
-    DiscreteLaplaceMechanism,
-    discrete_laplace_variance,
-    sample_discrete_laplace,
-)
-from repro.privacy.exponential import (
-    ExponentialMechanism,
-    label_flip_distribution,
-    perturb_label,
-    perturb_labels,
-)
-from repro.privacy.gaussian import GaussianMechanism, gaussian_sigma
-from repro.privacy.laplace import LaplaceMechanism, laplace_scale
-from repro.privacy.mechanism import (
-    AggregatedRelease,
-    Mechanism,
-    ReleaseRecord,
-    validate_epsilon,
-)
-from repro.privacy.sensitivity import (
-    count_sensitivity,
-    feature_sensitivity,
-    gradient_noise_power,
-    hinge_gradient_sensitivity,
-    laplace_noise_power,
-    logistic_gradient_sensitivity,
-    sampling_noise_power,
-    squared_loss_gradient_sensitivity,
-    total_gradient_noise_power,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "AggregatedRelease",
-    "CentralizedBudget",
-    "InversionResult",
-    "evaluate_inversion",
-    "inversion_attack_success",
-    "invert_logistic_gradient",
-    "DiscreteLaplaceMechanism",
-    "ExponentialMechanism",
-    "GaussianMechanism",
-    "LaplaceMechanism",
-    "Mechanism",
-    "PrivacyAccountant",
-    "PrivacyBudget",
-    "PrivacySpend",
-    "ReleaseRecord",
-    "aggregate_releases",
-    "count_sensitivity",
-    "discrete_laplace_variance",
-    "feature_sensitivity",
-    "gaussian_sigma",
-    "gradient_noise_power",
-    "hinge_gradient_sensitivity",
-    "label_flip_distribution",
-    "laplace_noise_power",
-    "laplace_scale",
-    "logistic_gradient_sensitivity",
-    "perturb_label",
-    "perturb_labels",
-    "sample_discrete_laplace",
-    "sampling_noise_power",
-    "split_budget",
-    "squared_loss_gradient_sensitivity",
-    "total_gradient_noise_power",
-    "validate_epsilon",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    "AggregatedRelease": "mechanism",
+    "CentralizedBudget": "budget",
+    "InversionResult": "attacks",
+    "evaluate_inversion": "attacks",
+    "inversion_attack_success": "attacks",
+    "invert_logistic_gradient": "attacks",
+    "DiscreteLaplaceMechanism": "discrete_laplace",
+    "ExponentialMechanism": "exponential",
+    "GaussianMechanism": "gaussian",
+    "LaplaceMechanism": "laplace",
+    "Mechanism": "mechanism",
+    "PrivacyAccountant": "accountant",
+    "PrivacyBudget": "budget",
+    "PrivacySpend": "accountant",
+    "ReleaseRecord": "mechanism",
+    "aggregate_releases": "accountant",
+    "count_sensitivity": "sensitivity",
+    "discrete_laplace_variance": "discrete_laplace",
+    "feature_sensitivity": "sensitivity",
+    "gaussian_sigma": "gaussian",
+    "gradient_noise_power": "sensitivity",
+    "hinge_gradient_sensitivity": "sensitivity",
+    "label_flip_distribution": "exponential",
+    "laplace_noise_power": "sensitivity",
+    "laplace_scale": "laplace",
+    "logistic_gradient_sensitivity": "sensitivity",
+    "perturb_label": "exponential",
+    "perturb_labels": "exponential",
+    "sample_discrete_laplace": "discrete_laplace",
+    "sampling_noise_power": "sensitivity",
+    "split_budget": "budget",
+    "squared_loss_gradient_sensitivity": "sensitivity",
+    "total_gradient_noise_power": "sensitivity",
+    "validate_epsilon": "mechanism",
+})

@@ -13,7 +13,9 @@ touching core modules::
     def _build(num_features, num_classes, **kwargs):
         return MyModel(num_features, num_classes, **kwargs)
 
-Five registries are populated at import time with every built-in component:
+Five registries carry every built-in component; each imports its
+built-ins on first use, so a server that only looks up a model never
+loads the dataset generators:
 
 * :data:`MODELS` — ``logistic``, ``linear_svm``, ``ridge``.
 * :data:`DATASETS` — ``mnist_like``, ``cifar_like``, ``activity_stream``,
@@ -31,6 +33,9 @@ from typing import Any, Callable, Dict, Iterator, Optional
 
 from repro.utils.exceptions import ReproError
 
+#: Imports and returns a registry's built-in ``{name: factory}`` table.
+BuiltinLoader = Callable[[], Dict[str, Callable[..., Any]]]
+
 
 class RegistryError(ReproError):
     """An unknown name was looked up, or a name was registered twice."""
@@ -44,6 +49,9 @@ class Registry:
     kind:
         Human-readable description of what the registry holds (used in
         error messages, e.g. ``"model"``).
+    builtins:
+        Optional loader of the built-in ``{name: factory}`` table, called
+        once on the first registration or lookup of any kind.
 
     Examples
     --------
@@ -57,9 +65,20 @@ class Registry:
     True
     """
 
-    def __init__(self, kind: str):
+    def __init__(self, kind: str, builtins: Optional[BuiltinLoader] = None):
         self._kind = kind
-        self._factories: Dict[str, Callable[..., Any]] = {}
+        self._builtins = builtins
+        self._registered: Dict[str, Callable[..., Any]] = {}
+
+    @property
+    def _factories(self) -> Dict[str, Callable[..., Any]]:
+        if self._builtins is not None:
+            # Merge before clearing the loader: a racing first touch may
+            # load twice (imports are idempotent) but never sees an
+            # empty table.
+            self._registered.update(self._builtins())
+            self._builtins = None
+        return self._registered
 
     @property
     def kind(self) -> str:
@@ -133,35 +152,47 @@ class Registry:
         return f"Registry(kind={self._kind!r}, names={list(self.names())})"
 
 
-#: Classifier/predictor families (``h(x; w)`` of Section III-A).
-MODELS = Registry("model")
-#: ``(train, test)`` dataset makers (plus the Fig. 3 stream generator).
-DATASETS = Registry("dataset maker")
-#: Sample-to-device assignment strategies.
-PARTITIONERS = Registry("partitioner")
-#: Learning-rate schedules (Eq. 5 and Remark 3 alternatives).
-SCHEDULES = Registry("schedule")
-#: Device→gateway assignment policies for the two-tier gateway topology.
-#: Factories take ``num_devices`` and ``num_gateways`` and return a
-#: sequence of gateway indices, one per device.
-GATEWAY_ASSIGNMENTS = Registry("gateway assignment policy")
-
-
-def _register_builtins() -> None:
-    from repro.data import (
-        dirichlet_partition,
-        iid_partition,
-        make_activity_stream,
-        make_cifar_like,
-        make_mnist_like,
-        make_thermostat_split,
-        shard_partition,
-    )
+def _builtin_models():
     from repro.models import (
         MulticlassLinearSVM,
         MulticlassLogisticRegression,
         RidgeRegression,
     )
+
+    return {
+        "logistic": MulticlassLogisticRegression,
+        "linear_svm": MulticlassLinearSVM,
+        "ridge": RidgeRegression,
+    }
+
+
+def _builtin_datasets():
+    from repro.data import (
+        make_activity_stream,
+        make_cifar_like,
+        make_mnist_like,
+        make_thermostat_split,
+    )
+
+    return {
+        "mnist_like": make_mnist_like,
+        "cifar_like": make_cifar_like,
+        "activity_stream": make_activity_stream,
+        "thermostat": make_thermostat_split,
+    }
+
+
+def _builtin_partitioners():
+    from repro.data import dirichlet_partition, iid_partition, shard_partition
+
+    return {
+        "iid": iid_partition,
+        "dirichlet": dirichlet_partition,
+        "shard": shard_partition,
+    }
+
+
+def _builtin_schedules():
     from repro.optim import (
         ConstantRate,
         InverseSqrtRate,
@@ -169,45 +200,47 @@ def _register_builtins() -> None:
         StepDecayRate,
     )
 
-    MODELS.register("logistic", MulticlassLogisticRegression)
-    MODELS.register("linear_svm", MulticlassLinearSVM)
-    MODELS.register("ridge", RidgeRegression)
-
-    DATASETS.register("mnist_like", make_mnist_like)
-    DATASETS.register("cifar_like", make_cifar_like)
-    DATASETS.register("activity_stream", make_activity_stream)
-    DATASETS.register("thermostat", make_thermostat_split)
-
-    PARTITIONERS.register("iid", iid_partition)
-    PARTITIONERS.register("dirichlet", dirichlet_partition)
-    PARTITIONERS.register("shard", shard_partition)
-
-    SCHEDULES.register("inverse_sqrt", InverseSqrtRate)
-    SCHEDULES.register("constant", ConstantRate)
-    SCHEDULES.register("inverse_time", InverseTimeRate)
-    SCHEDULES.register("step_decay", StepDecayRate)
-
-    # Pure index math, defined inline so the registry stays import-light
-    # (repro.gateway imports this module, not the other way round).
-    def _round_robin(num_devices: int, num_gateways: int):
-        return [m % num_gateways for m in range(num_devices)]
-
-    def _block(num_devices: int, num_gateways: int):
-        return [m * num_gateways // num_devices for m in range(num_devices)]
-
-    def _hash(num_devices: int, num_gateways: int):
-        # Knuth multiplicative hashing: deterministic, scrambles locality.
-        return [
-            ((m * 2654435761) & 0xFFFFFFFF) % num_gateways
-            for m in range(num_devices)
-        ]
-
-    GATEWAY_ASSIGNMENTS.register("round_robin", _round_robin)
-    GATEWAY_ASSIGNMENTS.register("block", _block)
-    GATEWAY_ASSIGNMENTS.register("hash", _hash)
+    return {
+        "inverse_sqrt": InverseSqrtRate,
+        "constant": ConstantRate,
+        "inverse_time": InverseTimeRate,
+        "step_decay": StepDecayRate,
+    }
 
 
-_register_builtins()
+# Pure index math, defined here so the registry stays import-light
+# (repro.gateway imports this module, not the other way round).
+def _round_robin(num_devices: int, num_gateways: int):
+    return [m % num_gateways for m in range(num_devices)]
+
+
+def _block(num_devices: int, num_gateways: int):
+    return [m * num_gateways // num_devices for m in range(num_devices)]
+
+
+def _hash(num_devices: int, num_gateways: int):
+    # Knuth multiplicative hashing: deterministic, scrambles locality.
+    return [
+        ((m * 2654435761) & 0xFFFFFFFF) % num_gateways
+        for m in range(num_devices)
+    ]
+
+
+#: Classifier/predictor families (``h(x; w)`` of Section III-A).
+MODELS = Registry("model", _builtin_models)
+#: ``(train, test)`` dataset makers (plus the Fig. 3 stream generator).
+DATASETS = Registry("dataset maker", _builtin_datasets)
+#: Sample-to-device assignment strategies.
+PARTITIONERS = Registry("partitioner", _builtin_partitioners)
+#: Learning-rate schedules (Eq. 5 and Remark 3 alternatives).
+SCHEDULES = Registry("schedule", _builtin_schedules)
+#: Device→gateway assignment policies for the two-tier gateway topology.
+#: Factories take ``num_devices`` and ``num_gateways`` and return a
+#: sequence of gateway indices, one per device.
+GATEWAY_ASSIGNMENTS = Registry(
+    "gateway assignment policy",
+    lambda: {"round_robin": _round_robin, "block": _block, "hash": _hash},
+)
 
 __all__ = [
     "DATASETS",

@@ -18,32 +18,19 @@
   subprocess.
 """
 
-from repro.serve.client import (
-    RemoteAuthenticationError,
-    RemoteServiceError,
-    ServiceClient,
-)
-from repro.serve.remote import HttpTransport, RemoteDevice, RemoteServerCore
-from repro.serve.service import CrowdService
-from repro.serve.wire import (
-    PROTOCOL_VERSION,
-    CheckinBatchResult,
-    ErrorCode,
-    ServiceStatus,
-    WireError,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "PROTOCOL_VERSION",
-    "CheckinBatchResult",
-    "CrowdService",
-    "ErrorCode",
-    "HttpTransport",
-    "RemoteAuthenticationError",
-    "RemoteDevice",
-    "RemoteServerCore",
-    "RemoteServiceError",
-    "ServiceClient",
-    "ServiceStatus",
-    "WireError",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    "PROTOCOL_VERSION": "wire",
+    "CheckinBatchResult": "wire",
+    "CrowdService": "service",
+    "ErrorCode": "wire",
+    "HttpTransport": "remote",
+    "RemoteAuthenticationError": "client",
+    "RemoteDevice": "remote",
+    "RemoteServerCore": "remote",
+    "RemoteServiceError": "client",
+    "ServiceClient": "client",
+    "ServiceStatus": "wire",
+    "WireError": "wire",
+})

@@ -11,6 +11,7 @@ through it and keep only their own policy (retries, epochs, orphans).
 
 from __future__ import annotations
 
+import select
 import signal
 import subprocess
 import sys
@@ -45,7 +46,11 @@ def launch(
     )
     deadline = time.monotonic() + timeout
     line = ""
-    while time.monotonic() < deadline:
+    # Wait on the pipe, not in readline(): a child that stays alive and
+    # silent must cost ``timeout``, not hang its parent.
+    while select.select(
+        [process.stdout], [], [], max(0.0, deadline - time.monotonic())
+    )[0]:
         line = process.stdout.readline()
         if line.startswith(ANNOUNCEMENT) or not line:
             break

@@ -12,18 +12,15 @@ incarnation at a higher epoch, while the
 endpoint routing across whatever incarnations are live.
 """
 
-from repro.shard.frontend import ShardFrontEnd
-from repro.shard.routing import ShardRouter, ShardRoutingError, StaticEndpoints
-from repro.shard.supervisor import ShardSupervisor, SupervisorError
-from repro.shard.worker import ShardWorker, WorkerSpawnError
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "ShardFrontEnd",
-    "ShardRouter",
-    "ShardRoutingError",
-    "ShardSupervisor",
-    "ShardWorker",
-    "StaticEndpoints",
-    "SupervisorError",
-    "WorkerSpawnError",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    "ShardFrontEnd": "frontend",
+    "ShardRouter": "routing",
+    "ShardRoutingError": "routing",
+    "ShardSupervisor": "supervisor",
+    "ShardWorker": "worker",
+    "StaticEndpoints": "routing",
+    "SupervisorError": "supervisor",
+    "WorkerSpawnError": "worker",
+})

@@ -7,6 +7,8 @@ slot.  Its job splits in three:
   (:meth:`~repro.persist.checkpoint.SnapshotStore.advance_fence`), and
   spawn the worker at the returned epoch.  Fence-then-spawn means no
   two incarnations of a shard can ever both hold a writable epoch.
+  Shards share nothing, so :meth:`~ShardSupervisor.start` runs that
+  sequence for all of them at once.
 * **Watch** — a daemon thread probes each worker every
   ``health_interval`` seconds: process liveness first (a SIGKILLed
   worker is detected without any network timeout), then a heartbeat
@@ -34,6 +36,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from contextlib import ExitStack
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import NULL_REGISTRY
@@ -57,10 +60,14 @@ class SupervisorError(ReproError):
     """The supervisor was driven outside its lifecycle contract."""
 
 
-def _free_port(host: str = "127.0.0.1") -> int:
-    with socket.socket() as probe:
-        probe.bind((host, 0))
-        return probe.getsockname()[1]
+def _free_ports(count: int, host: str = "127.0.0.1") -> List[int]:
+    # All probes are held open together, so the ports are distinct even
+    # though nothing binds them again until the workers come up.
+    with ExitStack() as stack:
+        probes = [stack.enter_context(socket.socket()) for _ in range(count)]
+        for probe in probes:
+            probe.bind((host, 0))
+        return [probe.getsockname()[1] for probe in probes]
 
 
 class ShardSupervisor:
@@ -129,19 +136,42 @@ class ShardSupervisor:
     # -- lifecycle ------------------------------------------------------- #
 
     def start(self) -> "ShardSupervisor":
-        """Fence + spawn every shard at epoch, then start the watch thread."""
+        """Fence + spawn every shard at epoch, then start the watch thread.
+
+        The shards come up side by side, one thread each blocked on its
+        child's announcement, so the tier is reachable in the time of its
+        slowest worker.  All or nothing: if any shard fails, every
+        sibling is reaped, the table is emptied and the first error
+        raised.
+        """
         if self._started:
             raise SupervisorError("supervisor already started")
         self._started = True
-        try:
-            for shard, worker in enumerate(self.workers):
+        errors: List[Exception] = []
+
+        def bring_up(shard: int, worker: ShardWorker, port: int) -> None:
+            try:
                 epoch = SnapshotStore(worker.shard_dir).advance_fence()
                 self._m_fence_epochs[shard].set(epoch)
-                url = self._spawn_with_retry(worker, epoch, _free_port())
+                url = self._spawn_with_retry(worker, epoch, port)
                 self._table.set(shard, url, epoch)
-        except WorkerSpawnError:
+            except Exception as error:  # noqa: BLE001 - re-raised below
+                errors.append(error)
+
+        ports = _free_ports(len(self.workers))
+        threads = [
+            threading.Thread(target=bring_up, args=(shard, worker, ports[shard]))
+            for shard, worker in enumerate(self.workers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        if errors:
             self._shutdown_workers(graceful=False)
-            raise
+            for shard in range(len(self.workers)):
+                self._table.set(shard, None)
+            raise errors[0]
         self._thread = threading.Thread(
             target=self._watch_loop, name="shard-supervisor", daemon=True
         )

@@ -1,20 +1,15 @@
 """Simulated crowd environment: config, event-driven simulator, trial runner."""
 
-from repro.simulation.churn import ChurnSchedule
-from repro.simulation.config import SimulationConfig
-from repro.simulation.runner import TrialSetReport, run_crowd_trials
-from repro.simulation.selection import SelectionResult, select_hyperparameters
-from repro.simulation.simulator import CrowdSimulator
-from repro.simulation.trace import CommunicationStats, RunTrace
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "ChurnSchedule",
-    "CommunicationStats",
-    "CrowdSimulator",
-    "RunTrace",
-    "SelectionResult",
-    "SimulationConfig",
-    "TrialSetReport",
-    "run_crowd_trials",
-    "select_hyperparameters",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    "ChurnSchedule": "churn",
+    "CommunicationStats": "trace",
+    "CrowdSimulator": "simulator",
+    "RunTrace": "trace",
+    "SelectionResult": "selection",
+    "SimulationConfig": "config",
+    "TrialSetReport": "runner",
+    "run_crowd_trials": "runner",
+    "select_hyperparameters": "selection",
+})

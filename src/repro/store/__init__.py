@@ -19,37 +19,22 @@ diffs, exports, and prunes entries.  Point the session at a store
 explicitly or via the ``REPRO_STORE_DIR`` environment variable.
 """
 
-from repro.store.backend import DirectoryBackend, StoreError, STORE_FORMAT
-from repro.store.keys import (
-    KEY_FORMAT,
-    canonical_json,
-    canonicalize,
-    digest,
-    figure_key,
-    task_key,
-)
-from repro.store.locking import FileLock, LockTimeout
-from repro.store.store import (
-    RunStore,
-    STORE_DIR_ENV,
-    decode_result,
-    encode_result,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "DirectoryBackend",
-    "FileLock",
-    "KEY_FORMAT",
-    "LockTimeout",
-    "RunStore",
-    "STORE_DIR_ENV",
-    "STORE_FORMAT",
-    "StoreError",
-    "canonical_json",
-    "canonicalize",
-    "decode_result",
-    "digest",
-    "encode_result",
-    "figure_key",
-    "task_key",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    "DirectoryBackend": "backend",
+    "FileLock": "locking",
+    "KEY_FORMAT": "keys",
+    "LockTimeout": "locking",
+    "RunStore": "store",
+    "STORE_DIR_ENV": "store",
+    "STORE_FORMAT": "backend",
+    "StoreError": "backend",
+    "canonical_json": "keys",
+    "canonicalize": "keys",
+    "decode_result": "store",
+    "digest": "keys",
+    "encode_result": "store",
+    "figure_key": "keys",
+    "task_key": "keys",
+})
