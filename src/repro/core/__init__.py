@@ -16,10 +16,8 @@ __getattr__, __dir__, __all__ = lazy_namespace(__name__, {
     "CheckinAck": "protocol",
     "FixedBatch": "adaptive",
     "StalenessAdaptiveBatch": "adaptive",
-    "decode_from_json": "codec",
     "decode_message": "codec",
     "encode_message": "codec",
-    "encode_to_json": "codec",
     "CheckinMessage": "protocol",
     "CheckinResult": "device",
     "CheckinSanitizer": "sanitizer",

@@ -1,32 +1,18 @@
-"""Wire codec: serialize protocol messages to/from JSON-compatible dicts.
+"""Message codec: protocol messages to/from JSON-compatible payload dicts.
 
-The prototype ships messages over HTTPS; this codec defines the payload
-format a real deployment would use.  Every message carries a ``type``
-tag so a single endpoint can dispatch.
-
-Float vectors (gradients, parameters) travel **packed**: base64 of the
-raw little-endian float64 buffer.  Packing is bit-exact by construction
-(the decoder reconstructs the identical IEEE-754 doubles, NaN payloads
-and signed zeros included) and roughly two orders of magnitude cheaper
-than JSON float lists — the difference between the serve path being
-serialization-bound and request-bound (see the gateway arm of the
-serve-throughput benchmark).  Packed is the only form the decoders
-accept for these fields; small integer vectors (label counts) stay
-lists.
-
-Round-trip fidelity is exact for the integer fields and bit-exact for
-gradients/parameters; decoding validates shapes through the message
-constructors, so a malformed payload raises
-:class:`~repro.utils.exceptions.ProtocolError` rather than propagating
-garbage into the learning loop.
+Every payload carries a ``type`` tag so a single endpoint can dispatch.
+A float vector field (a check-in's ``gradient``, a check-out response's
+``parameters``) is written as its element count: the vector travels
+outside the payload (:mod:`repro.serve.wire`, which owns the HTTP body,
+appends it as hex) and :func:`decode_message` takes it back as an
+argument.  Decoding validates shapes through the message constructors,
+so a malformed payload raises :class:`~repro.utils.exceptions.ProtocolError`
+rather than propagating garbage into the learning loop.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
-import json
-from typing import Any, Dict, Union
+from typing import Any, Dict, Optional, Union
 
 import numpy as np
 
@@ -48,39 +34,6 @@ _TYPE_TAGS = {
 }
 
 
-def pack_float_array(array: np.ndarray) -> str:
-    """Pack a float vector as base64 of its little-endian float64 bytes.
-
-    Bit-exact: every IEEE-754 double (signed zeros, denormals, NaN
-    payloads) reconstructs identically through
-    :func:`unpack_float_array`.
-    """
-    buffer = np.ascontiguousarray(array, dtype="<f8").tobytes()
-    return base64.b64encode(buffer).decode("ascii")
-
-
-def unpack_float_array(value: Any) -> np.ndarray:
-    """Inverse of :func:`pack_float_array`.
-
-    Raises :class:`ProtocolError` on anything but a packed string:
-    undecodable base64, or a buffer that is not a whole number of
-    float64s.
-    """
-    if not isinstance(value, str):
-        raise ProtocolError(
-            f"float array must be a packed string, got {type(value).__name__}"
-        )
-    try:
-        buffer = base64.b64decode(value.encode("ascii"), validate=True)
-    except (binascii.Error, UnicodeEncodeError) as error:
-        raise ProtocolError(f"invalid packed float array: {error}") from error
-    if len(buffer) % 8:
-        raise ProtocolError(
-            f"packed float array is {len(buffer)} bytes, not a multiple of 8"
-        )
-    return np.frombuffer(buffer, dtype="<f8").astype(np.float64, copy=True)
-
-
 def encode_message(message: Message) -> Dict[str, Any]:
     """Encode a protocol message as a JSON-compatible dict."""
     tag = _TYPE_TAGS.get(type(message))
@@ -95,7 +48,7 @@ def encode_message(message: Message) -> Dict[str, Any]:
     elif isinstance(message, CheckoutResponse):
         body = {
             "device_id": message.device_id,
-            "parameters": pack_float_array(message.parameters),
+            "parameters": message.parameters.size,
             "server_iteration": message.server_iteration,
             "issued_time": message.issued_time,
         }
@@ -103,7 +56,7 @@ def encode_message(message: Message) -> Dict[str, Any]:
         body = {
             "device_id": message.device_id,
             "token": message.token,
-            "gradient": pack_float_array(message.gradient),
+            "gradient": message.gradient.size,
             "num_samples": message.num_samples,
             "noisy_error_count": message.noisy_error_count,
             "noisy_label_counts": message.noisy_label_counts.tolist(),
@@ -124,8 +77,11 @@ def encode_message(message: Message) -> Dict[str, Any]:
     return {"type": tag, **body}
 
 
-def decode_message(payload: Dict[str, Any]) -> Message:
-    """Decode a dict produced by :func:`encode_message`.
+def decode_message(
+    payload: Dict[str, Any], vector: Optional[np.ndarray] = None
+) -> Message:
+    """Decode a dict produced by :func:`encode_message`; ``vector`` is
+    the float vector its count field stands for (``None`` if it has none).
 
     Raises :class:`ProtocolError` on unknown tags or missing fields.
     """
@@ -142,7 +98,7 @@ def decode_message(payload: Dict[str, Any]) -> Message:
         if tag == "checkout_response":
             return CheckoutResponse(
                 device_id=int(payload["device_id"]),
-                parameters=unpack_float_array(payload["parameters"]),
+                parameters=vector,
                 server_iteration=int(payload["server_iteration"]),
                 issued_time=float(payload["issued_time"]),
             )
@@ -150,7 +106,7 @@ def decode_message(payload: Dict[str, Any]) -> Message:
             return CheckinMessage(
                 device_id=int(payload["device_id"]),
                 token=str(payload["token"]),
-                gradient=unpack_float_array(payload["gradient"]),
+                gradient=vector,
                 num_samples=int(payload["num_samples"]),
                 noisy_error_count=int(payload["noisy_error_count"]),
                 noisy_label_counts=np.asarray(
@@ -170,16 +126,3 @@ def decode_message(payload: Dict[str, Any]) -> Message:
         raise ProtocolError(f"malformed {tag!r} payload: {error}") from error
     raise ProtocolError(f"unknown message type {tag!r}")
 
-
-def encode_to_json(message: Message) -> str:
-    """Encode straight to a JSON string (the HTTPS body)."""
-    return json.dumps(encode_message(message), separators=(",", ":"))
-
-
-def decode_from_json(text: str) -> Message:
-    """Decode a JSON string produced by :func:`encode_to_json`."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise ProtocolError(f"invalid JSON: {error}") from error
-    return decode_message(payload)

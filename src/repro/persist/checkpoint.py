@@ -471,10 +471,17 @@ class SnapshotStore:
                         f"{segment} resumes at iteration {record.iteration_before} but"
                         f" state ends at {core.iteration}: acked updates are missing"
                     )
-                if record.kind == KIND_JOIN:
-                    core.register_device(wire.decode_join_request(record.payload))
-                else:
-                    core.handle_checkins(wire.decode_checkin_batch(record.payload))
+                try:
+                    if record.kind == KIND_JOIN:
+                        core.register_device(wire.decode_join_request(record.payload))
+                    else:
+                        core.handle_checkins(wire.decode_checkin_batch(record.payload))
+                except wire.WireError as error:
+                    if error.code != wire.ErrorCode.VERSION_MISMATCH:
+                        raise
+                    raise SnapshotError(
+                        f"state dir {self.state_dir}: cannot replay {segment} ({error})"
+                    ) from error
                 # "At least": a join may sit at the same iteration as a
                 # later snapshot, whose counters must not step back.
                 core.advance_counters(

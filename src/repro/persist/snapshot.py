@@ -3,8 +3,8 @@
 A snapshot is one JSON-compatible dict capturing everything Algorithm 2
 accumulates between check-ins:
 
-* the optimizer — parameters **bit-exact** via the packed float64 codec
-  (:func:`repro.core.codec.pack_float_array`), the iteration counter t,
+* the optimizer — parameters **bit-exact** as base64 float64
+  (:func:`pack_float_array`), the iteration counter t,
   and per-rule extras (AdaGrad's accumulator, the Polyak average);
 * the schedule and projection hyperparameters (scalar floats survive via
   JSON ``repr`` round-trip — exact for every finite double);
@@ -31,6 +31,7 @@ restoring against a different schema version or a mismatched model raises
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 from typing import Any, Dict, Optional
@@ -39,7 +40,6 @@ import numpy as np
 
 from repro.core.auth import DeviceRegistry
 from repro.core.config import ServerConfig
-from repro.core.codec import pack_float_array, unpack_float_array
 from repro.core.monitor import ProgressMonitor
 from repro.core.server_core import ServerCore
 from repro.models.base import Model
@@ -65,6 +65,23 @@ SNAPSHOT_VERSION = 1
 
 class SnapshotError(ReproError):
     """A snapshot that cannot be produced or restored."""
+
+
+def pack_float_array(array: np.ndarray) -> str:
+    """Base64 of a float vector's little-endian float64 bytes — bit-exact
+    (signed zeros, denormals, NaN payloads) through :func:`unpack_float_array`."""
+    buffer = np.ascontiguousarray(array, dtype="<f8").tobytes()
+    return base64.b64encode(buffer).decode("ascii")
+
+
+def unpack_float_array(value: Any) -> np.ndarray:
+    """Inverse of :func:`pack_float_array`; :class:`SnapshotError` on
+    anything but base64 of a whole number of float64s."""
+    try:
+        buffer = base64.b64decode(value.encode("ascii"), validate=True)
+        return np.frombuffer(buffer, dtype="<f8").astype(np.float64)
+    except (AttributeError, ValueError) as error:  # binascii.Error is a ValueError
+        raise SnapshotError(f"invalid packed float array: {error}") from error
 
 
 # --------------------------------------------------------------------- #

@@ -1,17 +1,23 @@
 """Versioned wire schema for the remote Crowd-ML service API.
 
 Every HTTP body exchanged with :class:`~repro.serve.service.CrowdService`
-is one **envelope**::
+is one **envelope**: a JSON head line, then — if the body carries float
+vectors — ``"\\n"`` and a hex **tail**::
 
-    {"protocol": 2, "kind": "<kind>", "body": {...}}
+    {"protocol": 3, "kind": "<kind>", "body": {...}}
+    <lowercase hex of the vectors' little-endian float64 bytes>
+
+In the head each vector field (``gradient``, ``parameters``) holds its
+element count, and the tail holds the vectors in field order: 16 hex
+digits per element.  No float passes through the JSON scanner.
 
 The ``protocol`` stamp (:data:`PROTOCOL_VERSION`) lets either side reject
 a peer speaking a different schema *before* interpreting the body; the
 ``kind`` tag names the payload so a single endpoint can dispatch and a
 mis-routed request fails loudly.  Protocol messages inside bodies reuse
 the :mod:`repro.core.codec` payload format — the serve layer adds only
-the envelope, the batch shapes, and typed errors; it never invents a
-second encoding for gradients or parameters.
+the envelope, the batch shapes, the tail and typed errors; gradients and
+parameters have this one encoding.
 
 Request/response kinds
 ----------------------
@@ -23,12 +29,13 @@ kind                   body
 ``join_response``      ``{"device_id": int, "token": str,
                        "last_checkin_seq": int?}``
 ``checkout_request``   codec ``checkout_request`` payload
-``checkout_response``  codec ``checkout_response`` payload
+``checkout_response``  codec ``checkout_response`` payload + tail
 ``checkin_batch``      ``{"messages": [codec checkin payload, ...]}``
+                       + tail (the gradients, in message order)
 ``checkin_result``     ``{"acks": [codec ack | null, ...],
                        "server_iteration": int, "stopped": bool,
                        "stop_reason": str}``
-``status``             server counters + optional parameter vector
+``status``             server counters + optional parameters (+ tail)
 ``error``              ``{"code": str, "message": str}``
 =====================  =============================================
 
@@ -36,7 +43,7 @@ Only this module reads or writes these bodies.  The sharded front end
 alone may look at one undecoded, and only through the router helpers
 (:func:`device_id_of`, :func:`checkin_batch_entries`,
 :func:`encode_checkin_entries`, :func:`answer_epoch`), so forwarding
-parses once and builds no gradients, acks or parameter array.
+reads heads only and decodes no gradient, ack or parameter array.
 
 Typed errors
 ------------
@@ -50,17 +57,12 @@ clients re-raise the *same* typed error a local caller would have seen
 Fidelity notes
 --------------
 
-* Floats survive exactly.  Gradient/parameter vectors travel packed
-  (base64 of the little-endian float64 buffer, see
-  :func:`repro.core.codec.pack_float_array`) and reconstruct the
-  identical doubles; scalar floats serialize via ``repr``, which
-  round-trips every finite IEEE-754 double bit for bit.  A sequential
-  training run over this wire format therefore matches an in-process
-  run float for float.  Packed is the only form the message decoders
-  accept.  ``status``'s optional ``parameters`` is the one vector still
-  sent as a JSON float list (its own decoder, :func:`decode_status`):
-  packing it is a body-schema change that would move
-  :data:`PROTOCOL_VERSION`.
+* Floats survive exactly.  Every vector travels as the hex of its
+  float64 bytes and reconstructs the identical doubles, NaN payloads
+  and signed zeros included; scalar floats serialize via ``repr``,
+  which round-trips every finite IEEE-754 double bit for bit.  A
+  sequential training run over this wire format therefore matches an
+  in-process run float for float.
 * :attr:`~repro.core.protocol.CheckinMessage.releases` (device-side
   privacy accounting records) do **not** travel — the codec omits them
   by design, mirroring the paper's deployment where the server only
@@ -70,13 +72,14 @@ Fidelity notes
 
 from __future__ import annotations
 
+import binascii
 import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.codec import decode_message, encode_message, pack_float_array
+from repro.core.codec import decode_message, encode_message
 from repro.core.protocol import (
     CheckinAck,
     CheckinMessage,
@@ -88,10 +91,9 @@ from repro.utils.exceptions import ProtocolError
 
 #: Version stamp carried by every envelope.  Bump on any incompatible
 #: change to the envelope or body schemas.  History: 1 = JSON float
-#: lists for all arrays; 2 = gradient/parameter vectors travel packed
-#: (base64 float64, ROADMAP's binary wire encoding) — a v1 decoder
-#: cannot read v2 bodies, so the stamp moved.
-PROTOCOL_VERSION = 2
+#: lists for all arrays; 2 = gradient/parameter vectors packed float64
+#: strings inside the JSON; 3 = vectors out of line, hex tail.
+PROTOCOL_VERSION = 3
 
 #: Hard cap on the number of check-ins one batch envelope may carry —
 #: a malformed (or hostile) client cannot make the server materialize an
@@ -205,18 +207,35 @@ class ServiceStatus:
 # --------------------------------------------------------------------- #
 
 
-def encode_envelope(kind: str, body: Dict[str, Any]) -> str:
-    """Wrap ``body`` in a versioned envelope and serialize to JSON."""
-    return json.dumps(
+def encode_envelope(
+    kind: str, body: Dict[str, Any], tails: Optional[Sequence[str]] = None
+) -> str:
+    """Serialize a versioned envelope: the JSON head line, then ``"\\n"``
+    and the hex ``tails`` of the body's vectors, in order (``None`` = none)."""
+    head = json.dumps(
         {"protocol": PROTOCOL_VERSION, "kind": kind, "body": body},
         separators=(",", ":"),
     )
+    # One join: the body is the only large string an encode allocates.
+    return head if tails is None else "".join([head, "\n", *tails])
+
+
+def _hex(vector: np.ndarray) -> str:
+    return np.ascontiguousarray(vector, dtype="<f8").tobytes().hex()
 
 
 def parse_envelope(
     raw: Union[str, bytes], expected_kind: Optional[str] = None
 ) -> Tuple[str, Dict[str, Any]]:
-    """Parse and validate an envelope; returns ``(kind, body)``.
+    """Parse and validate an envelope's head line; returns ``(kind, body)``."""
+    return _parse(raw, expected_kind)[:2]
+
+
+def _parse(
+    raw: Union[str, bytes], expected_kind: Optional[str] = None
+) -> Tuple[str, Dict[str, Any], Union[str, memoryview]]:
+    """``(kind, body, tail)``; the tail is returned unread (of a ``bytes``
+    body, as a view: it is the bulk of the body, so it is not copied).
 
     Raises :class:`WireError` with :data:`ErrorCode.MALFORMED` for
     anything that is not a well-formed envelope (bad UTF-8, truncated
@@ -225,13 +244,18 @@ def parse_envelope(
     stamp differs — or is missing entirely, which is an unknown (ancient)
     protocol rather than a merely malformed body.
     """
-    if isinstance(raw, bytes):
+    if isinstance(raw, str):
+        head, _, tail = raw.partition("\n")
+    else:
+        end = raw.find(b"\n")
+        end = len(raw) if end < 0 else end
+        tail = memoryview(raw)[end + 1:]
         try:
-            raw = raw.decode("utf-8")
+            head = raw[:end].decode("utf-8")
         except UnicodeDecodeError as error:
             raise WireError(ErrorCode.MALFORMED, f"body is not UTF-8: {error}")
     try:
-        envelope = json.loads(raw)
+        envelope = json.loads(head)
     except json.JSONDecodeError as error:
         raise WireError(ErrorCode.MALFORMED, f"invalid JSON: {error}")
     if not isinstance(envelope, dict):
@@ -257,13 +281,49 @@ def parse_envelope(
         raise WireError(
             ErrorCode.MALFORMED, f"expected {expected_kind!r} envelope, got {kind!r}"
         )
-    return kind, body
+    return kind, body, tail
 
 
-def _decode_body_message(body: Dict[str, Any], expected_type: type):
+def _count(payload: Dict[str, Any], field: str) -> int:
+    """A vector field's element count, as the head must carry it."""
+    count = payload.get(field)
+    if type(count) is not int or count < 0:
+        raise WireError(
+            ErrorCode.MALFORMED, f"{field!r} must be an element count, got {count!r}"
+        )
+    return count
+
+
+def _check_tail(tail: Union[str, memoryview], counts: Sequence[int]) -> None:
+    if len(tail) != 16 * sum(counts):
+        raise WireError(ErrorCode.MALFORMED, f"tail of {len(tail)} hex digits, counts {counts}")
+
+
+def _vectors(tail: Union[str, memoryview], counts: Sequence[int]) -> List[np.ndarray]:
+    """Decode the tail into one float64 vector per count, in order."""
+    _check_tail(tail, counts)
+    try:
+        buffer = binascii.a2b_hex(tail)
+    except ValueError as error:  # binascii.Error, or a non-ASCII str
+        raise WireError(ErrorCode.MALFORMED, f"tail is not hex: {error}")
+    vectors, offset = [], 0
+    for count in counts:
+        vectors.append(np.frombuffer(buffer, "<f8", count, offset).astype(np.float64))
+        offset += 8 * count
+    return vectors
+
+
+def _head_only(raw: Union[str, bytes], kind: str) -> Dict[str, Any]:
+    """The body of a kind that carries no vectors (any tail is refused)."""
+    _, body, tail = _parse(raw, kind)
+    _check_tail(tail, ())
+    return body
+
+
+def _decode_body_message(body: Dict[str, Any], expected_type: type, vector=None):
     """Decode a codec payload inside a body, normalizing failures."""
     try:
-        message = decode_message(body)
+        message = decode_message(body, vector)
     except WireError:
         raise
     except ProtocolError as error:
@@ -306,7 +366,7 @@ def encode_join_request(device_id: int) -> str:
 
 
 def decode_join_request(raw: Union[str, bytes]) -> int:
-    return device_id_of(parse_envelope(raw, "join_request")[1], "join_request")
+    return device_id_of(_head_only(raw, "join_request"), "join_request")
 
 
 def encode_join_response(
@@ -328,7 +388,7 @@ def encode_join_response(
 def decode_join_response(raw: Union[str, bytes]) -> Tuple[int, str, int]:
     """``(device_id, token, last_checkin_seq)``; the server's last applied
     sequence number for the device is ``-1`` when absent."""
-    _, body = parse_envelope(raw, "join_response")
+    body = _head_only(raw, "join_response")
     try:
         return (
             int(body["device_id"]),
@@ -349,23 +409,20 @@ def encode_checkout_request(request: CheckoutRequest) -> str:
 
 
 def decode_checkout_request(raw: Union[str, bytes]) -> CheckoutRequest:
-    _, body = parse_envelope(raw, "checkout_request")
-    return _decode_body_message(body, CheckoutRequest)
+    return _decode_body_message(_head_only(raw, "checkout_request"), CheckoutRequest)
 
 
 def encode_checkout_response(response: CheckoutResponse) -> str:
-    return encode_envelope("checkout_response", encode_message(response))
+    return encode_envelope(
+        "checkout_response", encode_message(response), [_hex(response.parameters)]
+    )
 
 
 def encode_parameters_fragment(parameters: np.ndarray) -> str:
-    """The JSON fragment for a parameter vector (a packed string).
-
-    This is the expensive part of a ``checkout_response`` (the encoded
-    vector dominates the payload); the service caches it per server
-    iteration and splices it into responses via
-    :func:`encode_checkout_response_cached`.
-    """
-    return json.dumps(pack_float_array(parameters), separators=(",", ":"))
+    """A ``checkout_response``'s tail, the bulk of its bytes: the service
+    caches it per server iteration for
+    :func:`encode_checkout_response_cached`."""
+    return _hex(parameters)
 
 
 def encode_checkout_response_cached(
@@ -385,15 +442,16 @@ def encode_checkout_response_cached(
     return (
         f'{{"protocol":{PROTOCOL_VERSION},"kind":"checkout_response",'
         f'"body":{{"type":"checkout_response","device_id":{int(device_id)},'
-        f'"parameters":{parameters_fragment},'
+        f'"parameters":{len(parameters_fragment) // 16},'
         f'"server_iteration":{int(server_iteration)},'
-        f'"issued_time":{json.dumps(float(issued_time))}}}}}'
+        f'"issued_time":{json.dumps(float(issued_time))}}}}}\n{parameters_fragment}'
     )
 
 
 def decode_checkout_response(raw: Union[str, bytes]) -> CheckoutResponse:
-    _, body = parse_envelope(raw, "checkout_response")
-    return _decode_body_message(body, CheckoutResponse)
+    _, body, tail = _parse(raw, "checkout_response")
+    [parameters] = _vectors(tail, [_count(body, "parameters")])
+    return _decode_body_message(body, CheckoutResponse, parameters)
 
 
 # --------------------------------------------------------------------- #
@@ -402,19 +460,34 @@ def decode_checkout_response(raw: Union[str, bytes]) -> CheckoutResponse:
 
 
 def encode_checkin_batch(messages: Sequence[CheckinMessage]) -> str:
-    return encode_checkin_entries([encode_message(m) for m in messages])
+    return encode_checkin_entries(
+        [encode_message(m) for m in messages], [_hex(m.gradient) for m in messages]
+    )
 
 
-def encode_checkin_entries(entries: List[Dict[str, Any]]) -> str:
-    """Router helper: a (sub-)batch of entries still undecoded."""
-    return encode_envelope("checkin_batch", {"messages": entries})
+def encode_checkin_entries(entries: List[Dict[str, Any]], tails: Sequence[str]) -> str:
+    """Router helper: a (sub-)batch of entries still undecoded, each
+    with its slice of the tail."""
+    return encode_envelope("checkin_batch", {"messages": entries}, tails)
 
 
-def checkin_batch_entries(raw: Union[str, bytes]) -> List[Dict[str, Any]]:
+def checkin_batch_entries(
+    raw: Union[str, bytes],
+) -> Tuple[List[Dict[str, Any]], List[str]]:
     """The structural check of a ``checkin_batch`` body: a non-empty list
     of at most :data:`MAX_BATCH_MESSAGES` objects, returned undecoded
-    (the sharded front end routes on them without touching gradients)."""
-    _, body = parse_envelope(raw, "checkin_batch")
+    with each one's slice of the tail (the sharded front end routes on
+    them without decoding a gradient)."""
+    entries, counts, tail = _checkin_batch(raw)
+    _check_tail(tail, counts)
+    if not isinstance(tail, str):
+        tail = str(tail, "latin-1")  # 1:1; the shard refuses what is not hex
+    ends = np.cumsum([16 * count for count in counts]).tolist()
+    return entries, [tail[end - 16 * count:end] for count, end in zip(counts, ends)]
+
+
+def _checkin_batch(raw: Union[str, bytes]) -> Tuple[List[Dict[str, Any]], List[int], Any]:
+    _, body, tail = _parse(raw, "checkin_batch")
     messages = body.get("messages")
     if not isinstance(messages, list) or not messages:
         raise WireError(
@@ -428,12 +501,15 @@ def checkin_batch_entries(raw: Union[str, bytes]) -> List[Dict[str, Any]]:
         )
     if not all(isinstance(entry, dict) for entry in messages):
         raise WireError(ErrorCode.MALFORMED, "checkin_batch entries must be objects")
-    return messages
+    return messages, [_count(entry, "gradient") for entry in messages], tail
 
 
 def decode_checkin_batch(raw: Union[str, bytes]) -> List[CheckinMessage]:
-    entries = checkin_batch_entries(raw)
-    return [_decode_body_message(entry, CheckinMessage) for entry in entries]
+    entries, counts, tail = _checkin_batch(raw)
+    return [
+        _decode_body_message(entry, CheckinMessage, gradient)
+        for entry, gradient in zip(entries, _vectors(tail, counts))
+    ]
 
 
 def encode_checkin_result(
@@ -456,7 +532,7 @@ def encode_checkin_result(
 
 
 def decode_checkin_result(raw: Union[str, bytes]) -> CheckinBatchResult:
-    _, body = parse_envelope(raw, "checkin_result")
+    body = _head_only(raw, "checkin_result")
     try:
         raw_acks = body["acks"]
         server_iteration = int(body["server_iteration"])
@@ -514,8 +590,9 @@ def encode_status(
         "num_parameters": int(num_parameters),
         "duplicates_suppressed": int(duplicates_suppressed),
     }
-    if parameters is not None:
-        body["parameters"] = np.asarray(parameters, dtype=np.float64).tolist()
+    tails = None if parameters is None else [_hex(parameters)]
+    if tails is not None:
+        body["parameters"] = len(tails[0]) // 16
     if epoch >= 0:
         body["epoch"] = int(epoch)
     if shards is not None:
@@ -524,17 +601,14 @@ def encode_status(
         body["uptime_seconds"] = float(uptime_seconds)
     if pid is not None:
         body["pid"] = int(pid)
-    return encode_envelope("status", body)
+    return encode_envelope("status", body, tails)
 
 
 def decode_status(raw: Union[str, bytes]) -> ServiceStatus:
-    _, body = parse_envelope(raw, "status")
+    _, body, tail = _parse(raw, "status")
+    counts = [_count(body, "parameters")] if "parameters" in body else []
+    parameters = (_vectors(tail, counts) or [None])[0]
     try:
-        parameters = body.get("parameters")
-        if parameters is not None:
-            parameters = np.asarray(parameters, dtype=np.float64)
-            if parameters.ndim != 1:
-                raise ValueError(f"parameters must be flat, got shape {parameters.shape}")
         shards = body.get("shards")
         if shards is not None:
             if not isinstance(shards, list) or not all(
@@ -578,7 +652,7 @@ def encode_error(code: str, message: str) -> str:
 
 def decode_error(raw: Union[str, bytes]) -> WireError:
     """Decode an ``error`` envelope back into the typed exception."""
-    _, body = parse_envelope(raw, "error")
+    body = _head_only(raw, "error")
     try:
         return WireError(str(body["code"]), str(body["message"]))
     except (KeyError, TypeError) as error:

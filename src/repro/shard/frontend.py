@@ -30,8 +30,9 @@ answers 503 ``unavailable`` — retryable by
 epoch older than the table's are refused the same way (a fenced zombie's
 late reply must not reach a client as truth).
 
-Splitting and forwarding never decodes gradients and knows no body
-layout: :mod:`repro.serve.wire` is the one reader and writer (its router
+Splitting and forwarding reads envelope heads only (a split batch cuts
+its gradients' hex undecoded) and knows no body layout:
+:mod:`repro.serve.wire` is the one reader and writer (its router
 helpers for a body forwarded undecoded, ``decode_checkin_result`` /
 ``encode_checkin_result`` for a mixed batch's acks), so the hot path
 stays request-bound, not serialization-bound.
@@ -203,7 +204,7 @@ class ShardFrontEnd(HttpHost):
 
     def _handle_checkins(self, request: Request):
         raw = request.body
-        messages = wire.checkin_batch_entries(raw)
+        messages, tails = wire.checkin_batch_entries(raw)
         groups = self._router.split(messages)
         verbatim = len(groups) == 1  # the request and its answer travel as-is
         if not verbatim:
@@ -216,7 +217,7 @@ class ShardFrontEnd(HttpHost):
         for shard in sorted(groups):
             entries = groups[shard]
             body = raw if verbatim else wire.encode_checkin_entries(
-                [item for _, item in entries]
+                [item for _, item in entries], [tails[index] for index, _ in entries]
             ).encode("utf-8")
             try:
                 answer = self._forward(shard, "POST", "/v1/checkins", body)

@@ -1,4 +1,5 @@
-"""Tests for the wire codec."""
+"""Tests for the message codec (payload dicts) and its HTTP-body round
+trips through :mod:`repro.serve.wire`."""
 
 import numpy as np
 import pytest
@@ -8,12 +9,16 @@ from repro.core import (
     CheckinMessage,
     CheckoutRequest,
     CheckoutResponse,
-    decode_from_json,
     decode_message,
     encode_message,
-    encode_to_json,
 )
+from repro.serve import wire
 from repro.utils.exceptions import ProtocolError
+
+
+def vector_of(message):
+    """The float vector a message's payload writes as a count."""
+    return getattr(message, "gradient", getattr(message, "parameters", None))
 
 
 @pytest.fixture
@@ -36,13 +41,19 @@ def messages():
 class TestRoundTrip:
     def test_dict_round_trip(self, messages):
         for message in messages:
-            decoded = decode_message(encode_message(message))
+            decoded = decode_message(encode_message(message), vector_of(message))
             assert type(decoded) is type(message)
             assert decoded.device_id == message.device_id
 
+    def test_vector_fields_are_written_as_counts(self, messages):
+        assert encode_message(messages[1])["parameters"] == 3
+        assert encode_message(messages[2])["gradient"] == 3
+        with pytest.raises(ProtocolError):  # the count alone is no vector
+            decode_message(encode_message(messages[2]))
+
     def test_json_round_trip_preserves_arrays(self, messages):
         checkin = messages[2]
-        decoded = decode_from_json(encode_to_json(checkin))
+        [decoded] = wire.decode_checkin_batch(wire.encode_checkin_batch([checkin]))
         assert np.array_equal(decoded.gradient, checkin.gradient)
         assert np.array_equal(decoded.noisy_label_counts, checkin.noisy_label_counts)
         assert decoded.noisy_error_count == -2
@@ -52,7 +63,7 @@ class TestRoundTrip:
             device_id=0, parameters=np.array([1 / 3, np.pi]),
             server_iteration=0, issued_time=0.0,
         )
-        decoded = decode_from_json(encode_to_json(response))
+        decoded = wire.decode_checkout_response(wire.encode_checkout_response(response))
         assert np.array_equal(decoded.parameters, response.parameters)
 
     def test_type_tags_distinct(self, messages):
@@ -75,16 +86,16 @@ class TestMalformedPayloads:
 
     def test_invalid_json(self):
         with pytest.raises(ProtocolError, match="invalid JSON"):
-            decode_from_json("{not json")
+            wire.decode_checkout_request("{not json")
 
     def test_bad_num_samples_caught_by_constructor(self):
         payload = {
             "type": "checkin", "device_id": 1, "token": "t",
-            "gradient": [0.0], "num_samples": 0, "noisy_error_count": 0,
+            "gradient": 1, "num_samples": 0, "noisy_error_count": 0,
             "noisy_label_counts": [0], "checkout_iteration": 0,
         }
         with pytest.raises(ProtocolError):
-            decode_message(payload)
+            decode_message(payload, np.zeros(1))
 
 
 class TestServerInterop:
@@ -96,10 +107,10 @@ class TestServerInterop:
         model = MulticlassLogisticRegression(2, 2)
         server = ServerCore(model, config=ServerConfig(max_iterations=10))
         token = server.register_device(1)
-        wire = encode_to_json(CheckinMessage(
+        body = wire.encode_checkin_batch([CheckinMessage(
             device_id=1, token=token, gradient=np.zeros(4), num_samples=2,
             noisy_error_count=1, noisy_label_counts=np.array([1, 1]),
             checkout_iteration=0,
-        ))
-        ack = server.handle_checkin(decode_from_json(wire))
+        )])
+        ack = server.handle_checkin(wire.decode_checkin_batch(body)[0])
         assert ack.server_iteration == 1

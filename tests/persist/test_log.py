@@ -11,6 +11,7 @@ in a 500, never in an ack for state the disk does not hold.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import tempfile
@@ -33,7 +34,9 @@ from repro.persist import (
     restore_core,
     snapshot_core,
 )
-from repro.persist.checkpoint import RECORD_HEADER_BYTES, read_segment
+from repro.core.codec import encode_message
+from repro.persist.checkpoint import KIND_CHECKINS, RECORD_HEADER_BYTES, read_segment
+from repro.persist.snapshot import pack_float_array
 from repro.persist.faults import lose_log_tail, tear_log_tail
 from repro.serve import wire
 from repro.serve.cli import build_parser, build_service
@@ -458,3 +461,32 @@ def test_state_dir_from_before_the_log_recovers(tmp_path, traffic_rng):
     recovered = SnapshotStore(state_dir).recover(make_model())
     assert recovered.records_replayed == 0
     assert core_states_equal(core, recovered.core)
+
+
+def test_a_log_of_older_protocol_bodies_is_refused_not_half_recovered(
+    tmp_path, traffic_rng
+):
+    """A protocol-3 build must not replay a protocol-2 record (base64
+    gradients inside the JSON): recovery stops with one typed error
+    naming both versions and the state dir, not a core at the record
+    before it."""
+    state_dir = str(tmp_path / "state")
+    core = make_core()
+    token = core.register_device(0)
+    store = SnapshotStore(state_dir)
+    store.write(snapshot_core(core))
+    first = make_message(core, 0, token, traffic_rng, seq=0)
+    core.handle_checkin(first)
+    store.append(KIND_CHECKINS, 0, core, wire.encode_checkin_batch([first]).encode())
+    second = make_message(core, 0, token, traffic_rng, seq=1)
+    v2_entry = {**encode_message(second), "gradient": pack_float_array(second.gradient)}
+    v2_body = {"protocol": 2, "kind": "checkin_batch", "body": {"messages": [v2_entry]}}
+    store.append(KIND_CHECKINS, 1, core, json.dumps(v2_body).encode())
+    store.sync_log()
+    store._segment.close()  # the writer is gone, as after a restart
+    with pytest.raises(SnapshotError) as refused:
+        SnapshotStore(state_dir).recover(make_model())
+    message = str(refused.value)
+    assert "protocol version 2" in message
+    assert f"supported {wire.PROTOCOL_VERSION}" in message
+    assert os.path.abspath(state_dir) in message

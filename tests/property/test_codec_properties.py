@@ -1,4 +1,5 @@
-"""Property-based round-trip tests for the wire codec."""
+"""Property-based round-trip tests for the message codec, carried as
+HTTP bodies by :mod:`repro.serve.wire`."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,11 +9,8 @@ from repro.core import (
     CheckinMessage,
     CheckoutRequest,
     CheckoutResponse,
-    decode_from_json,
-    decode_message,
-    encode_message,
-    encode_to_json,
 )
+from repro.serve import wire
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False,
                           min_value=-1e12, max_value=1e12)
@@ -27,7 +25,7 @@ class TestCodecRoundTrips:
     @settings(max_examples=60)
     def test_checkout_request_roundtrip(self, device_id, token, time):
         message = CheckoutRequest(device_id, token, time)
-        decoded = decode_from_json(encode_to_json(message))
+        decoded = wire.decode_checkout_request(wire.encode_checkout_request(message))
         assert decoded == message
 
     @given(
@@ -40,7 +38,7 @@ class TestCodecRoundTrips:
         message = CheckoutResponse(
             device_id, np.asarray(params), iteration, issued_time=0.0
         )
-        decoded = decode_message(encode_message(message))
+        decoded = wire.decode_checkout_response(wire.encode_checkout_response(message))
         assert np.array_equal(decoded.parameters, message.parameters)
         assert decoded.server_iteration == iteration
 
@@ -63,7 +61,7 @@ class TestCodecRoundTrips:
             noisy_label_counts=np.asarray(label_counts, dtype=np.int64),
             checkout_iteration=checkout_iteration,
         )
-        decoded = decode_from_json(encode_to_json(message))
+        [decoded] = wire.decode_checkin_batch(wire.encode_checkin_batch([message]))
         assert np.array_equal(decoded.gradient, message.gradient)
         assert np.array_equal(decoded.noisy_label_counts, message.noisy_label_counts)
         assert decoded.noisy_error_count == error_count

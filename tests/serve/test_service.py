@@ -205,13 +205,13 @@ class TestRobustness:
         b"garbage",
         b"\x00\x01\x02\xff\xfe",
         b"{",
-        b'{"protocol": 2}',
+        b'{"protocol": %d}' % wire.PROTOCOL_VERSION,
         b'[]',
-        b'{"protocol": 2, "kind": "checkout_request", "body": {}}',
-        b'{"protocol": 2, "kind": "checkin_batch", "body": {"messages": [{}]}}',
-        json.dumps({"protocol": 2, "kind": "checkin_batch", "body": {
+        b'{"protocol": %d, "kind": "checkout_request", "body": {}}' % wire.PROTOCOL_VERSION,
+        b'{"protocol": %d, "kind": "checkin_batch", "body": {"messages": [{}]}}' % wire.PROTOCOL_VERSION,
+        json.dumps({"protocol": wire.PROTOCOL_VERSION, "kind": "checkin_batch", "body": {
             "messages": [{"type": "checkin", "device_id": "x"}]}}).encode(),
-        json.dumps({"protocol": 2, "kind": "checkout_request", "body": {
+        json.dumps({"protocol": wire.PROTOCOL_VERSION, "kind": "checkout_request", "body": {
             "type": "checkout_request", "device_id": 0, "token": "t",
             "request_time": "soon"}}).encode(),
         "∞ unicode ≠ ascii".encode("utf-8"),

@@ -16,6 +16,15 @@ from repro.core.stopping import StopDecision, StopReason
 from repro.serve import wire
 
 
+V = wire.PROTOCOL_VERSION
+
+
+def head_and_tail(raw):
+    """A body's JSON head (parsed) and its hex tail."""
+    head, _, tail = raw.partition("\n")
+    return json.loads(head), tail
+
+
 def make_checkin(device_id=3, dim=4):
     return CheckinMessage(
         device_id=device_id,
@@ -45,10 +54,11 @@ class TestEnvelope:
             "not json",
             "[1,2,3]",
             '"a string"',
-            '{"protocol": 2, "body": {}}',            # no kind
-            '{"protocol": 2, "kind": "x"}',           # no body
-            '{"protocol": 2, "kind": 7, "body": {}}',  # non-string kind
-            '{"protocol": 2, "kind": "x", "body": []}',  # non-object body
+            f'{{"protocol": {V}, "body": {{}}}}',             # no kind
+            f'{{"protocol": {V}, "kind": "x"}}',              # no body
+            f'{{"protocol": {V}, "kind": 7, "body": {{}}}}',   # non-string kind
+            f'{{"protocol": {V}, "kind": "x", "body": []}}',  # non-object body
+            f'{{"protocol": {V},\n"kind": "x", "body": {{}}}}',  # head split
             b"\xff\xfe garbage bytes",
         ],
     )
@@ -60,9 +70,9 @@ class TestEnvelope:
 
     @pytest.mark.parametrize(
         "version",
-        # 2.0 satisfies == 2 but is not a valid stamp: the check is
+        # 3.0 satisfies == 3 but is not a valid stamp: the check is
         # strict on type, not just value.
-        [0, 1, -1, "2", None, 1.5, 2.0, True],
+        [0, 1, -1, "2", None, 1.5, 2.0, True, str(V), float(V)],
     )
     def test_version_mismatch(self, version):
         raw = json.dumps({"protocol": version, "kind": "status", "body": {}})
@@ -109,7 +119,7 @@ class TestMessageEnvelopes:
         # A well-formed envelope whose body is a different codec message.
         raw = wire.encode_checkout_response(
             CheckoutResponse(0, np.zeros(2), 0, 0.0))
-        payload = json.loads(raw)
+        payload, _ = head_and_tail(raw)
         payload["kind"] = "checkout_request"
         with pytest.raises(wire.WireError) as excinfo:
             wire.decode_checkout_request(json.dumps(payload))
@@ -147,12 +157,11 @@ class TestMessageEnvelopes:
         assert excinfo.value.code == wire.ErrorCode.MALFORMED
 
     def test_checkin_batch_size_cap(self):
-        entry = json.loads(wire.encode_checkin_batch([make_checkin()]))
-        entry["body"]["messages"] = (
-            entry["body"]["messages"] * (wire.MAX_BATCH_MESSAGES + 1)
-        )
+        entry, tail = head_and_tail(wire.encode_checkin_batch([make_checkin()]))
+        copies = wire.MAX_BATCH_MESSAGES + 1
+        entry["body"]["messages"] = entry["body"]["messages"] * copies
         with pytest.raises(wire.WireError, match="limit"):
-            wire.decode_checkin_batch(json.dumps(entry))
+            wire.decode_checkin_batch(json.dumps(entry) + "\n" + tail * copies)
 
     def test_checkin_result_round_trip_with_rejections(self):
         acks = [CheckinAck(0, 5), None, CheckinAck(2, 6)]
@@ -170,6 +179,49 @@ class TestMessageEnvelopes:
         with pytest.raises(wire.WireError) as excinfo:
             wire.decode_checkin_result(json.dumps(raw))
         assert excinfo.value.code == wire.ErrorCode.MALFORMED
+
+
+class TestBodyLayout:
+    def test_vectors_leave_the_head_for_a_lowercase_hex_tail(self):
+        messages = [make_checkin(device_id=1, dim=3), make_checkin(device_id=2, dim=2)]
+        head, tail = head_and_tail(wire.encode_checkin_batch(messages))
+        assert head["protocol"] == V
+        assert [entry["gradient"] for entry in head["body"]["messages"]] == [3, 2]
+        assert tail == "".join(m.gradient.astype("<f8").tobytes().hex() for m in messages)
+        assert tail == tail.lower()
+
+    def test_bodies_without_vectors_are_the_head_alone(self):
+        for raw in (
+            wire.encode_join_request(4),
+            wire.encode_checkout_request(CheckoutRequest(4, "t", 0.5)),
+            wire.encode_checkin_result([CheckinAck(4, 1)], 1, StopDecision.running()),
+            wire.encode_error(wire.ErrorCode.STOPPED, "over"),
+        ):
+            assert "\n" not in raw
+            json.loads(raw)
+
+    def test_a_tail_on_a_vectorless_kind_is_malformed(self):
+        with pytest.raises(wire.WireError) as excinfo:
+            wire.decode_join_request(wire.encode_join_request(4) + "\n00")
+        assert excinfo.value.code == wire.ErrorCode.MALFORMED
+
+    def test_a_protocol_2_body_is_a_version_mismatch(self):
+        raw = json.dumps({"protocol": 2, "kind": "checkout_response", "body": {
+            "type": "checkout_response", "device_id": 0,
+            "parameters": "AAAAAAAA8D8=", "server_iteration": 0, "issued_time": 0.0,
+        }})
+        with pytest.raises(wire.WireError) as excinfo:
+            wire.decode_checkout_response(raw)
+        assert excinfo.value.code == wire.ErrorCode.VERSION_MISMATCH
+
+    def test_router_helpers_slice_the_tail_per_entry(self):
+        messages = [make_checkin(device_id=d, dim=d + 1) for d in range(3)]
+        raw = wire.encode_checkin_batch(messages)
+        entries, tails = wire.checkin_batch_entries(raw.encode())
+        assert [len(t) for t in tails] == [16, 32, 48]
+        assert wire.encode_checkin_entries(entries, tails) == raw
+        assert wire.encode_checkin_entries(entries[1:], tails[1:]) == (
+            wire.encode_checkin_batch(messages[1:]))
 
 
 class TestStatusAndErrors:
@@ -193,6 +245,20 @@ class TestStatusAndErrors:
             num_parameters=parameters.shape[0], parameters=parameters,
         )
         assert np.array_equal(wire.decode_status(raw).parameters, parameters)
+
+    def test_status_parameters_ride_the_tail_bit_exact(self):
+        # NaN payloads and signed zeros too: no JSON float list left.
+        parameters = np.array([-0.0, 0.0, np.nan, -np.inf, 5e-324])
+        parameters[2:3].view(np.uint64)[0] |= 0xBEEF  # a NaN payload
+        raw = wire.encode_status(
+            iteration=0, stop=StopDecision.running(), checkouts_served=0,
+            rejected_messages=0, registered_devices=0,
+            num_parameters=5, parameters=parameters,
+        )
+        head, tail = head_and_tail(raw)
+        assert head["body"]["parameters"] == 5 and len(tail) == 80
+        decoded = wire.decode_status(raw).parameters
+        assert decoded.tobytes() == parameters.tobytes()
 
     def test_error_round_trip(self):
         raw = wire.encode_error(wire.ErrorCode.STOPPED, "task over")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.auth import DeviceRegistry
+from repro.core.protocol import CheckinAck
 from repro.core.stopping import StopDecision
 from repro.serve import wire
 from repro.serve.client import RemoteServiceError, ServiceClient
@@ -91,6 +92,50 @@ class TestMixedBatch:
             tier.cores[0].iteration + tier.cores[1].iteration
         ) == 4
         assert result.stopped is False
+
+    def test_split_slices_the_tail_and_decodes_no_vector(
+        self, tier, traffic_rng, monkeypatch
+    ):
+        """A mixed batch reaches each shard as the sub-batch its own
+        messages encode to, cut from the request's tail undecoded; a
+        single-shard batch reaches its shard as the request's bytes."""
+        forwarded = []
+
+        def fake_worker(shard, method, path, body):
+            forwarded.append((shard, body))
+            entries, _ = wire.checkin_batch_entries(body)
+            acks = [CheckinAck(entry["device_id"], 1) for entry in entries]
+            return wire.encode_checkin_result(
+                acks, 1, StopDecision.running(), epoch=tier.epochs[shard]
+            ).encode()
+
+        def no_vectors(*_):
+            raise AssertionError("the front end decoded a vector")
+
+        monkeypatch.setattr(tier.frontend, "_forward", fake_worker)
+        monkeypatch.setattr(wire, "_vectors", no_vectors)
+        client = fast_client(tier.frontend.url)
+        devices = owned_devices(tier.router, 0)[:2] + owned_devices(tier.router, 1)[:1]
+        devices = [devices[0], devices[2], devices[1]]  # interleave
+        messages = [
+            make_message(tier.cores[0], d, "tok", traffic_rng, seq=0) for d in devices
+        ]
+        result = client.checkins(messages)
+        assert [ack.device_id for ack in result.acks] == devices
+        monkeypatch.undo()
+        assert [shard for shard, _ in forwarded] == [0, 1]
+        for shard, body in forwarded:
+            mine = [m for m in messages if tier.router.shard_of(m.device_id) == shard]
+            assert body == wire.encode_checkin_batch(mine).encode("utf-8")
+            for original, copy in zip(mine, wire.decode_checkin_batch(body)):
+                assert copy.gradient.tobytes() == original.gradient.tobytes()
+                assert copy.device_id == original.device_id
+        forwarded.clear()
+        monkeypatch.setattr(tier.frontend, "_forward", fake_worker)
+        single = [m for m in messages if tier.router.shard_of(m.device_id) == 0]
+        client.checkins(single)
+        assert forwarded == [(0, wire.encode_checkin_batch(single).encode("utf-8"))]
+        client.close()
 
     def test_stopped_shard_refuses_only_its_half(self, traffic_rng):
         # Shard 0 stops after one update; shard 1 keeps running.
