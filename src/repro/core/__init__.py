@@ -16,8 +16,6 @@ __getattr__, __dir__, __all__ = lazy_namespace(__name__, {
     "CheckinAck": "protocol",
     "FixedBatch": "adaptive",
     "StalenessAdaptiveBatch": "adaptive",
-    "decode_message": "codec",
-    "encode_message": "codec",
     "CheckinMessage": "protocol",
     "CheckinResult": "device",
     "CheckinSanitizer": "sanitizer",

@@ -47,7 +47,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.protocol import CheckinAck, CheckinMessage
-from repro.obs.metrics import NULL_REGISTRY, default_size_buckets
 from repro.utils.exceptions import ConfigurationError
 
 #: ``upstream`` contract: list of messages in, per-message acks out
@@ -127,7 +126,6 @@ class GatewayAggregator:
         flush_deadline: Optional[float] = None,
         capacity: Optional[int] = None,
         clock: Optional[Callable[[], float]] = None,
-        metrics=None,
     ):
         if flush_size < 1:
             raise ConfigurationError(f"flush_size must be >= 1, got {flush_size}")
@@ -149,16 +147,6 @@ class GatewayAggregator:
         self._deadline_at: Optional[float] = None
         self._suspended = False
         self.stats = AggregatorStats()
-        # Per-flush instrumentation only — add() stays uninstrumented
-        # because the simulator drives it per check-in.
-        registry = metrics if metrics is not None else NULL_REGISTRY
-        self._m_flushes = registry.counter("gateway_flushes_total")
-        self._m_flush_size = registry.histogram(
-            "gateway_flush_size", buckets=default_size_buckets()
-        )
-        self._m_custody_requeues = registry.counter(
-            "gateway_custody_requeues_total"
-        )
 
     # -- state views ---------------------------------------------------- #
 
@@ -254,13 +242,10 @@ class GatewayAggregator:
             if self._buffer and self._flush_deadline is not None:
                 self._deadline_at = self._clock() + self._flush_deadline
             self.stats.custody_requeues += 1
-            self._m_custody_requeues.inc()
             raise
         self.stats.flushes += 1
         self.stats.messages_flushed += len(batch)
         self.stats.largest_flush = max(self.stats.largest_flush, len(batch))
-        self._m_flushes.inc()
-        self._m_flush_size.observe(len(batch))
         if acks is None:
             return None
         acks = list(acks)

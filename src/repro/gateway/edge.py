@@ -7,8 +7,8 @@ simulator's gateway node: it fronts a crowd segment of
 requests:
 
 * **uplink** — device check-ins pool in a
-  :class:`~repro.gateway.aggregator.GatewayAggregator` (wall-clock
-  deadline) and leave as single batched ``POST /v1/checkins`` requests;
+  :class:`~repro.gateway.aggregator.GatewayAggregator` and leave as
+  single batched ``POST /v1/checkins`` requests;
 * **downlink** — with ``share_checkouts=True`` (default) the gateway
   checks out *once* per flush epoch under its own enrollment and hands
   every device the same cached parameters until the next flush advances
@@ -50,11 +50,9 @@ class EdgeGateway:
     client_or_url:
         The target service — a :class:`~repro.serve.client.ServiceClient`
         or a base URL string.
-    flush_size / flush_deadline / capacity:
-        Aggregator knobs (see
-        :class:`~repro.gateway.aggregator.GatewayAggregator`); the
-        deadline is wall-clock seconds here — hosts without their own
-        tick should call :meth:`flush_if_due` periodically.
+    flush_size:
+        Flush upstream as soon as this many check-ins are pooled (see
+        :class:`~repro.gateway.aggregator.GatewayAggregator`).
     share_checkouts:
         Serve every device's checkout from one cached upstream checkout
         per flush epoch (made under the gateway's own enrollment).
@@ -77,11 +75,8 @@ class EdgeGateway:
         client_or_url,
         *,
         flush_size: int = 32,
-        flush_deadline: Optional[float] = None,
-        capacity: Optional[int] = None,
         share_checkouts: bool = True,
         device_id: int = GATEWAY_DEVICE_ID,
-        metrics=None,
     ):
         if isinstance(client_or_url, ServiceClient):
             self._client = client_or_url
@@ -95,13 +90,7 @@ class EdgeGateway:
         self._last_result: Optional[wire.CheckinBatchResult] = None
         #: HTTP requests this gateway has made upstream (checkouts + batches).
         self.requests_made = 0
-        self.aggregator = GatewayAggregator(
-            self._post_batch,
-            flush_size=flush_size,
-            flush_deadline=flush_deadline,
-            capacity=capacity,
-            metrics=metrics,
-        )
+        self.aggregator = GatewayAggregator(self._post_batch, flush_size=flush_size)
 
     # -- state views ----------------------------------------------------- #
 
@@ -200,10 +189,6 @@ class EdgeGateway:
     def flush(self) -> Optional[List[Optional[CheckinAck]]]:
         """Force-flush the buffer upstream now."""
         return self.aggregator.flush()
-
-    def flush_if_due(self) -> Optional[List[Optional[CheckinAck]]]:
-        """Flush iff the wall-clock deadline has passed."""
-        return self.aggregator.flush_if_due()
 
     def _post_batch(self, messages: List[CheckinMessage]):
         """Aggregator upstream: ``POST /v1/checkins`` for the batch.

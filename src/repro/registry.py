@@ -219,11 +219,10 @@ def _block(num_devices: int, num_gateways: int):
 
 
 def _hash(num_devices: int, num_gateways: int):
-    # Knuth multiplicative hashing: deterministic, scrambles locality.
-    return [
-        ((m * 2654435761) & 0xFFFFFFFF) % num_gateways
-        for m in range(num_devices)
-    ]
+    # The shard router's scramble: deterministic, breaks up locality.
+    from repro.core.sharding import stable_device_hash
+
+    return [stable_device_hash(m) % num_gateways for m in range(num_devices)]
 
 
 #: Classifier/predictor families (``h(x; w)`` of Section III-A).

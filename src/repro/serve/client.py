@@ -50,7 +50,6 @@ from typing import Any, BinaryIO, Dict, Optional, Sequence, Tuple
 from urllib.parse import urlparse
 
 from repro.core.protocol import CheckinMessage, CheckoutRequest, CheckoutResponse
-from repro.obs.metrics import NULL_REGISTRY
 from repro.serve import http1, wire
 from repro.utils.exceptions import AuthenticationError, ProtocolError
 
@@ -84,6 +83,14 @@ class RemoteServiceError(ProtocolError):
         self.code = code
         self.http_status = http_status
 
+    @property
+    def transient(self) -> bool:
+        """Worth another attempt: no answer arrived, or a 5xx did.  Typed
+        4xx answers are final."""
+        return self.code == wire.ErrorCode.UNREACHABLE or (
+            self.http_status is not None and self.http_status >= 500
+        )
+
 
 class RemoteAuthenticationError(RemoteServiceError, AuthenticationError):
     """The remote service refused the device's credentials."""
@@ -102,13 +109,6 @@ def _raise_for_error(payload: bytes, http_status: int) -> None:
     if error.code == wire.ErrorCode.AUTH_FAILED:
         raise RemoteAuthenticationError(error.code, str(error), http_status)
     raise RemoteServiceError(error.code, str(error), http_status)
-
-
-def _retryable(error: RemoteServiceError) -> bool:
-    """Transient: worth another attempt.  Typed 4xx answers are final."""
-    if error.code == wire.ErrorCode.UNREACHABLE:
-        return True
-    return error.http_status is not None and error.http_status >= 500
 
 
 class ServiceClient:
@@ -145,7 +145,6 @@ class ServiceClient:
         backoff: float = 0.05,
         backoff_max: float = 2.0,
         retry_rng=None,
-        metrics=None,
     ):
         self._base_url = str(base_url).rstrip("/")
         parsed = urlparse(self._base_url)
@@ -174,11 +173,6 @@ class ServiceClient:
         self.connections_opened = 0
         self.reconnects = 0
         self.retries_used = 0
-        registry = metrics if metrics is not None else NULL_REGISTRY
-        self._m_requests = registry.counter("client_requests_total")
-        self._m_connections = registry.counter("client_connections_opened_total")
-        self._m_reconnects = registry.counter("client_reconnects_total")
-        self._m_retries = registry.counter("client_retries_total")
 
     @property
     def reuse_ratio(self) -> float:
@@ -195,7 +189,6 @@ class ServiceClient:
         if conn is None:
             with self._counter_lock:
                 self.connections_opened += 1
-            self._m_connections.inc()
             sock = socket.create_connection((self._host, self._port), self._timeout)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn = self._local.conn = (sock, sock.makefile("rb"))
@@ -224,7 +217,6 @@ class ServiceClient:
             self.close()
         with self._counter_lock:
             self.requests_sent += 1
-        self._m_requests.inc()
         return status, data
 
     def _call_once(self, method: str, path: str, body: Optional[bytes]) -> bytes:
@@ -243,7 +235,6 @@ class ServiceClient:
                 self.close()
                 with self._counter_lock:
                     self.reconnects += 1
-                self._m_reconnects.inc()
                 status, data = self._roundtrip(method, path, body)
         except _TRANSPORT_ERRORS as error:
             self.close()
@@ -268,11 +259,10 @@ class ServiceClient:
             try:
                 return self._call_once(method, path, body)
             except RemoteServiceError as error:
-                if attempt >= self._retries or not _retryable(error):
+                if attempt >= self._retries or not error.transient:
                     raise
             with self._counter_lock:
                 self.retries_used += 1
-            self._m_retries.inc()
             time.sleep(delay * (1.0 + _JITTER * self._rng.random()))
             delay = min(delay * 2.0, self._backoff_max)
         raise AssertionError("unreachable")  # pragma: no cover

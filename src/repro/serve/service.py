@@ -127,10 +127,8 @@ class CrowdService(HttpHost):
             "service_last_lock_wait_seconds"
         )
         self._lock = threading.Lock()
-        # Checkout responses are dominated by the encoded parameter
-        # vector, which only changes when an update advances the server
-        # iteration: cache the encoded fragment keyed by iteration and
-        # splice the per-request fields around it.
+        # (server iteration, hex tail of its parameters): the bulk of
+        # every check-out response, encoded once per iteration.
         self._encoded_parameters: Optional[tuple] = None
 
     @property
@@ -191,26 +189,19 @@ class CrowdService(HttpHost):
                 )
             response = self._core.handle_checkout(checkout)
             # Parameters only change when an update advances the
-            # iteration, so the iteration key makes the cached fragment
+            # iteration, so the iteration key makes the cached tail
             # exactly as fresh as the response it came from.  Encoding
             # happens at most once per iteration (under the lock, so
             # concurrent checkouts of the same iteration share one
-            # encode); the splice below is byte-identical to
-            # encode_checkout_response (pinned by test).
+            # encode).
             cached = self._encoded_parameters
             if cached is None or cached[0] != response.server_iteration:
-                cached = (
-                    response.server_iteration,
-                    wire.encode_parameters_fragment(response.parameters),
-                )
+                cached = (response.server_iteration, wire.hex_tail(response.parameters))
                 self._encoded_parameters = cached
         finally:
             self._lock.release()
         with trace.phase("encode"):
-            payload = wire.encode_checkout_response_cached(
-                response.device_id, cached[1], response.server_iteration,
-                response.issued_time,
-            )
+            payload = wire.encode_checkout_response(response, cached[1])
         return 200, payload
 
     def _handle_checkins(self, request: Request):

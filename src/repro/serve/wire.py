@@ -14,13 +14,14 @@ digits per element.  No float passes through the JSON scanner.
 The ``protocol`` stamp (:data:`PROTOCOL_VERSION`) lets either side reject
 a peer speaking a different schema *before* interpreting the body; the
 ``kind`` tag names the payload so a single endpoint can dispatch and a
-mis-routed request fails loudly.  Protocol messages inside bodies reuse
-the :mod:`repro.core.codec` payload format — the serve layer adds only
-the envelope, the batch shapes, the tail and typed errors; gradients and
-parameters have this one encoding.
+mis-routed request fails loudly.  A Fig. 2 message (check-out request
+and response, check-in, ack) also carries its own ``type`` tag.
 
 Request/response kinds
 ----------------------
+
+Keys are written in the order listed; ``?`` marks a key written only
+when set, ``#`` a vector field (its element count).
 
 =====================  =============================================
 kind                   body
@@ -28,14 +29,32 @@ kind                   body
 ``join_request``       ``{"device_id": int}``
 ``join_response``      ``{"device_id": int, "token": str,
                        "last_checkin_seq": int?}``
-``checkout_request``   codec ``checkout_request`` payload
-``checkout_response``  codec ``checkout_response`` payload + tail
-``checkin_batch``      ``{"messages": [codec checkin payload, ...]}``
-                       + tail (the gradients, in message order)
-``checkin_result``     ``{"acks": [codec ack | null, ...],
+``checkout_request``   ``{"type": "checkout_request", "device_id": int,
+                       "token": str, "request_time": float}``
+``checkout_response``  ``{"type": "checkout_response", "device_id": int,
+                       "parameters": #, "server_iteration": int,
+                       "issued_time": float}`` + tail
+``checkin_batch``      ``{"messages": [checkin, ...]}`` + tail (the
+                       gradients, in message order); a checkin is
+                       ``{"type": "checkin", "device_id": int,
+                       "token": str, "gradient": #, "num_samples": int,
+                       "noisy_error_count": int, "noisy_label_counts":
+                       [int, ...], "checkout_iteration": int,
+                       "checkin_seq": int?}``
+``checkin_result``     ``{"acks": [ack | null, ...],
                        "server_iteration": int, "stopped": bool,
-                       "stop_reason": str}``
-``status``             server counters + optional parameters (+ tail)
+                       "stop_reason": str, "epoch": int?}``; an ack is
+                       ``{"type": "checkin_ack", "device_id": int,
+                       "server_iteration": int, "checkin_seq": int?,
+                       "duplicate": true?}``
+``status``             ``{"protocol_version": int, "iteration": int,
+                       "stopped": bool, "stop_reason": str,
+                       "checkouts_served": int, "rejected_messages":
+                       int, "registered_devices": int,
+                       "num_parameters": int, "duplicates_suppressed":
+                       int, "parameters": #?, "epoch": int?,
+                       "shards": [object, ...]?, "uptime_seconds":
+                       float?, "pid": int?}`` (+ tail)
 ``error``              ``{"code": str, "message": str}``
 =====================  =============================================
 
@@ -64,7 +83,7 @@ Fidelity notes
   sequential training run over this wire format therefore matches an
   in-process run float for float.
 * :attr:`~repro.core.protocol.CheckinMessage.releases` (device-side
-  privacy accounting records) do **not** travel — the codec omits them
+  privacy accounting records) do **not** travel — no body carries them,
   by design, mirroring the paper's deployment where the server only
   sees the sanitized statistics.  A server-side accountant attached to
   a remotely hosted core will therefore record no spend.
@@ -79,7 +98,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.codec import decode_message, encode_message
 from repro.core.protocol import (
     CheckinAck,
     CheckinMessage,
@@ -220,7 +238,8 @@ def encode_envelope(
     return head if tails is None else "".join([head, "\n", *tails])
 
 
-def _hex(vector: np.ndarray) -> str:
+def hex_tail(vector: np.ndarray) -> str:
+    """One vector's part of a tail: the hex of its little-endian float64s."""
     return np.ascontiguousarray(vector, dtype="<f8").tobytes().hex()
 
 
@@ -320,20 +339,20 @@ def _head_only(raw: Union[str, bytes], kind: str) -> Dict[str, Any]:
     return body
 
 
-def _decode_body_message(body: Dict[str, Any], expected_type: type, vector=None):
-    """Decode a codec payload inside a body, normalizing failures."""
-    try:
-        message = decode_message(body, vector)
-    except WireError:
-        raise
-    except ProtocolError as error:
-        raise WireError(ErrorCode.MALFORMED, str(error))
-    if not isinstance(message, expected_type):
-        raise WireError(
-            ErrorCode.MALFORMED,
-            f"expected a {expected_type.__name__} payload, got {type(message).__name__}",
-        )
-    return message
+#: What reading a field of a parsed head can raise, a message
+#: constructor's refusal (``ProtocolError``) included: each decoder turns
+#: all of them into one ``MALFORMED``.
+_FIELD_ERRORS = (KeyError, TypeError, ValueError, OverflowError, ProtocolError)
+
+
+def _malformed(kind: str, error: Exception) -> WireError:
+    return WireError(ErrorCode.MALFORMED, f"malformed {kind}: {error}")
+
+
+def _typed(payload: Dict[str, Any], tag: str) -> None:
+    """Refuse a message payload whose ``type`` tag is not ``tag``."""
+    if payload.get("type") != tag:
+        raise ValueError(f"expected a {tag!r} payload, got type {payload.get('type')!r}")
 
 
 def device_id_of(body: Dict[str, Any], kind: str = "checkin") -> int:
@@ -341,8 +360,8 @@ def device_id_of(body: Dict[str, Any], kind: str = "checkin") -> int:
     ``checkin_batch`` entry) carries, read without decoding the rest."""
     try:
         return int(body["device_id"])
-    except (KeyError, TypeError, ValueError) as error:
-        raise WireError(ErrorCode.MALFORMED, f"malformed {kind}: {error}")
+    except _FIELD_ERRORS as error:
+        raise _malformed(kind, error)
 
 
 def answer_epoch(raw: Union[str, bytes]) -> int:
@@ -395,8 +414,8 @@ def decode_join_response(raw: Union[str, bytes]) -> Tuple[int, str, int]:
             str(body["token"]),
             int(body.get("last_checkin_seq", -1)),
         )
-    except (KeyError, TypeError, ValueError) as error:
-        raise WireError(ErrorCode.MALFORMED, f"malformed join_response: {error}")
+    except _FIELD_ERRORS as error:
+        raise _malformed("join_response", error)
 
 
 # --------------------------------------------------------------------- #
@@ -405,53 +424,53 @@ def decode_join_response(raw: Union[str, bytes]) -> Tuple[int, str, int]:
 
 
 def encode_checkout_request(request: CheckoutRequest) -> str:
-    return encode_envelope("checkout_request", encode_message(request))
+    return encode_envelope("checkout_request", {
+        "type": "checkout_request",
+        "device_id": request.device_id,
+        "token": request.token,
+        "request_time": request.request_time,
+    })
 
 
 def decode_checkout_request(raw: Union[str, bytes]) -> CheckoutRequest:
-    return _decode_body_message(_head_only(raw, "checkout_request"), CheckoutRequest)
+    body = _head_only(raw, "checkout_request")
+    try:
+        _typed(body, "checkout_request")
+        return CheckoutRequest(
+            int(body["device_id"]), str(body["token"]), float(body["request_time"])
+        )
+    except _FIELD_ERRORS as error:
+        raise _malformed("checkout_request", error)
 
 
-def encode_checkout_response(response: CheckoutResponse) -> str:
-    return encode_envelope(
-        "checkout_response", encode_message(response), [_hex(response.parameters)]
-    )
-
-
-def encode_parameters_fragment(parameters: np.ndarray) -> str:
-    """A ``checkout_response``'s tail, the bulk of its bytes: the service
-    caches it per server iteration for
-    :func:`encode_checkout_response_cached`."""
-    return _hex(parameters)
-
-
-def encode_checkout_response_cached(
-    device_id: int, parameters_fragment: str, server_iteration: int,
-    issued_time: float,
+def encode_checkout_response(
+    response: CheckoutResponse, tail: Optional[str] = None
 ) -> str:
-    """Byte-identical to :func:`encode_checkout_response`, without
-    re-encoding the parameter vector.
-
-    ``parameters_fragment`` must come from
-    :func:`encode_parameters_fragment` for the same parameters the
-    response would carry; the per-request fields (``device_id``,
-    ``issued_time``) are spliced around it.  The equality with the
-    reference encoder is pinned by a test — any change to the envelope
-    or body layout must keep the two in lockstep.
-    """
+    """``tail`` is :func:`hex_tail` of ``response.parameters`` when the
+    caller already has it: the service keeps one per server iteration,
+    so a check-out costs a short head, not a re-encoded vector."""
+    if tail is None:
+        tail = hex_tail(response.parameters)
     return (
         f'{{"protocol":{PROTOCOL_VERSION},"kind":"checkout_response",'
-        f'"body":{{"type":"checkout_response","device_id":{int(device_id)},'
-        f'"parameters":{len(parameters_fragment) // 16},'
-        f'"server_iteration":{int(server_iteration)},'
-        f'"issued_time":{json.dumps(float(issued_time))}}}}}\n{parameters_fragment}'
+        f'"body":{{"type":"checkout_response","device_id":{int(response.device_id)},'
+        f'"parameters":{len(tail) // 16},'
+        f'"server_iteration":{int(response.server_iteration)},'
+        f'"issued_time":{json.dumps(float(response.issued_time))}}}}}\n{tail}'
     )
 
 
 def decode_checkout_response(raw: Union[str, bytes]) -> CheckoutResponse:
     _, body, tail = _parse(raw, "checkout_response")
     [parameters] = _vectors(tail, [_count(body, "parameters")])
-    return _decode_body_message(body, CheckoutResponse, parameters)
+    try:
+        _typed(body, "checkout_response")
+        return CheckoutResponse(
+            int(body["device_id"]), parameters, int(body["server_iteration"]),
+            float(body["issued_time"]),
+        )
+    except _FIELD_ERRORS as error:
+        raise _malformed("checkout_response", error)
 
 
 # --------------------------------------------------------------------- #
@@ -459,9 +478,40 @@ def decode_checkout_response(raw: Union[str, bytes]) -> CheckoutResponse:
 # --------------------------------------------------------------------- #
 
 
+def _checkin_entry(message: CheckinMessage) -> Dict[str, Any]:
+    entry = {
+        "type": "checkin",
+        "device_id": message.device_id,
+        "token": message.token,
+        "gradient": message.gradient.size,
+        "num_samples": message.num_samples,
+        "noisy_error_count": message.noisy_error_count,
+        "noisy_label_counts": message.noisy_label_counts.tolist(),
+        "checkout_iteration": message.checkout_iteration,
+    }
+    # Untracked messages (the default) keep the pre-seq byte layout.
+    if message.checkin_seq >= 0:
+        entry["checkin_seq"] = message.checkin_seq
+    return entry
+
+
+def _checkin(entry: Dict[str, Any], gradient: np.ndarray) -> CheckinMessage:
+    _typed(entry, "checkin")
+    return CheckinMessage(
+        device_id=int(entry["device_id"]),
+        token=str(entry["token"]),
+        gradient=gradient,
+        num_samples=int(entry["num_samples"]),
+        noisy_error_count=int(entry["noisy_error_count"]),
+        noisy_label_counts=np.asarray(entry["noisy_label_counts"], dtype=np.int64),
+        checkout_iteration=int(entry["checkout_iteration"]),
+        checkin_seq=int(entry.get("checkin_seq", -1)),
+    )
+
+
 def encode_checkin_batch(messages: Sequence[CheckinMessage]) -> str:
     return encode_checkin_entries(
-        [encode_message(m) for m in messages], [_hex(m.gradient) for m in messages]
+        [_checkin_entry(m) for m in messages], [hex_tail(m.gradient) for m in messages]
     )
 
 
@@ -506,10 +556,40 @@ def _checkin_batch(raw: Union[str, bytes]) -> Tuple[List[Dict[str, Any]], List[i
 
 def decode_checkin_batch(raw: Union[str, bytes]) -> List[CheckinMessage]:
     entries, counts, tail = _checkin_batch(raw)
-    return [
-        _decode_body_message(entry, CheckinMessage, gradient)
-        for entry, gradient in zip(entries, _vectors(tail, counts))
-    ]
+    gradients = _vectors(tail, counts)
+    try:
+        return [_checkin(entry, gradient) for entry, gradient in zip(entries, gradients)]
+    except _FIELD_ERRORS as error:
+        raise _malformed("checkin", error)
+
+
+def _ack_entry(ack: Optional[CheckinAck]) -> Optional[Dict[str, Any]]:
+    if ack is None:
+        return None
+    entry = {
+        "type": "checkin_ack",
+        "device_id": ack.device_id,
+        "server_iteration": ack.server_iteration,
+    }
+    if ack.checkin_seq >= 0:
+        entry["checkin_seq"] = ack.checkin_seq
+    if ack.duplicate:
+        entry["duplicate"] = True
+    return entry
+
+
+def _ack(entry: Any) -> Optional[CheckinAck]:
+    if entry is None:
+        return None
+    if not isinstance(entry, dict):
+        raise TypeError(f"ack entries must be objects or null, got {type(entry).__name__}")
+    _typed(entry, "checkin_ack")
+    return CheckinAck(
+        int(entry["device_id"]),
+        int(entry["server_iteration"]),
+        int(entry.get("checkin_seq", -1)),
+        bool(entry.get("duplicate", False)),
+    )
 
 
 def encode_checkin_result(
@@ -519,7 +599,7 @@ def encode_checkin_result(
     epoch: int = -1,
 ) -> str:
     body: Dict[str, Any] = {
-        "acks": [None if ack is None else encode_message(ack) for ack in acks],
+        "acks": [_ack_entry(ack) for ack in acks],
         "server_iteration": int(server_iteration),
         "stopped": bool(stop.stopped),
         "stop_reason": stop.reason.value,
@@ -534,30 +614,20 @@ def encode_checkin_result(
 def decode_checkin_result(raw: Union[str, bytes]) -> CheckinBatchResult:
     body = _head_only(raw, "checkin_result")
     try:
-        raw_acks = body["acks"]
-        server_iteration = int(body["server_iteration"])
-        stopped = bool(body["stopped"])
-        stop_reason = str(body["stop_reason"])
-        epoch = int(body.get("epoch", -1))
-        StopReason(stop_reason)  # must be a known reason
-    except (KeyError, TypeError, ValueError) as error:
-        raise WireError(ErrorCode.MALFORMED, f"malformed checkin_result: {error}")
-    if not isinstance(raw_acks, list):
-        raise WireError(ErrorCode.MALFORMED, "checkin_result needs an 'acks' list")
-    acks: List[Optional[CheckinAck]] = []
-    for entry in raw_acks:
-        if entry is None:
-            acks.append(None)
-        elif isinstance(entry, dict):
-            acks.append(_decode_body_message(entry, CheckinAck))
-        else:
-            raise WireError(
-                ErrorCode.MALFORMED,
-                f"ack entries must be objects or null, got {type(entry).__name__}",
-            )
-    return CheckinBatchResult(
-        tuple(acks), server_iteration, stopped, stop_reason, epoch
-    )
+        acks = body["acks"]
+        if not isinstance(acks, list):
+            raise TypeError("'acks' must be a list")
+        result = CheckinBatchResult(
+            tuple(_ack(entry) for entry in acks),
+            int(body["server_iteration"]),
+            bool(body["stopped"]),
+            str(body["stop_reason"]),
+            int(body.get("epoch", -1)),
+        )
+        StopReason(result.stop_reason)  # must be a known reason
+    except _FIELD_ERRORS as error:
+        raise _malformed("checkin_result", error)
+    return result
 
 
 # --------------------------------------------------------------------- #
@@ -590,7 +660,7 @@ def encode_status(
         "num_parameters": int(num_parameters),
         "duplicates_suppressed": int(duplicates_suppressed),
     }
-    tails = None if parameters is None else [_hex(parameters)]
+    tails = None if parameters is None else [hex_tail(parameters)]
     if tails is not None:
         body["parameters"] = len(tails[0]) // 16
     if epoch >= 0:
@@ -636,8 +706,8 @@ def decode_status(raw: Union[str, bytes]) -> ServiceStatus:
             pid=int(body["pid"]) if body.get("pid") is not None else None,
         )
         StopReason(status.stop_reason)
-    except (KeyError, TypeError, ValueError) as error:
-        raise WireError(ErrorCode.MALFORMED, f"malformed status: {error}")
+    except _FIELD_ERRORS as error:
+        raise _malformed("status", error)
     return status
 
 
@@ -655,5 +725,5 @@ def decode_error(raw: Union[str, bytes]) -> WireError:
     body = _head_only(raw, "error")
     try:
         return WireError(str(body["code"]), str(body["message"]))
-    except (KeyError, TypeError) as error:
-        raise WireError(ErrorCode.MALFORMED, f"malformed error envelope: {error}")
+    except _FIELD_ERRORS as error:
+        raise _malformed("error envelope", error)

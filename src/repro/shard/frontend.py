@@ -56,7 +56,6 @@ from repro.serve import wire
 from repro.serve.client import RemoteServiceError, ServiceClient
 from repro.serve.host import HttpHost, Request
 from repro.shard.routing import ShardRouter
-from repro.utils.exceptions import AuthenticationError
 
 #: Upstream retries (timeout and backoff are ``ServiceClient``'s own
 #: defaults): two fast ones ride out the instant of a worker restart
@@ -159,11 +158,7 @@ class ShardFrontEnd(HttpHost):
         try:
             return self._client_for(url).call_raw(method, path, body)
         except RemoteServiceError as error:
-            if error.code == wire.ErrorCode.AUTH_FAILED:
-                raise AuthenticationError(str(error))
-            if error.code == wire.ErrorCode.UNREACHABLE or (
-                error.http_status is not None and error.http_status >= 500
-            ):
+            if error.transient:
                 # The worker is mid-crash/restart: answer retryable, the
                 # supervisor will have repointed by the client's replay.
                 raise wire.WireError(

@@ -1,5 +1,8 @@
-"""Tests for the message codec (payload dicts) and its HTTP-body round
-trips through :mod:`repro.serve.wire`."""
+"""The four Fig. 2 messages as HTTP bodies (:mod:`repro.serve.wire`):
+each round-trips through its kind's one encoder and decoder, and every
+bad payload is one typed ``MALFORMED``."""
+
+import json
 
 import numpy as np
 import pytest
@@ -9,16 +12,45 @@ from repro.core import (
     CheckinMessage,
     CheckoutRequest,
     CheckoutResponse,
-    decode_message,
-    encode_message,
+    StopDecision,
 )
 from repro.serve import wire
-from repro.utils.exceptions import ProtocolError
+
+#: message type -> (its body's encoder, the decoder giving it back).
+CODERS = {
+    CheckoutRequest: (wire.encode_checkout_request, wire.decode_checkout_request),
+    CheckoutResponse: (wire.encode_checkout_response, wire.decode_checkout_response),
+    CheckinMessage: (
+        lambda m: wire.encode_checkin_batch([m]),
+        lambda raw: wire.decode_checkin_batch(raw)[0],
+    ),
+    CheckinAck: (
+        lambda a: wire.encode_checkin_result([a], 8, StopDecision.running()),
+        lambda raw: wire.decode_checkin_result(raw).acks[0],
+    ),
+}
 
 
-def vector_of(message):
-    """The float vector a message's payload writes as a count."""
-    return getattr(message, "gradient", getattr(message, "parameters", None))
+def head(raw):
+    """The JSON head line of a body, parsed."""
+    return json.loads(raw.partition("\n")[0])["body"]
+
+
+def message_head(message):
+    """The head object that carries ``message`` itself."""
+    body = head(CODERS[type(message)][0](message))
+    if isinstance(message, CheckinMessage):
+        return body["messages"][0]
+    if isinstance(message, CheckinAck):
+        return body["acks"][0]
+    return body
+
+
+def assert_malformed(decode, raw, match=None):
+    with pytest.raises(wire.WireError, match=match) as excinfo:
+        decode(raw)
+    assert excinfo.value.code == wire.ErrorCode.MALFORMED
+    assert excinfo.value.http_status == 400
 
 
 @pytest.fixture
@@ -41,15 +73,17 @@ def messages():
 class TestRoundTrip:
     def test_dict_round_trip(self, messages):
         for message in messages:
-            decoded = decode_message(encode_message(message), vector_of(message))
+            encode, decode = CODERS[type(message)]
+            decoded = decode(encode(message))
             assert type(decoded) is type(message)
             assert decoded.device_id == message.device_id
 
     def test_vector_fields_are_written_as_counts(self, messages):
-        assert encode_message(messages[1])["parameters"] == 3
-        assert encode_message(messages[2])["gradient"] == 3
-        with pytest.raises(ProtocolError):  # the count alone is no vector
-            decode_message(encode_message(messages[2]))
+        assert message_head(messages[1])["parameters"] == 3
+        assert message_head(messages[2])["gradient"] == 3
+        # The count alone is no vector: a head without its tail is refused.
+        head_line = wire.encode_checkin_batch([messages[2]]).partition("\n")[0]
+        assert_malformed(wire.decode_checkin_batch, head_line)
 
     def test_json_round_trip_preserves_arrays(self, messages):
         checkin = messages[2]
@@ -67,26 +101,35 @@ class TestRoundTrip:
         assert np.array_equal(decoded.parameters, response.parameters)
 
     def test_type_tags_distinct(self, messages):
-        tags = {encode_message(m)["type"] for m in messages}
+        tags = {message_head(m)["type"] for m in messages}
         assert len(tags) == 4
 
 
 class TestMalformedPayloads:
     def test_unknown_type(self):
-        with pytest.raises(ProtocolError, match="unknown message type"):
-            decode_message({"type": "bogus"})
+        raw = wire.encode_envelope("checkout_request", {
+            "type": "bogus", "device_id": 1, "token": "t", "request_time": 0.0,
+        })
+        assert_malformed(wire.decode_checkout_request, raw, match="bogus")
 
     def test_missing_field(self):
-        with pytest.raises(ProtocolError, match="malformed"):
-            decode_message({"type": "checkout_request", "device_id": 1})
+        raw = wire.encode_envelope(
+            "checkout_request", {"type": "checkout_request", "device_id": 1}
+        )
+        assert_malformed(wire.decode_checkout_request, raw, match="malformed")
 
     def test_non_dict_payload(self):
-        with pytest.raises(ProtocolError):
-            decode_message([1, 2, 3])
+        assert_malformed(
+            wire.decode_checkin_batch,
+            wire.encode_envelope("checkin_batch", {"messages": [[1, 2, 3]]}),
+        )
+        assert_malformed(wire.decode_checkin_result, wire.encode_envelope(
+            "checkin_result", {"acks": [[1, 2, 3]], "server_iteration": 0,
+                               "stopped": False, "stop_reason": "running"},
+        ))
 
     def test_invalid_json(self):
-        with pytest.raises(ProtocolError, match="invalid JSON"):
-            wire.decode_checkout_request("{not json")
+        assert_malformed(wire.decode_checkout_request, "{not json", match="invalid JSON")
 
     def test_bad_num_samples_caught_by_constructor(self):
         payload = {
@@ -94,13 +137,13 @@ class TestMalformedPayloads:
             "gradient": 1, "num_samples": 0, "noisy_error_count": 0,
             "noisy_label_counts": [0], "checkout_iteration": 0,
         }
-        with pytest.raises(ProtocolError):
-            decode_message(payload, np.zeros(1))
+        raw = wire.encode_envelope("checkin_batch", {"messages": [payload]}, ["0" * 16])
+        assert_malformed(wire.decode_checkin_batch, raw, match="num_samples")
 
 
 class TestServerInterop:
     def test_decoded_checkin_drives_server(self):
-        """A check-in that crossed the codec must be fully usable."""
+        """A check-in that crossed the wire must be fully usable."""
         from repro.core import ServerConfig, ServerCore
         from repro.models import MulticlassLogisticRegression
 

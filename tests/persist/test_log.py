@@ -34,7 +34,6 @@ from repro.persist import (
     restore_core,
     snapshot_core,
 )
-from repro.core.codec import encode_message
 from repro.persist.checkpoint import KIND_CHECKINS, RECORD_HEADER_BYTES, read_segment
 from repro.persist.snapshot import pack_float_array
 from repro.persist.faults import lose_log_tail, tear_log_tail
@@ -479,7 +478,8 @@ def test_a_log_of_older_protocol_bodies_is_refused_not_half_recovered(
     core.handle_checkin(first)
     store.append(KIND_CHECKINS, 0, core, wire.encode_checkin_batch([first]).encode())
     second = make_message(core, 0, token, traffic_rng, seq=1)
-    v2_entry = {**encode_message(second), "gradient": pack_float_array(second.gradient)}
+    v3_entry = wire.parse_envelope(wire.encode_checkin_batch([second]))[1]["messages"][0]
+    v2_entry = {**v3_entry, "gradient": pack_float_array(second.gradient)}
     v2_body = {"protocol": 2, "kind": "checkin_batch", "body": {"messages": [v2_entry]}}
     store.append(KIND_CHECKINS, 1, core, json.dumps(v2_body).encode())
     store.sync_log()

@@ -1,5 +1,5 @@
-"""Property-based round-trip tests for the message codec, carried as
-HTTP bodies by :mod:`repro.serve.wire`."""
+"""Property-based round-trip tests for the Fig. 2 messages as HTTP
+bodies (:mod:`repro.serve.wire`)."""
 
 import numpy as np
 from hypothesis import given, settings

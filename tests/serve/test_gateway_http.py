@@ -2,9 +2,9 @@
 
 Two contracts meet here:
 
-* the service's checkout-response cache must be **byte-identical** to the
-  uncached encoder for any parameter vector (satellite of ROADMAP item 1
-  — the cache is an optimization, never an observable change);
+* a check-out encoded from the service's cached parameter tail must be
+  **byte-identical** to one encoded from the vector, for any parameter
+  vector (the cache is an optimization, never an observable change);
 * an :class:`~repro.gateway.edge.EdgeGateway` fronting a segment of
   :class:`~repro.serve.remote.RemoteDevice`\\ s must collapse their HTTP
   traffic (shared epoch check-outs + batched ``POST /v1/checkins``)
@@ -54,9 +54,7 @@ class TestCheckoutCachePinning:
             server_iteration=17, issued_time=3.25,
         )
         reference = wire.encode_checkout_response(response)
-        cached = wire.encode_checkout_response_cached(
-            42, wire.encode_parameters_fragment(parameters), 17, 3.25
-        )
+        cached = wire.encode_checkout_response(response, wire.hex_tail(parameters))
         assert cached == reference
 
     def test_service_reuses_the_fragment_until_an_update(self):

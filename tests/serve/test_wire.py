@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.codec import encode_message
 from repro.core.protocol import (
     CheckinAck,
     CheckinMessage,
@@ -35,6 +34,11 @@ def make_checkin(device_id=3, dim=4):
         noisy_label_counts=np.array([2, 3], dtype=np.int64),
         checkout_iteration=11,
     )
+
+
+def checkin_entry(message):
+    """A message's entry in the head of its ``checkin_batch`` body."""
+    return head_and_tail(wire.encode_checkin_batch([message]))[0]["body"]["messages"][0]
 
 
 class TestEnvelope:
@@ -116,7 +120,7 @@ class TestMessageEnvelopes:
         assert decoded.server_iteration == 9
 
     def test_checkout_request_body_of_wrong_type(self):
-        # A well-formed envelope whose body is a different codec message.
+        # A well-formed envelope whose body is a different message.
         raw = wire.encode_checkout_response(
             CheckoutResponse(0, np.zeros(2), 0, 0.0))
         payload, _ = head_and_tail(raw)
@@ -145,7 +149,7 @@ class TestMessageEnvelopes:
             {"messages": [42]},                  # non-object entry
             {"messages": [{"type": "checkin"}]},  # missing fields
             {"messages": [{                      # gradient as a JSON list
-                **encode_message(make_checkin()),
+                **checkin_entry(make_checkin()),
                 "gradient": make_checkin().gradient.tolist(),
             }]},
         ],
@@ -154,6 +158,15 @@ class TestMessageEnvelopes:
         raw = wire.encode_envelope("checkin_batch", body)
         with pytest.raises(wire.WireError) as excinfo:
             wire.decode_checkin_batch(raw)
+        assert excinfo.value.code == wire.ErrorCode.MALFORMED
+
+    def test_a_number_no_int_holds_is_malformed(self):
+        # JSON's Infinity parses to a float that int() refuses with an
+        # OverflowError, not a ValueError.
+        head, tail = head_and_tail(wire.encode_checkin_batch([make_checkin()]))
+        head["body"]["messages"][0]["num_samples"] = float("inf")
+        with pytest.raises(wire.WireError) as excinfo:
+            wire.decode_checkin_batch(json.dumps(head) + "\n" + tail)
         assert excinfo.value.code == wire.ErrorCode.MALFORMED
 
     def test_checkin_batch_size_cap(self):
@@ -222,6 +235,133 @@ class TestBodyLayout:
         assert wire.encode_checkin_entries(entries, tails) == raw
         assert wire.encode_checkin_entries(entries[1:], tails[1:]) == (
             wire.encode_checkin_batch(messages[1:]))
+
+
+def _status_again(raw):
+    s = wire.decode_status(raw)
+    return wire.encode_status(
+        iteration=s.iteration, stop=s.stop_decision,
+        checkouts_served=s.checkouts_served, rejected_messages=s.rejected_messages,
+        registered_devices=s.registered_devices, num_parameters=s.num_parameters,
+        duplicates_suppressed=s.duplicates_suppressed, parameters=s.parameters,
+        epoch=s.epoch, uptime_seconds=s.uptime_seconds, pid=s.pid,
+    )
+
+
+def _result_again(raw):
+    r = wire.decode_checkin_result(raw)
+    return wire.encode_checkin_result(r.acks, r.server_iteration, r.stop_decision, r.epoch)
+
+
+def _error_again(raw):
+    error = wire.decode_error(raw)
+    return wire.encode_error(error.code, str(error))
+
+
+G = np.array([0.5, -2.0])
+G_HEX = "000000000000e03f00000000000000c0"
+HEAD = '{"protocol":3,"kind":'
+#: One literal body per kind: ``(body, its encoder call, decode then
+#: re-encode)``.  A change to any of these bytes is a protocol change.
+GOLDEN = {
+    "join_request": (
+        HEAD + '"join_request","body":{"device_id":7}}',
+        lambda: wire.encode_join_request(7),
+        lambda raw: wire.encode_join_request(wire.decode_join_request(raw)),
+    ),
+    "join_response": (
+        HEAD + '"join_response","body":{"device_id":7,"token":"tok"}}',
+        lambda: wire.encode_join_response(7, "tok"),
+        lambda raw: wire.encode_join_response(*wire.decode_join_response(raw)),
+    ),
+    "join_response_seq": (
+        HEAD + '"join_response","body":{"device_id":7,"token":"tok","last_checkin_seq":4}}',
+        lambda: wire.encode_join_response(7, "tok", 4),
+        lambda raw: wire.encode_join_response(*wire.decode_join_response(raw)),
+    ),
+    "checkout_request": (
+        HEAD + '"checkout_request","body":{"type":"checkout_request","device_id":7,'
+        '"token":"tok","request_time":1.25}}',
+        lambda: wire.encode_checkout_request(CheckoutRequest(7, "tok", 1.25)),
+        lambda raw: wire.encode_checkout_request(wire.decode_checkout_request(raw)),
+    ),
+    "checkout_response": (
+        HEAD + '"checkout_response","body":{"type":"checkout_response","device_id":7,'
+        '"parameters":2,"server_iteration":3,"issued_time":1.5}}\n' + G_HEX,
+        lambda: wire.encode_checkout_response(CheckoutResponse(7, G, 3, 1.5)),
+        lambda raw: wire.encode_checkout_response(wire.decode_checkout_response(raw)),
+    ),
+    "checkout_response_inf": (
+        HEAD + '"checkout_response","body":{"type":"checkout_response","device_id":7,'
+        '"parameters":2,"server_iteration":3,"issued_time":Infinity}}\n' + G_HEX,
+        lambda: wire.encode_checkout_response(CheckoutResponse(7, G, 3, float("inf"))),
+        lambda raw: wire.encode_checkout_response(wire.decode_checkout_response(raw)),
+    ),
+    "checkin_batch": (
+        HEAD + '"checkin_batch","body":{"messages":[{"type":"checkin","device_id":7,'
+        '"token":"tok","gradient":2,"num_samples":2,"noisy_error_count":-1,'
+        '"noisy_label_counts":[1,1],"checkout_iteration":3}]}}\n' + G_HEX,
+        lambda: wire.encode_checkin_batch(
+            [CheckinMessage(7, "tok", G, 2, -1, np.array([1, 1]), 3)]),
+        lambda raw: wire.encode_checkin_batch(wire.decode_checkin_batch(raw)),
+    ),
+    "checkin_batch_seq": (
+        HEAD + '"checkin_batch","body":{"messages":[{"type":"checkin","device_id":7,'
+        '"token":"tok","gradient":2,"num_samples":2,"noisy_error_count":-1,'
+        '"noisy_label_counts":[1,1],"checkout_iteration":3,"checkin_seq":5},'
+        '{"type":"checkin","device_id":8,"token":"tak","gradient":1,"num_samples":1,'
+        '"noisy_error_count":0,"noisy_label_counts":[0,1],"checkout_iteration":2}]}}\n'
+        + G_HEX + G_HEX[:16],
+        lambda: wire.encode_checkin_batch([
+            CheckinMessage(7, "tok", G, 2, -1, np.array([1, 1]), 3, checkin_seq=5),
+            CheckinMessage(8, "tak", G[:1], 1, 0, np.array([0, 1]), 2),
+        ]),
+        lambda raw: wire.encode_checkin_batch(wire.decode_checkin_batch(raw)),
+    ),
+    "checkin_result": (
+        HEAD + '"checkin_result","body":{"acks":[{"type":"checkin_ack","device_id":7,'
+        '"server_iteration":4},null],"server_iteration":4,"stopped":false,'
+        '"stop_reason":"running"}}',
+        lambda: wire.encode_checkin_result(
+            [CheckinAck(7, 4), None], 4, StopDecision.running()),
+        _result_again,
+    ),
+    "checkin_result_epoch": (
+        HEAD + '"checkin_result","body":{"acks":[{"type":"checkin_ack","device_id":7,'
+        '"server_iteration":4,"checkin_seq":5,"duplicate":true}],"server_iteration":4,'
+        '"stopped":true,"stop_reason":"max_iterations","epoch":2}}',
+        lambda: wire.encode_checkin_result(
+            [CheckinAck(7, 4, checkin_seq=5, duplicate=True)], 4,
+            StopDecision(True, StopReason.MAX_ITERATIONS), epoch=2),
+        _result_again,
+    ),
+    "status_parameters": (
+        HEAD + '"status","body":{"protocol_version":3,"iteration":4,"stopped":false,'
+        '"stop_reason":"running","checkouts_served":5,"rejected_messages":1,'
+        '"registered_devices":2,"num_parameters":2,"duplicates_suppressed":1,'
+        '"parameters":2,"epoch":2,"uptime_seconds":1.5,"pid":99}}\n' + G_HEX,
+        lambda: wire.encode_status(
+            iteration=4, stop=StopDecision.running(), checkouts_served=5,
+            rejected_messages=1, registered_devices=2, num_parameters=2,
+            duplicates_suppressed=1, parameters=G, epoch=2, uptime_seconds=1.5,
+            pid=99),
+        _status_again,
+    ),
+    "error": (
+        HEAD + '"error","body":{"code":"stopped","message":"task over"}}',
+        lambda: wire.encode_error(wire.ErrorCode.STOPPED, "task over"),
+        _error_again,
+    ),
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_every_kind_keeps_its_bytes(self, name):
+        body, encode, decode_and_encode = GOLDEN[name]
+        assert encode() == body
+        assert decode_and_encode(body) == body
+        assert decode_and_encode(body.encode()) == body
 
 
 class TestStatusAndErrors:

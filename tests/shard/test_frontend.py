@@ -9,10 +9,14 @@ import numpy as np
 import pytest
 
 from repro.core.auth import DeviceRegistry
-from repro.core.protocol import CheckinAck
+from repro.core.protocol import CheckinAck, CheckoutRequest
 from repro.core.stopping import StopDecision
 from repro.serve import wire
-from repro.serve.client import RemoteServiceError, ServiceClient
+from repro.serve.client import (
+    RemoteAuthenticationError,
+    RemoteServiceError,
+    ServiceClient,
+)
 from repro.serve.service import CrowdService
 from repro.shard import ShardFrontEnd, ShardRouter, StaticEndpoints
 
@@ -54,8 +58,6 @@ class TestRouting:
         client = fast_client(tier.frontend.url)
         device_id = owned_devices(tier.router, 1)[0]
         token = client.join(device_id)
-        from repro.core.protocol import CheckoutRequest
-
         out = client.checkout(CheckoutRequest(
             device_id=device_id, token=token, request_time=0.0
         ))
@@ -315,6 +317,33 @@ class TestRefusals:
         # Retryable by contract: a client with retries would ride it out.
         other = owned_devices(tier.router, 1)[0]
         assert client.join(other)  # the live shard still serves
+
+    def test_bad_token_passes_through_as_401(self, tier):
+        client = fast_client(tier.frontend.url)
+        device_id = owned_devices(tier.router, 0)[0]
+        client.join(device_id)
+        with pytest.raises(RemoteAuthenticationError) as excinfo:
+            client.checkout(CheckoutRequest(device_id, "not-the-token", 0.0))
+        assert excinfo.value.code == wire.ErrorCode.AUTH_FAILED
+        assert excinfo.value.http_status == 401
+        assert not excinfo.value.transient
+
+    def test_worker_5xx_answers_retryable_503(self, tier, monkeypatch):
+        def crash(request):
+            raise RuntimeError("worker bug")
+
+        monkeypatch.setitem(
+            tier.services[1]._routes, ("POST", "/v1/checkout"), crash
+        )
+        client = fast_client(tier.frontend.url)
+        device_id = owned_devices(tier.router, 1)[0]
+        token = client.join(device_id)
+        with pytest.raises(RemoteServiceError) as excinfo:
+            client.checkout(CheckoutRequest(device_id, token, 0.0))
+        assert excinfo.value.code == wire.ErrorCode.UNAVAILABLE
+        assert excinfo.value.http_status == 503
+        assert excinfo.value.transient
+        assert tier.services[1].errors_returned[wire.ErrorCode.INTERNAL] == 3
 
     def test_stale_epoch_answer_refused(self, tier, traffic_rng):
         client = fast_client(tier.frontend.url)

@@ -98,8 +98,8 @@ class TestOptionsCensus:
             ShardFrontEnd: 5,
             ShardRouter: 1,
             ShardSupervisor: 5,
-            EdgeGateway: 7,
-            ServiceClient: 7,
+            EdgeGateway: 4,
+            ServiceClient: 6,
             RemoteServerCore: 1,
             SnapshotStore: 3,
             Checkpointer: 2,
