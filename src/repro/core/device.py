@@ -217,15 +217,20 @@ class Device:
                 f"sample must have shape ({self._model.num_features},), "
                 f"got {features.shape}"
             )
-        slot = self._buffered
-        self._ensure_allocated(slot + 1)
-        self._feature_buffer[slot] = features
         # Classification labels are integer class indices; regression
         # models (num_classes == 1) carry real-valued targets.
         if self._is_classification:
-            self._label_buffer[slot] = int(label)
+            label = int(label)
+            if not 0 <= label < self._model.num_classes:
+                raise ConfigurationError(
+                    f"label must lie in [0, {self._model.num_classes}), got {label}"
+                )
         else:
-            self._label_buffer[slot] = float(label)
+            label = float(label)
+        slot = self._buffered
+        self._ensure_allocated(slot + 1)
+        self._feature_buffer[slot] = features
+        self._label_buffer[slot] = label
         self._holdout_buffer[slot] = (
             self._config.holdout_fraction > 0.0
             and float(self._rng.random()) < self._config.holdout_fraction
@@ -253,6 +258,13 @@ class Device:
         if labels.shape != (count,):
             raise ConfigurationError(
                 f"labels must have shape ({count},), got {labels.shape}"
+            )
+        if self._is_classification and count and (
+            labels.min() < 0 or labels.max() >= self._model.num_classes
+        ):
+            raise ConfigurationError(
+                f"labels must lie in [0, {self._model.num_classes}), got "
+                f"{labels.min()} … {labels.max()}"
             )
         start, take = self._admit_arrivals(count)
         if take > 0:
@@ -334,12 +346,15 @@ class Device:
         return self._failed_checkouts
 
     def complete_checkout(
-        self, parameters: np.ndarray, server_iteration: int
+        self, parameters: np.ndarray, server_iteration: int, checkin_seq: int = -1
     ) -> CheckinResult:
         """Routines 2 + 3: consume the buffer, return the sanitized check-in.
 
         ``parameters`` is the checked-out w; ``server_iteration`` tags the
         check-in so delay-aware servers know how stale the gradient is.
+        ``checkin_seq`` is the message's Remark 1 sequence number — a
+        remote device stamps one so a re-sent check-in is applied once;
+        ``-1`` (the simulator's in-process path) means unnumbered.
         """
         self._awaiting_checkout = False
         if self._batch_policy is not None:
@@ -417,6 +432,7 @@ class Device:
             noisy_label_counts=sanitized.label_counts,
             checkout_iteration=int(server_iteration),
             releases=sanitized.releases,
+            checkin_seq=checkin_seq,
         )
 
         # Reset n_s = 0, n_e = 0, n_y^k = 0 (end of Routine 2).

@@ -80,10 +80,17 @@ class ProgressMonitor:
         noisy_label_counts: np.ndarray,
     ) -> None:
         """Fold one check-in's statistics into the per-device accumulators."""
-        progress = self._devices.setdefault(int(device_id), DeviceProgress())
+        device_id = int(device_id)
+        progress = self._devices.get(device_id)
+        if progress is None:
+            progress = self._devices[device_id] = DeviceProgress()
         if progress.label_counts is None:
             progress.label_counts = np.zeros(self._num_classes, dtype=np.int64)
-        counts = np.asarray(noisy_label_counts, dtype=np.int64)
+        counts = noisy_label_counts
+        # A CheckinMessage already holds an int64 array (the per-check-in
+        # case); only other inputs need coercing.
+        if type(counts) is not np.ndarray or counts.dtype != np.int64:
+            counts = np.asarray(counts, dtype=np.int64)
         if counts.shape != (self._num_classes,):
             raise ValueError(
                 f"label counts must have shape ({self._num_classes},), got {counts.shape}"

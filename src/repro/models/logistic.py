@@ -108,14 +108,25 @@ class MulticlassLogisticRegression(Model):
         ``softmax`` to them — computing the matmul once changes no bits
         (the one-hot subtraction is performed in place on the softmax
         output: subtracting 1.0 from the label entries and 0.0 from the
-        rest is the identical float operation).
+        rest is the identical float operation; so is dividing the
+        ``residualᵀ·X`` product by n in its own buffer).  Labels are
+        trusted to lie in ``[0, C)`` — Routine 1 refuses any other before
+        buffering — since a negative one would wrap in the scalar index.
         """
         features, labels = self.validate_batch(features, labels, validate)
         scores = features @ self._weights(parameters).T
         errors = scores.argmax(axis=1) != labels
         residual = softmax(scores, axis=1)
-        residual[_row_indices(residual.shape[0]), labels] -= 1.0
-        flat = (residual.T @ features / features.shape[0]).reshape(-1)
+        count = features.shape[0]
+        if count == 1:
+            # b = 1 (Figs. 4–9's crowd arm): one scalar element, no fancy
+            # index machinery.
+            residual[0, labels[0]] -= 1.0
+        else:
+            residual[_row_indices(count), labels] -= 1.0
+        grad = residual.T @ features
+        grad /= count
+        flat = grad.reshape(-1)
         if self.l2_regularization:
             flat = flat + self.l2_regularization * np.asarray(parameters, dtype=np.float64)
         return errors, flat

@@ -94,7 +94,10 @@ class UniformDelay(DelayModel):
     def sample(self, rng: np.random.Generator) -> float:
         if self._maximum == 0.0:
             return 0.0
-        return float(rng.uniform(0.0, self._maximum))
+        # NumPy's uniform(low, high) computes low + (high - low)·random():
+        # at low = 0 that is τ·random() — the same double from the same
+        # stream position, without uniform's argument broadcasting.
+        return self._maximum * rng.random()
 
     @property
     def mean(self) -> float:

@@ -8,6 +8,7 @@ which is how the centralized-SGD and decentralized baselines train.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Optional
 
@@ -70,7 +71,11 @@ class Optimizer(ABC):
 
         A non-finite gradient is rejected before it can touch the state:
         the optimizer sits at the server's wire boundary, and one inf/NaN
-        message would otherwise corrupt w permanently.
+        message would otherwise corrupt w permanently.  ``g·g`` is finite
+        only if every element is (a square is never negative, so nothing
+        cancels), so the element-wise pass runs only when the dot is not —
+        a NaN, an infinity, or finite entries whose squares overflow (that
+        last gradient is accepted, with NumPy's overflow RuntimeWarning).
         """
         if type(gradient) is not np.ndarray or gradient.dtype != np.float64:
             gradient = np.asarray(gradient, dtype=np.float64)
@@ -79,7 +84,8 @@ class Optimizer(ABC):
                 f"gradient must have shape {self._parameters.shape}, "
                 f"got {gradient.shape}"
             )
-        if not np.isfinite(gradient).all():
+        if (not math.isfinite(gradient.dot(gradient))
+                and not np.isfinite(gradient).all()):
             raise ConfigurationError("gradient must contain only finite values")
         self._iteration += 1
         updated = self._apply(gradient)
@@ -138,7 +144,12 @@ class SGD(Optimizer):
         return self._schedule
 
     def _apply(self, gradient: np.ndarray) -> np.ndarray:
-        return self._parameters - self._schedule(self._iteration) * gradient
+        # w + (−η)·g in the product's buffer: negation is exact and
+        # a + (−b) is IEEE a − b, so these are the bits of w − η·g with
+        # one temporary fewer.  The buffer is fresh, so w is still rebound
+        # rather than mutated (parameters_view stays stable).
+        step = -self._schedule(self._iteration) * gradient
+        return np.add(self._parameters, step, out=step)
 
 
 class AdaGrad(Optimizer):

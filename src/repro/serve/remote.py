@@ -206,10 +206,10 @@ class RemoteDevice:
                 self._stopped = True
                 return None
             raise
-        result = device.complete_checkout(
-            response.parameters, response.server_iteration
-        )
-        message = replace(result.message, checkin_seq=self._next_checkin_seq)
+        message = device.complete_checkout(
+            response.parameters, response.server_iteration,
+            checkin_seq=self._next_checkin_seq,
+        ).message
         self._next_checkin_seq += 1
         if gateway is not None:
             self._last_gateway_ack = None

@@ -27,12 +27,15 @@ def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     True
     """
     scores = np.asarray(scores, dtype=np.float64)
-    # ndarray methods dispatch straight to the reduction kernels that
-    # np.max/np.sum wrap — identical bits, less per-call overhead (this
-    # runs once per device check-in).
-    shifted = scores - scores.max(axis=axis, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / exps.sum(axis=axis, keepdims=True)
+    # The ufunc reductions are the kernels np.max/np.sum and the ndarray
+    # methods wrap — identical bits, less per-call overhead (this runs
+    # once per device check-in).  The shift is the one fresh array; exp
+    # and the normalisation run in place in it (the same element-wise
+    # operations on the same operands, so the same bits).
+    out = scores - np.maximum.reduce(scores, axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis=axis, keepdims=True)
+    return out
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:

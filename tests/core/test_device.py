@@ -69,6 +69,33 @@ class TestRoutine1:
         with pytest.raises(ConfigurationError):
             device.observe(np.zeros(5), 0)
 
+    @pytest.mark.parametrize("label", [3, 7, -1])
+    def test_out_of_range_label_refused_before_buffering(self, rng, label):
+        """A label outside [0, C) must not wedge the device: it is refused
+        at Routine 1, and later rounds run on the good samples."""
+        model = MulticlassLogisticRegression(num_features=3, num_classes=3)
+        device = make_device(model, rng, batch_size=2)
+        device.observe(sample(rng), 2)
+        with pytest.raises(ConfigurationError, match="label"):
+            device.observe(sample(rng), label)
+        with pytest.raises(ConfigurationError, match="label"):
+            device.observe_batch(np.stack([sample(rng), sample(rng)]), [0, label])
+        assert device.buffer_size == 1
+        assert device.observe(sample(rng), 0) is True
+        device.mark_checkout_requested()
+        result = device.complete_checkout(np.zeros(9), server_iteration=0)
+        assert result.message.num_samples == 2
+        assert device.buffer_size == 0
+
+    def test_regression_targets_are_not_class_checked(self, rng):
+        from repro.models import RidgeRegression
+
+        model = RidgeRegression(num_features=3)
+        device = make_device(model, rng, batch_size=3)
+        device.observe(sample(rng), -4.5)
+        assert device.observe_batch(np.stack([sample(rng), sample(rng)]), [7.0, 1e3])
+        assert device.buffer_size == 3
+
 
 class TestRemark1Retry:
     def test_failed_checkout_allows_retry(self, model, rng):
@@ -101,6 +128,14 @@ class TestRoutine2:
         assert result.message.checkout_iteration == 4
         assert device.buffer_size == 0
         assert device.checkins_completed == 1
+
+    def test_checkin_seq_stamped_on_the_message(self, model, rng):
+        device = make_device(model, rng, batch_size=1)
+        device.observe(sample(rng), 0)
+        assert device.complete_checkout(np.zeros(6), 0).message.checkin_seq == -1
+        device.observe(sample(rng), 1)
+        result = device.complete_checkout(np.zeros(6), 1, checkin_seq=5)
+        assert result.message.checkin_seq == 5
 
     def test_oversized_buffer_fully_consumed(self, model, rng):
         """If extra samples arrived while awaiting, all n_s ≥ b are used."""

@@ -49,6 +49,18 @@ class TestUniform:
         hist, _ = np.histogram(draws, bins=10, range=(0, 1))
         assert hist.std() / hist.mean() < 0.05
 
+    @pytest.mark.parametrize("maximum", [0.2, 1.0, 3.7e-4, 123.456])
+    def test_same_draws_and_stream_as_generator_uniform(self, maximum):
+        """Twin generators: each draw is the double ``rng.uniform(0, τ)``
+        returns, and both streams stay in step."""
+        mine, theirs = np.random.default_rng(11), np.random.default_rng(11)
+        model = UniformDelay(maximum)
+        for _ in range(5_000):
+            draw = model.sample(mine)
+            assert type(draw) is float
+            assert draw == float(theirs.uniform(0.0, maximum))
+        assert mine.random() == theirs.random()
+
 
 class TestExponentialAndLogNormal:
     def test_exponential_mean(self, rng):
