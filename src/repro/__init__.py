@@ -32,11 +32,10 @@ arXiv:1501.02484).  The package is organized as:
   :class:`ServiceClient`/:class:`HttpTransport`/:class:`RemoteDevice`
   clients, and the ``repro-serve`` CLI — the same protocol surface the
   simulator exercises, served over a real network.
-* :mod:`repro.gateway` — the edge gateway tier: device↔gateway↔server
-  two-tier topologies (:class:`TwoTierTopology`/:class:`GatewayProfile`)
-  with batch-aggregating uplinks (:class:`GatewayAggregator`), available
-  both in-simulator and as :class:`~repro.gateway.edge.EdgeGateway`
-  fronting a live service.
+* :mod:`repro.gateway` — the edge gateway tier in front of a live
+  service: :class:`~repro.gateway.edge.EdgeGateway` pools its devices'
+  check-ins (:class:`GatewayAggregator`) into batched uploads, and
+  :class:`TwoTierTopology` assigns devices to gateways.
 * :mod:`repro.persist` — durable serving: versioned ``ServerCore``
   snapshots (bit-exact round trip), write-ahead checkpoint policy +
   store for ``repro-serve --state-dir`` crash-resume, and the fault
@@ -95,7 +94,6 @@ __getattr__, __dir__, __all__ = lazy_namespace(__name__, {
     "ExperimentSpec": "experiments",
     "FigureResult": "experiments",
     "GatewayAggregator": "gateway",
-    "GatewayProfile": "gateway",
     "HttpTransport": "serve",
     "MODELS": "registry",
     "MulticlassLinearSVM": "models",

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.data.dataset import Dataset
@@ -52,20 +50,13 @@ class SnapshotEvaluator:
     minibatch sizes), and at paper scale each evaluation is a full
     test-set forward pass.  This evaluator keys results on the exact
     parameter bytes, so repeated snapshots of unchanged parameters cost a
-    dict lookup instead of a 10k × d matmul; with no subsample configured
-    the returned values are bit-identical to :func:`test_error`.
+    dict lookup instead of a 10k × d matmul; the returned values are
+    bit-identical to :func:`test_error`.
 
     Parameters
     ----------
     model, dataset:
         The evaluation oracle and the clean test set.
-    subsample:
-        Optional cap on the number of test examples used.  When smaller
-        than the dataset, that many rows are drawn once (without
-        replacement, order-preserving) from ``rng`` — an opt-in
-        approximation for the scalability ablations.
-    rng:
-        Source for the subsample draw; required when ``subsample`` binds.
 
     Examples
     --------
@@ -81,33 +72,15 @@ class SnapshotEvaluator:
     (0, 1)
     """
 
-    def __init__(
-        self,
-        model: Model,
-        dataset: Dataset,
-        subsample: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
-    ):
+    def __init__(self, model: Model, dataset: Dataset):
         if len(dataset) == 0:
             raise ValueError("cannot evaluate on an empty dataset")
         self._model = model
-        if subsample is not None and subsample < len(dataset):
-            if rng is None:
-                raise ValueError("subsample requires an rng for the draw")
-            rows = np.sort(rng.choice(len(dataset), size=subsample, replace=False))
-            self._features = dataset.features[rows]
-            self._labels = dataset.labels[rows]
-        else:
-            self._features = dataset.features
-            self._labels = dataset.labels
+        self._features = dataset.features
+        self._labels = dataset.labels
         self._cache: dict = {}
         self.hits = 0
         self.misses = 0
-
-    @property
-    def num_examples(self) -> int:
-        """Test examples actually evaluated per (uncached) snapshot."""
-        return int(self._labels.shape[0])
 
     def error(self, parameters: np.ndarray) -> float:
         """Misclassification rate of ``parameters``, memoized on its bits."""

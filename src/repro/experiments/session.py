@@ -174,15 +174,6 @@ def _simulation_config(payload: Dict[str, Any]) -> SimulationConfig:
     # SimulationConfig's sampling-rate semantics.
     probe = SimulationConfig(num_devices=num_devices)
     tau = probe.delay_in_sample_units(payload["delay_multiples"])
-    gateways = None
-    if payload.get("gateway"):
-        # Gateway profile delays/deadlines are quoted in Δ multiples in
-        # the spec, like delay_multiples; the same probe conversion
-        # scales them into simulator time units.
-        from repro.gateway.topology import TwoTierTopology
-        gateways = TwoTierTopology.from_dict(
-            payload["gateway"], delay_scale=probe.delay_in_sample_units(1.0)
-        )
     return SimulationConfig(
         num_devices=num_devices,
         batch_size=payload["batch_size"],
@@ -190,7 +181,6 @@ def _simulation_config(payload: Dict[str, Any]) -> SimulationConfig:
         learning_rate_constant=payload["learning_rate_constant"],
         link_delays=LinkDelays.uniform(tau) if tau > 0 else LinkDelays.zero(),
         num_passes=payload["num_passes"],
-        gateways=gateways,
     )
 
 
@@ -503,7 +493,6 @@ class ExperimentSession:
             "epsilon": arm.epsilon,
             "delay_multiples": arm.delay_multiples,
             "l2_regularization": arm.l2_regularization,
-            "gateway": dict(arm.gateway) if arm.gateway else None,
         }
         if arm.kind == "activity_online":
             base.update(seed=arm_seed,

@@ -74,13 +74,6 @@ class ArmSpec:
     trainer_kwargs:
         Extra kwargs for baseline trainer constructors (e.g.
         ``evaluation_devices`` for ``decentralized``).
-    gateway:
-        Optional two-tier gateway topology for ``crowd`` arms, in the
-        JSON form of :meth:`repro.gateway.topology.TwoTierTopology.from_dict`
-        (``num_gateways``, ``assignment``, ``flush_size``, per-hop
-        ``device_delay``/``server_delay`` in Δ multiples, ...).  Delays
-        then live *in* the gateway profile, so combine with
-        ``delay_multiples=0``.
     """
 
     label: str
@@ -101,7 +94,6 @@ class ArmSpec:
     seed_offset: int = 0
     seed_override: Optional[int] = None
     trainer_kwargs: Mapping[str, Any] = field(default_factory=dict)
-    gateway: Optional[Mapping[str, Any]] = None
 
     def __post_init__(self):
         if self.kind not in ARM_KINDS:
@@ -118,17 +110,6 @@ class ArmSpec:
         for name in ("model_kwargs", "dataset_kwargs", "partition_kwargs",
                      "schedule_kwargs", "trainer_kwargs"):
             object.__setattr__(self, name, dict(getattr(self, name)))
-        if self.gateway is not None:
-            if self.kind != "crowd":
-                raise ConfigurationError(
-                    f"gateway topologies apply to crowd arms only, "
-                    f"not '{self.kind}'"
-                )
-            object.__setattr__(self, "gateway", dict(self.gateway))
-            # Validate the topology dict eagerly (lazy import keeps the
-            # spec layer free of a hard gateway dependency).
-            from repro.gateway.topology import TwoTierTopology
-            TwoTierTopology.from_dict(self.gateway)
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict form; only non-default fields are emitted."""
@@ -140,9 +121,6 @@ class ArmSpec:
             value = getattr(self, f.name)
             if f.name.endswith("_kwargs"):
                 if value:
-                    out[f.name] = dict(value)
-            elif f.name == "gateway":
-                if value is not None:
                     out[f.name] = dict(value)
             elif f.name == "epsilon":
                 # The default (inf = non-private) is omitted; finite ε

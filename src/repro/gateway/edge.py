@@ -1,7 +1,6 @@
 """Live-service edge gateway: batch device uploads over one HTTP pipe.
 
-An :class:`EdgeGateway` is the deployment-side counterpart of the
-simulator's gateway node: it fronts a crowd segment of
+An :class:`EdgeGateway` fronts a crowd segment of
 :class:`~repro.serve.remote.RemoteDevice`\\ s against a running
 ``repro-serve`` and collapses their per-round traffic into aggregate
 requests:
@@ -179,7 +178,7 @@ class EdgeGateway:
     # -- uplink: batched check-ins ---------------------------------------- #
 
     def add(self, message: CheckinMessage, on_ack=None):
-        """Pool one check-in; flush upstream if a trigger fires.
+        """Pool one check-in; flush upstream once ``flush_size`` are pooled.
 
         Same contract as :meth:`GatewayAggregator.add
         <repro.gateway.aggregator.GatewayAggregator.add>`.

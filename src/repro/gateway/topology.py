@@ -1,148 +1,22 @@
-"""Two-tier topology: which gateway each device talks through, and how.
+"""Two-tier topology: which gateway each device talks through.
 
 The paper's deployment sketch has devices reaching the server through
-intermediaries; this module makes that tier explicit.  A
-:class:`TwoTierTopology` declares G gateways, assigns each of the M
-devices to exactly one (a static map, or a named policy from
-:data:`repro.registry.GATEWAY_ASSIGNMENTS` — ``round_robin``, ``block``,
-``hash``), and gives every gateway a :class:`GatewayProfile` describing
-its two link tiers *separately*:
-
-* **device↔gateway** — ``device_delays`` / ``device_outage``: the short
-  edge hop each device message traverses first;
-* **gateway↔server** — ``server_delays`` / ``server_outage``: the
-  backhaul hop batches traverse, plus ``stall_windows`` during which the
-  backhaul is down and the gateway's whole crowd segment stalls at once
-  (messages accumulate at the gateway instead of being lost).
-
-``flush_size`` / ``flush_deadline`` / ``capacity`` parameterize the
-gateway's :class:`~repro.gateway.aggregator.GatewayAggregator`.  The
-whole topology serializes to plain JSON (:meth:`TwoTierTopology.to_dict`
-/ :meth:`~TwoTierTopology.from_dict`), so experiment arms can declare
-gateway arms as data.
+intermediaries.  A :class:`TwoTierTopology` declares G gateways and
+assigns each of the M devices to exactly one — a static map, or a named
+policy from :data:`repro.registry.GATEWAY_ASSIGNMENTS` (``round_robin``,
+``block``, ``hash``).  Each gateway is then a live
+:class:`~repro.gateway.edge.EdgeGateway` in front of its devices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Tuple, Union
 
 import numpy as np
 
-from repro.network.latency import LinkDelays, UniformDelay
-from repro.network.outage import BernoulliOutage, NoOutage, OutageModel
 from repro.registry import GATEWAY_ASSIGNMENTS
 from repro.utils.exceptions import ConfigurationError
-
-
-def _clean_windows(
-    windows: Sequence[Tuple[float, float]]
-) -> Tuple[Tuple[float, float], ...]:
-    cleaned = []
-    for start, end in windows:
-        start, end = float(start), float(end)
-        if start < 0:
-            raise ConfigurationError(f"stall window start must be >= 0, got {start}")
-        if end <= start:
-            raise ConfigurationError(
-                f"stall window end must exceed start, got [{start}, {end})"
-            )
-        cleaned.append((start, end))
-    cleaned.sort()
-    for (_, prev_end), (next_start, _) in zip(cleaned, cleaned[1:]):
-        if next_start < prev_end:
-            raise ConfigurationError("stall windows must not overlap")
-    return tuple(cleaned)
-
-
-@dataclass(frozen=True)
-class GatewayProfile:
-    """One gateway's aggregation policy and per-hop link properties.
-
-    Attributes
-    ----------
-    flush_size:
-        Buffered check-ins that trigger an upstream flush.
-    flush_deadline:
-        Max time (time units) a buffered check-in waits before a flush
-        is forced; ``None`` = size-only flushing.
-    capacity:
-        Max check-ins the gateway can hold.  While the backhaul is
-        stalled, arrivals beyond capacity are **dropped** (edge buffer
-        overflow); an unstalled gateway instead force-flushes at
-        capacity, so upstream batches are bounded by it.
-    device_delays / device_outage:
-        The device↔gateway hop of each leg (request, check-out,
-        check-in).
-    server_delays / server_outage:
-        The gateway↔server hop.  A check-in batch is one message on
-        this hop: if the outage model drops it, the whole batch is lost.
-    stall_windows:
-        Half-open ``[start, end)`` intervals during which the backhaul
-        is down: requests/check-outs in transit are held until the
-        window ends, and the aggregator suspends — the gateway's entire
-        crowd segment stalls at once, then bursts.
-    """
-
-    flush_size: int = 32
-    flush_deadline: Optional[float] = None
-    capacity: Optional[int] = None
-    device_delays: LinkDelays = field(default_factory=LinkDelays.zero)
-    device_outage: OutageModel = field(default_factory=NoOutage)
-    server_delays: LinkDelays = field(default_factory=LinkDelays.zero)
-    server_outage: OutageModel = field(default_factory=NoOutage)
-    stall_windows: Tuple[Tuple[float, float], ...] = ()
-
-    def __post_init__(self):
-        if self.flush_size < 1:
-            raise ConfigurationError(
-                f"flush_size must be >= 1, got {self.flush_size}"
-            )
-        if self.flush_deadline is not None and self.flush_deadline < 0:
-            raise ConfigurationError(
-                f"flush_deadline must be non-negative, got {self.flush_deadline}"
-            )
-        if self.capacity is not None and self.capacity < 1:
-            raise ConfigurationError(
-                f"capacity must be >= 1, got {self.capacity}"
-            )
-        object.__setattr__(
-            self, "stall_windows", _clean_windows(self.stall_windows)
-        )
-
-    @classmethod
-    def pass_through(cls) -> "GatewayProfile":
-        """A fully transparent gateway: every check-in flushes alone,
-        both hops are instant and reliable — the configuration under
-        which a gateway run is bit-identical to no gateway at all."""
-        return cls(flush_size=1)
-
-    @property
-    def is_transparent(self) -> bool:
-        """True when this gateway cannot change observable behaviour:
-        pass-through flushing, zero delays, reliable hops, no stalls."""
-        return (
-            self.flush_size == 1
-            and self.capacity is None
-            and self.device_delays.is_zero
-            and self.server_delays.is_zero
-            and isinstance(self.device_outage, NoOutage)
-            and isinstance(self.server_outage, NoOutage)
-            and not self.stall_windows
-        )
-
-    # -- stall geometry ------------------------------------------------- #
-
-    def in_stall(self, time: float) -> bool:
-        """Whether the backhaul is down at ``time``."""
-        return any(start <= time < end for start, end in self.stall_windows)
-
-    def stall_release(self, time: float) -> float:
-        """End of the stall window covering ``time`` (``time`` if none)."""
-        for start, end in self.stall_windows:
-            if start <= time < end:
-                return end
-        return time
 
 
 @dataclass(frozen=True)
@@ -158,12 +32,6 @@ class TwoTierTopology:
         :data:`repro.registry.GATEWAY_ASSIGNMENTS` (``"round_robin"``,
         ``"block"``, ``"hash"``) or an explicit static map — a sequence
         of gateway indices, one per device.
-    assignment_kwargs:
-        Extra kwargs for a named policy.
-    profile:
-        Default :class:`GatewayProfile` for every gateway.
-    profiles:
-        Per-gateway overrides, keyed by gateway index.
 
     Examples
     --------
@@ -176,9 +44,6 @@ class TwoTierTopology:
 
     num_gateways: int
     assignment: Union[str, Tuple[int, ...]] = "round_robin"
-    assignment_kwargs: Mapping[str, Any] = field(default_factory=dict)
-    profile: GatewayProfile = field(default_factory=GatewayProfile)
-    profiles: Mapping[int, GatewayProfile] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.num_gateways < 1:
@@ -189,26 +54,6 @@ class TwoTierTopology:
             object.__setattr__(
                 self, "assignment", tuple(int(g) for g in self.assignment)
             )
-        object.__setattr__(self, "assignment_kwargs", dict(self.assignment_kwargs))
-        profiles = {int(k): v for k, v in dict(self.profiles).items()}
-        for index in profiles:
-            if not (0 <= index < self.num_gateways):
-                raise ConfigurationError(
-                    f"profile override for gateway {index} out of range "
-                    f"[0, {self.num_gateways})"
-                )
-        object.__setattr__(self, "profiles", profiles)
-
-    def profile_for(self, gateway_index: int) -> GatewayProfile:
-        """The profile governing one gateway."""
-        return self.profiles.get(gateway_index, self.profile)
-
-    @property
-    def is_transparent(self) -> bool:
-        """True when no gateway can change observable behaviour."""
-        return self.profile.is_transparent and all(
-            p.is_transparent for p in self.profiles.values()
-        )
 
     def assign(self, num_devices: int) -> np.ndarray:
         """Resolve the device→gateway map for ``num_devices`` devices."""
@@ -217,7 +62,6 @@ class TwoTierTopology:
                 self.assignment,
                 num_devices=num_devices,
                 num_gateways=self.num_gateways,
-                **self.assignment_kwargs,
             )
         else:
             mapping = self.assignment
@@ -233,123 +77,3 @@ class TwoTierTopology:
                 f"[0, {self.num_gateways})"
             )
         return mapping
-
-    # -- JSON form (experiment specs) ----------------------------------- #
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form; inverse of :meth:`from_dict`.
-
-        Only topologies built from the JSON-expressible subset (uniform
-        delays, Bernoulli outages) round-trip; richer models raise.
-        """
-        out: Dict[str, Any] = {"num_gateways": self.num_gateways}
-        if isinstance(self.assignment, str):
-            if self.assignment != "round_robin":
-                out["assignment"] = self.assignment
-            if self.assignment_kwargs:
-                out["assignment_kwargs"] = dict(self.assignment_kwargs)
-        else:
-            out["assignment"] = list(self.assignment)
-        out.update(_profile_to_dict(self.profile))
-        if self.profiles:
-            raise ConfigurationError(
-                "per-gateway profile overrides have no JSON spec form"
-            )
-        return out
-
-    @classmethod
-    def from_dict(
-        cls, data: Mapping[str, Any], delay_scale: float = 1.0
-    ) -> "TwoTierTopology":
-        """Build a topology from its JSON form.
-
-        ``delay_scale`` multiplies every delay/deadline/window value, so
-        specs can quote them in Δ multiples (the experiment layer passes
-        ``delay_in_sample_units(1.0)``) while the profile stores time
-        units.
-        """
-        known = {
-            "num_gateways", "assignment", "assignment_kwargs", "flush_size",
-            "flush_deadline", "capacity", "device_delay", "device_drop",
-            "server_delay", "server_drop", "stall_windows",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown gateway spec fields: {sorted(unknown)}"
-            )
-        scale = float(delay_scale)
-
-        def delays(key: str) -> LinkDelays:
-            tau = float(data.get(key, 0.0)) * scale
-            return LinkDelays.uniform(tau) if tau > 0 else LinkDelays.zero()
-
-        def outage(key: str) -> OutageModel:
-            p = float(data.get(key, 0.0))
-            return BernoulliOutage(p) if p > 0 else NoOutage()
-
-        deadline = data.get("flush_deadline")
-        profile = GatewayProfile(
-            flush_size=int(data.get("flush_size", 32)),
-            flush_deadline=None if deadline is None else float(deadline) * scale,
-            capacity=(
-                None if data.get("capacity") is None else int(data["capacity"])
-            ),
-            device_delays=delays("device_delay"),
-            device_outage=outage("device_drop"),
-            server_delays=delays("server_delay"),
-            server_outage=outage("server_drop"),
-            stall_windows=tuple(
-                (float(s) * scale, float(e) * scale)
-                for s, e in data.get("stall_windows", ())
-            ),
-        )
-        assignment = data.get("assignment", "round_robin")
-        if not isinstance(assignment, str):
-            assignment = tuple(int(g) for g in assignment)
-        return cls(
-            num_gateways=int(data["num_gateways"]),
-            assignment=assignment,
-            assignment_kwargs=data.get("assignment_kwargs", {}),
-            profile=profile,
-        )
-
-
-def _profile_to_dict(profile: GatewayProfile) -> Dict[str, Any]:
-    out: Dict[str, Any] = {}
-    if profile.flush_size != 32:
-        out["flush_size"] = profile.flush_size
-    if profile.flush_deadline is not None:
-        out["flush_deadline"] = profile.flush_deadline
-    if profile.capacity is not None:
-        out["capacity"] = profile.capacity
-    for key, delays in (
-        ("device_delay", profile.device_delays),
-        ("server_delay", profile.server_delays),
-    ):
-        if not delays.is_zero:
-            legs = (delays.request, delays.checkout, delays.checkin)
-            if not all(isinstance(leg, UniformDelay) for leg in legs):
-                raise ConfigurationError(
-                    f"{key}: only uniform delays have a JSON spec form"
-                )
-            maxima = {leg.maximum for leg in legs}
-            if len(maxima) != 1:
-                raise ConfigurationError(
-                    f"{key}: per-leg delay mixes have no JSON spec form"
-                )
-            out[key] = maxima.pop()
-    for key, model in (
-        ("device_drop", profile.device_outage),
-        ("server_drop", profile.server_outage),
-    ):
-        if isinstance(model, NoOutage):
-            continue
-        if not isinstance(model, BernoulliOutage):
-            raise ConfigurationError(
-                f"{key}: only Bernoulli outages have a JSON spec form"
-            )
-        out[key] = model.drop_probability
-    if profile.stall_windows:
-        out["stall_windows"] = [list(w) for w in profile.stall_windows]
-    return out

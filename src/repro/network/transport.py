@@ -16,9 +16,7 @@ of two styles:
   :class:`Link` whose three legs schedule deliveries on the shared
   :class:`~repro.network.events.EventQueue`.  :class:`SimulatedTransport`
   builds links of delayed, possibly lossy
-  :class:`~repro.network.channel.Channel`\\ s;
-  :class:`~repro.gateway.transport.GatewayTransport` builds links whose
-  legs cross an aggregating gateway.  Delivery callbacks travel as
+  :class:`~repro.network.channel.Channel`\\ s.  Delivery callbacks travel as
   ``(callback, args)`` pairs end to end, so no closure is allocated per
   message.
 """
@@ -38,10 +36,7 @@ from repro.network.outage import NoOutage, OutageModel
 class Link:
     """One device's three event-driven legs: request, check-out, check-in.
 
-    A leg is anything with :meth:`Channel.send
-    <repro.network.channel.Channel.send>`'s signature and a ``.stats``
-    (:class:`~repro.network.channel.ChannelStats`) — a plain channel or
-    a gateway hop.
+    Each leg is a :class:`~repro.network.channel.Channel`.
     """
 
     __slots__ = ("request", "checkout", "checkin")

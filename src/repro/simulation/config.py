@@ -4,16 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from repro.core.adaptive import BatchPolicy
 from repro.network.latency import LinkDelays
 from repro.network.outage import NoOutage, OutageModel
 from repro.simulation.churn import ChurnSchedule
 from repro.utils.exceptions import ConfigurationError
-
-if TYPE_CHECKING:
-    from repro.gateway.topology import TwoTierTopology
 
 
 @dataclass(frozen=True)
@@ -87,27 +84,6 @@ class SimulationConfig:
         on transient failures (connection refused/reset, 5xx), with
         exponential backoff — how a run rides out a server bounce.
         Default 0 = fail fast, the historical behaviour.
-    snapshot_subsample:
-        Opt-in cap on the number of test examples used per error
-        snapshot (drawn once per run from a dedicated RNG stream).
-        ``None`` (default) evaluates the full test set.  Setting it
-        changes snapshot values — it is meant for the scalability
-        ablations, where each of the ~60 snapshots otherwise runs a full
-        test-set forward pass.
-    gateways:
-        Optional :class:`~repro.gateway.topology.TwoTierTopology`.  When
-        set, devices reach the server through batch-aggregating edge
-        gateways (:class:`~repro.gateway.transport.GatewayTransport`):
-        every per-link property — device↔gateway and gateway↔server
-        delays, outages, stall windows — lives in the topology's
-        gateway profiles, so ``link_delays`` and ``outage`` must stay at
-        their reliable zero defaults (rejected otherwise, to rule out
-        double-modelling the same hop).  Only valid with
-        ``transport="auto"`` or ``"simulated"``: the tier is inherently
-        event-driven, and the synchronous ``"direct"``/``"http"`` paths
-        cannot host it.  A *transparent* topology (pass-through flush,
-        zero delays, no outages/stalls) is bit-identical to running
-        without gateways — the recorded-trace suite gates this.
     """
 
     num_devices: int
@@ -129,8 +105,6 @@ class SimulationConfig:
     transport: str = "auto"
     server_url: Optional[str] = None
     http_retries: int = 0
-    snapshot_subsample: Optional[int] = None
-    gateways: Optional["TwoTierTopology"] = None
 
     def __post_init__(self):
         if self.transport not in ("auto", "direct", "simulated", "http"):
@@ -156,10 +130,6 @@ class SimulationConfig:
                 f"http_retries is only meaningful with transport='http', "
                 f"got transport={self.transport!r}"
             )
-        if self.snapshot_subsample is not None and self.snapshot_subsample < 1:
-            raise ConfigurationError(
-                f"snapshot_subsample must be >= 1, got {self.snapshot_subsample}"
-            )
         if self.churn is not None and self.churn.num_devices != self.num_devices:
             raise ConfigurationError(
                 f"churn schedule covers {self.churn.num_devices} devices, "
@@ -183,18 +153,6 @@ class SimulationConfig:
             raise ConfigurationError("num_snapshots must be >= 1")
         if self.projection_radius is not None and self.projection_radius <= 0:
             raise ConfigurationError("projection_radius must be positive")
-        if self.gateways is not None:
-            if self.transport not in ("auto", "simulated"):
-                raise ConfigurationError(
-                    f"gateways need the event-driven transport: use "
-                    f"transport='auto' or 'simulated', got {self.transport!r}"
-                )
-            if not self.link_delays.is_zero or not isinstance(self.outage, NoOutage):
-                raise ConfigurationError(
-                    "with gateways, per-hop delays and outages live in the "
-                    "gateway profiles (device_delays/server_delays/...); "
-                    "leave link_delays and outage at their defaults"
-                )
         if (
             self.transport in ("direct", "http")
             and not self.direct_transport_eligible
@@ -239,14 +197,7 @@ class SimulationConfig:
         return self.link_delays.is_zero and isinstance(self.outage, NoOutage)
 
     def resolved_transport(self) -> str:
-        """The concrete transport ``"auto"`` resolves to for this config.
-
-        A configured gateway tier always resolves to ``"gateway"`` —
-        the tier needs the event queue even when every hop is zero-delay
-        (flush timers and batch deliveries are events).
-        """
-        if self.gateways is not None:
-            return "gateway"
+        """The concrete transport ``"auto"`` resolves to for this config."""
         if self.transport == "auto":
             return "direct" if self.direct_transport_eligible else "simulated"
         return self.transport

@@ -26,16 +26,13 @@ check-out delivery fires.
 The round trip itself executes in one of two styles, picked by
 ``SimulationConfig.resolved_transport()``:
 
-* **event-driven** (``"simulated"``, ``"gateway"``) — each device owns a
+* **event-driven** (``"simulated"``) — each device owns a
   :class:`~repro.network.transport.Link` whose three legs schedule
   deliveries on the event queue (delayed, possibly lossy
-  :class:`~repro.network.channel.Channel`\\ s, or two-hop gateway legs).
+  :class:`~repro.network.channel.Channel`\\ s).
   Deliveries travel as ``(bound method, args)`` pairs — no per-message
   closures — and every check-in delivery is its own event, applied in
-  heap order.  A gateway's flushed batch is one delivery carrying many
-  check-ins; the simulator applies them one :meth:`ServerCore.handle_checkin
-  <repro.core.server_core.ServerCore.handle_checkin>` at a time, in
-  batch order, exactly as if each had been its own delivery.
+  heap order.
 * **fused** (``"direct"``, auto-selected for zero-delay, outage-free
   configs, and ``"http"``) — no link: the whole round runs
   *synchronously* inside the trigger event via
@@ -177,23 +174,8 @@ class CrowdSimulator:
         # synchronously and need no link; an event-driven run's transport
         # connects one per device.
         self._fused = resolved in ("direct", "http")
-        self._gateway = None
         transport = None
-        if resolved == "gateway":
-            # Imported here for layering, not laziness: gateway/ depends
-            # on network/ and core/, so simulation/ must not import it
-            # unconditionally.
-            from repro.gateway.transport import GatewayTransport
-
-            self._gateway = GatewayTransport(
-                self._queue,
-                config.gateways,
-                config.num_devices,
-                self._apply_checkin_run,
-                self._rng_factory,
-            )
-            transport = self._gateway
-        elif not self._fused:
+        if not self._fused:
             transport = SimulatedTransport(
                 self._queue, config.link_delays, config.outage
             )
@@ -202,7 +184,8 @@ class CrowdSimulator:
         if resolved == "http":
             # The live server owns the model, optimizer, and stopping
             # config; the local ones must merely describe the same task.
-            # (Imported here for the same layering rule as gateway/.)
+            # (Imported here for layering, not laziness: serve/ depends on
+            # core/, so simulation/ must not import it unconditionally.)
             from repro.serve.client import ServiceClient
             from repro.serve.remote import RemoteServerCore
 
@@ -242,13 +225,7 @@ class CrowdSimulator:
 
         self._grid = snapshot_grid(max(total_samples, 1), config.num_snapshots)
         self._grid_pos = 0
-        subsample = config.snapshot_subsample
-        snapshot_rng = None
-        if subsample is not None and subsample < len(test_dataset):
-            snapshot_rng = self._rng_factory.generator("snapshot", 0)
-        self._snapshot_eval = SnapshotEvaluator(
-            model, test_dataset, subsample, snapshot_rng
-        )
+        self._snapshot_eval = SnapshotEvaluator(model, test_dataset)
         self._snapshot_iters: list[int] = []
         self._snapshot_errors: list[float] = []
         self._online_errors: list[np.ndarray] = []
@@ -281,12 +258,6 @@ class CrowdSimulator:
     @property
     def config(self) -> SimulationConfig:
         return self._config
-
-    @property
-    def gateway(self):
-        """The :class:`~repro.gateway.transport.GatewayTransport` when a
-        two-tier topology is configured, else ``None``."""
-        return self._gateway
 
     @property
     def events_fired(self) -> int:
@@ -545,12 +516,6 @@ class CrowdSimulator:
         if stop.stopped:
             self._stopped_reason = stop.reason.value
 
-    def _apply_checkin_run(self, messages: List[CheckinMessage]) -> None:
-        """Apply one gateway batch delivery: one ``_on_checkin_arrival`` per
-        message, in batch order (deliveries after a stop are ignored there)."""
-        for message in messages:
-            self._on_checkin_arrival(None, message)
-
     # ------------------------------------------------------------------ #
     # The check-out/check-in round trip — fused                          #
     # ------------------------------------------------------------------ #
@@ -636,19 +601,8 @@ class CrowdSimulator:
         loop_start = time.perf_counter()
         for actor in self._actors:
             self._schedule_trigger(actor)
-        while True:
-            while self._queue.step():
-                pass
-            # With a gateway tier, an empty queue may leave check-ins
-            # stranded in gateway buffers (no deadline configured, or a
-            # trailing trickle below flush_size): drain them — the
-            # shutdown flush — and keep stepping until the whole tier is
-            # quiescent.  After a stop the leftovers would be ignored on
-            # delivery anyway, so the drain is skipped.
-            if self._gateway is None or self._stopped_reason is not None:
-                break
-            if not self._gateway.drain_stranded():
-                break
+        while self._queue.step():
+            pass
 
         # Break the simulator -> handle -> simulator cycles: a finished run
         # (and its M devices) is freed by refcount, not a gen-2 collection.
@@ -691,11 +645,6 @@ class CrowdSimulator:
             self._comm.messages_dropped = sum(
                 actor.link.messages_dropped for actor in self._actors
             )
-        if self._gateway is not None:
-            # Whole batches lost on a gateway's backhaul (per-device
-            # drops — edge-hop losses and capacity overflow — are
-            # already counted on the device links above).
-            self._comm.messages_dropped += self._gateway.checkins_lost
 
         # Run-boundary metrics: one counter bump and a few gauge writes
         # per run, never per event.

@@ -31,6 +31,7 @@ from repro.store.locking import FileLock
 #: On-disk format version, recorded in ``store.json``.
 STORE_FORMAT = 1
 
+MARKER_NAME = "store.json"
 MANIFEST_NAME = "manifest.json"
 RESULT_NAME = "result.json"
 
@@ -107,7 +108,7 @@ class DirectoryBackend:
         os.makedirs(self.runs_dir, exist_ok=True)
         os.makedirs(self.locks_dir, exist_ok=True)
         check_format_marker(
-            os.path.join(self.root, "store.json"), STORE_FORMAT, StoreError
+            os.path.join(self.root, MARKER_NAME), STORE_FORMAT, StoreError
         )
 
     # -- layout -------------------------------------------------------- #

@@ -26,7 +26,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.experiments.results import FigureResult
-from repro.store.backend import StoreError
+from repro.store.backend import MARKER_NAME, StoreError
 from repro.store.store import RunStore, STORE_DIR_ENV
 
 _AGE_UNITS = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
@@ -235,6 +235,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not root:
         parser.error(f"no store directory: pass --store or set "
                      f"${STORE_DIR_ENV}")
+    # RunStore(root) creates a store wherever it points; every command
+    # here reads an existing one, so a mistyped path must not become one.
+    if not os.path.isfile(os.path.join(root, MARKER_NAME)):
+        print(f"repro-store: no run store at {root}", file=sys.stderr)
+        return 2
     try:
         store = RunStore(root)
         return args.func(store, args)

@@ -96,29 +96,3 @@ class TestSnapshotEvaluator:
             assert evaluator.error(params.copy()) == first
         assert evaluator.misses == 1
         assert evaluator.hits == 3
-
-    def test_subsample_draws_once_and_is_deterministic(self):
-        from repro.evaluation.metrics import SnapshotEvaluator
-
-        model, test = self._setup()
-        params = np.random.default_rng(0).normal(size=model.num_parameters)
-        a = SnapshotEvaluator(model, test, subsample=10,
-                              rng=np.random.default_rng(7))
-        b = SnapshotEvaluator(model, test, subsample=10,
-                              rng=np.random.default_rng(7))
-        assert a.num_examples == b.num_examples == 10
-        assert a.error(params) == b.error(params)
-
-    def test_subsample_larger_than_dataset_uses_all(self):
-        from repro.evaluation.metrics import SnapshotEvaluator
-
-        model, test = self._setup(num_test=8)
-        evaluator = SnapshotEvaluator(model, test, subsample=100)
-        assert evaluator.num_examples == 8
-
-    def test_binding_subsample_requires_rng(self):
-        from repro.evaluation.metrics import SnapshotEvaluator
-
-        model, test = self._setup()
-        with pytest.raises(ValueError):
-            SnapshotEvaluator(model, test, subsample=5)

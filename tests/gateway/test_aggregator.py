@@ -1,10 +1,9 @@
 """Unit tests for :class:`repro.gateway.aggregator.GatewayAggregator`.
 
 The aggregator is the engine of the gateway tier: these tests pin the
-trigger precedence (capacity > size > deadline), the custody contract on
-upstream failure (the batched Remark 1), the ack-routing callbacks, and
-the suspend/resume stall protocol — all against a manual clock, no event
-queue or HTTP involved.
+size trigger, the custody contract on upstream failure (the batched
+Remark 1) and the ack-routing callbacks — against a fake upstream, no
+HTTP involved.
 """
 
 import numpy as np
@@ -23,14 +22,6 @@ def _msg(device_id=0):
 
 def _ack(device_id=0):
     return CheckinAck(device_id=device_id, server_iteration=1)
-
-
-class ManualClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
 
 
 class CollectingUpstream:
@@ -64,109 +55,12 @@ class TestSizeFlush:
         agg.add(_msg(8), on_ack=lambda a: seen.append(("second", a.device_id)))
         assert seen == [("first", 7), ("second", 8)]
 
-    def test_async_upstream_returns_none(self):
-        agg = GatewayAggregator(lambda ms: None, flush_size=2)
-        agg.add(_msg())
-        assert agg.add(_msg()) is None  # flushed, acks unknown
-        assert agg.pending == 0
-        assert agg.stats.flushes == 1
-
     def test_flush_on_empty_buffer_is_a_noop(self):
         upstream = CollectingUpstream()
         agg = GatewayAggregator(upstream, flush_size=4)
         assert agg.flush() == []
         assert upstream.batches == []
         assert agg.stats.flushes == 0
-
-
-class TestDeadlineFlush:
-    def test_deadline_arms_on_first_message_only(self):
-        clock = ManualClock()
-        agg = GatewayAggregator(
-            CollectingUpstream(), flush_size=100, flush_deadline=5.0,
-            clock=clock,
-        )
-        assert agg.deadline_at is None
-        clock.now = 2.0
-        agg.add(_msg())
-        assert agg.deadline_at == 7.0
-        clock.now = 4.0
-        agg.add(_msg())  # later adds never extend the deadline
-        assert agg.deadline_at == 7.0
-
-    def test_flush_if_due_respects_the_deadline(self):
-        clock = ManualClock()
-        upstream = CollectingUpstream()
-        agg = GatewayAggregator(
-            upstream, flush_size=100, flush_deadline=5.0, clock=clock
-        )
-        agg.add(_msg())
-        clock.now = 4.9
-        assert agg.flush_if_due() is None
-        clock.now = 5.0
-        acks = agg.flush_if_due()
-        assert len(acks) == 1
-        assert agg.stats.deadline_flushes == 1
-        assert agg.deadline_at is None  # disarmed by the flush
-
-    def test_late_add_past_deadline_flushes_inline(self):
-        clock = ManualClock()
-        agg = GatewayAggregator(
-            CollectingUpstream(), flush_size=100, flush_deadline=1.0,
-            clock=clock,
-        )
-        agg.add(_msg())
-        clock.now = 3.0
-        acks = agg.add(_msg())
-        assert len(acks) == 2
-        assert agg.stats.deadline_flushes == 1
-
-
-class TestCapacity:
-    def test_capacity_bounds_batches_below_flush_size(self):
-        upstream = CollectingUpstream()
-        agg = GatewayAggregator(upstream, flush_size=10, capacity=3)
-        for _ in range(7):
-            agg.add(_msg())
-        assert [len(b) for b in upstream.batches] == [3, 3]
-        assert agg.pending == 1
-        assert agg.stats.capacity_flushes == 2
-        assert agg.stats.largest_flush == 3
-
-
-class TestSuspendResume:
-    def test_suspended_aggregator_buffers_past_every_trigger(self):
-        clock = ManualClock()
-        upstream = CollectingUpstream()
-        agg = GatewayAggregator(
-            upstream, flush_size=2, flush_deadline=1.0, clock=clock
-        )
-        agg.suspend()
-        for _ in range(5):
-            agg.add(_msg())
-        clock.now = 10.0
-        assert agg.flush_if_due() is None
-        assert upstream.batches == []
-        assert agg.pending == 5
-
-    def test_resume_flushes_a_warranting_backlog(self):
-        upstream = CollectingUpstream()
-        agg = GatewayAggregator(upstream, flush_size=2)
-        agg.suspend()
-        agg.add(_msg())
-        agg.add(_msg())
-        agg.add(_msg())
-        acks = agg.resume()
-        assert len(acks) == 3
-        assert not agg.suspended
-        assert agg.stats.size_flushes == 1
-
-    def test_resume_with_small_backlog_keeps_buffering(self):
-        agg = GatewayAggregator(CollectingUpstream(), flush_size=5)
-        agg.suspend()
-        agg.add(_msg())
-        assert agg.resume() is None
-        assert agg.pending == 1
 
 
 class TestUpstreamFailure:
@@ -183,16 +77,12 @@ class TestUpstreamFailure:
             delivered.extend(m.device_id for m in messages)
             return [_ack(m.device_id) for m in messages]
 
-        clock = ManualClock()
-        agg = GatewayAggregator(
-            flaky, flush_size=2, flush_deadline=4.0, clock=clock
-        )
+        agg = GatewayAggregator(flaky, flush_size=2)
         seen = []
         agg.add(_msg(0), on_ack=lambda a: seen.append(a.device_id))
         with pytest.raises(OSError):
             agg.add(_msg(1), on_ack=lambda a: seen.append(a.device_id))
         assert agg.pending == 2  # both messages back in the buffer
-        assert agg.deadline_at == 4.0  # deadline re-armed for the retry
         assert agg.stats.flushes == 0
         agg.add(_msg(2), on_ack=lambda a: seen.append(a.device_id))
         assert delivered == [0, 1, 2]  # original order, new add behind
@@ -204,16 +94,14 @@ class TestValidation:
         "kwargs",
         [
             {"flush_size": 0},
-            {"flush_deadline": -1.0},
-            {"capacity": 0},
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
-            GatewayAggregator(lambda ms: None, **kwargs)
+            GatewayAggregator(CollectingUpstream(), **kwargs)
 
     def test_mean_flush_size(self):
-        agg = GatewayAggregator(lambda ms: None, flush_size=2)
+        agg = GatewayAggregator(CollectingUpstream(), flush_size=2)
         assert agg.stats.mean_flush_size == 0.0
         for _ in range(4):
             agg.add(_msg())

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gateway import GatewayProfile, TwoTierTopology
-from repro.network.latency import LinkDelays
-from repro.network.outage import BernoulliOutage, NoOutage, WindowedOutage
+from repro.gateway import TwoTierTopology
 from repro.registry import GATEWAY_ASSIGNMENTS
 from repro.utils.exceptions import ConfigurationError
 
@@ -51,110 +49,3 @@ class TestAssignmentPolicies:
         with pytest.raises(ConfigurationError):
             TwoTierTopology(num_gateways=0)
 
-
-class TestGatewayProfile:
-    def test_pass_through_is_transparent(self):
-        assert GatewayProfile.pass_through().is_transparent
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"flush_size": 2},
-            {"capacity": 5},
-            {"device_delays": LinkDelays.uniform(0.1)},
-            {"server_outage": BernoulliOutage(0.1)},
-            {"stall_windows": ((1.0, 2.0),)},
-        ],
-    )
-    def test_any_observable_knob_breaks_transparency(self, kwargs):
-        profile = GatewayProfile(flush_size=kwargs.pop("flush_size", 1), **kwargs)
-        assert not profile.is_transparent
-
-    def test_stall_geometry_is_half_open(self):
-        profile = GatewayProfile(stall_windows=((5.0, 7.0), (1.0, 2.0)))
-        assert profile.stall_windows == ((1.0, 2.0), (5.0, 7.0))  # sorted
-        assert profile.in_stall(1.0) and not profile.in_stall(2.0)
-        assert profile.stall_release(6.0) == 7.0
-        assert profile.stall_release(3.0) == 3.0  # outside: identity
-
-    def test_overlapping_windows_rejected(self):
-        with pytest.raises(ConfigurationError, match="overlap"):
-            GatewayProfile(stall_windows=((1.0, 3.0), (2.0, 4.0)))
-
-    def test_degenerate_window_rejected(self):
-        with pytest.raises(ConfigurationError, match="exceed"):
-            GatewayProfile(stall_windows=((2.0, 2.0),))
-
-
-class TestProfileOverrides:
-    def test_profile_for_prefers_the_override(self):
-        special = GatewayProfile(flush_size=99)
-        topo = TwoTierTopology(num_gateways=3, profiles={1: special})
-        assert topo.profile_for(1) is special
-        assert topo.profile_for(0) is topo.profile
-        assert not topo.is_transparent  # the override is not transparent
-
-    def test_override_out_of_range_rejected(self):
-        with pytest.raises(ConfigurationError, match="out of range"):
-            TwoTierTopology(num_gateways=2, profiles={5: GatewayProfile()})
-
-
-class TestJsonForm:
-    def test_round_trip(self):
-        topo = TwoTierTopology.from_dict({
-            "num_gateways": 4,
-            "assignment": "block",
-            "flush_size": 8,
-            "flush_deadline": 1.5,
-            "capacity": 64,
-            "device_delay": 0.25,
-            "server_delay": 2.0,
-            "device_drop": 0.05,
-            "server_drop": 0.1,
-            "stall_windows": [[3.0, 4.0]],
-        })
-        # Delay/outage models compare by identity, so round-trip equality
-        # is checked on the canonical JSON form.
-        assert TwoTierTopology.from_dict(topo.to_dict()).to_dict() == topo.to_dict()
-        assert topo.profile.flush_size == 8
-        assert topo.profile.capacity == 64
-        assert topo.profile.device_outage.drop_probability == 0.05
-        assert topo.profile.server_delays.checkin.maximum == 2.0
-        assert topo.profile.stall_windows == ((3.0, 4.0),)
-
-    def test_delay_scale_converts_delta_multiples(self):
-        data = {"num_gateways": 2, "server_delay": 2.0, "flush_deadline": 1.5,
-                "stall_windows": [[1.0, 3.0]]}
-        topo = TwoTierTopology.from_dict(data, delay_scale=0.1)
-        assert topo.profile.server_delays.checkin.maximum == pytest.approx(0.2)
-        assert topo.profile.flush_deadline == pytest.approx(0.15)
-        assert topo.profile.stall_windows[0] == pytest.approx((0.1, 0.3))
-        # Drop probabilities are dimensionless: never scaled.
-        repinned = TwoTierTopology.from_dict(
-            {"num_gateways": 2, "device_drop": 0.2}, delay_scale=0.1
-        )
-        assert repinned.profile.device_outage.drop_probability == 0.2
-
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown"):
-            TwoTierTopology.from_dict({"num_gateways": 1, "flsh_size": 2})
-
-    def test_unserializable_forms_raise(self):
-        with pytest.raises(ConfigurationError, match="no JSON spec form"):
-            TwoTierTopology(
-                num_gateways=2, profiles={0: GatewayProfile(flush_size=2)}
-            ).to_dict()
-        with pytest.raises(ConfigurationError, match="Bernoulli"):
-            TwoTierTopology(
-                num_gateways=2,
-                profile=GatewayProfile(
-                    server_outage=WindowedOutage(((0.0, 1.0),))
-                ),
-            ).to_dict()
-
-    def test_defaults_round_trip_minimal(self):
-        topo = TwoTierTopology(num_gateways=3)
-        assert topo.to_dict() == {"num_gateways": 3}
-        rebuilt = TwoTierTopology.from_dict({"num_gateways": 3})
-        assert rebuilt.to_dict() == {"num_gateways": 3}
-        assert rebuilt.is_transparent is False  # default flush_size is 32

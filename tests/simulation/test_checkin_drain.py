@@ -1,15 +1,11 @@
-"""Batched check-in application: bit-identical to one event per message.
+"""Check-in delivery through the event queue: one event per message.
 
-A gateway's flushed batch reaches the server as one delivery and is
-applied by ``_apply_checkin_run``, message by message.  These tests
-prove the batched path reproduces the sequential per-event path
-*exactly* — including snapshot placement,
-staleness bookkeeping, the max-iterations guard, and ρ-target stops —
-and pin what same-timestamp per-message deliveries do at the queue level
-(one event each, insertion order, interleaved events in position).  The
-same-timestamp heap drain these tests used to A/B was deleted in PR 17
-(zero hits over every shipped caller); the full-run cases now pin the
-traces it produced.
+These tests pin what same-timestamp check-in deliveries do at the queue
+level (one event each, insertion order, interleaved events in position)
+against the same messages applied directly, one ``_on_checkin_arrival``
+per message.  The same-timestamp heap drain these tests used to A/B is
+gone (no shipped caller reached it); the full-run cases pin the traces
+it produced.
 """
 
 import hashlib
@@ -93,63 +89,6 @@ def assert_same_state(batched, sequential):
     assert got == want
 
 
-class TestApplyRunEquivalence:
-    """White-box: _apply_checkin_run vs one _on_checkin_arrival per message."""
-
-    def apply_both_ways(self, data, messages, **config_extra):
-        batched = make_sim(data, **config_extra)
-        sequential = make_sim(data, **config_extra)
-        batched._apply_checkin_run(messages)
-        for message in messages:
-            sequential._on_checkin_arrival(None, message)
-        assert_same_state(batched, sequential)
-        return batched
-
-    def test_plain_run_single_segment(self, data):
-        self.apply_both_ways(data, [])
-        batched = self.apply_both_ways(
-            data, craft_messages(make_sim(data), 8))
-        assert batched.core.iteration == 8
-
-    def test_snapshot_crossings_split_segments(self, data):
-        # 180 samples total, 6 snapshots -> grid points every ~30 samples;
-        # 25 messages x 2 samples cross the grid mid-run, so the error
-        # snapshot must be taken at intermediate parameters.
-        sim = make_sim(data)
-        messages = craft_messages(sim, 25)
-        batched = self.apply_both_ways(data, messages)
-        assert batched._grid_pos > 0
-        assert batched._snapshot_iters  # crossings actually happened
-
-    def test_max_iterations_guard_drops_tail(self, data):
-        messages = craft_messages(make_sim(data), 10)
-        batched = self.apply_both_ways(data, messages, max_iterations=4)
-        assert batched.core.iteration == 4
-        assert batched._stopped_reason == "max_iterations"
-        # The guard drops post-stop deliveries *before* the core sees
-        # them — identical rejected-message accounting both ways (0).
-        assert batched.core.rejected_messages == 0
-
-    def test_target_error_stop_mid_run(self, data):
-        # All-zero noisy error counts drive the DP estimate to 0, so the
-        # rho-stop trips as soon as min_samples_for_error_stop (100) is
-        # counted — mid-run at 40 x 3 = 120 samples.
-        sim = make_sim(data, target_error=0.5)
-        messages = craft_messages(sim, 40, num_samples=3)
-        zeroed = [
-            CheckinMessage(
-                device_id=m.device_id, token=m.token, gradient=m.gradient,
-                num_samples=m.num_samples, noisy_error_count=0,
-                noisy_label_counts=m.noisy_label_counts,
-                checkout_iteration=m.checkout_iteration,
-            )
-            for m in messages
-        ]
-        batched = self.apply_both_ways(data, zeroed, target_error=0.5)
-        assert batched._stopped_reason == "target_error"
-        assert 0 < batched.core.iteration < len(zeroed)
-
-
 class TestQueueLevelDrain:
     """End to end through the heap: one event each, in insertion order."""
 
@@ -177,9 +116,10 @@ class TestQueueLevelDrain:
         return sim, messages, observed, fired_iterations
 
     def batch_applied(self, data, messages):
-        """The state ``_apply_checkin_run`` produces for ``messages``."""
+        """The state one ``_on_checkin_arrival`` per message produces."""
         batched = make_sim(data)
-        batched._apply_checkin_run(messages)
+        for message in messages:
+            batched._on_checkin_arrival(None, message)
         return batched
 
     def test_same_timestamp_run_is_coalesced(self, data):

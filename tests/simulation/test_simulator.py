@@ -172,26 +172,6 @@ class TestStoppingCriteria:
 
 
 class TestSnapshots:
-    def test_subsample_changes_curve_but_not_dynamics(self, data):
-        full = build(data, SimulationConfig(num_devices=5, batch_size=2)).run()
-        sub = build(
-            data,
-            SimulationConfig(num_devices=5, batch_size=2, snapshot_subsample=10),
-        ).run()
-        # Learning is untouched — snapshots are pure observation.
-        assert np.array_equal(full.final_parameters, sub.final_parameters)
-        assert np.array_equal(full.curve.iterations, sub.curve.iterations)
-        assert full.total_samples_consumed == sub.total_samples_consumed
-        # The error estimates themselves come from 10 examples now.
-        assert not np.array_equal(full.curve.errors, sub.curve.errors)
-
-    def test_subsample_is_deterministic(self, data):
-        config = SimulationConfig(num_devices=5, batch_size=2,
-                                  snapshot_subsample=10)
-        a = build(data, config).run()
-        b = build(data, config).run()
-        assert np.array_equal(a.curve.errors, b.curve.errors)
-
     def test_snapshot_memoization_counts(self, data):
         """One big check-in crossing several grid points evaluates the
         forward pass once, not once per grid point."""
@@ -207,7 +187,3 @@ class TestSnapshots:
         # within a multi-grid-point check-in must come from the cache.
         assert evaluator.misses <= trace.server_iterations + 1
         assert evaluator.hits + evaluator.misses >= trace.curve.iterations.size
-
-    def test_rejects_bad_subsample(self):
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(num_devices=2, snapshot_subsample=0)

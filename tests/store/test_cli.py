@@ -70,8 +70,27 @@ class TestList:
         assert digest(["ref"]) in out
 
     def test_empty_store(self, tmp_path, capsys):
-        assert main(["--store", str(tmp_path / "fresh"), "list"]) == 0
+        fresh = RunStore(str(tmp_path / "fresh")).root
+        assert main(["--store", fresh, "list"]) == 0
         assert "empty" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [["list"], ["show", "abc"],
+                                         ["prune", "--all"]])
+    def test_path_without_a_store_is_refused_untouched(
+            self, tmp_path, capsys, command):
+        typo = tmp_path / "typo"
+        assert main(["--store", str(typo), *command]) == 2
+        assert (f"repro-store: no run store at {typo}"
+                in capsys.readouterr().err)
+        assert not typo.exists()
+
+    def test_env_dir_without_a_store_is_refused_untouched(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.store import STORE_DIR_ENV
+        monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path))
+        assert main(["list"]) == 2
+        assert "no run store at" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_store_dir_errors(self, monkeypatch, capsys):
         from repro.store import STORE_DIR_ENV

@@ -83,6 +83,8 @@ class TestOptionsCensus:
         from repro.core.config import DeviceConfig
         from repro.core.device import Device
         from repro.core.sanitizer import CheckinSanitizer
+        from repro.experiments import ArmSpec
+        from repro.gateway import GatewayAggregator, TwoTierTopology
         from repro.gateway.edge import EdgeGateway
         from repro.persist import Checkpointer, CheckpointPolicy, SnapshotStore
         from repro import registry
@@ -99,6 +101,7 @@ class TestOptionsCensus:
             ShardRouter: 1,
             ShardSupervisor: 5,
             EdgeGateway: 4,
+            GatewayAggregator: 2,
             ServiceClient: 6,
             RemoteServerCore: 1,
             SnapshotStore: 3,
@@ -114,7 +117,9 @@ class TestOptionsCensus:
             for cls in constructor_parameters
         }
         assert counted == constructor_parameters
-        assert len(dataclasses.fields(SimulationConfig)) == 21
+        assert len(dataclasses.fields(SimulationConfig)) == 19
+        assert len(dataclasses.fields(ArmSpec)) == 18
+        assert len(dataclasses.fields(TwoTierTopology)) == 2
         assert len(dataclasses.fields(DeviceConfig)) == 6
         repro_serve_arguments = [
             action for action in build_parser()._actions if action.dest != "help"
