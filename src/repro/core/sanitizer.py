@@ -12,7 +12,11 @@ lives once, in a :class:`SanitizerCalibration` shared by all sanitizers
 built for the same ``(model, budget, gradient_noise, gaussian_delta)``.
 A :class:`CheckinSanitizer` is that calibration plus the device's ``rng``;
 ``sanitize`` is the draws and nothing else, so a device's first round
-costs what its hundredth does.
+costs what its hundredth does.  The draws are three RNG calls at most
+(a level of ε = ∞ skips its own): the gradient noise, then one
+:func:`~repro.privacy.discrete_laplace.discrete_laplace_noise` call for
+the error count and one for the label counts, each drawing both of its
+geometric vectors at once.
 
 Footnote 1's (ε, δ) variant is available by constructing the sanitizer
 with ``gradient_noise="gaussian"``: the gradient noise becomes the

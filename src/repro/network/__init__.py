@@ -9,7 +9,7 @@ three legs per device, built by :class:`SimulatedTransport`.  Fused
 """
 
 from repro.network.channel import Channel, ChannelStats
-from repro.network.events import EventHandle, EventQueue
+from repro.network.events import EventQueue
 from repro.network.latency import (
     ConstantDelay,
     DelayModel,
@@ -35,7 +35,6 @@ __all__ = [
     "ChannelStats",
     "ConstantDelay",
     "DelayModel",
-    "EventHandle",
     "EventQueue",
     "ExponentialDelay",
     "Link",

@@ -102,6 +102,8 @@ class Channel:
         ``args``/``drop_args`` ride the EventQueue's args slots end to end:
         hot paths pass a bound method plus its arguments instead of
         allocating a closure per message — delivery and outage-retry alike.
+        A delivery is one heap entry at ``now + delay``, scheduled directly;
+        the queue's past-time check still refuses a negative or NaN delay.
         """
         self._stats.messages_sent += 1
         self._stats.payload_floats += int(payload_floats)
@@ -112,5 +114,6 @@ class Channel:
             return False
         delay = self._delay_model.sample(self._rng)
         self._stats.total_delay += delay
-        self._queue.schedule_after(delay, deliver, tag=self._name, args=args)
+        queue = self._queue
+        queue.schedule(queue.now + delay, deliver, args)
         return True

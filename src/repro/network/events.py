@@ -1,9 +1,14 @@
 """Deterministic discrete-event scheduler.
 
 The simulated crowd (Section V-C) is driven by a single global event queue:
-sample arrivals, message deliveries, and timer expirations are all events
-with a floating-point timestamp.  Ties are broken by insertion order, which
-keeps runs byte-for-byte reproducible for a fixed seed.
+sample arrivals and message deliveries are events with a floating-point
+timestamp.  Ties are broken by insertion order, which keeps runs
+byte-for-byte reproducible for a fixed seed.
+
+A heap entry is the plain tuple ``(time, sequence, callback, args)``:
+scheduling returns nothing, and a scheduled event always fires — there is
+no handle and no cancellation.  A time that is not ``>= now`` (a past time
+or NaN) is refused, so the clock only moves forward.
 """
 
 from __future__ import annotations
@@ -17,48 +22,6 @@ from repro.utils.exceptions import ConfigurationError
 EventCallback = Callable[..., None]
 
 
-class _ScheduledEvent:
-    """One queue entry.  Heap ordering lives in the ``(time, sequence)``
-    tuple pushed alongside it, so events themselves never compare — tuple
-    comparison stays entirely in C on the hot path."""
-
-    __slots__ = ("time", "sequence", "callback", "args", "cancelled", "fired", "tag")
-
-    def __init__(self, time: float, sequence: int, callback: EventCallback,
-                 args: tuple = (), tag: str = ""):
-        self.time = time
-        self.sequence = sequence
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.fired = False
-        self.tag = tag
-
-
-class EventHandle:
-    """Handle returned by :meth:`EventQueue.schedule`; allows cancellation."""
-
-    def __init__(self, event: _ScheduledEvent, queue: "EventQueue"):
-        self._event = event
-        self._queue = queue
-
-    @property
-    def time(self) -> float:
-        """Scheduled firing time."""
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (no-op if already fired)."""
-        if self._event.fired or self._event.cancelled:
-            return
-        self._event.cancelled = True
-        self._queue._pending -= 1
-
-
 class EventQueue:
     """Min-heap event queue with a monotonically advancing clock.
 
@@ -66,8 +29,8 @@ class EventQueue:
     --------
     >>> queue = EventQueue()
     >>> fired = []
-    >>> _ = queue.schedule(1.0, lambda: fired.append("a"))
-    >>> _ = queue.schedule(0.5, lambda: fired.append("b"))
+    >>> queue.schedule(1.0, lambda: fired.append("a"))
+    >>> queue.schedule(0.5, lambda: fired.append("b"))
     >>> queue.run()
     2
     >>> fired
@@ -75,13 +38,12 @@ class EventQueue:
     """
 
     def __init__(self):
-        # Entries are (time, sequence, event) — sequence breaks ties by
-        # insertion order and guarantees comparison never reaches the event.
-        self._heap: list[tuple[float, int, _ScheduledEvent]] = []
+        # Entries are (time, sequence, callback, args) — sequence breaks
+        # ties by insertion order, so comparison never reaches the callback.
+        self._heap: list[tuple[float, int, EventCallback, tuple]] = []
         self._counter = itertools.count()
         self._now = 0.0
         self._fired = 0
-        self._pending = 0
 
     @property
     def now(self) -> float:
@@ -90,16 +52,15 @@ class EventQueue:
 
     @property
     def pending(self) -> int:
-        """Number of not-yet-fired, not-cancelled events (O(1))."""
-        return self._pending
+        """Number of not-yet-fired events."""
+        return len(self._heap)
 
     @property
     def fired(self) -> int:
         """Total number of events executed so far."""
         return self._fired
 
-    def schedule(self, time: float, callback: EventCallback, tag: str = "",
-                 args: tuple = ()) -> EventHandle:
+    def schedule(self, time: float, callback: EventCallback, args: tuple = ()) -> None:
         """Schedule ``callback`` at absolute ``time`` (≥ current time).
 
         ``args`` are passed through to ``callback`` when the event fires —
@@ -107,37 +68,27 @@ class EventQueue:
         allocating a fresh closure per event.
         """
         time = float(time)
-        if time < self._now:
+        if not time >= self._now:
             raise ConfigurationError(
-                f"cannot schedule event in the past: time={time} < now={self._now}"
+                f"cannot schedule event at time={time}: it must be >= now={self._now}"
             )
-        sequence = next(self._counter)
-        event = _ScheduledEvent(time, sequence, callback, args, tag)
-        heapq.heappush(self._heap, (time, sequence, event))
-        self._pending += 1
-        return EventHandle(event, self)
+        heapq.heappush(self._heap, (time, next(self._counter), callback, args))
 
-    def schedule_after(self, delay: float, callback: EventCallback, tag: str = "",
-                       args: tuple = ()) -> EventHandle:
+    def schedule_after(self, delay: float, callback: EventCallback, args: tuple = ()) -> None:
         """Schedule ``callback`` after a relative non-negative ``delay``."""
         delay = float(delay)
-        if delay < 0:
+        if not delay >= 0:
             raise ConfigurationError(f"delay must be non-negative, got {delay}")
-        return self.schedule(self._now + delay, callback, tag, args)
+        self.schedule(self._now + delay, callback, args)
 
     def step(self) -> bool:
         """Fire the next event; return False when the queue is empty."""
-        while self._heap:
-            time, _, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            event.fired = True
-            self._pending -= 1
-            self._now = time
-            self._fired += 1
-            event.callback(*event.args)
-            return True
-        return False
+        if not self._heap:
+            return False
+        self._now, _, callback, args = heapq.heappop(self._heap)
+        self._fired += 1
+        callback(*args)
+        return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run events until exhaustion, a time horizon, or an event budget.
@@ -149,11 +100,7 @@ class EventQueue:
         while self._heap:
             if max_events is not None and fired >= max_events:
                 break
-            head_time, _, head = self._heap[0]
-            if head.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if until is not None and head_time > until:
+            if until is not None and self._heap[0][0] > until:
                 break
             self.step()
             fired += 1

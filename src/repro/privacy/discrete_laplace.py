@@ -52,14 +52,20 @@ def geometric_success(epsilon: float, score_scale: float = 2.0) -> float:
 
 
 def discrete_laplace_noise(success: float, rng: np.random.Generator, shape) -> np.ndarray:
-    """``G₁ - G₂`` with ``Gᵢ ~ Geometric(success)``, int64 of ``shape``.
+    """``G₁ - G₂`` with ``Gᵢ ~ Geometric(success)``, int64 of ``shape``
+    (an int or a tuple).
 
     The one sampling implementation: the mechanism below and the device
-    sanitizer both draw through it.  numpy's geometric counts trials
+    sanitizer both draw through it.  One call draws both geometric
+    vectors as the two rows of a ``(2, *shape)`` block: filled in C order,
+    row 0 takes the stream positions a first ``rng.geometric(success,
+    shape)`` call would and row 1 those of a second, so the result equals
+    the two-call difference bit for bit.  numpy's geometric counts trials
     (support 1, 2, ...); the two ``- 1`` shifts to the failures-count
     convention cancel in the difference.
     """
-    return rng.geometric(success, shape) - rng.geometric(success, shape)
+    draws = rng.geometric(success, (2, *shape) if isinstance(shape, tuple) else (2, shape))
+    return draws[0] - draws[1]
 
 
 def sample_discrete_laplace(

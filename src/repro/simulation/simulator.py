@@ -52,6 +52,7 @@ The round trip itself executes in one of two styles, picked by
 
 from __future__ import annotations
 
+import math
 import time
 from typing import List, Optional
 
@@ -223,8 +224,12 @@ class CrowdSimulator:
             self._build_actor(m, transport) for m in range(config.num_devices)
         ]
 
-        self._grid = snapshot_grid(max(total_samples, 1), config.num_snapshots)
-        self._grid_pos = 0
+        # The snapshot grid as a stack of Python ints (reversed, popped from
+        # the end); the next threshold is cached, so an applied check-in
+        # below it costs one comparison.
+        self._grid = snapshot_grid(max(total_samples, 1), config.num_snapshots).tolist()
+        self._grid.reverse()
+        self._next_snapshot = self._grid.pop()
         self._snapshot_eval = SnapshotEvaluator(model, test_dataset)
         self._snapshot_iters: list[int] = []
         self._snapshot_errors: list[float] = []
@@ -395,8 +400,7 @@ class CrowdSimulator:
             return
         actor.trigger_index = index
         self._queue.schedule(
-            float(actor.arrival_times[index]), self._on_trigger_handler,
-            tag="trigger", args=(actor,),
+            float(actor.arrival_times[index]), self._on_trigger_handler, (actor,)
         )
 
     def _on_trigger(self, actor: _DeviceActor) -> None:
@@ -586,15 +590,12 @@ class CrowdSimulator:
     # ------------------------------------------------------------------ #
 
     def _maybe_snapshot(self) -> None:
-        while (
-            self._grid_pos < self._grid.shape[0]
-            and self._samples_consumed >= self._grid[self._grid_pos]
-        ):
+        while self._samples_consumed >= self._next_snapshot:
             self._snapshot_iters.append(self._samples_consumed)
             self._snapshot_errors.append(
                 self._snapshot_eval.error(self._core.parameters)
             )
-            self._grid_pos += 1
+            self._next_snapshot = self._grid.pop() if self._grid else math.inf
 
     def run(self) -> RunTrace:
         """Execute the simulation to completion and return its trace."""

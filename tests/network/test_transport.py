@@ -119,9 +119,9 @@ class TestZeroClosures:
         callbacks = []
         original = EventQueueClass.schedule
 
-        def recording_schedule(self, time, callback, tag="", args=()):
+        def recording_schedule(self, time, callback, args=()):
             callbacks.append(callback)
-            return original(self, time, callback, tag, args)
+            return original(self, time, callback, args)
 
         monkeypatch.setattr(EventQueueClass, "schedule", recording_schedule)
         train, test = make_mnist_like(num_train=60, num_test=20, seed=0)
@@ -156,11 +156,11 @@ class TestZeroClosures:
         queue = EventQueue()
         channel = Channel(queue, rng=np.random.default_rng(0))
         scheduled = []
-        original_schedule = queue.schedule_after
-        queue.schedule_after = (
-            lambda delay, callback, tag="", args=(): (
+        original_schedule = queue.schedule
+        queue.schedule = (
+            lambda time, callback, args=(): (
                 scheduled.append((callback, args)),
-                original_schedule(delay, callback, tag, args),
+                original_schedule(time, callback, args),
             )[-1]
         )
 

@@ -45,6 +45,59 @@ class TestEventOrdering:
         assert observed == sorted(observed)
 
 
+# One call on the queue: schedule at now + offset, schedule_after(offset),
+# step(), or run(until=now + offset).  Offsets come from a small set so
+# equal timestamps (and the insertion-order tie-break) are common.
+offsets = st.sampled_from([0.0, 0.5, 1.0, 2.5])
+queue_calls = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), offsets),
+        st.tuples(st.just("schedule_after"), offsets),
+        st.tuples(st.just("step"), st.just(0.0)),
+        st.tuples(st.just("run"), offsets),
+    ),
+    max_size=60,
+)
+
+
+class TestInterleavedCalls:
+    @given(calls=queue_calls)
+    @settings(max_examples=200)
+    def test_fires_in_time_then_insertion_order(self, calls):
+        queue = EventQueue()
+        fired = []
+        waiting = []  # the model: (time, insertion index) not yet fired
+        scheduled = 0
+        for name, offset in calls:
+            if name == "schedule":
+                time = queue.now + offset
+                queue.schedule(time, fired.append, args=((time, scheduled),))
+            elif name == "schedule_after":
+                time = queue.now + offset
+                queue.schedule_after(offset, fired.append, args=((time, scheduled),))
+            if name in ("schedule", "schedule_after"):
+                waiting.append((time, scheduled))
+                scheduled += 1
+            elif name == "step":
+                expected = [min(waiting)] if waiting else []
+                assert queue.step() is bool(expected)
+                assert fired[len(fired) - len(expected):] == expected
+                for event in expected:
+                    waiting.remove(event)
+            else:
+                horizon = queue.now + offset
+                expected = sorted(e for e in waiting if e[0] <= horizon)
+                assert queue.run(until=horizon) == len(expected)
+                assert fired[len(fired) - len(expected):] == expected
+                waiting = [e for e in waiting if e[0] > horizon]
+                assert queue.now == horizon
+            assert queue.fired + queue.pending == scheduled
+            assert queue.pending == len(waiting)
+        queue.run()
+        assert fired == sorted(fired)
+        assert queue.fired == scheduled and queue.pending == 0
+
+
 class TestProjectionProperties:
     @given(
         vec=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1,

@@ -78,7 +78,7 @@ def drained_state(sim):
         "samples_consumed": sim._samples_consumed,
         "snapshot_iters": list(sim._snapshot_iters),
         "snapshot_errors": list(sim._snapshot_errors),
-        "grid_pos": sim._grid_pos,
+        "next_snapshot": sim._next_snapshot,
         "stopped_reason": sim._stopped_reason,
     }
 

@@ -125,6 +125,13 @@ class TestOptionsCensus:
             action for action in build_parser()._actions if action.dest != "help"
         ]
         assert len(repro_serve_arguments) == 23
+        # A heap entry is (time, sequence, callback, args): no tag, no
+        # handle options.
+        from repro.network import EventQueue
+
+        assert list(inspect.signature(EventQueue().schedule).parameters) == [
+            "time", "callback", "args",
+        ]
         registries = [
             name for name, value in vars(registry).items()
             if isinstance(value, registry.Registry)
