@@ -108,15 +108,15 @@ class Device:
 
         # Samples land in ndarray slots instead of growing Python lists
         # (Routine 1 is the hot path of every simulated run, and check-out
-        # then needs no np.stack).  Allocation starts at two minibatches —
-        # a buffer only exceeds b while a check-out is in flight — and
-        # doubles on demand up to the logical capacity B; allocating all of
-        # B = buffer_factor × b up front would waste ~B/b× the memory at
-        # crowd scale.
+        # then needs no np.stack).  Allocation starts at one minibatch —
+        # a buffer only exceeds b while a check-out is in flight, and
+        # _ensure_allocated doubles it then, up to the logical capacity B;
+        # allocating all of B = buffer_factor × b up front would waste
+        # ~B/b× the memory at crowd scale.
         self._capacity = int(config.buffer_capacity)
         self._is_classification = model.num_classes > 1
         self._label_dtype = np.int64 if self._is_classification else np.float64
-        allocated = min(2 * int(config.batch_size), self._capacity)
+        allocated = min(int(config.batch_size), self._capacity)
         self._feature_buffer = np.empty((allocated, model.num_features), dtype=np.float64)
         self._label_buffer = np.empty(allocated, dtype=self._label_dtype)
         self._holdout_buffer = np.zeros(allocated, dtype=bool)

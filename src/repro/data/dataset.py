@@ -60,10 +60,10 @@ class Dataset:
         return np.bincount(self.labels, minlength=self.num_classes)
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        """Return the dataset restricted to ``indices`` (copying)."""
+        """Return the dataset restricted to ``indices`` (integer indexing
+        copies the rows)."""
         indices = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[indices].copy(), self.labels[indices].copy(),
-                       self.num_classes)
+        return Dataset(self.features[indices], self.labels[indices], self.num_classes)
 
     def shuffled(self, rng: np.random.Generator) -> "Dataset":
         """Return a row-permuted copy."""

@@ -19,7 +19,12 @@ from repro.utils.validation import check_positive, check_positive_int
 
 def _split_by_assignment(dataset: Dataset, assignment: np.ndarray, num_devices: int
                          ) -> list[Dataset]:
-    return [dataset.subset(np.where(assignment == m)[0]) for m in range(num_devices)]
+    """Device ``m`` gets the rows assigned to it, in ascending order: one
+    stable sort groups them (ties keep their index order) and the group
+    bounds are binary searches, O(N log N) instead of a scan per device."""
+    order = np.argsort(assignment, kind="stable")
+    bounds = np.searchsorted(assignment[order], np.arange(num_devices + 1))
+    return [dataset.subset(order[bounds[m]:bounds[m + 1]]) for m in range(num_devices)]
 
 
 def iid_partition(

@@ -19,12 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.utils.numerics import l1_normalize
+from repro.utils.numerics import _l1_normalize_in_place
 from repro.utils.rng import as_generator
 from repro.utils.validation import (
     check_positive,
     check_positive_int,
 )
+
+
+#: Rows generated per step of :meth:`ClassClusterGenerator.sample`: its
+#: temporaries (a block of prototypes, its absolute values) stay a small
+#: fraction of the features it returns.  Not much smaller: glibc raises its
+#: mmap threshold only to the largest block a process frees, and a process
+#: that then allocates ~1 MB per request would page-fault on every one.
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -129,10 +137,18 @@ class ClassClusterGenerator:
                 raise ValueError("class_distribution must be a length-C probability vector")
             labels = rng.choice(spec.num_classes, size=num_samples, p=probs)
         styles = rng.integers(0, spec.subclusters_per_class, size=num_samples)
-        centers = self._prototypes[labels, styles]
-        noise = rng.normal(size=(num_samples, spec.num_features))
-        features = l1_normalize(centers + noise)
-        return Dataset(features, labels.astype(np.int64), spec.num_classes)
+        # The features are l1_normalize(prototypes[labels, styles] + noise),
+        # built in the noise buffer one row block at a time so that no
+        # temporary is larger than a block: IEEE addition commutes, so
+        # noise + prototype has the sum's bits, and each row's norm and
+        # division do not depend on the rows around it.
+        features = rng.normal(size=(num_samples, spec.num_features))
+        for start in range(0, num_samples, _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            block = features[start:stop]
+            block += self._prototypes[labels[start:stop], styles[start:stop]]
+            _l1_normalize_in_place(block)
+        return Dataset(features, labels, spec.num_classes)
 
     def sample_train_test(
         self,

@@ -54,10 +54,18 @@ def l1_normalize(features: np.ndarray, axis: int = -1, eps: float = 1e-12) -> np
     Rows with (near-)zero norm are left at zero rather than amplified, so the
     guarantee ``‖x‖₁ ≤ 1`` assumed by the sensitivity analysis always holds.
     """
-    features = np.asarray(features, dtype=np.float64)
+    return _l1_normalize_in_place(np.array(features, dtype=np.float64), axis, eps)
+
+
+def _l1_normalize_in_place(features: np.ndarray, axis: int = -1,
+                           eps: float = 1e-12) -> np.ndarray:
+    """:func:`l1_normalize` written into ``features`` (a float64 array) and
+    returned.  Dividing in place runs the same division on the same
+    operands as ``features / safe``, so the bits are those of the copy."""
     norms = np.sum(np.abs(features), axis=axis, keepdims=True)
     safe = np.where(norms > eps, norms, 1.0)
-    return features / safe
+    features /= safe
+    return features
 
 
 def running_mean(values: np.ndarray) -> np.ndarray:

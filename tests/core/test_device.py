@@ -97,6 +97,30 @@ class TestRoutine1:
         assert device.buffer_size == 3
 
 
+class TestBufferAllocation:
+    def test_new_device_holds_one_minibatch(self, model, rng):
+        device = make_device(model, rng, batch_size=4, buffer_capacity=40)
+        assert device._feature_buffer.shape == (4, model.num_features)
+        assert device._label_buffer.shape == (4,)
+        assert device._holdout_buffer.shape == (4,)
+
+    def test_in_flight_overflow_grows_with_rows_intact(self, model, rng):
+        device = make_device(model, rng, batch_size=2, buffer_capacity=40,
+                             holdout_fraction=0.5)
+        rows = [sample(rng) for _ in range(5)]
+        labels = [0, 1, 1, 0, 1]
+        device.observe(rows[0], labels[0])
+        device.observe(rows[1], labels[1])
+        holdout = device._holdout_buffer[:2].copy()
+        device.mark_checkout_requested()
+        device.observe_batch(np.stack(rows[2:]), np.array(labels[2:]))
+        assert device.buffer_size == 5
+        assert device._feature_buffer.shape[0] >= 5
+        assert np.array_equal(device._feature_buffer[:5], np.stack(rows))
+        assert np.array_equal(device._label_buffer[:5], labels)
+        assert np.array_equal(device._holdout_buffer[:2], holdout)
+
+
 class TestRemark1Retry:
     def test_failed_checkout_allows_retry(self, model, rng):
         device = make_device(model, rng, batch_size=1)

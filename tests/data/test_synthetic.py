@@ -1,10 +1,15 @@
 """Tests for the class-structured synthetic generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.data.synthetic import ClassClusterGenerator, ClusterSpec
+from repro.data.cifar_like import cifar_like_generator
+from repro.data.mnist_like import mnist_like_generator
+from repro.data.synthetic import _BLOCK_ROWS, ClassClusterGenerator, ClusterSpec
 from repro.utils.exceptions import ConfigurationError
+from repro.utils.numerics import l1_normalize
 
 
 @pytest.fixture
@@ -70,6 +75,73 @@ class TestSampling:
         b = generator.sample(20, np.random.default_rng(5))
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
+
+
+def reference_l1_normalize(features, eps=1e-12):
+    """The out-of-place formula: norms, guarded divisor, a fresh quotient."""
+    norms = np.sum(np.abs(features), axis=-1, keepdims=True)
+    return features / np.where(norms > eps, norms, 1.0)
+
+
+def reference_sample(generator, num_samples, rng, class_distribution=None):
+    """The generator as one expression over whole arrays: every temporary
+    (prototypes, noise, their sum, its absolute value, the quotient) is
+    held at once."""
+    spec = generator.spec
+    if class_distribution is None:
+        labels = rng.integers(0, spec.num_classes, size=num_samples)
+    else:
+        labels = rng.choice(spec.num_classes, size=num_samples, p=class_distribution)
+    styles = rng.integers(0, spec.subclusters_per_class, size=num_samples)
+    centers = generator._prototypes[labels, styles]
+    noise = rng.normal(size=(num_samples, spec.num_features))
+    return reference_l1_normalize(centers + noise), labels
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+SKEWED_PRIOR = np.array([0.3, 0.2, 0.1, 0.1, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05])
+
+
+class TestInPlaceGeneration:
+    """``sample`` builds its features in the noise buffer, a row block at a
+    time; the bytes must be those of the whole-array expression."""
+
+    @pytest.mark.parametrize("make", [mnist_like_generator, cifar_like_generator],
+                             ids=["mnist_like", "cifar_like"])
+    @pytest.mark.parametrize("prior", [None, SKEWED_PRIOR], ids=["uniform", "skewed"])
+    @pytest.mark.parametrize(
+        "num_samples", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 20_000])
+    def test_bytes_equal_whole_array_expression(self, make, prior, num_samples):
+        generator = make(0)
+        got = generator.sample(num_samples, np.random.default_rng(num_samples),
+                               class_distribution=prior)
+        want, labels = reference_sample(generator, num_samples,
+                                        np.random.default_rng(num_samples), prior)
+        assert same_bytes(got.features, want)
+        assert same_bytes(got.labels, labels.astype(np.int64))
+
+    def test_l1_normalize_equals_out_of_place_formula(self, rng):
+        raw = rng.normal(size=(300, 7)) * 50
+        raw[3] = 0.0  # a zero row stays zero
+        out = l1_normalize(raw)
+        assert same_bytes(out, reference_l1_normalize(raw))
+        assert out is not raw and not np.shares_memory(out, raw)
+
+    def test_peak_allocation_near_the_features_returned(self):
+        """The whole-array expression peaks at ~4.1x the features it
+        returns; building them in place stays within 1.5x."""
+        generator = mnist_like_generator(0)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            dataset = generator.sample(20_000, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * dataset.features.nbytes
 
 
 class TestSeparationKnob:

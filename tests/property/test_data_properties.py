@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import Dataset, iid_partition
+from repro.data.partition import _split_by_assignment
 from repro.data.synthetic import ClassClusterGenerator, ClusterSpec
 from repro.evaluation import ErrorCurve, average_curves
 from repro.utils.numerics import l1_normalize
@@ -53,6 +54,32 @@ class TestPartitionInvariants:
         assert sum(len(p) for p in parts) == n
         sizes = [len(p) for p in parts]
         assert max(sizes) - min(sizes) <= 1  # balanced
+
+
+class TestSplitByAssignment:
+    @given(
+        n=st.integers(1, 120),
+        devices=st.integers(1, 160),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=80)
+    def test_equals_a_scan_per_device(self, n, devices, seed):
+        """One sort plus binary-searched bounds gives every device what a
+        per-device ``np.where`` scan gives: its rows, ascending — also for
+        devices assigned nothing and for more devices than samples."""
+        rng = np.random.default_rng(seed)
+        # Assign to a random subset of the devices so some stay empty.
+        used = rng.integers(1, devices + 1)
+        assignment = rng.choice(devices, size=used, replace=False)[
+            rng.integers(0, used, size=n)]
+        rows = np.arange(n, dtype=np.float64)
+        ds = Dataset(np.stack([rows, -rows], axis=1), rng.integers(0, 3, size=n), 3)
+        parts = _split_by_assignment(ds, assignment, devices)
+        assert len(parts) == devices
+        for m, part in enumerate(parts):
+            want = np.where(assignment == m)[0]
+            assert np.array_equal(part.features[:, 0], want)
+            assert np.array_equal(part.labels, ds.labels[want])
 
 
 class TestCurveAveragingInvariants:
