@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from repro.core.config import ServerConfig
-from repro.core.monitor import ProgressMonitor
+if TYPE_CHECKING:  # the sharded front end reads stop states without NumPy
+    from repro.core.config import ServerConfig
+    from repro.core.monitor import ProgressMonitor
 
 
 class StopReason(Enum):

@@ -12,14 +12,11 @@ interface and report the L1 sensitivity of their averaged minibatch
 gradient so devices can calibrate the Laplace mechanism of Theorem 1.
 """
 
-from repro.models.base import Model
-from repro.models.linear_svm import MulticlassLinearSVM
-from repro.models.logistic import MulticlassLogisticRegression
-from repro.models.ridge import RidgeRegression
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "Model",
-    "MulticlassLinearSVM",
-    "MulticlassLogisticRegression",
-    "RidgeRegression",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    "Model": "base",
+    "MulticlassLinearSVM": "linear_svm",
+    "MulticlassLogisticRegression": "logistic",
+    "RidgeRegression": "ridge",
+})

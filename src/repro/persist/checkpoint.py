@@ -69,14 +69,6 @@ import zlib
 from collections import namedtuple
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.persist.snapshot import (
-    SNAPSHOT_VERSION,
-    SnapshotError,
-    canonical_json,
-    restore_core,
-    snapshot_checksum,
-    snapshot_core,
-)
 from repro.store.backend import (
     check_format_marker,
     fsync_directory,
@@ -84,6 +76,11 @@ from repro.store.backend import (
     write_json_atomic,
 )
 from repro.store.locking import FileLock
+from repro.utils.exceptions import SnapshotError
+
+# ``repro.persist.snapshot`` (NumPy, the optimizer and model layers) is
+# imported by the methods that encode or decode a snapshot: the sharded
+# front end only advances fences, and never loads it.
 
 #: On-disk format version of the state dir, recorded in ``state.json``.
 STATE_FORMAT = 1
@@ -331,6 +328,8 @@ class SnapshotStore:
         Two snapshots at the same iteration (e.g. a registration burst
         between updates) overwrite — newer state strictly supersedes.
         """
+        from repro.persist.snapshot import canonical_json
+
         iteration = int(snapshot["optimizer"]["iteration"])
         # One serialization: the bytes checksummed (``snapshot_checksum``'s
         # form) are the bytes written.  The epoch sits outside that body —
@@ -429,6 +428,8 @@ class SnapshotStore:
         )
 
     def _load_one(self, path: str) -> Optional[Dict[str, Any]]:
+        from repro.persist.snapshot import SNAPSHOT_VERSION, snapshot_checksum
+
         try:
             with open(path) as handle:
                 payload = json.load(handle)
@@ -454,6 +455,7 @@ class SnapshotStore:
         """Newest valid snapshot + log replay (read-only); ``None`` for an
         empty dir.  A record stamped *above* the core's iteration means
         acked history is missing: :class:`SnapshotError`."""
+        from repro.persist.snapshot import restore_core
         from repro.serve import wire  # lazy: persist stays importable below serve
 
         loaded = self.load_latest()
@@ -524,6 +526,8 @@ class Checkpointer:
 
     def checkpoint(self, core) -> str:
         """Write a snapshot now, unconditionally; returns its path."""
+        from repro.persist.snapshot import snapshot_core
+
         write_start = time.perf_counter()
         compacting = self.store.log_bytes > 0
         path = self.store.write(snapshot_core(core))

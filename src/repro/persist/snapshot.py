@@ -56,15 +56,11 @@ from repro.optim.schedules import (
 )
 from repro.optim.sgd import SGD, AdaGrad, AveragedSGD, Optimizer
 from repro.privacy.accountant import PrivacyAccountant
-from repro.utils.exceptions import ReproError
+from repro.utils.exceptions import SnapshotError
 
 #: Schema stamp carried by every snapshot.  Bump on any incompatible
 #: change to the layout below; :func:`restore_core` refuses other stamps.
 SNAPSHOT_VERSION = 1
-
-
-class SnapshotError(ReproError):
-    """A snapshot that cannot be produced or restored."""
 
 
 def pack_float_array(array: np.ndarray) -> str:

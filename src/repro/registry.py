@@ -13,9 +13,10 @@ touching core modules::
     def _build(num_features, num_classes, **kwargs):
         return MyModel(num_features, num_classes, **kwargs)
 
-Five registries carry every built-in component; each imports its
-built-ins on first use, so a server that only looks up a model never
-loads the dataset generators:
+Five registries carry every built-in component as the import path of
+its factory, imported on the first :meth:`Registry.get` of its name: a
+server lists the model names (``repro-serve --model`` choices) without
+importing any model, and never loads the dataset generators:
 
 * :data:`MODELS` — ``logistic``, ``linear_svm``, ``ridge``.
 * :data:`DATASETS` — ``mnist_like``, ``cifar_like``, ``activity_stream``,
@@ -29,12 +30,10 @@ loads the dataset generators:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, Optional
+from importlib import import_module
+from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Union
 
 from repro.utils.exceptions import ReproError
-
-#: Imports and returns a registry's built-in ``{name: factory}`` table.
-BuiltinLoader = Callable[[], Dict[str, Callable[..., Any]]]
 
 
 class RegistryError(ReproError):
@@ -50,8 +49,8 @@ class Registry:
         Human-readable description of what the registry holds (used in
         error messages, e.g. ``"model"``).
     builtins:
-        Optional loader of the built-in ``{name: factory}`` table, called
-        once on the first registration or lookup of any kind.
+        Optional ``{name: "module:attribute"}`` table of built-in
+        factories; each is imported on the first :meth:`get` of its name.
 
     Examples
     --------
@@ -65,20 +64,12 @@ class Registry:
     True
     """
 
-    def __init__(self, kind: str, builtins: Optional[BuiltinLoader] = None):
+    def __init__(self, kind: str, builtins: Optional[Mapping[str, str]] = None):
         self._kind = kind
-        self._builtins = builtins
-        self._registered: Dict[str, Callable[..., Any]] = {}
-
-    @property
-    def _factories(self) -> Dict[str, Callable[..., Any]]:
-        if self._builtins is not None:
-            # Merge before clearing the loader: a racing first touch may
-            # load twice (imports are idempotent) but never sees an
-            # empty table.
-            self._registered.update(self._builtins())
-            self._builtins = None
-        return self._registered
+        #: name -> factory, or the import path of a built-in not yet got.
+        self._factories: Dict[str, Union[Callable[..., Any], str]] = dict(
+            builtins or {}
+        )
 
     @property
     def kind(self) -> str:
@@ -120,12 +111,19 @@ class Registry:
     def get(self, name: str) -> Callable[..., Any]:
         """Return the factory registered under ``name``."""
         try:
-            return self._factories[name]
+            factory = self._factories[name]
         except KeyError:
             known = ", ".join(sorted(self._factories)) or "<none>"
             raise RegistryError(
                 f"unknown {self._kind} '{name}' (registered: {known})"
             ) from None
+        if isinstance(factory, str):
+            # A racing first get imports twice (imports are idempotent)
+            # and stores the same object.
+            module, _, attribute = factory.partition(":")
+            factory = getattr(import_module(module), attribute)
+            self._factories[name] = factory
+        return factory
 
     def create(self, name: str, /, **kwargs: Any) -> Any:
         """Instantiate the component: ``get(name)(**kwargs)``.
@@ -152,62 +150,6 @@ class Registry:
         return f"Registry(kind={self._kind!r}, names={list(self.names())})"
 
 
-def _builtin_models():
-    from repro.models import (
-        MulticlassLinearSVM,
-        MulticlassLogisticRegression,
-        RidgeRegression,
-    )
-
-    return {
-        "logistic": MulticlassLogisticRegression,
-        "linear_svm": MulticlassLinearSVM,
-        "ridge": RidgeRegression,
-    }
-
-
-def _builtin_datasets():
-    from repro.data import (
-        make_activity_stream,
-        make_cifar_like,
-        make_mnist_like,
-        make_thermostat_split,
-    )
-
-    return {
-        "mnist_like": make_mnist_like,
-        "cifar_like": make_cifar_like,
-        "activity_stream": make_activity_stream,
-        "thermostat": make_thermostat_split,
-    }
-
-
-def _builtin_partitioners():
-    from repro.data import dirichlet_partition, iid_partition, shard_partition
-
-    return {
-        "iid": iid_partition,
-        "dirichlet": dirichlet_partition,
-        "shard": shard_partition,
-    }
-
-
-def _builtin_schedules():
-    from repro.optim import (
-        ConstantRate,
-        InverseSqrtRate,
-        InverseTimeRate,
-        StepDecayRate,
-    )
-
-    return {
-        "inverse_sqrt": InverseSqrtRate,
-        "constant": ConstantRate,
-        "inverse_time": InverseTimeRate,
-        "step_decay": StepDecayRate,
-    }
-
-
 # Pure index math, defined here so the registry stays import-light
 # (repro.gateway imports this module, not the other way round).
 def _round_robin(num_devices: int, num_gateways: int):
@@ -226,20 +168,38 @@ def _hash(num_devices: int, num_gateways: int):
 
 
 #: Classifier/predictor families (``h(x; w)`` of Section III-A).
-MODELS = Registry("model", _builtin_models)
+MODELS = Registry("model", {
+    "logistic": "repro.models:MulticlassLogisticRegression",
+    "linear_svm": "repro.models:MulticlassLinearSVM",
+    "ridge": "repro.models:RidgeRegression",
+})
 #: ``(train, test)`` dataset makers (plus the Fig. 3 stream generator).
-DATASETS = Registry("dataset maker", _builtin_datasets)
+DATASETS = Registry("dataset maker", {
+    "mnist_like": "repro.data:make_mnist_like",
+    "cifar_like": "repro.data:make_cifar_like",
+    "activity_stream": "repro.data:make_activity_stream",
+    "thermostat": "repro.data:make_thermostat_split",
+})
 #: Sample-to-device assignment strategies.
-PARTITIONERS = Registry("partitioner", _builtin_partitioners)
+PARTITIONERS = Registry("partitioner", {
+    "iid": "repro.data:iid_partition",
+    "dirichlet": "repro.data:dirichlet_partition",
+    "shard": "repro.data:shard_partition",
+})
 #: Learning-rate schedules (Eq. 5 and Remark 3 alternatives).
-SCHEDULES = Registry("schedule", _builtin_schedules)
+SCHEDULES = Registry("schedule", {
+    "inverse_sqrt": "repro.optim:InverseSqrtRate",
+    "constant": "repro.optim:ConstantRate",
+    "inverse_time": "repro.optim:InverseTimeRate",
+    "step_decay": "repro.optim:StepDecayRate",
+})
 #: Device→gateway assignment policies for the two-tier gateway topology.
 #: Factories take ``num_devices`` and ``num_gateways`` and return a
 #: sequence of gateway indices, one per device.
-GATEWAY_ASSIGNMENTS = Registry(
-    "gateway assignment policy",
-    lambda: {"round_robin": _round_robin, "block": _block, "hash": _hash},
-)
+GATEWAY_ASSIGNMENTS = Registry("gateway assignment policy")
+GATEWAY_ASSIGNMENTS.register("round_robin", _round_robin)
+GATEWAY_ASSIGNMENTS.register("block", _block)
+GATEWAY_ASSIGNMENTS.register("hash", _hash)
 
 __all__ = [
     "DATASETS",

@@ -46,22 +46,22 @@ import argparse
 import os
 import signal
 import sys
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 import repro
-from repro.core.auth import DeviceRegistry
-from repro.core.config import ServerConfig
-from repro.core.server_core import ServerCore
-from repro.optim import paper_sgd
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceRecorder
-from repro.persist.checkpoint import Checkpointer, CheckpointPolicy, SnapshotStore
 from repro.registry import MODELS
 from repro.serve.host import HttpHost
 from repro.serve.launch import ANNOUNCEMENT
-from repro.serve.service import CrowdService
 from repro.serve.wire import PROTOCOL_VERSION
 from repro.utils.exceptions import ReproError
+
+# A process imports only what its flags run: the core, the optimizer and
+# the model inside build_service, the snapshot store only with
+# --state-dir, and a --workers front end none of them (nor NumPy).
+if TYPE_CHECKING:
+    from repro.serve.service import CrowdService
 
 
 def _build_obs(args: argparse.Namespace, name: str):
@@ -159,6 +159,12 @@ def build_service(args: argparse.Namespace) -> CrowdService:
     the resume point is recorded on the returned service as
     ``service.resumed_from`` (``None`` = fresh) + ``records_replayed``.
     """
+    from repro.core.auth import DeviceRegistry
+    from repro.core.config import ServerConfig
+    from repro.core.server_core import ServerCore
+    from repro.optim import paper_sgd
+    from repro.serve.service import CrowdService
+
     model = MODELS.create(
         args.model, num_features=args.num_features, num_classes=args.num_classes
     )
@@ -178,6 +184,8 @@ def build_service(args: argparse.Namespace) -> CrowdService:
     records_replayed = 0
     core = None
     if args.state_dir is not None:
+        from repro.persist.checkpoint import Checkpointer, CheckpointPolicy, SnapshotStore
+
         store = SnapshotStore(args.state_dir, retain=args.retain,
                               epoch=shard_epoch)
         if shard_epoch is not None:

@@ -46,12 +46,14 @@ import random
 import socket
 import threading
 import time
-from typing import Any, BinaryIO, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, BinaryIO, Dict, Optional, Sequence, Tuple
 from urllib.parse import urlparse
 
-from repro.core.protocol import CheckinMessage, CheckoutRequest, CheckoutResponse
 from repro.serve import http1, wire
 from repro.utils.exceptions import AuthenticationError, ProtocolError
+
+if TYPE_CHECKING:  # the sharded front end forwards bytes without NumPy
+    from repro.core.protocol import CheckinMessage, CheckoutRequest, CheckoutResponse
 
 #: Errors that mean "the pooled socket died between requests" — eligible
 #: for the transparent reconnect-and-replay (``http1`` raises the common

@@ -61,8 +61,11 @@ kind                   body
 Only this module reads or writes these bodies.  The sharded front end
 alone may look at one undecoded, and only through the router helpers
 (:func:`device_id_of`, :func:`checkin_batch_entries`,
-:func:`encode_checkin_entries`, :func:`answer_epoch`), so forwarding
-reads heads only and decodes no gradient, ack or parameter array.
+:func:`encode_checkin_entries`, :func:`answer_epoch`,
+:func:`checkin_result_head`), so forwarding reads heads only and decodes
+no gradient, ack or parameter array.  Importing this module loads no
+NumPy: only the functions that build messages or vectors import it, so
+the front end runs without it.
 
 Typed errors
 ------------
@@ -94,18 +97,18 @@ from __future__ import annotations
 import binascii
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
-
-from repro.core.protocol import (
-    CheckinAck,
-    CheckinMessage,
-    CheckoutRequest,
-    CheckoutResponse,
+from itertools import accumulate
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union,
 )
+
 from repro.core.stopping import StopDecision, StopReason
 from repro.utils.exceptions import ProtocolError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.core.protocol import CheckinMessage, CheckoutRequest, CheckoutResponse
 
 #: Version stamp carried by every envelope.  Bump on any incompatible
 #: change to the envelope or body schemas.  History: 1 = JSON float
@@ -169,16 +172,23 @@ class WireError(ProtocolError):
         self.http_status = HTTP_STATUS.get(code, 500)
 
 
+#: An ack's four fields in :class:`~repro.core.protocol.CheckinAck` order,
+#: as a ``CheckinAck`` or the plain tuple :func:`checkin_result_head` reads.
+AckFields = Tuple[int, int, int, bool]
+
+
 @dataclass(frozen=True)
 class CheckinBatchResult:
     """Decoded ``checkin_result`` body: per-message acks + server state.
 
+    Each ack is a :class:`~repro.core.protocol.CheckinAck`, or its plain
+    :data:`AckFields` tuple when read by :func:`checkin_result_head`.
     ``epoch`` is the answering worker's incarnation epoch on a sharded
     tier (``-1`` on an unsharded service, which omits the field) — the
     front end uses it to refuse answers from a fenced zombie.
     """
 
-    acks: Tuple[Optional[CheckinAck], ...]
+    acks: Tuple[Optional[AckFields], ...]
     server_iteration: int
     stopped: bool
     stop_reason: str
@@ -240,6 +250,8 @@ def encode_envelope(
 
 def hex_tail(vector: np.ndarray) -> str:
     """One vector's part of a tail: the hex of its little-endian float64s."""
+    import numpy as np
+
     return np.ascontiguousarray(vector, dtype="<f8").tobytes().hex()
 
 
@@ -321,6 +333,10 @@ def _check_tail(tail: Union[str, memoryview], counts: Sequence[int]) -> None:
 def _vectors(tail: Union[str, memoryview], counts: Sequence[int]) -> List[np.ndarray]:
     """Decode the tail into one float64 vector per count, in order."""
     _check_tail(tail, counts)
+    if not counts:
+        return []
+    import numpy as np
+
     try:
         buffer = binascii.a2b_hex(tail)
     except ValueError as error:  # binascii.Error, or a non-ASCII str
@@ -433,6 +449,8 @@ def encode_checkout_request(request: CheckoutRequest) -> str:
 
 
 def decode_checkout_request(raw: Union[str, bytes]) -> CheckoutRequest:
+    from repro.core.protocol import CheckoutRequest
+
     body = _head_only(raw, "checkout_request")
     try:
         _typed(body, "checkout_request")
@@ -461,6 +479,8 @@ def encode_checkout_response(
 
 
 def decode_checkout_response(raw: Union[str, bytes]) -> CheckoutResponse:
+    from repro.core.protocol import CheckoutResponse
+
     _, body, tail = _parse(raw, "checkout_response")
     [parameters] = _vectors(tail, [_count(body, "parameters")])
     try:
@@ -495,20 +515,6 @@ def _checkin_entry(message: CheckinMessage) -> Dict[str, Any]:
     return entry
 
 
-def _checkin(entry: Dict[str, Any], gradient: np.ndarray) -> CheckinMessage:
-    _typed(entry, "checkin")
-    return CheckinMessage(
-        device_id=int(entry["device_id"]),
-        token=str(entry["token"]),
-        gradient=gradient,
-        num_samples=int(entry["num_samples"]),
-        noisy_error_count=int(entry["noisy_error_count"]),
-        noisy_label_counts=np.asarray(entry["noisy_label_counts"], dtype=np.int64),
-        checkout_iteration=int(entry["checkout_iteration"]),
-        checkin_seq=int(entry.get("checkin_seq", -1)),
-    )
-
-
 def encode_checkin_batch(messages: Sequence[CheckinMessage]) -> str:
     return encode_checkin_entries(
         [_checkin_entry(m) for m in messages], [hex_tail(m.gradient) for m in messages]
@@ -532,7 +538,7 @@ def checkin_batch_entries(
     _check_tail(tail, counts)
     if not isinstance(tail, str):
         tail = str(tail, "latin-1")  # 1:1; the shard refuses what is not hex
-    ends = np.cumsum([16 * count for count in counts]).tolist()
+    ends = accumulate(16 * count for count in counts)
     return entries, [tail[end - 16 * count:end] for count, end in zip(counts, ends)]
 
 
@@ -555,45 +561,62 @@ def _checkin_batch(raw: Union[str, bytes]) -> Tuple[List[Dict[str, Any]], List[i
 
 
 def decode_checkin_batch(raw: Union[str, bytes]) -> List[CheckinMessage]:
+    from repro.core.protocol import CheckinMessage
+
     entries, counts, tail = _checkin_batch(raw)
     gradients = _vectors(tail, counts)
+    messages = []
     try:
-        return [_checkin(entry, gradient) for entry, gradient in zip(entries, gradients)]
+        for entry, gradient in zip(entries, gradients):
+            _typed(entry, "checkin")
+            messages.append(CheckinMessage(
+                device_id=int(entry["device_id"]),
+                token=str(entry["token"]),
+                gradient=gradient,
+                num_samples=int(entry["num_samples"]),
+                noisy_error_count=int(entry["noisy_error_count"]),
+                # A list: the message makes it its int64 array.
+                noisy_label_counts=entry["noisy_label_counts"],
+                checkout_iteration=int(entry["checkout_iteration"]),
+                checkin_seq=int(entry.get("checkin_seq", -1)),
+            ))
     except _FIELD_ERRORS as error:
         raise _malformed("checkin", error)
+    return messages
 
 
-def _ack_entry(ack: Optional[CheckinAck]) -> Optional[Dict[str, Any]]:
+def _ack_entry(ack: Optional[AckFields]) -> Optional[Dict[str, Any]]:
     if ack is None:
         return None
+    device_id, server_iteration, checkin_seq, duplicate = ack
     entry = {
         "type": "checkin_ack",
-        "device_id": ack.device_id,
-        "server_iteration": ack.server_iteration,
+        "device_id": device_id,
+        "server_iteration": server_iteration,
     }
-    if ack.checkin_seq >= 0:
-        entry["checkin_seq"] = ack.checkin_seq
-    if ack.duplicate:
+    if checkin_seq >= 0:
+        entry["checkin_seq"] = checkin_seq
+    if duplicate:
         entry["duplicate"] = True
     return entry
 
 
-def _ack(entry: Any) -> Optional[CheckinAck]:
+def _ack(entry: Any, make_ack: Callable[[AckFields], Any]) -> Any:
     if entry is None:
         return None
     if not isinstance(entry, dict):
         raise TypeError(f"ack entries must be objects or null, got {type(entry).__name__}")
     _typed(entry, "checkin_ack")
-    return CheckinAck(
+    return make_ack((
         int(entry["device_id"]),
         int(entry["server_iteration"]),
         int(entry.get("checkin_seq", -1)),
         bool(entry.get("duplicate", False)),
-    )
+    ))
 
 
 def encode_checkin_result(
-    acks: Sequence[Optional[CheckinAck]],
+    acks: Sequence[Optional[AckFields]],
     server_iteration: int,
     stop: StopDecision,
     epoch: int = -1,
@@ -612,13 +635,29 @@ def encode_checkin_result(
 
 
 def decode_checkin_result(raw: Union[str, bytes]) -> CheckinBatchResult:
+    from repro.core.protocol import CheckinAck
+
+    return _checkin_result(raw, CheckinAck._make)
+
+
+def checkin_result_head(raw: Union[str, bytes]) -> CheckinBatchResult:
+    """Router helper: :func:`decode_checkin_result` with each ack left as
+    its plain :data:`AckFields` tuple — checked the same way, and written
+    back by :func:`encode_checkin_result` to the same bytes — so merging
+    shard answers builds no :class:`~repro.core.protocol.CheckinAck`."""
+    return _checkin_result(raw, tuple)
+
+
+def _checkin_result(
+    raw: Union[str, bytes], make_ack: Callable[[AckFields], Any]
+) -> CheckinBatchResult:
     body = _head_only(raw, "checkin_result")
     try:
         acks = body["acks"]
         if not isinstance(acks, list):
             raise TypeError("'acks' must be a list")
         result = CheckinBatchResult(
-            tuple(_ack(entry) for entry in acks),
+            tuple(_ack(entry, make_ack) for entry in acks),
             int(body["server_iteration"]),
             bool(body["stopped"]),
             str(body["stop_reason"]),

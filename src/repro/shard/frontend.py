@@ -31,11 +31,11 @@ epoch older than the table's are refused the same way (a fenced zombie's
 late reply must not reach a client as truth).
 
 Splitting and forwarding reads envelope heads only (a split batch cuts
-its gradients' hex undecoded) and knows no body layout:
-:mod:`repro.serve.wire` is the one reader and writer (its router
-helpers for a body forwarded undecoded, ``decode_checkin_result`` /
-``encode_checkin_result`` for a mixed batch's acks), so the hot path
-stays request-bound, not serialization-bound.
+its gradients' hex undecoded, a mixed batch's acks are merged as the
+plain tuples ``checkin_result_head`` reads) and knows no body layout:
+:mod:`repro.serve.wire` is the one reader and writer, so the hot path
+stays request-bound, not serialization-bound, and the front end process
+never imports NumPy.
 
 Exactly-once across a split: if forwarding sub-batch 2 fails after
 sub-batch 1 was applied, the whole request errors and the client retries
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import threading
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.sharding import ShardMergeError, merge_status_counts
 from repro.core.stopping import StopDecision, StopReason
@@ -206,8 +206,7 @@ class ShardFrontEnd(HttpHost):
             with self._counter_lock:
                 self.split_batches += 1
             self._m_split_batches.inc()
-        acks: Dict[int, Sequence[Any]] = {}
-        answered: List[wire.CheckinBatchResult] = []
+        results: Dict[int, Optional[wire.CheckinBatchResult]] = {}
         refusal: Optional[wire.WireError] = None
         for shard in sorted(groups):
             entries = groups[shard]
@@ -222,30 +221,21 @@ class ShardFrontEnd(HttpHost):
                 # This shard's task had already ended: its slots stay
                 # unacked, like ServerCore refusing messages after the stop.
                 refusal = refusal or error
-                acks[shard] = [None] * len(entries)
+                results[shard] = None
                 continue
             if verbatim:
                 epoch = wire.answer_epoch(answer)  # parsed once, no acks built
             else:
-                result = wire.decode_checkin_result(answer)
-                answered.append(result)
-                acks[shard] = result.acks
-                epoch = result.epoch
+                results[shard] = wire.checkin_result_head(answer)
+                epoch = results[shard].epoch
             self._check_epoch(shard, epoch)
-        if refusal is not None and not answered:
+        if refusal is not None and all(r is None for r in results.values()):
             # Every involved shard had already stopped: the 409 that one
             # CrowdService holding all of these devices would answer.
             raise refusal
         if verbatim:
             return 200, answer.decode("utf-8")
-        # A refusing shard had stopped before the batch, so the batch
-        # itself crossed the last stop iff every answer reads stopped.
-        stops = [result.stop_decision for result in answered if result.stopped]
-        return 200, wire.encode_checkin_result(
-            ShardRouter.merge(groups, acks, len(messages)),
-            sum(result.server_iteration for result in answered),
-            stops[0] if len(stops) == len(answered) else StopDecision.running(),
-        )
+        return 200, merge_checkin_results(groups, results, len(messages))
 
     def _handle_status(self, request: Request):
         include = request.flag("parameters")
@@ -350,4 +340,32 @@ class ShardFrontEnd(HttpHost):
         return snapshot
 
 
-__all__ = ["ShardFrontEnd"]
+def merge_checkin_results(
+    groups: Dict[int, List[Tuple[int, Any]]],
+    results: Dict[int, Optional[wire.CheckinBatchResult]],
+    total: int,
+) -> str:
+    """The ``checkin_result`` one server holding every device would give
+    a batch split into ``groups``.
+
+    ``results[shard]`` is that shard's answer as
+    :func:`~repro.serve.wire.checkin_result_head` reads it, or ``None``
+    for a shard that refused ``409 stopped`` (its slots stay ``null``);
+    at least one shard answered.
+    """
+    answered = [result for result in results.values() if result is not None]
+    acks = {
+        shard: [None] * len(groups[shard]) if result is None else result.acks
+        for shard, result in results.items()
+    }
+    # A refusing shard had stopped before the batch, so the batch
+    # itself crossed the last stop iff every answer reads stopped.
+    stops = [result.stop_decision for result in answered if result.stopped]
+    return wire.encode_checkin_result(
+        ShardRouter.merge(groups, acks, total),
+        sum(result.server_iteration for result in answered),
+        stops[0] if len(stops) == len(answered) else StopDecision.running(),
+    )
+
+
+__all__ = ["ShardFrontEnd", "merge_checkin_results"]

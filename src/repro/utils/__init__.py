@@ -1,52 +1,28 @@
 """Shared utilities: seeded RNG management, validation, numerics, errors."""
 
-from repro.utils.exceptions import (
-    AuthenticationError,
-    ConfigurationError,
-    PrivacyBudgetExceededError,
-    ProtocolError,
-    ReproError,
-)
-from repro.utils.numerics import (
-    l1_normalize,
-    log_sum_exp,
-    one_hot,
-    running_mean,
-    softmax,
-)
-from repro.utils.rng import RngFactory, as_generator, derive_seed, spawn_generators
-from repro.utils.validation import (
-    check_fraction,
-    check_in_choices,
-    check_labels,
-    check_matrix,
-    check_non_negative,
-    check_positive,
-    check_positive_int,
-    check_vector,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "AuthenticationError",
-    "ConfigurationError",
-    "PrivacyBudgetExceededError",
-    "ProtocolError",
-    "ReproError",
-    "RngFactory",
-    "as_generator",
-    "check_fraction",
-    "check_in_choices",
-    "check_labels",
-    "check_matrix",
-    "check_non_negative",
-    "check_positive",
-    "check_positive_int",
-    "check_vector",
-    "derive_seed",
-    "l1_normalize",
-    "log_sum_exp",
-    "one_hot",
-    "running_mean",
-    "softmax",
-    "spawn_generators",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    "AuthenticationError": "exceptions",
+    "ConfigurationError": "exceptions",
+    "PrivacyBudgetExceededError": "exceptions",
+    "ProtocolError": "exceptions",
+    "ReproError": "exceptions",
+    "RngFactory": "rng",
+    "as_generator": "rng",
+    "check_fraction": "validation",
+    "check_in_choices": "validation",
+    "check_labels": "validation",
+    "check_matrix": "validation",
+    "check_non_negative": "validation",
+    "check_positive": "validation",
+    "check_positive_int": "validation",
+    "check_vector": "validation",
+    "derive_seed": "rng",
+    "l1_normalize": "numerics",
+    "log_sum_exp": "numerics",
+    "one_hot": "numerics",
+    "running_mean": "numerics",
+    "softmax": "numerics",
+    "spawn_generators": "rng",
+})

@@ -39,3 +39,12 @@ class ProtocolError(ReproError):
 
 class AuthenticationError(ProtocolError):
     """A device failed server-side authentication (Algorithm 2)."""
+
+
+class SnapshotError(ReproError):
+    """A snapshot that cannot be produced or restored.
+
+    Defined here rather than in :mod:`repro.persist.snapshot` so that the
+    state-dir code a sharded front end runs (fencing) need not import the
+    snapshot codec to raise or catch it.
+    """

@@ -74,6 +74,11 @@ class TestBuiltinRegistries:
             assert name in MODELS
         model = MODELS.create("logistic", num_features=4, num_classes=3)
         assert model.num_parameters == 12
+        # The class itself, imported from its path on first get: the
+        # experiment layer introspects its signature.
+        from repro.models import MulticlassLogisticRegression
+
+        assert MODELS.get("logistic") is MulticlassLogisticRegression
 
     def test_datasets(self):
         for name in ("mnist_like", "cifar_like", "activity_stream", "thermostat"):

@@ -26,6 +26,18 @@ class TestArgValidation:
         ]) == 2
         assert "mutually exclusive" in capsys.readouterr().err
 
+    def test_unknown_model_exits_before_any_worker_spawns(self, tmp_path, capsys):
+        # The front end never imports a model, yet must refuse the name
+        # itself rather than leave it to workers that would die on it.
+        with pytest.raises(SystemExit) as exited:
+            main([
+                "--num-features", "4", "--num-classes", "3", "--workers", "2",
+                "--state-dir", str(tmp_path), "--model", "transformer",
+            ])
+        assert exited.value.code != 0
+        assert "transformer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.mark.slow
 def test_sharded_cli_tier_serves_and_shuts_down_cleanly(tmp_path):

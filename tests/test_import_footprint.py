@@ -56,9 +56,71 @@ class TestFootprint:
             "_lazy", "core", "models", "obs", "optim", "privacy", "serve", "utils",
         }
 
+    def test_sharded_front_end_loads_no_numpy(self):
+        modules = modules_after(
+            "import repro.serve.cli\n"
+            "from repro.shard import ShardFrontEnd, ShardRouter, ShardSupervisor, ShardWorker\n"
+            "repro.serve.cli.build_parser()"
+        )
+        assert "numpy" not in modules
+        assert "repro.persist.snapshot" not in modules
+
+    def test_server_without_state_dir_loads_no_rng_and_no_snapshot_codec(self):
+        modules = modules_after(
+            "from repro.serve.cli import build_parser, build_service\n"
+            "args = build_parser().parse_args(\n"
+            "    ['--num-features', '4', '--num-classes', '3', '--port', '0'])\n"
+            "build_service(args).stop()"
+        )
+        assert "repro.core.server_core" in modules  # it did build a core
+        assert "numpy.random" not in modules
+        assert "repro.persist.snapshot" not in modules
+        # Only the model it serves.
+        assert "repro.models.linear_svm" not in modules
+
     def test_import_is_warning_free(self):
         done = fresh_python("-W", "error", "-c", "import repro")
         assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
+
+class TestLiveFrontEnd:
+    def test_sharded_front_end_maps_no_numpy_after_mixed_traffic(self, tmp_path):
+        import numpy as np
+
+        from repro.core.protocol import CheckinMessage, CheckoutRequest
+        from repro.serve.client import ServiceClient
+        from repro.serve.launch import launch, shut_down
+        from repro.shard import ShardRouter
+
+        process, url = launch(
+            ["--num-features", "4", "--num-classes", "3", "--port", "0",
+             "--workers", "2", "--state-dir", str(tmp_path), "--metrics"],
+            {**os.environ, "PYTHONPATH": SRC_DIR},
+        )
+        client = ServiceClient(url, timeout=15.0, retries=8, backoff=0.02)
+        try:
+            router = ShardRouter(2)
+            devices = [next(d for d in range(64) if router.shard_of(d) == shard)
+                       for shard in (0, 1)]
+            messages = []
+            for device in devices:
+                token = client.join(device)
+                checkout = client.checkout(CheckoutRequest(device, token, 0.0))
+                messages.append(CheckinMessage(
+                    device, token, np.full(checkout.parameters.size, 0.5), 1, 0,
+                    [1, 0, 0], checkout.server_iteration,
+                ))
+            result = client.checkins(messages)  # split across both shards
+            assert [ack.device_id for ack in result.acks] == devices
+            assert result.server_iteration == 2
+            assert len(client.status().shards) == 2
+            assert client.metrics_snapshot()["enabled"]
+            with open(f"/proc/{process.pid}/maps") as handle:
+                mapped = [line for line in handle if "numpy" in line]
+            assert mapped == []
+        finally:
+            client.close()
+            assert shut_down(process) == 0
 
 
 class TestLazyNamespace:
