@@ -5,8 +5,8 @@ arXiv:1501.02484).  The package is organized as:
 
 * :mod:`repro.core` — the framework itself: device (Algorithm 1) and
   server (Algorithm 2) runtimes, protocol, authentication, DP monitoring.
-* :mod:`repro.privacy` — Laplace / discrete-Laplace / Gaussian /
-  exponential mechanisms, sensitivity bounds, budget accounting.
+* :mod:`repro.privacy` — Laplace / discrete-Laplace / exponential
+  mechanisms, sensitivity bounds, budget accounting.
 * :mod:`repro.models` — logistic regression (Table I), linear SVM, ridge.
 * :mod:`repro.optim` — projected SGD (Eq. 3), schedules, AdaGrad, averaging.
 * :mod:`repro.network` — event queue, delay/outage models, channels.

@@ -27,30 +27,14 @@ class DeviceConfig:
     holdout_fraction:
         Remark 2: probability a sample is set aside as held-out test data —
         its error is counted but its gradient never enters the average.
-    gradient_noise:
-        "laplace" (Eq. 10, the default) or "gaussian" (footnote 1's
-        (ε, δ) variant).
-    gaussian_delta:
-        δ for the Gaussian variant (ignored for Laplace).
     """
 
     batch_size: int
     buffer_capacity: int
     budget: PrivacyBudget
     holdout_fraction: float = 0.0
-    gradient_noise: str = "laplace"
-    gaussian_delta: float = 1e-6
 
     def __post_init__(self):
-        if self.gradient_noise not in ("laplace", "gaussian"):
-            raise ConfigurationError(
-                f"gradient_noise must be 'laplace' or 'gaussian', got "
-                f"{self.gradient_noise!r}"
-            )
-        if not (0.0 < self.gaussian_delta < 1.0):
-            raise ConfigurationError(
-                f"gaussian_delta must be in (0, 1), got {self.gaussian_delta!r}"
-            )
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.buffer_capacity < self.batch_size:

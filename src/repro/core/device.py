@@ -83,7 +83,6 @@ class Device:
         config: DeviceConfig,
         token: str,
         rng: np.random.Generator,
-        accountant: Optional[PrivacyAccountant] = None,
         batch_policy: Optional["BatchPolicy"] = None,
     ):
         if config.budget.num_classes != model.num_classes:
@@ -96,12 +95,8 @@ class Device:
         self._config = config
         self._token = str(token)
         self._rng = rng
-        self._sanitizer = CheckinSanitizer(
-            model, config.budget, rng,
-            gradient_noise=config.gradient_noise,
-            gaussian_delta=config.gaussian_delta,
-        )
-        self._accountant = accountant if accountant is not None else PrivacyAccountant()
+        self._sanitizer = CheckinSanitizer(model, config.budget, rng)
+        self._accountant = PrivacyAccountant()
         self._batch_policy = batch_policy
         self._current_batch_size = config.batch_size
         self._last_checkout_iteration: Optional[int] = None
@@ -141,7 +136,9 @@ class Device:
 
     @property
     def accountant(self) -> PrivacyAccountant:
-        """Privacy-spend ledger for this device's releases."""
+        """Running privacy spend of this device's check-ins.  Its
+        ``per_sample_epsilon`` assumes each sample is fed in once; a caller
+        that re-feeds samples multiplies a sample's true spend."""
         return self._accountant
 
     @property
@@ -418,10 +415,8 @@ class Device:
         sanitized = self._sanitizer.sanitize(
             averaged_gradient, error_count, label_counts, gradient_samples
         )
-        # Run-length groups: O(1) ledger growth per check-in instead of
-        # O(C) record appends (bit-identical spend arithmetic); their sums
-        # come precomputed from the crowd-shared calibration.
-        self._accountant.charge_checkin(sanitized.release_groups, sanitized.release_sums)
+        # The sums come precomputed from the crowd-shared calibration.
+        self._accountant.charge_checkin(sanitized.release_sums)
 
         message = CheckinMessage(
             device_id=self._device_id,
@@ -431,7 +426,6 @@ class Device:
             noisy_error_count=sanitized.error_count,
             noisy_label_counts=sanitized.label_counts,
             checkout_iteration=int(server_iteration),
-            releases=sanitized.releases,
             checkin_seq=checkin_seq,
         )
 

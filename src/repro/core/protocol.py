@@ -16,12 +16,11 @@ used by the Section IV-B2 communication accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Tuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.privacy.mechanism import ReleaseRecord
 from repro.utils.exceptions import ProtocolError
 
 
@@ -86,8 +85,6 @@ class CheckinMessage:
     checkout_iteration:
         Server iteration at which the parameters used were issued —
         available to delay-aware update rules.
-    releases:
-        Privacy-accounting records for the mechanisms applied.
     checkin_seq:
         Per-device monotone sequence number for idempotent re-submission
         (Remark 1): retry-capable clients number their check-ins so the
@@ -104,7 +101,6 @@ class CheckinMessage:
     noisy_error_count: int
     noisy_label_counts: np.ndarray
     checkout_iteration: int
-    releases: Tuple[ReleaseRecord, ...] = field(default_factory=tuple)
     checkin_seq: int = -1
 
     def __post_init__(self):

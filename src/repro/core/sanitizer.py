@@ -5,29 +5,24 @@ averaged gradient calibrated to the model's minibatch sensitivity, and
 discrete Laplace noise on the misclassification count and each label count.
 
 Everything in the routine that does not depend on the device's RNG — the
-noise scale for a realized minibatch size ``n_s`` (≥ b, sensitivity
-``S = 4/n_s``), the two geometric success probabilities, the accounting
-records and their sums — is identical for every device of a crowd, so it
-lives once, in a :class:`SanitizerCalibration` shared by all sanitizers
-built for the same ``(model, budget, gradient_noise, gaussian_delta)``.
-A :class:`CheckinSanitizer` is that calibration plus the device's ``rng``;
-``sanitize`` is the draws and nothing else, so a device's first round
-costs what its hundredth does.  The draws are three RNG calls at most
-(a level of ε = ∞ skips its own): the gradient noise, then one
-:func:`~repro.privacy.discrete_laplace.discrete_laplace_noise` call for
-the error count and one for the label counts, each drawing both of its
-geometric vectors at once.
-
-Footnote 1's (ε, δ) variant is available by constructing the sanitizer
-with ``gradient_noise="gaussian"``: the gradient noise becomes the
-analytic Gaussian mechanism's, calibrated with the same 4/n_s bound (valid
-for L2 since ‖·‖₂ ≤ ‖·‖₁).
+Laplace scale for a realized minibatch size ``n_s`` (≥ b, sensitivity
+``S = 4/n_s``), the two geometric success probabilities, and the
+check-in's (ε, release count) for the device's privacy tally — is
+identical for every device of a crowd, so it lives once, in a
+:class:`SanitizerCalibration` shared by all sanitizers built for the same
+``(model, budget)``.  A :class:`CheckinSanitizer` is that calibration plus
+the device's ``rng``; ``sanitize`` is the draws and nothing else, so a
+device's first round costs what its hundredth does.  The draws are three
+RNG calls at most (a level of ε = ∞ skips its own): the gradient noise,
+then one :func:`~repro.privacy.discrete_laplace.discrete_laplace_noise`
+call for the error count and one for the label counts, each drawing both
+of its geometric vectors at once.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import NamedTuple, Tuple, Union
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -38,29 +33,21 @@ from repro.privacy.discrete_laplace import (
     DiscreteLaplaceMechanism,
     discrete_laplace_noise,
 )
-from repro.privacy.gaussian import GaussianMechanism
 from repro.privacy.laplace import LaplaceMechanism
-from repro.privacy.mechanism import AggregatedRelease, ReleaseRecord
-from repro.utils.exceptions import ConfigurationError
 
 
 class SanitizedCheckin(NamedTuple):
-    """The outputs of Device Routine 3 plus accounting records.
+    """The outputs of Device Routine 3 plus the check-in's privacy charge.
 
-    ``releases`` is the expanded per-release view carried on the wire
-    message; ``release_groups`` is the same information run-length encoded
-    (gradient, error, C× label) and ``release_sums`` its (ε, δ, count)
-    totals, for the accountant's O(1) charge path.  All three are the
-    shared calibration's objects, never per-check-in allocations.
-    (A NamedTuple: one is built per check-in.)
+    ``release_sums`` is the (ε, release count) the device's accountant
+    charges: the shared calibration's tuple, never a per-check-in
+    allocation.  (A NamedTuple: one is built per check-in.)
     """
 
     gradient: np.ndarray
     error_count: int
     label_counts: np.ndarray
-    releases: Tuple[ReleaseRecord, ...]
-    release_groups: Tuple[AggregatedRelease, ...]
-    release_sums: Tuple[float, float, int]
+    release_sums: Tuple[float, int]
 
 
 class SanitizerCalibration:
@@ -68,72 +55,50 @@ class SanitizerCalibration:
 
     Levels are validated once, through the mechanism constructors.  Holds
     no reference to the model (:func:`shared_calibration` keys weakly on
-    it), so methods that need the sensitivity oracle take it.
+    it), so :meth:`calibrate` takes it.
     """
 
-    def __init__(self, budget: PrivacyBudget, gradient_noise: str, gaussian_delta: float):
-        if gradient_noise not in ("laplace", "gaussian"):
-            raise ConfigurationError(
-                f"gradient_noise must be 'laplace' or 'gaussian', got "
-                f"{gradient_noise!r}"
-            )
+    def __init__(self, budget: PrivacyBudget):
         self.budget = budget
-        self.gradient_noise = gradient_noise
-        self.gaussian_delta = gaussian_delta
-        error_mechanism = DiscreteLaplaceMechanism(budget.epsilon_error)
-        label_mechanism = DiscreteLaplaceMechanism(budget.epsilon_label)
-        self.error_success = error_mechanism.success_probability
-        self.label_success = label_mechanism.success_probability
-        # Count releases never vary (fixed ε, sensitivity 1).
-        self._error_release = error_mechanism.record(1.0)
-        self._label_release = label_mechanism.record(1.0)
-        #: (n_s, number of label counts) -> (gradient noise scale, releases,
-        #: release_groups, release_sums); see :meth:`calibrate`.
+        self.error_success = DiscreteLaplaceMechanism(
+            budget.epsilon_error).success_probability
+        self.label_success = DiscreteLaplaceMechanism(
+            budget.epsilon_label).success_probability
+        #: (n_s, number of label counts) -> (Laplace scale, release_sums);
+        #: see :meth:`calibrate`.
         self.rounds: dict = {}
-
-    def gradient_mechanism(self, sensitivity: float, rng=None):
-        """A gradient mechanism calibrated to ``sensitivity``."""
-        epsilon = self.budget.epsilon_gradient
-        if self.gradient_noise == "gaussian":
-            return GaussianMechanism(epsilon, self.gaussian_delta, sensitivity, rng)
-        return LaplaceMechanism(epsilon, sensitivity, rng)
 
     def calibrate(self, model: Model, num_samples: int, num_labels: int) -> tuple:
         """Build and remember the ``rounds`` entry for one realized round:
-        the Laplace ``S/ε_g`` or Gaussian σ (0 = no noise) and the three
-        accounting views :class:`SanitizedCheckin` carries."""
-        sensitivity = model.gradient_sensitivity(num_samples)
-        mechanism = self.gradient_mechanism(sensitivity)
-        gaussian = self.gradient_noise == "gaussian"
-        scale = mechanism.sigma if gaussian else mechanism.scale
-        gradient_release = mechanism.record(sensitivity)
-        groups = (
-            AggregatedRelease(gradient_release, 1),
-            AggregatedRelease(self._error_release, 1),
-        )
-        if num_labels:
-            groups += (AggregatedRelease(self._label_release, num_labels),)
-        releases = (gradient_release, self._error_release)
-        releases += (self._label_release,) * num_labels
-        entry = (scale, releases, groups, checkin_sums(groups))
-        self.rounds[num_samples, num_labels] = entry
+        the Laplace scale ``S/ε_g`` (0 = no noise) and the check-in's
+        (ε, release count) — ε_g, then ε_e, then ε_yk ``num_labels`` times."""
+        budget = self.budget
+        scale = LaplaceMechanism(
+            budget.epsilon_gradient, model.gradient_sensitivity(num_samples)
+        ).scale
+        sums = checkin_sums((
+            (budget.epsilon_gradient, 1),
+            (budget.epsilon_error, 1),
+            (budget.epsilon_label, num_labels),
+        ))
+        entry = self.rounds[num_samples, num_labels] = (scale, sums)
         return entry
 
 
-#: model -> {(budget, gradient_noise, gaussian_delta): calibration}.  Weak
-#: on the model, so a crowd's calibrations die with its task definition.
-#: Every entry is a pure function of its key: threads racing on a miss
-#: only compute the same values twice.
+#: model -> {budget: calibration}.  Weak on the model, so a crowd's
+#: calibrations die with its task definition.  Every entry is a pure
+#: function of its key: threads racing on a miss only compute the same
+#: values twice.
 _CALIBRATIONS = weakref.WeakKeyDictionary()
 
 
-def shared_calibration(model: Model, *key) -> SanitizerCalibration:
+def shared_calibration(model: Model, budget: PrivacyBudget) -> SanitizerCalibration:
     """The one calibration every sanitizer built on ``model`` with the same
-    ``(budget, gradient_noise, gaussian_delta)`` shares."""
+    ``budget`` shares."""
     per_model = _CALIBRATIONS.setdefault(model, {})
-    calibration = per_model.get(key)
+    calibration = per_model.get(budget)
     if calibration is None:
-        calibration = per_model[key] = SanitizerCalibration(*key)
+        calibration = per_model[budget] = SanitizerCalibration(budget)
     return calibration
 
 
@@ -150,46 +115,10 @@ class CheckinSanitizer:
         Device-local noise source.
     """
 
-    def __init__(
-        self,
-        model: Model,
-        budget: PrivacyBudget,
-        rng: np.random.Generator,
-        *,
-        gradient_noise: str = "laplace",
-        gaussian_delta: float = 1e-6,
-    ):
+    def __init__(self, model: Model, budget: PrivacyBudget, rng: np.random.Generator):
         self._model = model
         self._rng = rng
-        self._calibration = shared_calibration(
-            model, budget, gradient_noise, float(gaussian_delta)
-        )
-        self._draw_gradient_noise = (
-            rng.normal if gradient_noise == "gaussian" else rng.laplace
-        )
-        # gradient_mechanism()'s rng-bound views; sanitize never reads them.
-        self._bound_mechanisms: dict = {}
-
-    @property
-    def gradient_noise(self) -> str:
-        """Which mechanism sanitizes gradients: "laplace" or "gaussian"."""
-        return self._calibration.gradient_noise
-
-    def gradient_mechanism(
-        self, num_samples: int
-    ) -> Union[LaplaceMechanism, GaussianMechanism]:
-        """Noise mechanism calibrated to this minibatch's sensitivity and
-        drawing from this sanitizer's rng, memoized per ``num_samples``.
-
-        For inspection: :meth:`sanitize` draws the same noise straight from
-        the shared calibration's scale, without building one.
-        """
-        mechanism = self._bound_mechanisms.get(num_samples)
-        if mechanism is None:
-            mechanism = self._bound_mechanisms[num_samples] = (
-                self._calibration.gradient_mechanism(
-                    self._model.gradient_sensitivity(num_samples), self._rng))
-        return mechanism
+        self._calibration = shared_calibration(model, budget)
 
     def sanitize(
         self,
@@ -199,15 +128,15 @@ class CheckinSanitizer:
         num_samples: int,
     ) -> SanitizedCheckin:
         """Apply all three mechanisms, in that order, and attach the
-        accounting records.  A level of ε = ∞ draws nothing; the outputs
-        never alias the inputs."""
+        check-in's privacy charge.  A level of ε = ∞ draws nothing; the
+        outputs never alias the inputs."""
         calibration = self._calibration
         key = (num_samples, label_counts.shape[0])
-        scale, *records = calibration.rounds.get(key) or calibration.calibrate(
+        scale, sums = calibration.rounds.get(key) or calibration.calibrate(
             self._model, *key
         )
         if scale:
-            noisy_gradient = averaged_gradient + self._draw_gradient_noise(
+            noisy_gradient = averaged_gradient + self._rng.laplace(
                 0.0, scale, averaged_gradient.shape
             )
         else:
@@ -223,4 +152,4 @@ class CheckinSanitizer:
             )
         else:
             noisy_labels = label_counts.astype(np.int64)
-        return SanitizedCheckin(noisy_gradient, noisy_error, noisy_labels, *records)
+        return SanitizedCheckin(noisy_gradient, noisy_error, noisy_labels, sums)

@@ -45,7 +45,6 @@ from repro.core.stopping import StopDecision, evaluate_stopping
 from repro.models.base import Model
 from repro.obs.metrics import NULL_REGISTRY, default_size_buckets
 from repro.optim.sgd import SGD, Optimizer
-from repro.privacy.accountant import PrivacyAccountant
 from repro.utils.exceptions import ProtocolError
 
 
@@ -110,11 +109,6 @@ class ServerCore:
     registry:
         Authentication registry.  A fresh one is created when omitted;
         devices are registered through :meth:`register_device`.
-    accountant:
-        Optional server-side :class:`~repro.privacy.PrivacyAccountant`;
-        when given, every applied check-in's release records are charged
-        (via the run-length aggregated path), giving the server its own
-        view of the privacy spend the devices report.
     monitor:
         Optional pre-populated :class:`ProgressMonitor` — the snapshot
         restore seam (:mod:`repro.persist`).  Must match the model's
@@ -141,7 +135,6 @@ class ServerCore:
         optimizer: Optional[Optimizer] = None,
         config: Optional[ServerConfig] = None,
         registry: Optional[DeviceRegistry] = None,
-        accountant: Optional[PrivacyAccountant] = None,
         monitor: Optional[ProgressMonitor] = None,
     ):
         self._model = model
@@ -155,7 +148,6 @@ class ServerCore:
         self._optimizer = optimizer
         self._config = config if config is not None else ServerConfig(max_iterations=10**9)
         self._registry = registry if registry is not None else DeviceRegistry()
-        self._accountant = accountant
         if monitor is not None and monitor.num_classes != model.num_classes:
             raise ProtocolError(
                 f"monitor tracks {monitor.num_classes} classes but the model "
@@ -209,11 +201,6 @@ class ServerCore:
     @property
     def registry(self) -> DeviceRegistry:
         return self._registry
-
-    @property
-    def accountant(self) -> Optional[PrivacyAccountant]:
-        """The server-side release ledger, if one was attached."""
-        return self._accountant
 
     @property
     def optimizer(self):
@@ -393,8 +380,8 @@ class ServerCore:
         """Apply a batch of check-ins in order; ``None`` marks a rejection.
 
         Bit-identical in final state (parameters, monitor, rejection
-        counters, attached accountant) to calling :meth:`handle_checkin`
-        once per message and catching the rejections.  The stopping rule
+        counters) to calling :meth:`handle_checkin` once per message and
+        catching the rejections.  The stopping rule
         is amortized: without a ρ target the remaining iteration budget is
         closed-form (t against T_max); with one, the cached decision
         makes the per-message re-check allocation-free.
@@ -479,11 +466,6 @@ class ServerCore:
             noisy_label_counts=message.noisy_label_counts,
         )
         self._optimizer.step(message.gradient)
-        if self._accountant is not None and message.releases:
-            # The raw tuple goes straight to the accountant, which
-            # run-length encodes internally — pre-aggregating here would
-            # allocate per message.
-            self._accountant.charge_checkin(message.releases)
         self._stop_cache = None
         iteration = self.iteration
         if message.checkin_seq >= 0:

@@ -11,9 +11,13 @@ accumulates between check-ins:
 * the server config, the bookkeeping counters (checkouts, rejections,
   duplicate suppressions, per-device applied check-in sequences);
 * the :class:`~repro.core.auth.DeviceRegistry` (enrollments, revocations,
-  and the minting key), the :class:`~repro.core.monitor.ProgressMonitor`
-  accumulators (all integers — exact), and the
-  :class:`~repro.privacy.PrivacyAccountant` run-length ledger.
+  and the minting key) and the :class:`~repro.core.monitor.ProgressMonitor`
+  accumulators (all integers — exact).
+
+Privacy accounting is not server state: it stays on the devices.  A
+snapshot written before that held an ``"accountant": null`` key, which
+restores as if absent; a non-null ledger is refused, since no core can
+carry it.
 
 The stopping decision is **not** stored: it is a pure function of config
 + iteration + monitor, so the restored core recomputes it — a snapshot
@@ -55,7 +59,6 @@ from repro.optim.schedules import (
     StepDecayRate,
 )
 from repro.optim.sgd import SGD, AdaGrad, AveragedSGD, Optimizer
-from repro.privacy.accountant import PrivacyAccountant
 from repro.utils.exceptions import SnapshotError
 
 #: Schema stamp carried by every snapshot.  Bump on any incompatible
@@ -209,9 +212,6 @@ def snapshot_core(core: ServerCore) -> Dict[str, Any]:
         "counters": core.counters_state(),
         "registry": core.registry.state_dict(),
         "monitor": core.monitor.state_dict(),
-        "accountant": (
-            None if core.accountant is None else core.accountant.state_dict()
-        ),
     }
 
 
@@ -254,16 +254,16 @@ def restore_core(snapshot: Dict[str, Any], model: Model) -> ServerCore:
         optimizer = _decode_optimizer(snapshot["optimizer"])
         registry = DeviceRegistry.from_state(snapshot["registry"])
         monitor = ProgressMonitor.from_state(snapshot["monitor"])
-        accountant = (
-            None if snapshot["accountant"] is None
-            else PrivacyAccountant.from_state(snapshot["accountant"])
-        )
+        if snapshot.get("accountant") is not None:
+            raise SnapshotError(
+                "snapshot carries a server-side privacy ledger, which no "
+                "core keeps; accounting lives on the devices"
+            )
         core = ServerCore(
             model,
             optimizer,
             config=config,
             registry=registry,
-            accountant=accountant,
             monitor=monitor,
         )
         core.restore_counters(snapshot["counters"])
@@ -293,7 +293,7 @@ def core_states_equal(a: ServerCore, b: ServerCore) -> bool:
     """True when two cores are observably identical (parameters bit-exact).
 
     Compares everything a snapshot captures plus the recomputed stopping
-    decision; the accountant comparison covers the full run-length ledger.
+    decision.
     """
     return describe_mismatch(a, b) is None
 
@@ -310,9 +310,6 @@ def describe_mismatch(a: ServerCore, b: ServerCore) -> Optional[str]:
         ("monitor", lambda c: c.monitor.state_dict()),
         ("optimizer", lambda c: _encode_optimizer(c.optimizer)),
         ("stop decision", lambda c: c.stopping_decision()),
-        ("accountant", lambda c: (
-            None if c.accountant is None else c.accountant.state_dict()
-        )),
     ):
         if view(a) != view(b):
             return f"{name} differs: {view(a)!r} != {view(b)!r}"

@@ -6,22 +6,20 @@ This package implements every mechanism the paper relies on:
   Laplace noise calibrated to L1 sensitivity (Theorem 1).
 * :class:`~repro.privacy.discrete_laplace.DiscreteLaplaceMechanism` —
   Eqs. (11)/(12), integer-valued noise for counts (Theorem 2).
-* :class:`~repro.privacy.gaussian.GaussianMechanism` — the (ε, δ) variant
-  mentioned in footnote 1.
 * :class:`~repro.privacy.exponential.ExponentialMechanism` — McSherry-Talwar
   sampling, used for label perturbation in the centralized baseline
   (Eq. (16), Theorem 3).
 * :mod:`~repro.privacy.sensitivity` — global-sensitivity computations,
   including the 4/b bound of Appendix A and the Eq. (13) noise-power terms.
-* :class:`~repro.privacy.accountant.PrivacyAccountant` — tracks the
-  per-sample decomposition ε = ε_g + ε_e + C·ε_yk and enforces budget caps.
+* :class:`~repro.privacy.accountant.PrivacyAccountant` — a device's running
+  tally of the per-check-in ε = ε_g + ε_e + C·ε_yk under basic
+  composition (it assumes each sample is released once).
 * :class:`~repro.privacy.budget.PrivacyBudget` — the ε split itself.
 """
 
 from repro._lazy import lazy_namespace
 
 __getattr__, __dir__, __all__ = lazy_namespace(__name__, {
-    "AggregatedRelease": "mechanism",
     "CentralizedBudget": "budget",
     "InversionResult": "attacks",
     "evaluate_inversion": "attacks",
@@ -29,18 +27,14 @@ __getattr__, __dir__, __all__ = lazy_namespace(__name__, {
     "invert_logistic_gradient": "attacks",
     "DiscreteLaplaceMechanism": "discrete_laplace",
     "ExponentialMechanism": "exponential",
-    "GaussianMechanism": "gaussian",
     "LaplaceMechanism": "laplace",
     "Mechanism": "mechanism",
     "PrivacyAccountant": "accountant",
     "PrivacyBudget": "budget",
     "PrivacySpend": "accountant",
-    "ReleaseRecord": "mechanism",
-    "aggregate_releases": "accountant",
     "count_sensitivity": "sensitivity",
     "discrete_laplace_variance": "discrete_laplace",
     "feature_sensitivity": "sensitivity",
-    "gaussian_sigma": "gaussian",
     "gradient_noise_power": "sensitivity",
     "hinge_gradient_sensitivity": "sensitivity",
     "label_flip_distribution": "exponential",

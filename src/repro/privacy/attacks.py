@@ -109,7 +109,6 @@ def inversion_attack_success(
     features: np.ndarray,
     labels: np.ndarray,
     sanitizer=None,
-    rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
     """Run the attack over a batch of single-sample releases.
 

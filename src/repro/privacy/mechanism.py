@@ -15,57 +15,11 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from repro.utils.exceptions import ConfigurationError
-
-
-@dataclass(frozen=True)
-class ReleaseRecord:
-    """Metadata describing one sanitized release.
-
-    Attributes
-    ----------
-    epsilon:
-        The ε consumed by this release (``math.inf`` when no noise was added).
-    delta:
-        The δ consumed (0 for pure-ε mechanisms).
-    mechanism:
-        Human-readable mechanism name, e.g. ``"laplace"``.
-    sensitivity:
-        The global sensitivity the noise was calibrated to.
-    """
-
-    epsilon: float
-    delta: float = 0.0
-    mechanism: str = ""
-    sensitivity: float = 0.0
-
-
-@dataclass(frozen=True)
-class AggregatedRelease:
-    """``count`` identical releases, run-length encoded.
-
-    A check-in releases one gradient, one error count, and C label counts;
-    the C label releases share a single :class:`ReleaseRecord`.  Passing
-    ``AggregatedRelease(record, C)`` to
-    :meth:`~repro.privacy.accountant.PrivacyAccountant.charge_checkin`
-    charges all C at once — O(1) ledger growth per check-in instead of
-    O(C) — while remaining exactly equivalent (including float summation
-    order) to charging the expanded sequence.
-    """
-
-    record: ReleaseRecord
-    count: int
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ConfigurationError(
-                f"AggregatedRelease count must be >= 1, got {self.count}"
-            )
 
 
 def validate_epsilon(epsilon: float, name: str = "epsilon") -> float:
@@ -95,11 +49,6 @@ class Mechanism(ABC):
         return self._epsilon
 
     @property
-    def delta(self) -> float:
-        """Per-release δ; zero for pure-ε mechanisms."""
-        return 0.0
-
-    @property
     def is_identity(self) -> bool:
         """True when this mechanism adds no noise (ε = ∞)."""
         return self._is_identity
@@ -115,12 +64,3 @@ class Mechanism(ABC):
     @abstractmethod
     def release(self, value):
         """Return a sanitized copy of ``value``."""
-
-    def record(self, sensitivity: float = 0.0) -> ReleaseRecord:
-        """Return the :class:`ReleaseRecord` describing one release."""
-        return ReleaseRecord(
-            epsilon=self._epsilon,
-            delta=self.delta,
-            mechanism=type(self).__name__,
-            sensitivity=float(sensitivity),
-        )

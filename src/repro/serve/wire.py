@@ -85,11 +85,9 @@ Fidelity notes
   which round-trips every finite IEEE-754 double bit for bit.  A
   sequential training run over this wire format therefore matches an
   in-process run float for float.
-* :attr:`~repro.core.protocol.CheckinMessage.releases` (device-side
-  privacy accounting records) do **not** travel — no body carries them,
-  by design, mirroring the paper's deployment where the server only
-  sees the sanitized statistics.  A server-side accountant attached to
-  a remotely hosted core will therefore record no spend.
+* Privacy accounting stays on the device — no body carries it, by
+  design, mirroring the paper's deployment where the server only sees
+  the sanitized statistics.
 """
 
 from __future__ import annotations

@@ -46,7 +46,10 @@ class RunTrace:
     communication:
         Crowd-wide traffic counters.
     per_sample_epsilon:
-        Max per-sample ε actually spent by any device.
+        Max over devices of the accountant's ``per_sample_epsilon``: one
+        check-in's ε under basic composition, assuming each sample is
+        released once.  With ``num_passes > 1`` every sample is released
+        once per pass, so its true spend is this figure times the passes.
     stop_reason:
         Why the run ended ("data_exhausted", "max_iterations",
         "target_error").

@@ -5,7 +5,6 @@ from repro._lazy import lazy_namespace
 __getattr__, __dir__, __all__ = lazy_namespace(__name__, {
     "AuthenticationError": "exceptions",
     "ConfigurationError": "exceptions",
-    "PrivacyBudgetExceededError": "exceptions",
     "ProtocolError": "exceptions",
     "ReproError": "exceptions",
     "RngFactory": "rng",

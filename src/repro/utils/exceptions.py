@@ -16,23 +16,6 @@ class ConfigurationError(ReproError):
     """An invalid parameter or inconsistent combination of parameters."""
 
 
-class PrivacyBudgetExceededError(ReproError):
-    """A release was attempted after the privacy budget was exhausted.
-
-    Raised by :class:`repro.privacy.accountant.PrivacyAccountant` when the
-    cumulative per-sample epsilon would exceed the configured cap.
-    """
-
-    def __init__(self, spent: float, cap: float, requested: float = 0.0):
-        self.spent = float(spent)
-        self.cap = float(cap)
-        self.requested = float(requested)
-        super().__init__(
-            f"privacy budget exceeded: spent={spent:.6g}, "
-            f"requested={requested:.6g}, cap={cap:.6g}"
-        )
-
-
 class ProtocolError(ReproError):
     """A malformed or out-of-order message in the device-server protocol."""
 

@@ -60,25 +60,3 @@ class TestServerConfig:
     def test_rejects_bad_target_error(self, rho):
         with pytest.raises(ConfigurationError):
             ServerConfig(max_iterations=10, target_error=rho)
-
-
-class TestGradientNoiseConfig:
-    def test_default_is_laplace(self):
-        config = DeviceConfig(1, 10, PrivacyBudget.non_private(3))
-        assert config.gradient_noise == "laplace"
-
-    def test_gaussian_accepted(self):
-        config = DeviceConfig(1, 10, PrivacyBudget.non_private(3),
-                              gradient_noise="gaussian", gaussian_delta=1e-5)
-        assert config.gaussian_delta == 1e-5
-
-    def test_rejects_unknown_mechanism(self):
-        with pytest.raises(ConfigurationError):
-            DeviceConfig(1, 10, PrivacyBudget.non_private(3),
-                         gradient_noise="cauchy")
-
-    @pytest.mark.parametrize("delta", [0.0, 1.0])
-    def test_rejects_bad_delta(self, delta):
-        with pytest.raises(ConfigurationError):
-            DeviceConfig(1, 10, PrivacyBudget.non_private(3),
-                         gradient_noise="gaussian", gaussian_delta=delta)

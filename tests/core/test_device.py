@@ -266,22 +266,3 @@ class TestPrivacyAccounting:
         config = DeviceConfig(1, 10, bad_budget)
         with pytest.raises(ConfigurationError):
             Device(0, model, config, "t", rng)
-
-
-class TestGaussianDevice:
-    def test_device_uses_gaussian_variant(self, model):
-        """Footnote 1's variant flows from DeviceConfig through Routine 3."""
-        budget = split_budget(0.5, model.num_classes)
-        config = DeviceConfig(
-            batch_size=1, buffer_capacity=10, budget=budget,
-            gradient_noise="gaussian", gaussian_delta=1e-5,
-        )
-        device = Device(0, model, config, "t", np.random.default_rng(0))
-        x = np.array([0.5, 0.3, 0.2])
-        device.observe(x, 0)
-        device.mark_checkout_requested()
-        result = device.complete_checkout(np.zeros(6), 0)
-        # The gradient release record carries the delta.
-        assert result.message.releases[0].delta == 1e-5
-        spend = device.accountant.spend()
-        assert spend.total_delta == pytest.approx(1e-5)

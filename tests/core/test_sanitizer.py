@@ -1,11 +1,9 @@
 """Tests for Device Routine 3 (check-in sanitization)."""
 
-import math
-
 import numpy as np
 import pytest
 
-from repro.core.sanitizer import CheckinSanitizer
+from repro.core.sanitizer import CheckinSanitizer, shared_calibration
 from repro.models import MulticlassLogisticRegression
 from repro.privacy import PrivacyBudget, split_budget
 
@@ -27,9 +25,8 @@ class TestNonPrivate:
     def test_records_present_even_when_non_private(self, model, rng):
         sanitizer = CheckinSanitizer(model, PrivacyBudget.non_private(3), rng)
         out = sanitizer.sanitize(np.zeros(12), 0, np.zeros(3, dtype=int), 5)
-        # gradient + error + 3 label counts.
-        assert len(out.releases) == 5
-        assert all(math.isinf(r.epsilon) for r in out.releases)
+        # gradient + error + 3 label counts, none of which costs anything.
+        assert out.release_sums == (0.0, 5)
 
 
 class TestPrivate:
@@ -47,21 +44,24 @@ class TestPrivate:
         assert out.label_counts.dtype == np.int64
 
     def test_gradient_mechanism_calibrated_to_batch(self, model, rng):
-        """Sensitivity 4/n_s: the mechanism's scale must track n_s."""
+        """Sensitivity 4/n_s: the memoized Laplace scale must track n_s."""
         budget = split_budget(1.0, 3)
         sanitizer = CheckinSanitizer(model, budget, rng)
-        small = sanitizer.gradient_mechanism(1)
-        large = sanitizer.gradient_mechanism(20)
-        assert small.sensitivity == pytest.approx(4.0)
-        assert large.sensitivity == pytest.approx(0.2)
-        assert large.scale == pytest.approx(small.scale / 20)
+        for num_samples in (1, 20):
+            sanitizer.sanitize(np.zeros(12), 0, np.zeros(3, dtype=int), num_samples)
+        rounds = shared_calibration(model, budget).rounds
+        small, large = rounds[1, 3][0], rounds[20, 3][0]
+        assert small == pytest.approx(4.0 / budget.epsilon_gradient)
+        assert large == pytest.approx(0.2 / budget.epsilon_gradient)
+        assert large == pytest.approx(small / 20)
 
     def test_release_records_decompose_budget(self, model, rng):
         budget = split_budget(1.0, 3)
         sanitizer = CheckinSanitizer(model, budget, rng)
         out = sanitizer.sanitize(np.zeros(12), 0, np.zeros(3, dtype=int), 5)
-        total = sum(r.epsilon for r in out.releases)
+        total, count = out.release_sums
         assert total == pytest.approx(budget.total_epsilon)
+        assert count == 2 + 3
 
     def test_noise_shrinks_with_batch_size(self, model):
         """Eq. 13's mechanism term: larger n_s → less gradient noise."""
@@ -77,73 +77,44 @@ class TestPrivate:
         assert large < small / 10
 
 
-class TestGaussianVariant:
-    """Footnote 1: the (eps, delta) Gaussian variant as a drop-in."""
-
-    def test_gaussian_sanitizer_noises_gradient(self, model, rng):
-        budget = split_budget(0.5, 3)
-        sanitizer = CheckinSanitizer(model, budget, rng, gradient_noise="gaussian")
-        out = sanitizer.sanitize(np.zeros(12), 0, np.zeros(3, dtype=int), 5)
-        assert not np.allclose(out.gradient, 0.0)
-
-    def test_gaussian_mechanism_selected(self, model, rng):
-        from repro.privacy import GaussianMechanism
-
-        budget = split_budget(0.5, 3)
-        sanitizer = CheckinSanitizer(model, budget, rng, gradient_noise="gaussian")
-        assert isinstance(sanitizer.gradient_mechanism(5), GaussianMechanism)
-        assert sanitizer.gradient_noise == "gaussian"
-
-    def test_gaussian_release_records_delta(self, model, rng):
-        budget = split_budget(0.5, 3)
-        sanitizer = CheckinSanitizer(
-            model, budget, rng, gradient_noise="gaussian", gaussian_delta=1e-5
-        )
-        out = sanitizer.sanitize(np.zeros(12), 0, np.zeros(3, dtype=int), 5)
-        assert out.releases[0].delta == 1e-5
-
-    def test_rejects_unknown_mechanism(self, model, rng):
-        from repro.utils.exceptions import ConfigurationError
-
-        budget = split_budget(0.5, 3)
-        with pytest.raises(ConfigurationError):
-            CheckinSanitizer(model, budget, rng, gradient_noise="cauchy")
-
-    def test_gaussian_lighter_tails_than_laplace(self, model):
-        """Same eps: Gaussian noise has fewer extreme coordinates."""
-        budget = split_budget(0.5, 3)
-
-        def extremes(kind):
-            sanitizer = CheckinSanitizer(
-                model, budget, np.random.default_rng(0), gradient_noise=kind
-            )
-            mech = sanitizer.gradient_mechanism(1)
-            draws = np.concatenate(
-                [mech.release(np.zeros(12)) for _ in range(2000)]
-            )
-            scale = np.std(draws)
-            return np.mean(np.abs(draws) > 4 * scale)
-
-        assert extremes("gaussian") < extremes("laplace")
-
-
 class TestMechanismMemoization:
-    """Calibrated gradient mechanisms are reused per realized n_s."""
+    """The calibration is computed once per realized n_s, crowd-wide."""
 
     @pytest.fixture
     def budget(self):
         return split_budget(1.0, 3)
 
-    def test_same_num_samples_reuses_mechanism(self, model, budget):
-        sanitizer = CheckinSanitizer(model, budget, np.random.default_rng(0))
-        assert sanitizer.gradient_mechanism(5) is sanitizer.gradient_mechanism(5)
+    @pytest.fixture
+    def calibrations(self, monkeypatch):
+        """The ``(n_s, C)`` of every :meth:`SanitizerCalibration.calibrate`."""
+        from repro.core.sanitizer import SanitizerCalibration
 
-    def test_different_num_samples_recalibrates(self, model, budget):
+        calls = []
+        calibrate = SanitizerCalibration.calibrate
+
+        def recording(self, model, num_samples, num_labels):
+            calls.append((num_samples, num_labels))
+            return calibrate(self, model, num_samples, num_labels)
+
+        monkeypatch.setattr(SanitizerCalibration, "calibrate", recording)
+        return calls
+
+    def test_same_num_samples_reuses_mechanism(self, model, budget, calibrations):
+        gradient, counts = np.zeros(model.num_parameters), np.array([1, 1, 1])
+        for seed in range(3):
+            sanitizer = CheckinSanitizer(model, budget, np.random.default_rng(seed))
+            sanitizer.sanitize(gradient, 0, counts, 5)
+            sanitizer.sanitize(gradient, 0, counts, 5)
+        assert calibrations == [(5, 3)]
+
+    def test_different_num_samples_recalibrates(self, model, budget, calibrations):
         sanitizer = CheckinSanitizer(model, budget, np.random.default_rng(0))
-        mech5 = sanitizer.gradient_mechanism(5)
-        mech7 = sanitizer.gradient_mechanism(7)
-        assert mech5 is not mech7
-        assert mech5.sensitivity != mech7.sensitivity
+        gradient, counts = np.zeros(model.num_parameters), np.array([1, 1, 1])
+        sanitizer.sanitize(gradient, 0, counts, 5)
+        sanitizer.sanitize(gradient, 0, counts, 7)
+        assert calibrations == [(5, 3), (7, 3)]
+        rounds = shared_calibration(model, budget).rounds
+        assert rounds[5, 3][0] != rounds[7, 3][0]
 
     def test_memoized_noise_stream_matches_fresh_mechanisms(self, model, budget):
         """Reusing one mechanism draws the same noise sequence as
@@ -169,15 +140,17 @@ class TestMechanismMemoization:
             )
 
     def test_release_groups_match_expanded_releases(self, model, budget):
+        from repro.privacy.accountant import checkin_sums
+
         sanitizer = CheckinSanitizer(model, budget, np.random.default_rng(0))
         sanitized = sanitizer.sanitize(
             np.zeros(model.num_parameters), 0, np.array([3, 2, 0]), 5
         )
-        expanded = []
-        for group in sanitized.release_groups:
-            expanded.extend([group.record] * group.count)
-        assert tuple(expanded) == sanitized.releases
-        assert len(sanitized.releases) == 2 + 3  # grad + err + C labels
+        # grad + err + C labels, one release at a time.
+        expanded = [(budget.epsilon_gradient, 1), (budget.epsilon_error, 1)]
+        expanded += [(budget.epsilon_label, 1)] * 3
+        assert sanitized.release_sums == checkin_sums(expanded)
+        assert sanitized.release_sums[1] == 2 + 3
 
     def test_release_tuples_reused_across_checkins(self, model, budget):
         sanitizer = CheckinSanitizer(model, budget, np.random.default_rng(0))
@@ -187,5 +160,4 @@ class TestMechanismMemoization:
         second = sanitizer.sanitize(
             np.zeros(model.num_parameters), 1, np.array([1, 4, 0]), 5
         )
-        assert first.releases is second.releases
-        assert first.release_groups is second.release_groups
+        assert first.release_sums is second.release_sums

@@ -10,7 +10,6 @@ from repro.core import (
     ServerConfig,
     ServerCore,
 )
-from repro.privacy import PrivacyAccountant, ReleaseRecord
 from repro.models import MulticlassLogisticRegression
 from repro.optim import SGD, ConstantRate
 from repro.utils.exceptions import AuthenticationError, ProtocolError
@@ -21,18 +20,17 @@ def model():
     return MulticlassLogisticRegression(num_features=3, num_classes=2)
 
 
-def make_core(model, accountant=None, **config_kwargs):
+def make_core(model, **config_kwargs):
     config_kwargs.setdefault("max_iterations", 100)
     return ServerCore(
         model,
         optimizer=SGD(model.init_parameters(), schedule=ConstantRate(0.1)),
         config=ServerConfig(**config_kwargs),
-        accountant=accountant,
     )
 
 
 def checkin(device_id, token, gradient, num_samples=1, errors=0, labels=(1, 0),
-            checkout_iteration=0, releases=()):
+            checkout_iteration=0):
     return CheckinMessage(
         device_id=device_id,
         token=token,
@@ -41,7 +39,6 @@ def checkin(device_id, token, gradient, num_samples=1, errors=0, labels=(1, 0),
         noisy_error_count=errors,
         noisy_label_counts=np.asarray(labels, dtype=np.int64),
         checkout_iteration=checkout_iteration,
-        releases=tuple(releases),
     )
 
 
@@ -94,21 +91,6 @@ class TestBatchCheckins:
         # After 2 check-ins: 20 samples, estimate 0.1 <= 0.2 -> stop.
         assert [a is not None for a in acks] == [True, True, False, False, False]
         assert core.stopping_decision().reason.value == "target_error"
-
-    def test_accountant_charged_per_applied_checkin(self, model):
-        acct = PrivacyAccountant()
-        core = make_core(model, accountant=acct)
-        token = core.register_device(1)
-        releases = (ReleaseRecord(epsilon=0.5, mechanism="laplace"),
-                    ReleaseRecord(epsilon=0.1, mechanism="discrete"),
-                    ReleaseRecord(epsilon=0.1, mechanism="discrete"))
-        core.handle_checkins([
-            checkin(1, token, np.zeros(6), releases=releases),
-            checkin(1, "forged", np.zeros(6), releases=releases),
-        ])
-        spend = acct.spend()
-        assert spend.num_releases == 3  # rejected check-in never charged
-        assert spend.per_sample_epsilon == pytest.approx(0.7)
 
 
 class TestServeRound:

@@ -97,18 +97,16 @@ class TestBuiltinRegistries:
         assert schedule.rate(4) == pytest.approx(1.0)
 
     def test_privacy_mechanisms(self):
-        # Not a registry: nothing looks a mechanism up by name.  The four
-        # families are imported, share the Mechanism interface, and stamp
-        # their class name on the release records the ledger keeps.
+        # Not a registry: nothing looks a mechanism up by name.  The three
+        # families are imported and share the Mechanism interface.
         import repro.privacy as privacy
 
         built = {
             "LaplaceMechanism": privacy.LaplaceMechanism(1.0, 1.0),
             "DiscreteLaplaceMechanism": privacy.DiscreteLaplaceMechanism(1.0),
-            "GaussianMechanism": privacy.GaussianMechanism(1.0, 1e-6, 1.0),
             "ExponentialMechanism": privacy.ExponentialMechanism(1.0),
         }
         for name, mechanism in built.items():
             assert isinstance(mechanism, privacy.Mechanism)
             assert mechanism.epsilon == 1.0
-            assert mechanism.record(1.0).mechanism == name
+            assert type(mechanism).__name__ == name

@@ -43,7 +43,6 @@ def make_message(
     token: str,
     rng: np.random.Generator,
     seq: int = -1,
-    releases=(),
 ) -> CheckinMessage:
     """One plausible sanitized check-in against ``core``'s model."""
     model = core.model
@@ -55,7 +54,6 @@ def make_message(
         noisy_error_count=int(rng.integers(0, 4)),
         noisy_label_counts=rng.integers(0, 5, size=model.num_classes),
         checkout_iteration=core.iteration,
-        releases=releases,
         checkin_seq=seq,
     )
 

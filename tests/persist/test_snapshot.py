@@ -10,7 +10,6 @@ instead of restoring the wrong run.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -36,13 +35,11 @@ from repro.persist import (
     snapshot_checksum,
     snapshot_core,
 )
-from repro.privacy.accountant import PrivacyAccountant
-from repro.privacy.mechanism import ReleaseRecord
 
 from tests.persist.conftest import make_core, make_message, make_model
 
 
-def drive(core, rng, num_messages=7, num_devices=2, seq_base=None, releases=()):
+def drive(core, rng, num_messages=7, num_devices=2, seq_base=None):
     """Register devices and apply a deterministic burst of check-ins."""
     tokens = {i: core.register_device(i) for i in range(num_devices)}
     next_seq = dict.fromkeys(tokens, 0 if seq_base is not None else -1)
@@ -53,8 +50,7 @@ def drive(core, rng, num_messages=7, num_devices=2, seq_base=None, releases=()):
             seq = next_seq[device_id]
             next_seq[device_id] += 1
         core.handle_checkin(
-            make_message(core, device_id, tokens[device_id], rng,
-                         seq=seq, releases=releases)
+            make_message(core, device_id, tokens[device_id], rng, seq=seq)
         )
     return tokens
 
@@ -140,32 +136,27 @@ def test_adagrad_roundtrip(traffic_rng):
             == restored.optimizer.accumulator.tobytes())
 
 
-def test_accountant_roundtrip(traffic_rng):
-    releases = (
-        ReleaseRecord(epsilon=0.125, mechanism="laplace", sensitivity=2.0),
-        ReleaseRecord(epsilon=0.0625, delta=1e-6, mechanism="dlap"),
-        ReleaseRecord(epsilon=0.0625, delta=1e-6, mechanism="dlap"),
-    )
-    core = make_core(accountant=PrivacyAccountant(per_sample_cap=100.0))
-    drive(core, traffic_rng, releases=releases)
-    restored = roundtrip(core)
+def test_parent_snapshot_with_null_accountant_restores(traffic_rng):
+    # Snapshots written while the core could hold a server-side privacy
+    # ledger carry an "accountant" key, null whenever none was attached
+    # (every served core); they restore under the same schema version.
+    core = make_core()
+    drive(core, traffic_rng, seq_base=0)
+    snapshot = json.loads(json.dumps(snapshot_core(core)))
+    assert "accountant" not in snapshot
+    snapshot["accountant"] = None
+    assert snapshot["snapshot_version"] == SNAPSHOT_VERSION == 1
+    restored = restore_core(snapshot, make_model())
     assert describe_mismatch(core, restored) is None
-    assert restored.accountant.spend() == core.accountant.spend()
-    assert restored.accountant.record_runs == core.accountant.record_runs
 
 
-def test_accountant_infinite_epsilon_roundtrip(traffic_rng):
-    # The no-noise arms release with eps = inf (zero spend, but the
-    # ledger records them); JSON's Infinity literal must carry the inf
-    # through the snapshot file intact.
-    releases = (ReleaseRecord(epsilon=math.inf, mechanism="identity"),)
-    core = make_core(accountant=PrivacyAccountant())
-    drive(core, traffic_rng, num_messages=3, releases=releases)
-    assert math.isinf(core.accountant.record_runs[0][0].epsilon)
-    restored = roundtrip(core)
-    assert core_states_equal(core, restored)
-    assert restored.accountant.record_runs == core.accountant.record_runs
-    assert math.isinf(restored.accountant.record_runs[0][0].epsilon)
+@pytest.mark.parametrize("ledger", [{}, {"per_sample_epsilon": 0.5}, []],
+                         ids=["empty", "tally", "list"])
+def test_snapshot_with_a_ledger_is_refused(ledger):
+    snapshot = snapshot_core(make_core())
+    snapshot["accountant"] = ledger
+    with pytest.raises(SnapshotError, match="privacy ledger"):
+        restore_core(snapshot, make_model())
 
 
 def test_revoked_registry_roundtrip(traffic_rng):
@@ -276,7 +267,7 @@ def test_non_dict_snapshot_raises():
 
 
 @pytest.mark.parametrize("missing", ["model", "config", "optimizer", "counters",
-                                     "registry", "monitor", "accountant"])
+                                     "registry", "monitor"])
 def test_missing_section_raises(missing):
     snapshot = snapshot_core(make_core())
     del snapshot[missing]

@@ -1,7 +1,7 @@
 """Property test: snapshot → restore is the identity on live cores.
 
 Hypothesis drives a random traffic history — device mix, message count,
-sequence tagging, replays, an optional accountant — then checks that the
+sequence tagging, replays, revocation — then checks that the
 restored core is observably identical to the live one **and stays
 identical** under continued shared traffic (the stronger claim: the two
 state machines are the same point in state space, not merely equal on
@@ -16,16 +16,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.persist import core_states_equal, describe_mismatch, restore_core, snapshot_core
-from repro.privacy.accountant import PrivacyAccountant
-from repro.privacy.mechanism import ReleaseRecord
 
 from tests.persist.conftest import make_core, make_message, make_model
-
-RELEASES = (
-    ReleaseRecord(epsilon=0.25, mechanism="laplace", sensitivity=2.0),
-    ReleaseRecord(epsilon=0.125, mechanism="dlap"),
-)
-
 
 def apply_traffic(core, tokens, rng, steps, tag, replay_every, next_seq):
     """Apply ``steps`` check-ins, replaying every ``replay_every``-th one."""
@@ -40,10 +32,7 @@ def apply_traffic(core, tokens, rng, steps, tag, replay_every, next_seq):
         if tag:
             seq = next_seq[device_id]
             next_seq[device_id] += 1
-        message = make_message(
-            core, device_id, tokens[device_id], rng, seq=seq,
-            releases=RELEASES if core.accountant is not None else (),
-        )
+        message = make_message(core, device_id, tokens[device_id], rng, seq=seq)
         core.handle_checkin(message)
         last_applied[device_id] = message
 
@@ -54,17 +43,14 @@ def apply_traffic(core, tokens, rng, steps, tag, replay_every, next_seq):
     steps=st.integers(0, 12),
     tag=st.booleans(),
     replay_every=st.sampled_from([0, 3]),
-    with_accountant=st.booleans(),
     revoke=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
 def test_restore_is_identity_on_random_histories(
-    seed, num_devices, steps, tag, replay_every, with_accountant, revoke
+    seed, num_devices, steps, tag, replay_every, revoke
 ):
     rng = np.random.default_rng(seed)
-    core = make_core(
-        accountant=PrivacyAccountant() if with_accountant else None
-    )
+    core = make_core()
     tokens = {i: core.register_device(i) for i in range(num_devices)}
     next_seq = dict.fromkeys(tokens, 0)
     apply_traffic(core, tokens, rng, steps, tag, replay_every, next_seq)

@@ -1,19 +1,22 @@
 """Tests for the privacy accountant."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.privacy.accountant import PrivacyAccountant, aggregate_releases
-from repro.privacy.mechanism import AggregatedRelease, ReleaseRecord
-from repro.utils.exceptions import PrivacyBudgetExceededError
+from repro.core.config import DeviceConfig
+from repro.core.device import Device
+from repro.models import MulticlassLogisticRegression
+from repro.privacy.accountant import PrivacyAccountant, checkin_sums
+from repro.privacy.budget import PrivacyBudget
 
 
 def _checkin(eps_g=0.98, eps_e=0.01, eps_y=0.001, classes=10):
-    records = [ReleaseRecord(epsilon=eps_g, mechanism="laplace")]
-    records.append(ReleaseRecord(epsilon=eps_e, mechanism="discrete"))
-    records.extend(ReleaseRecord(epsilon=eps_y, mechanism="discrete") for _ in range(classes))
-    return records
+    return checkin_sums([(eps_g, 1), (eps_e, 1), (eps_y, classes)])
 
 
 class TestPerSampleAccounting:
@@ -41,7 +44,7 @@ class TestPerSampleAccounting:
 
     def test_infinite_releases_cost_nothing(self):
         acct = PrivacyAccountant()
-        acct.charge_checkin([ReleaseRecord(epsilon=math.inf, mechanism="identity")])
+        acct.charge_checkin(checkin_sums([(math.inf, 1)]))
         assert acct.spend().per_sample_epsilon == 0.0
         assert acct.spend().total_epsilon == 0.0
 
@@ -50,126 +53,74 @@ class TestPerSampleAccounting:
         acct.charge_checkin(_checkin())
         assert acct.spend().num_releases == 12
 
-    def test_delta_accumulates(self):
-        acct = PrivacyAccountant()
-        acct.charge_checkin([ReleaseRecord(epsilon=0.5, delta=1e-6, mechanism="gauss")])
-        acct.charge_checkin([ReleaseRecord(epsilon=0.5, delta=1e-6, mechanism="gauss")])
-        assert acct.spend().total_delta == pytest.approx(2e-6)
 
-
-class TestBudgetCap:
-    def test_cap_allows_within_budget(self):
-        acct = PrivacyAccountant(per_sample_cap=1.0)
-        acct.charge_checkin(_checkin())  # per-sample exactly 1.0
-        assert acct.spend().per_sample_epsilon == pytest.approx(1.0)
-
-    def test_cap_blocks_excess(self):
-        acct = PrivacyAccountant(per_sample_cap=0.5)
-        with pytest.raises(PrivacyBudgetExceededError) as info:
-            acct.charge_checkin(_checkin())
-        assert info.value.cap == 0.5
-
-    def test_blocked_checkin_not_recorded(self):
-        acct = PrivacyAccountant(per_sample_cap=0.5)
-        with pytest.raises(PrivacyBudgetExceededError):
-            acct.charge_checkin(_checkin())
-        assert acct.spend().num_releases == 0
-        assert acct.spend().per_sample_epsilon == 0.0
-
-    def test_rejects_nonpositive_cap(self):
-        with pytest.raises(ValueError):
-            PrivacyAccountant(per_sample_cap=0.0)
-
-
-class TestReset:
-    def test_reset_clears_everything(self):
-        acct = PrivacyAccountant()
-        acct.charge_checkin(_checkin())
-        acct.reset()
-        spend = acct.spend()
-        assert spend.per_sample_epsilon == 0.0
-        assert spend.total_epsilon == 0.0
-        assert spend.num_releases == 0
-
-    def test_records_copy_is_defensive(self):
-        acct = PrivacyAccountant()
-        acct.charge_checkin(_checkin())
-        acct.records.clear()
-        assert acct.spend().num_releases == 12
+levels = st.one_of(st.just(math.inf), st.floats(min_value=1e-3, max_value=100.0))
 
 
 class TestAggregatedReleases:
-    """Run-length groups charge identically to the expanded sequence."""
-
-    def _grouped(self, eps_g=0.98, eps_e=0.01, eps_y=0.001, classes=10):
-        return [
-            ReleaseRecord(epsilon=eps_g, mechanism="laplace"),
-            ReleaseRecord(epsilon=eps_e, mechanism="discrete"),
-            AggregatedRelease(
-                ReleaseRecord(epsilon=eps_y, mechanism="discrete"), classes
-            ),
-        ]
-
-    def test_aggregated_equals_expanded_bitwise(self):
-        expanded = PrivacyAccountant()
-        grouped = PrivacyAccountant()
-        for _ in range(7):
-            expanded.charge_checkin(_checkin())
-            grouped.charge_checkin(self._grouped())
-        a, b = expanded.spend(), grouped.spend()
-        # Exact float equality: repeated addition, not multiplication.
-        assert a.per_sample_epsilon == b.per_sample_epsilon
-        assert a.total_epsilon == b.total_epsilon
-        assert a.num_releases == b.num_releases == 7 * 12
-
-    def test_expanded_records_view(self):
-        acct = PrivacyAccountant()
-        acct.charge_checkin(self._grouped(classes=3))
-        records = acct.records
-        assert len(records) == 5
-        assert records[2] == records[3] == records[4]
+    """A check-in's C label-count releases charge as one ``(ε_yk, C)``
+    pair, exactly as the expanded release sequence would."""
 
     def test_ledger_growth_is_constant_per_checkin(self):
+        """The tally is three numbers: charging allocates nothing that
+        outlives the call, however many check-ins a device makes."""
         acct = PrivacyAccountant()
-        for _ in range(100):
-            acct.charge_checkin(self._grouped())
-        # 3 runs per check-in (grad/err/labels alternate), not C + 2
-        # records: the ledger holds 300 runs for 1200 releases.
-        assert len(acct.record_runs) == 300
-        assert acct.spend().num_releases == 1200
-
-    def test_identical_consecutive_runs_merge(self):
-        acct = PrivacyAccountant()
-        record = ReleaseRecord(epsilon=0.1, mechanism="discrete")
-        acct.charge_checkin([AggregatedRelease(record, 4)])
-        acct.charge_checkin([AggregatedRelease(record, 2), record])
-        assert acct.record_runs == [(record, 7)]
-
-    def test_cap_enforced_against_aggregated_sum(self):
-        acct = PrivacyAccountant(per_sample_cap=0.5)
-        with pytest.raises(PrivacyBudgetExceededError):
-            acct.charge_checkin(
-                [AggregatedRelease(ReleaseRecord(epsilon=0.2, mechanism="d"), 3)]
-            )
-        assert acct.spend().num_releases == 0
-
-    def test_aggregate_releases_helper_run_length_encodes(self):
-        rec_a = ReleaseRecord(epsilon=0.1, mechanism="a")
-        rec_b = ReleaseRecord(epsilon=0.2, mechanism="b")
-        groups = aggregate_releases([rec_a, rec_b, rec_b, rec_b, rec_a])
-        assert [(g.record, g.count) for g in groups] == [
-            (rec_a, 1), (rec_b, 3), (rec_a, 1)
-        ]
-
-    def test_aggregated_count_must_be_positive(self):
-        from repro.utils.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            AggregatedRelease(ReleaseRecord(epsilon=0.1), 0)
-
-    def test_generator_input_accepted(self):
-        acct = PrivacyAccountant()
-        acct.charge_checkin(
-            ReleaseRecord(epsilon=0.1, mechanism="d") for _ in range(3)
+        sums = _checkin()
+        tracemalloc.start()
+        try:
+            for _ in range(100):  # past the small-int cache
+                acct.charge_checkin(sums)
+            before = tracemalloc.take_snapshot()
+            for _ in range(10_000):
+                acct.charge_checkin(sums)
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        grown = sum(
+            stat.size_diff
+            for stat in after.compare_to(before, "filename")
+            if stat.traceback[0].filename.endswith("accountant.py")
         )
-        assert acct.spend().num_releases == 3
+        # Swapping one held number for a wider one may cost a few bytes;
+        # one byte a check-in would be 10 kB.
+        assert grown < 1024, grown
+        assert acct.spend().num_releases == 10_100 * 12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        eps_g=levels,
+        eps_e=levels,
+        eps_y=levels,
+        classes=st.integers(min_value=2, max_value=12),
+        batch_size=st.integers(min_value=1, max_value=6),
+        checkins=st.integers(min_value=1, max_value=8),
+    )
+    def test_aggregated_equals_expanded_bitwise(
+        self, eps_g, eps_e, eps_y, classes, batch_size, checkins
+    ):
+        """A device's spend is the hand-written expanded sums, bit for bit:
+        per check-in ε_g, then ε_e, then ε_yk C times (ε = ∞ skipped); the
+        max over check-ins and the running total over them."""
+        budget = PrivacyBudget(eps_g, eps_e, eps_y, classes)
+        model = MulticlassLogisticRegression(num_features=3, num_classes=classes)
+        config = DeviceConfig(
+            batch_size=batch_size, buffer_capacity=batch_size, budget=budget
+        )
+        device = Device(0, model, config, "t", np.random.default_rng(0))
+        features = np.full((batch_size, 3), 0.2)
+        labels = np.arange(batch_size) % classes
+        for _ in range(checkins):
+            device.observe_batch(features, labels)
+            device.complete_checkout(np.zeros(model.num_parameters), 0)
+
+        one = 0.0
+        for level in [eps_g, eps_e] + [eps_y] * classes:
+            if not math.isinf(level):
+                one += level
+        total = 0.0
+        for _ in range(checkins):
+            total += one
+        spend = device.accountant.spend()
+        assert spend.per_sample_epsilon == one
+        assert spend.total_epsilon == total
+        assert spend.num_releases == checkins * (classes + 2)

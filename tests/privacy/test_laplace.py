@@ -76,11 +76,10 @@ class TestLaplaceMechanism:
 
     def test_record_carries_metadata(self):
         mech = LaplaceMechanism(1.5, 2.0)
-        record = mech.record(2.0)
-        assert record.epsilon == 1.5
-        assert record.delta == 0.0
-        assert record.sensitivity == 2.0
-        assert "Laplace" in record.mechanism
+        assert mech.epsilon == 1.5
+        assert mech.sensitivity == 2.0
+        assert mech.scale == 2.0 / 1.5
+        assert not mech.is_identity
 
     def test_empirical_privacy_ratio(self):
         """Likelihood ratio of outputs on adjacent values stays within e^eps.

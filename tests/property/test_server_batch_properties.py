@@ -2,8 +2,7 @@
 ≡ fused ``serve_round`` check-in legs.
 
 The batch endpoint promises *bit-identical* server state — model
-parameters, monitor accumulators, rejection counters, attached accountant
-ledger — and the same acks as feeding the messages one at a time through
+parameters, monitor accumulators, rejection counters — and the same acks as feeding the messages one at a time through
 ``handle_checkin`` (catching the rejections), for any device
 interleaving, any mix of rejected/stale messages, and stopping rules that
 trip mid-batch.  Hypothesis drives the message mix; the comparison is
@@ -18,7 +17,6 @@ from hypothesis import strategies as st
 from repro.core import CheckinMessage, CheckoutRequest, ServerConfig, ServerCore
 from repro.models import MulticlassLogisticRegression
 from repro.optim import SGD, InverseSqrtRate
-from repro.privacy import PrivacyAccountant, ReleaseRecord
 
 NUM_FEATURES = 4
 NUM_CLASSES = 3
@@ -36,7 +34,6 @@ def _make_core(max_iterations, target_error):
             target_error=target_error,
             min_samples_for_error_stop=10,
         ),
-        accountant=PrivacyAccountant(),
     )
     tokens = {d: core.register_device(d) for d in range(NUM_DEVICES)}
     return core, tokens
@@ -62,18 +59,12 @@ def _build_messages(plan, tokens, seed):
             noisy_error_count=int(rng.integers(-1, 4)),
             noisy_label_counts=rng.integers(0, 4, size=NUM_CLASSES),
             checkout_iteration=int(rng.integers(0, 3)),
-            releases=(
-                ReleaseRecord(epsilon=0.3, mechanism="laplace"),
-                ReleaseRecord(epsilon=0.05, mechanism="discrete"),
-                ReleaseRecord(epsilon=0.05, mechanism="discrete"),
-            ),
         ))
     return messages
 
 
 def _state(core):
     monitor = core.monitor
-    spend = core.accountant.spend()
     return {
         "parameters": core.parameters,
         "iteration": core.iteration,
@@ -82,10 +73,6 @@ def _state(core):
         "num_checkins": monitor.num_checkins,
         "error_estimate": monitor.raw_error_estimate(),
         "prior": monitor.prior_estimate(),
-        "per_sample_epsilon": spend.per_sample_epsilon,
-        "total_epsilon": spend.total_epsilon,
-        "num_releases": spend.num_releases,
-        "ledger": tuple(core.accountant.records),
         "stopped": core.stopped,
         "stop_reason": core.stopping_decision().reason,
     }

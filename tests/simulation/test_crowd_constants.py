@@ -22,12 +22,7 @@ from repro.core.sanitizer import CheckinSanitizer
 from repro.data import iid_partition, make_mnist_like
 from repro.models import MulticlassLogisticRegression
 from repro.network.latency import LinkDelays
-from repro.privacy import (
-    DiscreteLaplaceMechanism,
-    GaussianMechanism,
-    LaplaceMechanism,
-    split_budget,
-)
+from repro.privacy import DiscreteLaplaceMechanism, LaplaceMechanism
 from repro.simulation import CrowdSimulator, SimulationConfig
 
 NUM_DEVICES = 200
@@ -53,7 +48,7 @@ def build(batch_size, epsilon, delayed=False, num_devices=NUM_DEVICES, seed=0):
 def constructions(monkeypatch):
     """Counts ``__init__`` calls per mechanism class."""
     counts = {}
-    for cls in (LaplaceMechanism, DiscreteLaplaceMechanism, GaussianMechanism):
+    for cls in (LaplaceMechanism, DiscreteLaplaceMechanism):
         def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
             counts[_cls] = counts.get(_cls, 0) + 1
             _init(self, *args, **kwargs)
@@ -87,24 +82,6 @@ class TestColdStartGate:
         assert realized_sizes and len(realized_sizes) < NUM_DEVICES / 4
         assert constructions[LaplaceMechanism] == len(realized_sizes)
         assert constructions[DiscreteLaplaceMechanism] == 2
-        assert GaussianMechanism not in constructions
-
-    def test_gaussian_devices_calibrate_once(self, constructions):
-        model = MulticlassLogisticRegression(4, 3)
-        features = np.full((5, 4), 0.1)
-        labels = np.arange(5) % 3
-        for device_id in range(NUM_DEVICES):
-            config = DeviceConfig(
-                batch_size=5, buffer_capacity=10, budget=split_budget(0.5, 3),
-                gradient_noise="gaussian",
-            )
-            device = Device(device_id, model, config, "t",
-                            np.random.default_rng(device_id))
-            device.observe_batch(features, labels)
-            device.complete_checkout(np.zeros(12), 0)
-        assert constructions[GaussianMechanism] == 1
-        assert constructions[DiscreteLaplaceMechanism] == 2
-        assert LaplaceMechanism not in constructions
 
     def test_every_actor_shares_the_crowd_constants(self):
         simulator = build(batch_size=1, epsilon=1.0, num_devices=20)
@@ -133,7 +110,7 @@ class TestSharedAcrossThreads:
                 device.observe_batch(features[:size], labels[:size])
                 message = device.complete_checkout(weights, 0).message
                 out.append((message.gradient.tobytes(), message.noisy_error_count,
-                            message.noisy_label_counts.tobytes(), message.releases))
+                            message.noisy_label_counts.tobytes()))
             return out, device.accountant.spend()
 
         serial_model = MulticlassLogisticRegression(4, 3)

@@ -83,10 +83,12 @@ class TestOptionsCensus:
         from repro.core.config import DeviceConfig
         from repro.core.device import Device
         from repro.core.sanitizer import CheckinSanitizer
+        from repro.core.server_core import ServerCore
         from repro.experiments import ArmSpec
         from repro.gateway import GatewayAggregator, TwoTierTopology
         from repro.gateway.edge import EdgeGateway
         from repro.persist import Checkpointer, CheckpointPolicy, SnapshotStore
+        from repro.privacy import PrivacyAccountant
         from repro import registry
         from repro.serve import CrowdService, RemoteServerCore, ServiceClient
         from repro.serve.cli import build_parser
@@ -108,9 +110,13 @@ class TestOptionsCensus:
             Checkpointer: 2,
             CheckpointPolicy: 2,
             # Sharing the sanitizer calibration is not something a caller
-            # can switch off: no parameter selects it.
-            Device: 7,
-            CheckinSanitizer: 5,
+            # can switch off: no parameter selects it.  Routine 3 has one
+            # noise path (Laplace) and each device keeps its own tally.
+            Device: 6,
+            CheckinSanitizer: 3,
+            # Privacy accounting lives on the devices, not the server.
+            ServerCore: 5,
+            PrivacyAccountant: 0,
         }
         counted = {
             cls: len(inspect.signature(cls).parameters)
@@ -120,7 +126,7 @@ class TestOptionsCensus:
         assert len(dataclasses.fields(SimulationConfig)) == 19
         assert len(dataclasses.fields(ArmSpec)) == 18
         assert len(dataclasses.fields(TwoTierTopology)) == 2
-        assert len(dataclasses.fields(DeviceConfig)) == 6
+        assert len(dataclasses.fields(DeviceConfig)) == 4
         repro_serve_arguments = [
             action for action in build_parser()._actions if action.dest != "help"
         ]
