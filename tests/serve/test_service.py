@@ -152,6 +152,24 @@ class TestRejections:
         assert status == 426
         assert wire.decode_error(payload).code == wire.ErrorCode.VERSION_MISMATCH
 
+    def test_unknown_route_is_404_and_method_405(self, service):
+        status, payload = raw_post(service.url, "/v2/checkout", b"{}")
+        assert status == 404
+        assert wire.decode_error(payload).code == wire.ErrorCode.NOT_FOUND
+        request = urllib.request.Request(service.url + "/v1/checkout")
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 405
+
+    def test_oversized_body_is_413(self, service):
+        request = urllib.request.Request(
+            service.url + "/v1/checkout", data=b"x", method="POST",
+            headers={"Content-Length": str(MAX_BODY_BYTES + 1)},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 413
+
     def test_join_disabled(self):
         core = make_core()
         core.register_device(0)
@@ -163,6 +181,16 @@ class TestRejections:
             token = core.registry.register(0)
             assert client.checkout(
                 CheckoutRequest(0, token, 0.0)).parameters.size
+
+    def test_stop_before_start_releases_port(self):
+        # Construction binds the socket; stop() without a serve loop must
+        # close it without blocking on a shutdown handshake.
+        first = CrowdService(make_core())
+        port = first.port
+        first.stop()
+        second = CrowdService(make_core(), port=port)  # port is free again
+        second.stop()
+        second.stop()  # idempotent at any lifecycle point
 
     def test_unreachable_server(self):
         client = ServiceClient("http://127.0.0.1:9", timeout=0.5)
