@@ -26,7 +26,7 @@ from repro import (
 )
 
 
-def describe(report, label: str) -> None:
+def describe(report, label: str, num_passes: int) -> None:
     trace = report.traces[0]
     comm = trace.communication
     print(f"\n--- {label} ---")
@@ -35,7 +35,16 @@ def describe(report, label: str) -> None:
     print(f"server SGD updates      : {trace.server_iterations}")
     print(f"samples consumed        : {trace.total_samples_consumed}")
     print(f"uplink volume (floats)  : {comm.uplink_floats}")
-    print(f"per-sample privacy ε    : {trace.per_sample_epsilon:.3g}")
+    # ``per_sample_epsilon`` is one check-in's ε (0 when nothing is noised);
+    # every pass releases each sample once more, so under basic
+    # composition a sample's spend is that times the passes.
+    epsilon = trace.per_sample_epsilon
+    if epsilon:
+        print(f"ε of one check-in       : {epsilon:.3g}")
+        print(f"per-sample ε, {num_passes} passes  : "
+              f"{epsilon * num_passes:.3g} (basic composition)")
+    else:
+        print("ε of one check-in       : ∞ (no noise)")
     print("error curve (iteration -> test error):")
     curve = report.mean_curve
     step = max(1, len(curve) // 8)
@@ -49,14 +58,15 @@ def main() -> None:
         num_devices=100, epsilon=math.inf, batch_size=1,
         num_train=6000, num_test=1500, num_passes=2,
     )
-    describe(report, "Crowd-ML, non-private")
+    describe(report, "Crowd-ML, non-private", num_passes=2)
 
-    print("\nSame crowd with per-sample epsilon = 10, b = 20, 4 passes ...")
+    print("\nSame crowd with epsilon = 10 per check-in, b = 20, 4 passes"
+          "\n(each sample is released once a pass: 4 x 10 = 40 per sample) ...")
     report = quick_crowd_run(
         num_devices=100, epsilon=10.0, batch_size=20,
         num_train=6000, num_test=1500, num_passes=4,
     )
-    describe(report, "Crowd-ML, epsilon = 10, b = 20")
+    describe(report, "Crowd-ML, epsilon = 10 per check-in, b = 20", num_passes=4)
 
     print(
         "\nThe private curve keeps descending toward the non-private floor:"

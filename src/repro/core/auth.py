@@ -9,10 +9,9 @@ and check-in must present a matching token or the server rejects it with
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 from typing import Any, Dict
 
+from repro.utils.digest import HmacSha256, compare_digest
 from repro.utils.exceptions import AuthenticationError
 
 
@@ -32,14 +31,12 @@ class DeviceRegistry:
 
     def __init__(self, server_key: str = "crowd-ml-server-key"):
         self._server_key = str(server_key).encode("utf-8")
+        self._hmac = HmacSha256(self._server_key)
         self._tokens: Dict[int, str] = {}
         self._revoked: set[int] = set()
 
     def _mint(self, device_id: int) -> str:
-        digest = hmac.new(
-            self._server_key, f"device:{device_id}".encode("utf-8"), hashlib.sha256
-        )
-        return digest.hexdigest()
+        return self._hmac.hexdigest(f"device:{device_id}".encode("utf-8"))
 
     def register(self, device_id: int) -> str:
         """Enroll a device and return its token (idempotent)."""
@@ -71,7 +68,7 @@ class DeviceRegistry:
         expected = self._tokens.get(device_id)
         if expected is None:
             raise AuthenticationError(f"unknown device {device_id}")
-        if not hmac.compare_digest(expected, str(token)):
+        if not compare_digest(expected, str(token)):
             raise AuthenticationError(f"invalid token for device {device_id}")
 
     def state_dict(self) -> Dict[str, Any]:

@@ -60,7 +60,6 @@ linearizes the takeover: any zombie write either lands before the bump
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import struct
@@ -76,6 +75,7 @@ from repro.store.backend import (
     write_json_atomic,
 )
 from repro.store.locking import FileLock
+from repro.utils.digest import sha256
 from repro.utils.exceptions import SnapshotError
 
 # ``repro.persist.snapshot`` (NumPy, the optimizer and model layers) is
@@ -335,7 +335,7 @@ class SnapshotStore:
         # form) are the bytes written.  The epoch sits outside that body —
         # it describes the *writer*, not the core state.
         body = canonical_json(snapshot)
-        checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        checksum = sha256(body.encode("utf-8")).hexdigest()
         epoch = "" if self.epoch is None else f'"epoch":{self.epoch},'
         payload = f'{{"checksum":"{checksum}",{epoch}"snapshot":{body}}}\n'
         path = self._path_for(iteration)

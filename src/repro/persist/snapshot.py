@@ -36,7 +36,6 @@ restoring against a different schema version or a mismatched model raises
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 from typing import Any, Dict, Optional
 
@@ -59,6 +58,7 @@ from repro.optim.schedules import (
     StepDecayRate,
 )
 from repro.optim.sgd import SGD, AdaGrad, AveragedSGD, Optimizer
+from repro.utils.digest import sha256
 from repro.utils.exceptions import SnapshotError
 
 #: Schema stamp carried by every snapshot.  Bump on any incompatible
@@ -286,7 +286,7 @@ def canonical_json(snapshot: Dict[str, Any]) -> str:
 
 def snapshot_checksum(snapshot: Dict[str, Any]) -> str:
     """SHA-256 over the canonical form — the torn-file detector."""
-    return hashlib.sha256(canonical_json(snapshot).encode("utf-8")).hexdigest()
+    return sha256(canonical_json(snapshot).encode("utf-8")).hexdigest()
 
 
 def core_states_equal(a: ServerCore, b: ServerCore) -> bool:

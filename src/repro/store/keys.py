@@ -23,12 +23,13 @@ execution semantics change in a way that invalidates stored results.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from typing import Any, Mapping
 
 import numpy as np
+
+from repro.utils.digest import sha256
 
 #: Version stamp mixed into every key; bump to invalidate all entries.
 KEY_FORMAT = 1
@@ -67,7 +68,7 @@ def canonical_json(obj: Any) -> str:
 
 def digest(obj: Any) -> str:
     """SHA-256 hex digest of ``obj``'s canonical JSON form."""
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+    return sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
 def task_key(payload: Mapping[str, Any]) -> str:

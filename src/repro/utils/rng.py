@@ -12,10 +12,11 @@ factory derives *named* child seeds from a root seed, so that
 
 from __future__ import annotations
 
-import hashlib
 from typing import Optional, Union
 
 import numpy as np
+
+from repro.utils.digest import blake2b
 
 SeedLike = Union[int, np.random.Generator, None]
 
@@ -34,7 +35,7 @@ def derive_seed(root_seed: int, *names: object) -> int:
     >>> derive_seed(0, "device", 3) != derive_seed(0, "device", 4)
     True
     """
-    hasher = hashlib.blake2b(digest_size=8)
+    hasher = blake2b(digest_size=8)
     hasher.update(str(int(root_seed)).encode("utf-8"))
     for name in names:
         hasher.update(b"/")

@@ -1,5 +1,7 @@
 """Tests for device authentication."""
 
+import pickle
+
 import pytest
 
 from repro.core import DeviceRegistry
@@ -19,6 +21,21 @@ class TestRegistration:
     def test_registration_idempotent(self):
         registry = DeviceRegistry()
         assert registry.register(1) == registry.register(1)
+
+    def test_token_bytes_are_pinned(self):
+        # HMAC-SHA256(server key, "device:<id>"): state dirs written by any
+        # earlier version hold these tokens and must keep authenticating.
+        assert DeviceRegistry().register(7) == (
+            "6e3a9428cdab3b3133b08fe11c07df44a9f08b12f21a6fd203e4d2c5261a9cb0")
+        assert DeviceRegistry(server_key="secret").register(0) == (
+            "ddac3bf0f9333bf50b6dce52cc28889b78049dd0a8141961a36871f73dd24061")
+
+    def test_registry_pickles(self):
+        registry = DeviceRegistry(server_key="secret")
+        token = registry.register(3)
+        copy = pickle.loads(pickle.dumps(registry))
+        copy.authenticate(3, token)
+        assert copy.register(4) == registry.register(4)
 
     def test_tokens_differ_across_server_keys(self):
         a = DeviceRegistry(server_key="alpha").register(1)

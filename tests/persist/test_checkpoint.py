@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -104,6 +105,8 @@ def test_store_writes_the_checksummed_bytes_and_still_reads_pretty_files(
     assert canonical_json(snapshot_core(core)) in written
     payload = json.loads(written)
     assert payload["checksum"] == snapshot_checksum(payload["snapshot"])
+    assert payload["checksum"] == hashlib.sha256(
+        canonical_json(snapshot_core(core)).encode("utf-8")).hexdigest()
     # A file from before this format — the same payload pretty-printed
     # with sorted keys — still loads: the checksum is re-derived from
     # the parsed body, not from the bytes.

@@ -50,6 +50,11 @@ class TestCanonicalize:
         assert len(key) == 64
         assert set(key) <= set("0123456789abcdef")
 
+    def test_figure_key_bytes_are_pinned(self):
+        # Stored results are found by these keys; a changed byte orphans them.
+        assert figure_key({"name": "x"}, 0) == (
+            "6664d3ea7ee7055d8ee8452c23c1f8cc067ac268369bf621631079ecebe14dbf")
+
 
 class TestTaskKey:
     PAYLOAD = {

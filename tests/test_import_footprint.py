@@ -64,6 +64,20 @@ class TestFootprint:
         )
         assert "numpy" not in modules
         assert "repro.persist.snapshot" not in modules
+        assert "_hashlib" not in modules  # OpenSSL
+
+    def test_durable_server_loads_no_openssl(self, tmp_path):
+        modules = modules_after(
+            "from repro.serve.cli import build_parser, build_service\n"
+            "args = build_parser().parse_args(\n"
+            "    ['--num-features', '4', '--num-classes', '3', '--port', '0',\n"
+            f"     '--state-dir', {str(tmp_path)!r}, '--register', '8'])\n"
+            "build_service(args).stop()"
+        )
+        assert "repro.persist.snapshot" in modules  # the durable path ran
+        assert "repro.utils.digest" in modules  # and minted tokens
+        assert "_hashlib" not in modules
+        assert "hashlib" not in modules
 
     def test_server_without_state_dir_loads_no_rng_and_no_snapshot_codec(self):
         modules = modules_after(
@@ -81,6 +95,11 @@ class TestFootprint:
     def test_import_is_warning_free(self):
         done = fresh_python("-W", "error", "-c", "import repro")
         assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
+
+def mapped_libraries(pid, *names):
+    with open(f"/proc/{pid}/maps") as handle:
+        return [line for line in handle if any(name in line for name in names)]
 
 
 class TestLiveFrontEnd:
@@ -113,11 +132,12 @@ class TestLiveFrontEnd:
             result = client.checkins(messages)  # split across both shards
             assert [ack.device_id for ack in result.acks] == devices
             assert result.server_iteration == 2
-            assert len(client.status().shards) == 2
+            workers = [row["pid"] for row in client.status().shards]
+            assert len(workers) == 2
             assert client.metrics_snapshot()["enabled"]
-            with open(f"/proc/{process.pid}/maps") as handle:
-                mapped = [line for line in handle if "numpy" in line]
-            assert mapped == []
+            assert mapped_libraries(process.pid, "numpy") == []
+            for pid in [process.pid, *workers]:  # tokens, checksums: no OpenSSL
+                assert mapped_libraries(pid, "libcrypto", "libssl") == [], pid
         finally:
             client.close()
             assert shut_down(process) == 0
