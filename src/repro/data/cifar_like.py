@@ -5,7 +5,9 @@ The paper pushes CIFAR-10 images through an ImageNet-trained CNN, takes the
 L1-normalizes.  The resulting task is harder than MNIST: the centralized
 batch error floor is ≈ 0.3 (Fig. 7).  This generator matches D = 100,
 C = 10, ``‖x‖₁ ≤ 1``, with heavier class overlap (more style subclusters,
-smaller separation) so a linear classifier plateaus near 0.3.
+smaller separation) so a linear classifier plateaus near 0.3.  Like the
+MNIST-like generator it emits post-PCA, L1-normalized features directly; a
+loader for real CIFAR-10 brings its own CNN + PCA preprocessing.
 
 Canonical sizes follow the paper: 50 000 train / 10 000 test.
 """

@@ -1,7 +1,9 @@
-"""Feature-extraction pipeline: sliding windows, FFT magnitudes, PCA.
+"""Feature-extraction pipeline: sliding windows and FFT magnitudes.
 
 Implements the Section V-B phone pipeline (|a| → 3.2 s windows → 64-bin
-FFT) and the Section V-C image preprocessing (PCA to 50/100 dims).
+FFT).  Section V-C's image preprocessing (PCA + L1) has no module here:
+the synthetic MNIST-like / CIFAR-like generators emit post-PCA,
+L1-normalized features directly.
 """
 
 from repro.features.fft import (
@@ -9,11 +11,9 @@ from repro.features.fft import (
     fft_magnitude,
     fft_magnitude_features,
 )
-from repro.features.pca import PCA
 from repro.features.windows import sliding_windows, window_majority_labels
 
 __all__ = [
-    "PCA",
     "acceleration_magnitude",
     "fft_magnitude",
     "fft_magnitude_features",

@@ -179,14 +179,6 @@ class AdaGrad(Optimizer):
         self._accumulator = np.zeros_like(self._parameters)
 
     @property
-    def constant(self) -> float:
-        return self._constant
-
-    @property
-    def damping(self) -> float:
-        return self._damping
-
-    @property
     def accumulator(self) -> np.ndarray:
         """Accumulated squared gradients G(t) (copy)."""
         return self._accumulator.copy()
@@ -195,23 +187,6 @@ class AdaGrad(Optimizer):
         self._accumulator += gradient**2
         scale = self._constant / (self._damping + np.sqrt(self._accumulator))
         return self._parameters - scale * gradient
-
-    def restore_state(
-        self,
-        parameters: np.ndarray,
-        iteration: int,
-        accumulator: Optional[np.ndarray] = None,
-    ) -> None:
-        """Also restore the squared-gradient accumulator G(t)."""
-        super().restore_state(parameters, iteration)
-        if accumulator is not None:
-            accumulator = np.array(accumulator, dtype=np.float64, copy=True)
-            if accumulator.shape != self._parameters.shape:
-                raise ConfigurationError(
-                    f"accumulator shape {accumulator.shape} != "
-                    f"parameter shape {self._parameters.shape}"
-                )
-            self._accumulator = accumulator
 
 
 class AveragedSGD(SGD):
@@ -243,15 +218,6 @@ class AveragedSGD(SGD):
         """Polyak average of post-burn-in iterates (copy)."""
         return self._average.copy()
 
-    @property
-    def burn_in(self) -> int:
-        return self._burn_in
-
-    @property
-    def averaged_steps(self) -> int:
-        """Number of iterates folded into the average so far."""
-        return self._averaged_steps
-
     def step(self, gradient: np.ndarray) -> np.ndarray:
         updated = super().step(gradient)
         if self._iteration > self._burn_in:
@@ -260,22 +226,3 @@ class AveragedSGD(SGD):
         else:
             self._average = updated.copy()
         return updated
-
-    def restore_state(
-        self,
-        parameters: np.ndarray,
-        iteration: int,
-        average: Optional[np.ndarray] = None,
-        averaged_steps: int = 0,
-    ) -> None:
-        """Also restore the Polyak average and its step count."""
-        super().restore_state(parameters, iteration)
-        if average is not None:
-            average = np.array(average, dtype=np.float64, copy=True)
-            if average.shape != self._parameters.shape:
-                raise ConfigurationError(
-                    f"average shape {average.shape} != "
-                    f"parameter shape {self._parameters.shape}"
-                )
-            self._average = average
-            self._averaged_steps = int(averaged_steps)

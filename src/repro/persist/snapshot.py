@@ -3,11 +3,12 @@
 A snapshot is one JSON-compatible dict capturing everything Algorithm 2
 accumulates between check-ins:
 
-* the optimizer — parameters **bit-exact** as base64 float64
-  (:func:`pack_float_array`), the iteration counter t,
-  and per-rule extras (AdaGrad's accumulator, the Polyak average);
-* the schedule and projection hyperparameters (scalar floats survive via
-  JSON ``repr`` round-trip — exact for every finite double);
+* the optimizer — the projected SGD every server builds
+  (:func:`~repro.optim.paper_sgd`): parameters **bit-exact** as base64
+  float64 (:func:`pack_float_array`) and the iteration counter t;
+* its schedule (``inverse_sqrt``, or the fixed-step ``constant``) and
+  projection (``l2_ball`` or ``identity``) hyperparameters (scalar floats
+  survive via JSON ``repr`` round-trip — exact for every finite double);
 * the server config, the bookkeeping counters (checkouts, rejections,
   duplicate suppressions, per-device applied check-in sequences);
 * the :class:`~repro.core.auth.DeviceRegistry` (enrollments, revocations,
@@ -30,7 +31,10 @@ histories in ``tests/persist/``).
 
 Snapshots carry a :data:`SNAPSHOT_VERSION` stamp and a model fingerprint;
 restoring against a different schema version or a mismatched model raises
-:class:`SnapshotError` instead of silently loading the wrong run.
+:class:`SnapshotError` instead of silently loading the wrong run.  So does
+snapshotting a core on any other optimizer (Remark 3's AdaGrad or
+averaged SGD run in process only), and restoring any other optimizer,
+schedule or projection tag.
 """
 
 from __future__ import annotations
@@ -46,18 +50,9 @@ from repro.core.config import ServerConfig
 from repro.core.monitor import ProgressMonitor
 from repro.core.server_core import ServerCore
 from repro.models.base import Model
-from repro.optim.projection import (
-    BoxProjection,
-    IdentityProjection,
-    L2BallProjection,
-)
-from repro.optim.schedules import (
-    ConstantRate,
-    InverseSqrtRate,
-    InverseTimeRate,
-    StepDecayRate,
-)
-from repro.optim.sgd import SGD, AdaGrad, AveragedSGD, Optimizer
+from repro.optim.projection import IdentityProjection, L2BallProjection
+from repro.optim.schedules import ConstantRate, InverseSqrtRate
+from repro.optim.sgd import SGD, Optimizer
 from repro.utils.digest import sha256
 from repro.utils.exceptions import SnapshotError
 
@@ -94,15 +89,10 @@ _TAGGED = {
     "schedule": {
         "constant": (ConstantRate, {"constant": float}),
         "inverse_sqrt": (InverseSqrtRate, {"constant": float}),
-        "inverse_time": (InverseTimeRate, {"constant": float, "decay": float}),
-        "step_decay": (
-            StepDecayRate, {"constant": float, "factor": float, "period": int}
-        ),
     },
     "projection": {
         "identity": (IdentityProjection, {}),
         "l2_ball": (L2BallProjection, {"radius": float}),
-        "box": (BoxProjection, {"bound": float}),
     },
 }
 
@@ -123,63 +113,31 @@ def _decode_tagged(family: str, state: Dict[str, Any]):
 
 
 def _encode_optimizer(optimizer: Optimizer) -> Dict[str, Any]:
-    state: Dict[str, Any] = {
+    # Exact type: AveragedSGD is an SGD subclass with more state.
+    if type(optimizer) is not SGD:
+        raise SnapshotError(
+            f"cannot snapshot optimizer {type(optimizer).__name__}: a snapshot "
+            "carries only the SGD every server builds (optim.paper_sgd)"
+        )
+    return {
         "parameters": pack_float_array(optimizer.parameters_view),
         "iteration": optimizer.iteration,
         "projection": _encode_tagged("projection", optimizer.projection),
+        "type": "sgd",
+        "schedule": _encode_tagged("schedule", optimizer.schedule),
     }
-    # Exact-type dispatch (AveragedSGD before SGD: it is a subclass).
-    if type(optimizer) is AveragedSGD:
-        state["type"] = "averaged_sgd"
-        state["schedule"] = _encode_tagged("schedule", optimizer.schedule)
-        state["burn_in"] = optimizer.burn_in
-        state["average"] = pack_float_array(optimizer.averaged_parameters)
-        state["averaged_steps"] = optimizer.averaged_steps
-    elif type(optimizer) is SGD:
-        state["type"] = "sgd"
-        state["schedule"] = _encode_tagged("schedule", optimizer.schedule)
-    elif type(optimizer) is AdaGrad:
-        state["type"] = "adagrad"
-        state["constant"] = optimizer.constant
-        state["damping"] = optimizer.damping
-        state["accumulator"] = pack_float_array(optimizer.accumulator)
-    else:
-        raise SnapshotError(f"cannot snapshot optimizer {type(optimizer).__name__}")
-    return state
 
 
 def _decode_optimizer(state: Dict[str, Any]) -> Optimizer:
     kind = state.get("type")
-    parameters = unpack_float_array(state["parameters"])
-    projection = _decode_tagged("projection", state["projection"])
-    iteration = int(state["iteration"])
-    if kind == "sgd":
-        optimizer: Optimizer = SGD(
-            parameters, schedule=_decode_tagged("schedule", state["schedule"]),
-            projection=projection,
-        )
-        optimizer.restore_state(parameters, iteration)
-    elif kind == "averaged_sgd":
-        optimizer = AveragedSGD(
-            parameters, schedule=_decode_tagged("schedule", state["schedule"]),
-            projection=projection, burn_in=int(state["burn_in"]),
-        )
-        optimizer.restore_state(
-            parameters, iteration,
-            average=unpack_float_array(state["average"]),
-            averaged_steps=int(state["averaged_steps"]),
-        )
-    elif kind == "adagrad":
-        optimizer = AdaGrad(
-            parameters, constant=float(state["constant"]),
-            damping=float(state["damping"]), projection=projection,
-        )
-        optimizer.restore_state(
-            parameters, iteration,
-            accumulator=unpack_float_array(state["accumulator"]),
-        )
-    else:
+    if kind != "sgd":
         raise SnapshotError(f"unknown optimizer type {kind!r}")
+    parameters = unpack_float_array(state["parameters"])
+    optimizer = SGD(
+        parameters, schedule=_decode_tagged("schedule", state["schedule"]),
+        projection=_decode_tagged("projection", state["projection"]),
+    )
+    optimizer.restore_state(parameters, int(state["iteration"]))
     return optimizer
 
 
