@@ -8,12 +8,10 @@ arXiv:1501.02484).  The package is organized as:
 * :mod:`repro.privacy` — Laplace / discrete-Laplace / exponential
   mechanisms, sensitivity bounds, budget accounting.
 * :mod:`repro.models` — logistic regression (Table I), linear SVM, ridge.
-* :mod:`repro.optim` — projected SGD (Eq. 3) with the ``c/√t`` schedule
-  (Eq. 5) as :func:`~repro.optim.paper_sgd`, plus Remark 3's AdaGrad and
-  averaged SGD.
+* :mod:`repro.optim` — projected SGD (Eq. 3), schedules, AdaGrad, averaging.
 * :mod:`repro.network` — event queue, delay/outage models, channels.
-* :mod:`repro.data` — synthetic MNIST-like / CIFAR-like data (emitted as
-  post-PCA, L1-normalized features), activity data, partitioning.
+* :mod:`repro.data` — synthetic MNIST-like / CIFAR-like / activity data,
+  partitioning, the PCA + L1 pipeline.
 * :mod:`repro.baselines` — centralized (batch & input-perturbed SGD) and
   decentralized comparators.
 * :mod:`repro.simulation` — the event-driven crowd simulator and trial

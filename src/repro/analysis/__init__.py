@@ -7,6 +7,14 @@ from repro.analysis.energy import (
     radio_energy_per_sample,
     total_energy_per_sample,
 )
+from repro.analysis.convergence import (
+    GradientMoments,
+    centralized_input_noise_power,
+    convergence_rate_bound,
+    crowd_gradient_moments,
+    decentralized_error_inflation,
+    minimum_batch_for_overhead,
+)
 from repro.analysis.scalability import (
     Approach,
     SystemShape,
@@ -26,10 +34,16 @@ __all__ = [
     "compute_energy_per_sample",
     "radio_energy_per_sample",
     "total_energy_per_sample",
+    "GradientMoments",
     "SystemShape",
+    "centralized_input_noise_power",
+    "convergence_rate_bound",
+    "crowd_gradient_moments",
+    "decentralized_error_inflation",
     "device_flops_per_sample",
     "downlink_floats_per_sample",
     "expected_staleness",
+    "minimum_batch_for_overhead",
     "server_flops_per_sample",
     "staleness_for_uniform_delay",
     "total_network_floats_per_sample",

@@ -1,4 +1,4 @@
-"""Datasets and data plumbing: synthetic generators and partitioning.
+"""Datasets and data plumbing: synthetic generators, partitioning, pipeline.
 
 The generators are the offline substitutes for the paper's datasets (see
 DESIGN.md §3): :func:`make_mnist_like` (digits, Figs. 4-6),
@@ -22,6 +22,7 @@ __getattr__, __dir__, __all__ = lazy_namespace(__name__, {
     "MNIST_DIM": "mnist_like",
     "NUM_ACTIVITIES": "activity",
     "ON_FOOT": "activity",
+    "PcaL1Pipeline": "preprocessing",
     "STILL": "activity",
     "THERMOSTAT_DIM": "thermostat",
     "make_thermostat_data": "thermostat",
@@ -35,5 +36,7 @@ __getattr__, __dir__, __all__ = lazy_namespace(__name__, {
     "make_cifar_like": "cifar_like",
     "make_mnist_like": "mnist_like",
     "mnist_like_generator": "mnist_like",
+    "preprocess_train_test": "preprocessing",
     "shard_partition": "partition",
+    "train_test_split": "dataset",
 })

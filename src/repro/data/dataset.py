@@ -15,8 +15,8 @@ from repro.utils.validation import check_labels, check_matrix
 class Dataset:
     """A classification dataset: ``(n, D)`` features, ``(n,)`` int labels.
 
-    Feature rows are expected to satisfy ``‖x‖₁ ≤ 1`` (the library's
-    generators emit them so), the assumption behind every sensitivity bound.
+    Feature rows are expected (and enforced by the library's preprocessing)
+    to satisfy ``‖x‖₁ ≤ 1``, the assumption behind every sensitivity bound.
 
     Examples
     --------
@@ -65,10 +65,36 @@ class Dataset:
         indices = np.asarray(indices, dtype=np.int64)
         return Dataset(self.features[indices], self.labels[indices], self.num_classes)
 
+    def shuffled(self, rng: np.random.Generator) -> "Dataset":
+        """Return a row-permuted copy."""
+        order = rng.permutation(len(self))
+        return self.subset(order)
+
     def samples(self) -> Iterator[Tuple[np.ndarray, int]]:
         """Iterate ``(x, y)`` pairs in order."""
         for i in range(len(self)):
             yield self.features[i], int(self.labels[i])
+
+
+def train_test_split(
+    dataset: Dataset,
+    test_fraction: float,
+    rng: np.random.Generator,
+) -> Tuple[Dataset, Dataset]:
+    """Random split into train and test subsets.
+
+    >>> import numpy as np
+    >>> ds = Dataset(np.zeros((10, 2)), np.zeros(10, dtype=int), num_classes=2)
+    >>> train, test = train_test_split(ds, 0.3, np.random.default_rng(0))
+    >>> len(train), len(test)
+    (7, 3)
+    """
+    if not (0.0 < test_fraction < 1.0):
+        raise ConfigurationError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    order = rng.permutation(len(dataset))
+    num_test = int(round(len(dataset) * test_fraction))
+    num_test = min(max(num_test, 1), len(dataset) - 1)
+    return dataset.subset(order[num_test:]), dataset.subset(order[:num_test])
 
 
 def concatenate(datasets: list[Dataset]) -> Dataset:

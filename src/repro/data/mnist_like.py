@@ -6,8 +6,8 @@ centralized batch baseline is ≈ 0.1 (Fig. 4).  This generator matches the
 interface of that preprocessed dataset: 10 classes, D = 50, ``‖x‖₁ ≤ 1``,
 and a class geometry tuned so that a linear classifier reaches an error
 floor near 0.1.  It emits post-PCA, L1-normalized features directly, so
-there is no PCA step to run; a loader for real MNIST brings its own
-preprocessing.
+there is no PCA step to run on it; a loader for real MNIST brings its own
+preprocessing (:class:`~repro.data.preprocessing.PcaL1Pipeline`).
 
 The canonical configuration is ``make_mnist_like()`` — 60 000 train and
 10 000 test samples, exactly the paper's sizes.  Smaller sizes are accepted

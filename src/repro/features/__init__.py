@@ -1,9 +1,7 @@
-"""Feature-extraction pipeline: sliding windows and FFT magnitudes.
+"""Feature-extraction pipeline: sliding windows, FFT magnitudes, PCA.
 
 Implements the Section V-B phone pipeline (|a| → 3.2 s windows → 64-bin
-FFT).  Section V-C's image preprocessing (PCA + L1) has no module here:
-the synthetic MNIST-like / CIFAR-like generators emit post-PCA,
-L1-normalized features directly.
+FFT) and the Section V-C image preprocessing (PCA to 50/100 dims).
 """
 
 from repro.features.fft import (
@@ -11,9 +9,11 @@ from repro.features.fft import (
     fft_magnitude,
     fft_magnitude_features,
 )
+from repro.features.pca import PCA
 from repro.features.windows import sliding_windows, window_majority_labels
 
 __all__ = [
+    "PCA",
     "acceleration_magnitude",
     "fft_magnitude",
     "fft_magnitude_features",

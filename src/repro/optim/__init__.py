@@ -1,16 +1,17 @@
 """Optimizers and learning-rate schedules (Eq. 3, Eq. 5, Remark 3).
 
 The server's update rule is :func:`paper_sgd`: projected
-:class:`~repro.optim.sgd.SGD` with the ``c/√t`` schedule onto an L2 ball
-(or unconstrained) — what every server builds and the only optimizer a
-:mod:`repro.persist` snapshot carries.  :class:`~repro.optim.sgd.AdaGrad`
-and :class:`~repro.optim.sgd.AveragedSGD` are the drop-in alternatives
-Remark 3 permits without affecting the privacy guarantee (they are
-post-processing of already-sanitized gradients); the optimizer ablation
-runs them in process.  :class:`ConstantRate` is the fixed-step schedule.
+:class:`~repro.optim.sgd.SGD` with the ``c/√t`` schedule, the optimizer
+every server builds and the only one a :mod:`repro.persist` snapshot
+carries.  :class:`~repro.optim.sgd.AdaGrad` and
+:class:`~repro.optim.sgd.AveragedSGD` are the drop-in alternatives Remark 3
+permits without affecting the privacy guarantee (they are post-processing
+of already-sanitized gradients); the optimizer ablation runs them in
+process.
 """
 
 from repro.optim.projection import (
+    BoxProjection,
     IdentityProjection,
     L2BallProjection,
     Projection,
@@ -18,21 +19,26 @@ from repro.optim.projection import (
 from repro.optim.schedules import (
     ConstantRate,
     InverseSqrtRate,
+    InverseTimeRate,
     LearningRateSchedule,
+    StepDecayRate,
 )
 from repro.optim.sgd import SGD, AdaGrad, AveragedSGD, Optimizer
 
 __all__ = [
     "AdaGrad",
     "AveragedSGD",
+    "BoxProjection",
     "ConstantRate",
     "IdentityProjection",
     "InverseSqrtRate",
+    "InverseTimeRate",
     "L2BallProjection",
     "LearningRateSchedule",
     "Optimizer",
     "Projection",
     "SGD",
+    "StepDecayRate",
     "paper_sgd",
 ]
 

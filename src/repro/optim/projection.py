@@ -1,8 +1,8 @@
 """Projection onto the parameter domain W (Eq. 3).
 
 The paper assumes W is a d-dimensional L2 ball of large radius R and uses
-the rescaling projection ``Π_W(w) = min(1, R/‖w‖)·w``; an unconstrained run
-(W = R^d) uses the identity.
+the rescaling projection ``Π_W(w) = min(1, R/‖w‖)·w``.  We also provide a
+box projection for completeness (useful for per-coordinate constraints).
 """
 
 from __future__ import annotations
@@ -59,3 +59,17 @@ class L2BallProjection(Projection):
             return parameters
         return parameters * (self._radius / norm)
 
+
+class BoxProjection(Projection):
+    """Clamp each coordinate to ``[-bound, +bound]``."""
+
+    def __init__(self, bound: float):
+        self._bound = check_positive(bound, "bound")
+
+    @property
+    def bound(self) -> float:
+        """Per-coordinate bound."""
+        return self._bound
+
+    def __call__(self, parameters: np.ndarray) -> np.ndarray:
+        return np.clip(np.asarray(parameters, dtype=np.float64), -self._bound, self._bound)

@@ -1,14 +1,15 @@
 """Learning-rate schedules η(t).
 
-The paper's default (Eq. 5) is ``η(t) = c/√t``; a constant step is the
-fixed-rate reference.  Iterations are 1-based to match Eq. (5).
+The paper's default (Eq. 5) is ``η(t) = c/√t``.  Remark 3 allows adaptive
+alternatives; we provide the standard family plus an inverse-time schedule
+for strongly convex losses.  Iterations are 1-based to match Eq. (5).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_non_negative, check_positive
 
 
 class LearningRateSchedule(ABC):
@@ -55,3 +56,54 @@ class InverseSqrtRate(LearningRateSchedule):
 
     def rate(self, iteration: int) -> float:
         return self._constant / iteration**0.5
+
+
+class InverseTimeRate(LearningRateSchedule):
+    """η(t) = c / (1 + decay·t), the classical 1/t schedule.
+
+    With ``decay = λ`` this is the standard rate for λ-strongly-convex
+    objectives.
+    """
+
+    def __init__(self, constant: float, decay: float = 1.0):
+        self._constant = check_positive(constant, "constant")
+        self._decay = check_positive(decay, "decay")
+
+    @property
+    def constant(self) -> float:
+        return self._constant
+
+    @property
+    def decay(self) -> float:
+        return self._decay
+
+    def rate(self, iteration: int) -> float:
+        return self._constant / (1.0 + self._decay * iteration)
+
+
+class StepDecayRate(LearningRateSchedule):
+    """η(t) = c · factor^⌊t/period⌋ — geometric drops every ``period`` steps."""
+
+    def __init__(self, constant: float, factor: float = 0.5, period: int = 1000):
+        self._constant = check_positive(constant, "constant")
+        if not (0.0 < factor <= 1.0):
+            raise ValueError(f"factor must be in (0, 1], got {factor}")
+        if period < 1:
+            raise ValueError(f"period must be >= 1, got {period}")
+        self._factor = float(factor)
+        self._period = int(period)
+
+    @property
+    def constant(self) -> float:
+        return self._constant
+
+    @property
+    def factor(self) -> float:
+        return self._factor
+
+    @property
+    def period(self) -> int:
+        return self._period
+
+    def rate(self, iteration: int) -> float:
+        return self._constant * self._factor ** (iteration // self._period)

@@ -6,9 +6,8 @@ accumulates between check-ins:
 * the optimizer — the projected SGD every server builds
   (:func:`~repro.optim.paper_sgd`): parameters **bit-exact** as base64
   float64 (:func:`pack_float_array`) and the iteration counter t;
-* its schedule (``inverse_sqrt``, or the fixed-step ``constant``) and
-  projection (``l2_ball`` or ``identity``) hyperparameters (scalar floats
-  survive via JSON ``repr`` round-trip — exact for every finite double);
+* its schedule and projection hyperparameters (scalar floats survive via
+  JSON ``repr`` round-trip — exact for every finite double);
 * the server config, the bookkeeping counters (checkouts, rejections,
   duplicate suppressions, per-device applied check-in sequences);
 * the :class:`~repro.core.auth.DeviceRegistry` (enrollments, revocations,
@@ -33,8 +32,7 @@ Snapshots carry a :data:`SNAPSHOT_VERSION` stamp and a model fingerprint;
 restoring against a different schema version or a mismatched model raises
 :class:`SnapshotError` instead of silently loading the wrong run.  So does
 snapshotting a core on any other optimizer (Remark 3's AdaGrad or
-averaged SGD run in process only), and restoring any other optimizer,
-schedule or projection tag.
+averaged SGD run in process only), and restoring any other optimizer tag.
 """
 
 from __future__ import annotations
@@ -50,8 +48,17 @@ from repro.core.config import ServerConfig
 from repro.core.monitor import ProgressMonitor
 from repro.core.server_core import ServerCore
 from repro.models.base import Model
-from repro.optim.projection import IdentityProjection, L2BallProjection
-from repro.optim.schedules import ConstantRate, InverseSqrtRate
+from repro.optim.projection import (
+    BoxProjection,
+    IdentityProjection,
+    L2BallProjection,
+)
+from repro.optim.schedules import (
+    ConstantRate,
+    InverseSqrtRate,
+    InverseTimeRate,
+    StepDecayRate,
+)
 from repro.optim.sgd import SGD, Optimizer
 from repro.utils.digest import sha256
 from repro.utils.exceptions import SnapshotError
@@ -89,10 +96,15 @@ _TAGGED = {
     "schedule": {
         "constant": (ConstantRate, {"constant": float}),
         "inverse_sqrt": (InverseSqrtRate, {"constant": float}),
+        "inverse_time": (InverseTimeRate, {"constant": float, "decay": float}),
+        "step_decay": (
+            StepDecayRate, {"constant": float, "factor": float, "period": int}
+        ),
     },
     "projection": {
         "identity": (IdentityProjection, {}),
         "l2_ball": (L2BallProjection, {"radius": float}),
+        "box": (BoxProjection, {"bound": float}),
     },
 }
 

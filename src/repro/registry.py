@@ -22,8 +22,8 @@ importing any model, and never loads the dataset generators:
 * :data:`DATASETS` — ``mnist_like``, ``cifar_like``, ``activity_stream``,
   ``thermostat``.
 * :data:`PARTITIONERS` — ``iid``, ``dirichlet``, ``shard``.
-* :data:`SCHEDULES` — ``inverse_sqrt`` (Eq. 5) and ``constant`` (the
-  fixed-step reference).
+* :data:`SCHEDULES` — ``inverse_sqrt``, ``constant``, ``inverse_time``,
+  ``step_decay``.
 * :data:`GATEWAY_ASSIGNMENTS` — ``round_robin``, ``block``, ``hash``
   device→gateway assignment policies for the two-tier topology.
 """
@@ -186,10 +186,12 @@ PARTITIONERS = Registry("partitioner", {
     "dirichlet": "repro.data:dirichlet_partition",
     "shard": "repro.data:shard_partition",
 })
-#: Learning-rate schedules (Eq. 5 and the fixed-step reference).
+#: Learning-rate schedules (Eq. 5 and Remark 3 alternatives).
 SCHEDULES = Registry("schedule", {
     "inverse_sqrt": "repro.optim:InverseSqrtRate",
     "constant": "repro.optim:ConstantRate",
+    "inverse_time": "repro.optim:InverseTimeRate",
+    "step_decay": "repro.optim:StepDecayRate",
 })
 #: Device→gateway assignment policies for the two-tier gateway topology.
 #: Factories take ``num_devices`` and ``num_gateways`` and return a

@@ -10,6 +10,7 @@ __getattr__, __dir__, __all__ = lazy_namespace(__name__, {
     "RngFactory": "rng",
     "as_generator": "rng",
     "check_fraction": "validation",
+    "check_in_choices": "validation",
     "check_labels": "validation",
     "check_matrix": "validation",
     "check_non_negative": "validation",
@@ -22,4 +23,5 @@ __getattr__, __dir__, __all__ = lazy_namespace(__name__, {
     "one_hot": "numerics",
     "running_mean": "numerics",
     "softmax": "numerics",
+    "spawn_generators": "rng",
 })

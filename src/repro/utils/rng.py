@@ -87,6 +87,21 @@ class RngFactory:
         """Return a fresh generator for the stream named by ``names``."""
         return np.random.default_rng(self.seed(*names))
 
+    def child(self, *names: object) -> "RngFactory":
+        """Return a sub-factory rooted at the derived seed for ``names``.
+
+        Useful to hand a component its own namespace:
+        ``factory.child("device", 7)`` gives device 7 an independent factory
+        whose streams cannot collide with any other component's.
+        """
+        return RngFactory(self.seed(*names))
+
     def __repr__(self) -> str:
         return f"RngFactory(root_seed={self._root_seed})"
 
+
+def spawn_generators(
+    factory: RngFactory, prefix: str, count: int
+) -> list[np.random.Generator]:
+    """Return ``count`` independent generators named ``prefix/0..count-1``."""
+    return [factory.generator(prefix, i) for i in range(count)]

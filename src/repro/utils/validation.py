@@ -7,7 +7,7 @@ construction time rather than as a cryptic numpy broadcast error mid-run.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -48,6 +48,14 @@ def check_fraction(value: float, name: str, *, inclusive: bool = True) -> float:
     else:
         if not (0.0 < value < 1.0):
             raise ConfigurationError(f"{name} must be in (0, 1), got {value!r}")
+    return value
+
+
+def check_in_choices(value: object, name: str, choices: Iterable[object]) -> object:
+    """Validate that ``value`` is one of ``choices``."""
+    choices = tuple(choices)
+    if value not in choices:
+        raise ConfigurationError(f"{name} must be one of {choices}, got {value!r}")
     return value
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import Dataset, concatenate
+from repro.data import Dataset, concatenate, train_test_split
 from repro.utils.exceptions import ConfigurationError
 
 
@@ -49,6 +49,17 @@ class TestSubsetAndShuffle:
         sub.features[0, 0] = 99.0
         assert dataset.features[0, 0] != 99.0
 
+    def test_shuffled_preserves_pairs(self, dataset, rng):
+        shuffled = dataset.shuffled(rng)
+        # Every (feature row, label) pair must still co-occur.
+        original = {
+            (tuple(np.round(f, 9)), int(l)) for f, l in dataset.samples()
+        }
+        permuted = {
+            (tuple(np.round(f, 9)), int(l)) for f, l in shuffled.samples()
+        }
+        assert original == permuted
+
     def test_samples_iterator(self, dataset):
         pairs = list(dataset.samples())
         assert len(pairs) == 20
@@ -56,6 +67,19 @@ class TestSubsetAndShuffle:
 
 
 class TestSplitAndConcat:
+    def test_split_sizes(self, dataset, rng):
+        train, test = train_test_split(dataset, 0.25, rng)
+        assert len(train) == 15
+        assert len(test) == 5
+
+    def test_split_disjoint_and_complete(self, dataset, rng):
+        train, test = train_test_split(dataset, 0.5, rng)
+        assert len(train) + len(test) == len(dataset)
+
+    def test_split_rejects_bad_fraction(self, dataset, rng):
+        with pytest.raises(ConfigurationError):
+            train_test_split(dataset, 0.0, rng)
+
     def test_concatenate(self, dataset):
         merged = concatenate([dataset, dataset])
         assert len(merged) == 40

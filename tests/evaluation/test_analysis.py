@@ -1,13 +1,20 @@
 """Tests for the Section IV analysis models (repro.analysis)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.analysis import (
     Approach,
     SystemShape,
+    centralized_input_noise_power,
+    convergence_rate_bound,
+    crowd_gradient_moments,
+    decentralized_error_inflation,
     device_flops_per_sample,
     expected_staleness,
+    minimum_batch_for_overhead,
     server_flops_per_sample,
     staleness_for_uniform_delay,
     total_network_floats_per_sample,
@@ -19,6 +26,85 @@ from repro.analysis import (
 def shape():
     return SystemShape(num_devices=1000, num_features=50, num_classes=10,
                        batch_size=20, sampling_rate=1.0)
+
+
+class TestGradientMoments:
+    def test_eq13_total(self):
+        moments = crowd_gradient_moments(4.0, 500, 20, 10.0)
+        assert moments.total == pytest.approx(4.0 / 20 + 32 * 500 / (20 * 10.0) ** 2)
+
+    def test_overhead_fraction_in_unit_interval(self):
+        moments = crowd_gradient_moments(4.0, 500, 20, 10.0)
+        assert 0.0 <= moments.privacy_overhead <= 1.0
+
+    def test_non_private_overhead_zero(self):
+        moments = crowd_gradient_moments(4.0, 500, 20, math.inf)
+        assert moments.privacy_overhead == 0.0
+
+    def test_overhead_shrinks_with_batch(self):
+        small = crowd_gradient_moments(4.0, 500, 1, 10.0)
+        large = crowd_gradient_moments(4.0, 500, 50, 10.0)
+        assert large.privacy_overhead < small.privacy_overhead
+
+
+class TestCentralizedNoise:
+    def test_formula(self):
+        # D * 8 / eps^2.
+        assert centralized_input_noise_power(50, 2.0) == pytest.approx(100.0)
+
+    def test_constant_in_batch(self):
+        """The structural weakness: no b appears in the formula at all."""
+        assert centralized_input_noise_power(50, 1.0) == centralized_input_noise_power(
+            50, 1.0
+        )
+
+    def test_zero_when_non_private(self):
+        assert centralized_input_noise_power(50, math.inf) == 0.0
+
+
+class TestMinimumBatch:
+    def test_returns_one_when_non_private(self):
+        assert minimum_batch_for_overhead(1.0, 500, math.inf) == 1
+
+    def test_stronger_privacy_needs_bigger_batch(self):
+        weak = minimum_batch_for_overhead(1.0, 500, 100.0)
+        strong = minimum_batch_for_overhead(1.0, 500, 1.0)
+        assert strong > weak
+
+    def test_batch_satisfies_requested_overhead(self):
+        eps, dim, power, cap = 10.0, 500, 1.0, 0.5
+        b = minimum_batch_for_overhead(power, dim, eps, cap)
+        moments = crowd_gradient_moments(power, dim, b, eps)
+        assert moments.privacy_overhead <= cap + 1e-9
+
+    def test_rejects_bad_overhead(self):
+        with pytest.raises(ValueError):
+            minimum_batch_for_overhead(1.0, 500, 1.0, max_overhead=1.0)
+
+
+class TestDecentralizedInflation:
+    def test_sqrt_over_log(self):
+        assert decentralized_error_inflation(1000) == pytest.approx(
+            math.sqrt(1000) / math.log(1000)
+        )
+
+    def test_single_device_no_inflation(self):
+        assert decentralized_error_inflation(1) == 1.0
+
+    def test_grows_with_m(self):
+        assert decentralized_error_inflation(10_000) > decentralized_error_inflation(100)
+
+
+class TestConvergenceBound:
+    def test_rg_over_sqrt_t(self):
+        assert convergence_rate_bound(4.0, 10.0, 100) == pytest.approx(
+            10.0 * 2.0 / 10.0
+        )
+
+    def test_decreases_in_iterations(self):
+        assert convergence_rate_bound(1.0, 1.0, 10_000) < convergence_rate_bound(
+            1.0, 1.0, 100
+        )
 
 
 class TestScalabilityModels:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.optim import IdentityProjection, L2BallProjection
+from repro.optim import BoxProjection, IdentityProjection, L2BallProjection
 from repro.utils.exceptions import ConfigurationError
 
 
@@ -42,6 +42,17 @@ class TestL2Ball:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ConfigurationError):
             L2BallProjection(0.0)
+
+
+class TestBox:
+    def test_clamps_coordinates(self):
+        proj = BoxProjection(bound=1.0)
+        assert np.array_equal(proj(np.array([2.0, -3.0, 0.5])), [1.0, -1.0, 0.5])
+
+    def test_idempotent(self):
+        proj = BoxProjection(bound=1.0)
+        w = np.array([5.0, -5.0])
+        assert np.array_equal(proj(proj(w)), proj(w))
 
 
 class TestIdentity:

@@ -1,8 +1,9 @@
-"""Tests for learning-rate schedules (Eq. 5 and the fixed-step reference)."""
+"""Tests for learning-rate schedules (Eq. 5 and alternatives)."""
 
 import pytest
 
-from repro.optim import ConstantRate, InverseSqrtRate
+from repro.optim import ConstantRate, InverseSqrtRate, InverseTimeRate
+from repro.optim.schedules import StepDecayRate
 from repro.utils.exceptions import ConfigurationError
 
 
@@ -32,3 +33,33 @@ class TestConstant:
         schedule = ConstantRate(0.3)
         assert schedule(1) == schedule(1000) == 0.3
 
+
+class TestInverseTime:
+    def test_values(self):
+        schedule = InverseTimeRate(1.0, decay=1.0)
+        assert schedule(1) == 0.5
+        assert schedule(9) == 0.1
+
+    def test_decays_faster_than_inverse_sqrt(self):
+        sqrt_schedule = InverseSqrtRate(1.0)
+        time_schedule = InverseTimeRate(1.0, decay=1.0)
+        assert time_schedule(10_000) < sqrt_schedule(10_000)
+
+
+class TestStepDecay:
+    def test_piecewise_constant(self):
+        schedule = StepDecayRate(1.0, factor=0.5, period=10)
+        assert schedule(1) == 1.0
+        assert schedule(9) == 1.0
+        assert schedule(10) == 0.5
+        assert schedule(20) == 0.25
+
+    def test_factor_one_is_constant(self):
+        schedule = StepDecayRate(1.0, factor=1.0, period=5)
+        assert schedule(100) == 1.0
+
+    def test_rejects_bad_factor(self):
+        with pytest.raises(ValueError):
+            StepDecayRate(1.0, factor=0.0)
+        with pytest.raises(ValueError):
+            StepDecayRate(1.0, factor=1.5)

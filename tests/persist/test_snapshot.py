@@ -3,8 +3,8 @@
 Every schedule/projection combination of the SGD the codec carries
 round-trips bit-exactly, including through an actual JSON serialization
 (the form checkpoints live in on disk), and a served core's snapshot
-hashes to the checksum pinned below; other optimizers, retired tags,
-mismatched versions, models, and mangled payloads raise
+hashes to the checksum pinned below; other optimizers, retired optimizer
+tags, mismatched versions, models, and mangled payloads raise
 :class:`SnapshotError` instead of restoring the wrong run.
 """
 
@@ -18,8 +18,13 @@ import pytest
 from repro.core.config import ServerConfig
 from repro.models import MulticlassLogisticRegression
 from repro.optim import paper_sgd
-from repro.optim.projection import IdentityProjection, L2BallProjection
-from repro.optim.schedules import ConstantRate, InverseSqrtRate
+from repro.optim.projection import BoxProjection, IdentityProjection, L2BallProjection
+from repro.optim.schedules import (
+    ConstantRate,
+    InverseSqrtRate,
+    InverseTimeRate,
+    StepDecayRate,
+)
 from repro.optim.sgd import SGD, AdaGrad, AveragedSGD
 from repro.persist import (
     SNAPSHOT_VERSION,
@@ -80,9 +85,14 @@ def test_fresh_core_roundtrip():
     assert_restores_exactly(make_core())
 
 
-SCHEDULES = [ConstantRate(0.25), InverseSqrtRate(1.5)]
+SCHEDULES = [
+    ConstantRate(0.25),
+    InverseSqrtRate(1.5),
+    InverseTimeRate(2.0, 0.1),
+    StepDecayRate(1.0, 0.5, 3),
+]
 
-PROJECTIONS = [IdentityProjection(), L2BallProjection(3.0)]
+PROJECTIONS = [IdentityProjection(), L2BallProjection(3.0), BoxProjection(2.0)]
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: type(s).__name__)
@@ -131,31 +141,27 @@ def test_only_sgd_is_snapshotted(optimizer):
         snapshot_core(core)
 
 
-#: What the codec once wrote for the optimizers, schedules and projections
-#: no server builds; each is now refused by name, never a ``KeyError``.
+#: What the codec once wrote for the optimizers no server builds; each is
+#: now refused by name, never a ``KeyError``.
 RETIRED_TAGS = {
-    "adagrad": ("optimizer", {
+    "adagrad": {
         "type": "adagrad", "constant": 0.3, "damping": 1e-7,
         "accumulator": pack_float_array(np.ones(make_model().num_parameters)),
-    }),
-    "inverse_time": ("schedule", {"type": "inverse_time", "constant": 2.0,
-                                  "decay": 0.1}),
-    "step_decay": ("schedule", {"type": "step_decay", "constant": 1.0,
-                                "factor": 0.5, "period": 3}),
-    "box": ("projection", {"type": "box", "bound": 2.0}),
+    },
+    "averaged_sgd": {
+        "type": "averaged_sgd", "burn_in": 3, "averaged_steps": 2,
+        "average": pack_float_array(np.ones(make_model().num_parameters)),
+    },
 }
 
 
 @pytest.mark.parametrize("tag", list(RETIRED_TAGS))
 def test_retired_tags_are_refused(tag):
-    family, state = RETIRED_TAGS[tag]
     snapshot = json.loads(json.dumps(snapshot_core(make_core())))
-    if family == "optimizer":  # AdaGrad's state had no schedule
+    if tag == "adagrad":  # AdaGrad's state had no schedule
         del snapshot["optimizer"]["schedule"]
-        snapshot["optimizer"].update(state)
-    else:
-        snapshot["optimizer"][family] = state
-    with pytest.raises(SnapshotError, match=f"unknown {family} type '{tag}'"):
+    snapshot["optimizer"].update(RETIRED_TAGS[tag])
+    with pytest.raises(SnapshotError, match=f"unknown optimizer type '{tag}'"):
         restore_core(snapshot, make_model())
 
 

@@ -126,7 +126,9 @@ class TestOptionsCensus:
             if isinstance(value, registry.Registry)
         ]
         assert len(registries) == 5
-        assert registry.SCHEDULES.names() == ("constant", "inverse_sqrt")
+        assert registry.SCHEDULES.names() == (
+            "constant", "inverse_sqrt", "inverse_time", "step_decay",
+        )
 
     def test_remote_server_core_is_the_fused_round_proxy(self):
         from repro.serve import RemoteServerCore

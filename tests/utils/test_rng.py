@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import RngFactory, as_generator, derive_seed
+from repro.utils.rng import RngFactory, as_generator, derive_seed, spawn_generators
 
 
 class TestDeriveSeed:
@@ -62,11 +62,23 @@ class TestRngFactory:
         b = factory.generator("noise", 1).random()
         assert a != b
 
+    def test_child_namespacing(self):
+        factory = RngFactory(9)
+        child = factory.child("device", 3)
+        # A child's stream matches deriving the full path from the root.
+        direct = RngFactory(factory.seed("device", 3)).generator("x")
+        assert child.generator("x").random() == direct.random()
+
     def test_root_seed_property(self):
         assert RngFactory(17).root_seed == 17
 
     def test_repr_contains_seed(self):
         assert "17" in repr(RngFactory(17))
+
+    def test_spawn_generators_independent(self):
+        gens = spawn_generators(RngFactory(0), "dev", 5)
+        values = [g.random() for g in gens]
+        assert len(set(values)) == 5
 
     def test_adding_consumer_does_not_shift_existing_stream(self):
         # Streams are keyed by name: consuming "a" never changes "b".

@@ -6,6 +6,7 @@ import pytest
 from repro.utils.exceptions import ConfigurationError
 from repro.utils.validation import (
     check_fraction,
+    check_in_choices,
     check_labels,
     check_matrix,
     check_non_negative,
@@ -49,6 +50,11 @@ class TestScalarChecks:
         with pytest.raises(ConfigurationError):
             check_fraction(0.0, "f", inclusive=False)
         assert check_fraction(0.5, "f", inclusive=False) == 0.5
+
+    def test_in_choices(self):
+        assert check_in_choices("a", "c", ["a", "b"]) == "a"
+        with pytest.raises(ConfigurationError):
+            check_in_choices("z", "c", ["a", "b"])
 
 
 class TestArrayChecks:
