@@ -27,6 +27,8 @@ from repro.privacy.accountant import PrivacyAccountant
 from repro.models.base import Model
 from repro.utils.exceptions import ConfigurationError, ProtocolError
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 class CheckinResult(NamedTuple):
     """Output of one completed check-out/check-in cycle.
@@ -109,8 +111,10 @@ class Device:
         # allocating all of B = buffer_factor × b up front would waste
         # ~B/b× the memory at crowd scale.
         self._capacity = int(config.buffer_capacity)
+        self._num_classes = model.num_classes
+        self._sample_shape = (model.num_features,)
         self._is_classification = model.num_classes > 1
-        self._label_dtype = np.int64 if self._is_classification else np.float64
+        self._label_dtype = np.dtype(np.int64 if self._is_classification else np.float64)
         allocated = min(int(config.batch_size), self._capacity)
         self._feature_buffer = np.empty((allocated, model.num_features), dtype=np.float64)
         self._label_buffer = np.empty(allocated, dtype=self._label_dtype)
@@ -208,30 +212,34 @@ class Device:
         if self._buffered >= self._capacity:
             self._samples_dropped += 1
             return self.wants_checkout
-        features = np.asarray(features, dtype=np.float64)
-        if features.shape != (self._model.num_features,):
+        # An ndarray of any dtype is cast by the slot write below, as
+        # np.asarray(..., dtype=np.float64) would cast it.
+        if type(features) is not np.ndarray:
+            features = np.asarray(features, dtype=np.float64)
+        if features.shape != self._sample_shape:
             raise ConfigurationError(
-                f"sample must have shape ({self._model.num_features},), "
+                f"sample must have shape {self._sample_shape}, "
                 f"got {features.shape}"
             )
         # Classification labels are integer class indices; regression
         # models (num_classes == 1) carry real-valued targets.
         if self._is_classification:
             label = int(label)
-            if not 0 <= label < self._model.num_classes:
+            if not 0 <= label < self._num_classes:
                 raise ConfigurationError(
-                    f"label must lie in [0, {self._model.num_classes}), got {label}"
+                    f"label must lie in [0, {self._num_classes}), got {label}"
                 )
         else:
             label = float(label)
         slot = self._buffered
-        self._ensure_allocated(slot + 1)
+        if slot == self._label_buffer.shape[0]:
+            self._ensure_allocated(slot + 1)
         self._feature_buffer[slot] = features
         self._label_buffer[slot] = label
-        self._holdout_buffer[slot] = (
-            self._config.holdout_fraction > 0.0
-            and float(self._rng.random()) < self._config.holdout_fraction
-        )
+        if self._config.holdout_fraction > 0.0:
+            self._holdout_buffer[slot] = (
+                float(self._rng.random()) < self._config.holdout_fraction
+            )
         self._buffered = slot + 1
         return self.wants_checkout
 
@@ -282,10 +290,9 @@ class Device:
         back to :meth:`observe_batch` when dtypes don't allow a direct
         ``np.take(..., out=...)`` gather.
         """
-        if (features.dtype != np.float64
-                or labels.dtype != self._label_dtype
-                or features.ndim != 2
-                or features.shape[1] != self._model.num_features):
+        if (features.dtype is not _FLOAT64
+                or labels.dtype is not self._label_dtype
+                or features.shape[1:] != self._sample_shape):
             return self.observe_batch(features[rows], labels[rows])
         start, take = self._admit_arrivals(rows.shape[0])
         if take > 0:
@@ -318,13 +325,12 @@ class Device:
     def _commit_arrivals(self, start: int, end: int, take: int) -> None:
         """Finish admission of slots ``[start, end)``: holdout marks (one
         RNG block, bit-equal to ``take`` sequential scalar draws) and the
-        buffer count."""
+        buffer count.  Without a holdout the marks are never read, so the
+        buffer keeps its all-False fill and is not written."""
         if self._config.holdout_fraction > 0.0:
             self._holdout_buffer[start:end] = (
                 self._rng.random(take) < self._config.holdout_fraction
             )
-        else:
-            self._holdout_buffer[start:end] = False
         self._buffered = end
 
     def mark_checkout_requested(self) -> None:
@@ -372,25 +378,24 @@ class Device:
             raise ProtocolError(
                 f"device {self._device_id} has no buffered samples to process"
             )
-        parameters = np.asarray(parameters, dtype=np.float64)
+        if type(parameters) is not np.ndarray or parameters.dtype is not _FLOAT64:
+            parameters = np.asarray(parameters, dtype=np.float64)
         num_samples = self._buffered
         # Views over the preallocated buffers; labels are copied because
         # they outlive this call inside the returned CheckinResult.
         features = self._feature_buffer[:num_samples]
-        is_classification = self._is_classification
         labels = self._label_buffer[:num_samples].copy()
-        holdout = self._holdout_buffer[:num_samples]
 
         # Remark 2: with a holdout, the error statistic comes from held-out
         # samples only, and their gradients stay out of the average.
         # (holdout is identically False when the fraction is 0 — skip the
-        # two reductions on that hot path.)
-        if (
-            self._config.holdout_fraction > 0.0
-            and holdout.any() and (~holdout).any()
+        # slice and the two reductions on that hot path.)
+        if self._config.holdout_fraction > 0.0 and (
+            (holdout := self._holdout_buffer[:num_samples]).any()
+            and (~holdout).any()
         ):
             errors = self._model.prediction_errors(parameters, features, labels)
-            error_count = int(errors[holdout].sum())
+            error_count = np.count_nonzero(errors[holdout])
             grad_features = features[~holdout]
             averaged_gradient = self._model.gradient(
                 parameters, grad_features, labels[~holdout]
@@ -403,10 +408,10 @@ class Device:
             errors, averaged_gradient = self._model.errors_and_gradient(
                 parameters, features, labels, validate=False
             )
-            error_count = int(errors.sum())
+            error_count = np.count_nonzero(errors)
             gradient_samples = num_samples
-        if is_classification:
-            label_counts = np.bincount(labels, minlength=self._model.num_classes)
+        if self._is_classification:
+            label_counts = np.bincount(labels, minlength=self._num_classes)
         else:
             # Regression has no label histogram; report the sample count in
             # the single "class" slot so monitoring stays well-defined.
@@ -433,8 +438,4 @@ class Device:
         self._buffered = 0
         self._checkins_completed += 1
 
-        return CheckinResult(
-            message=message,
-            per_sample_errors=errors,
-            consumed_labels=labels,
-        )
+        return CheckinResult(message, errors, labels)

@@ -131,25 +131,26 @@ class CheckinSanitizer:
         check-in's privacy charge.  A level of ε = ∞ draws nothing; the
         outputs never alias the inputs."""
         calibration = self._calibration
-        key = (num_samples, label_counts.shape[0])
-        scale, sums = calibration.rounds.get(key) or calibration.calibrate(
-            self._model, *key
-        )
+        rng = self._rng
+        num_labels = label_counts.shape[0]
+        scale, sums = calibration.rounds.get(
+            (num_samples, num_labels)
+        ) or calibration.calibrate(self._model, num_samples, num_labels)
         if scale:
-            noisy_gradient = averaged_gradient + self._rng.laplace(
-                0.0, scale, averaged_gradient.shape
-            )
+            # The noise buffer takes the sum: a + b in place is the bits of
+            # a fresh a + b, one allocation fewer.
+            noisy_gradient = rng.laplace(0.0, scale, averaged_gradient.shape)
+            np.add(averaged_gradient, noisy_gradient, out=noisy_gradient)
         else:
             noisy_gradient = averaged_gradient.astype(np.float64)
         noisy_error = int(error_count)
         if calibration.error_success:
-            noisy_error += int(
-                discrete_laplace_noise(calibration.error_success, self._rng, 1)[0]
-            )
+            noisy_error += discrete_laplace_noise(calibration.error_success, rng)
         if calibration.label_success:
-            noisy_labels = label_counts + discrete_laplace_noise(
-                calibration.label_success, self._rng, label_counts.shape
+            noisy_labels = discrete_laplace_noise(
+                calibration.label_success, rng, num_labels
             )
+            np.add(label_counts, noisy_labels, out=noisy_labels)
         else:
             noisy_labels = label_counts.astype(np.int64)
         return SanitizedCheckin(noisy_gradient, noisy_error, noisy_labels, sums)

@@ -64,6 +64,19 @@ class RoundOutcome(NamedTuple):
     stop: StopDecision
 
 
+def _fused_round(request, complete, complete_args, admit_checkout, admit_checkin) -> tuple:
+    """One request's ``(response, message, ack)`` through the gates of
+    :func:`fused_rounds`, which takes the same arguments."""
+    response = admit_checkout(request)
+    if isinstance(response, Exception):
+        return None, None, None
+    message = complete(response, *complete_args)
+    if message is None:
+        return response, None, None
+    ack = admit_checkin(message)
+    return response, message, None if isinstance(ack, Exception) else ack
+
+
 def fused_rounds(
     requests: Sequence[CheckoutRequest],
     complete: Callable[..., Optional[CheckinMessage]],
@@ -76,22 +89,13 @@ def fused_rounds(
     → ``complete(response, *complete_args)`` → ``admit_checkin``.  A gate
     returns its result, or the rejection as an *unraised* exception —
     ``None`` in that slot of ``(responses, messages, acks)`` and those after."""
-    responses, messages, acks = [], [], []
-    for request in requests:
-        response = admit_checkout(request)
-        message = ack = None
-        if isinstance(response, Exception):
-            response = None
-        else:
-            message = complete(response, *complete_args)
-            if message is not None:
-                ack = admit_checkin(message)
-                if isinstance(ack, Exception):
-                    ack = None
-        responses.append(response)
-        messages.append(message)
-        acks.append(ack)
-    return tuple(responses), tuple(messages), tuple(acks)
+    stages = (complete, complete_args, admit_checkout, admit_checkin)
+    if len(requests) == 1:
+        # The per-round case: the three one-slot tuples, built directly.
+        response, message, ack = _fused_round(requests[0], *stages)
+        return (response,), (message,), (ack,)
+    rounds = [_fused_round(request, *stages) for request in requests]
+    return tuple(zip(*rounds)) if rounds else ((), (), ())
 
 
 class ServerCore:
@@ -146,6 +150,7 @@ class ServerCore:
                 f"model num_parameters {model.num_parameters}"
             )
         self._optimizer = optimizer
+        self._num_parameters = model.num_parameters
         self._config = config if config is not None else ServerConfig(max_iterations=10**9)
         self._registry = registry if registry is not None else DeviceRegistry()
         if monitor is not None and monitor.num_classes != model.num_classes:
@@ -282,7 +287,7 @@ class ServerCore:
         """
         decision = self._stop_cache
         if decision is None:
-            decision = evaluate_stopping(self._config, self.iteration, self._monitor)
+            decision = evaluate_stopping(self._config, self._optimizer.iteration, self._monitor)
             self._stop_cache = decision
         return decision
 
@@ -308,7 +313,7 @@ class ServerCore:
             self._registry.authenticate(request.device_id, request.token)
         except Exception as error:
             return self._reject(error)
-        if self.stopped:
+        if self.stopping_decision().stopped:
             return self._reject(
                 ProtocolError("task has stopped; no further check-outs")
             )
@@ -331,17 +336,18 @@ class ServerCore:
             self._registry.authenticate(message.device_id, message.token)
         except Exception as error:
             return self._reject(error)
-        if message.gradient.shape[0] != self._model.num_parameters:
+        if message.gradient.shape[0] != self._num_parameters:
             return self._reject(ProtocolError(
                 f"gradient length {message.gradient.shape[0]} != "
-                f"model num_parameters {self._model.num_parameters}"
+                f"model num_parameters {self._num_parameters}"
             ))
-        replay = self._replay_ack(message)
-        if replay is not None:
-            # A suppressed replay applies no update, so it is answered
-            # even once stopped and consumes no iteration budget.
-            return replay
-        if self.stopped if stopped is None else stopped:
+        if message.checkin_seq >= 0:
+            replay = self._replay_ack(message)
+            if replay is not None:
+                # A suppressed replay applies no update, so it is answered
+                # even once stopped and consumes no iteration budget.
+                return replay
+        if self.stopping_decision().stopped if stopped is None else stopped:
             return self._reject(
                 ProtocolError("task has stopped; no further check-ins")
             )
@@ -437,14 +443,12 @@ class ServerCore:
     def _replay_ack(self, message: CheckinMessage) -> Optional[CheckinAck]:
         """Recognize a re-submitted, already-applied check-in (Remark 1).
 
-        Only sequence-numbered messages participate; the answer echoes
-        the iteration recorded when the device's newest check-in was
-        applied, so an immediate retry of the last message reproduces its
-        original ack bit for bit.
+        Only sequence-numbered messages (``checkin_seq >= 0``, checked by
+        the caller) participate; the answer echoes the iteration recorded
+        when the device's newest check-in was applied, so an immediate
+        retry of the last message reproduces its original ack bit for bit.
         """
         seq = message.checkin_seq
-        if seq < 0:
-            return None
         entry = self._applied_seqs.get(message.device_id)
         if entry is None or seq > entry[0]:
             return None
@@ -460,14 +464,13 @@ class ServerCore:
     def _apply(self, message: CheckinMessage) -> CheckinAck:
         """Fold one accepted check-in into the server state."""
         self._monitor.record(
-            device_id=message.device_id,
-            num_samples=message.num_samples,
-            noisy_error_count=message.noisy_error_count,
-            noisy_label_counts=message.noisy_label_counts,
+            message.device_id, message.num_samples,
+            message.noisy_error_count, message.noisy_label_counts,
         )
-        self._optimizer.step(message.gradient)
+        optimizer = self._optimizer
+        optimizer.step(message.gradient)
         self._stop_cache = None
-        iteration = self.iteration
+        iteration = optimizer.iteration
         if message.checkin_seq >= 0:
             self._applied_seqs[message.device_id] = (message.checkin_seq, iteration)
             return CheckinAck(

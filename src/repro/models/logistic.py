@@ -22,6 +22,8 @@ from repro.models.base import Model
 from repro.privacy.sensitivity import logistic_gradient_sensitivity
 from repro.utils.numerics import log_sum_exp, one_hot, softmax
 
+_FLOAT64 = np.dtype(np.float64)
+
 #: Reusable row-index buffer for the fused oracle's in-place one-hot
 #: subtraction — grown on demand, sliced per call (batches are small and
 #: the oracle runs once per check-in).
@@ -53,13 +55,16 @@ class MulticlassLogisticRegression(Model):
         return self.num_classes * self.num_features
 
     def _weights(self, parameters: np.ndarray) -> np.ndarray:
-        parameters = np.asarray(parameters, dtype=np.float64)
-        if parameters.shape != (self.num_parameters,):
+        # A float64 ndarray (every per-round call) needs no coercion.
+        if type(parameters) is not np.ndarray or parameters.dtype is not _FLOAT64:
+            parameters = np.asarray(parameters, dtype=np.float64)
+        classes, features = self._num_classes, self._num_features
+        if parameters.shape != (classes * features,):
             raise ValueError(
-                f"parameters must have shape ({self.num_parameters},), "
+                f"parameters must have shape ({classes * features},), "
                 f"got {parameters.shape}"
             )
-        return parameters.reshape(self.num_classes, self.num_features)
+        return parameters.reshape(classes, features)
 
     def scores(self, parameters: np.ndarray, features: np.ndarray) -> np.ndarray:
         """Class scores ``x W'`` with shape ``(n, C)``."""
@@ -115,17 +120,24 @@ class MulticlassLogisticRegression(Model):
         """
         features, labels = self.validate_batch(features, labels, validate)
         scores = features @ self._weights(parameters).T
-        errors = scores.argmax(axis=1) != labels
-        residual = softmax(scores, axis=1)
+        top = scores.argmax(axis=1)
+        errors = top != labels
         count = features.shape[0]
         if count == 1:
-            # b = 1 (Figs. 4–9's crowd arm): one scalar element, no fancy
-            # index machinery.
+            # b = 1 (Figs. 4–9's crowd arm): softmax's shift and normaliser
+            # are scalars — the row maximum is the entry argmax picked —
+            # and the one-hot is one element; the same float operations on
+            # the same operands, and x / 1.0 is x, so no division.
+            residual = scores - scores[0, top[0]]
+            np.exp(residual, out=residual)
+            residual /= np.add.reduce(residual, axis=None)
             residual[0, labels[0]] -= 1.0
+            grad = residual.T @ features
         else:
+            residual = softmax(scores, axis=1)
             residual[_row_indices(count), labels] -= 1.0
-        grad = residual.T @ features
-        grad /= count
+            grad = residual.T @ features
+            grad /= count
         flat = grad.reshape(-1)
         if self.l2_regularization:
             flat = flat + self.l2_regularization * np.asarray(parameters, dtype=np.float64)

@@ -34,8 +34,6 @@ __getattr__, __dir__, __all__ = lazy_namespace(__name__, {
     "SnapshotStore": "checkpoint",
     "WorkerKiller": "faults",
     "canonical_json": "snapshot",
-    "core_states_equal": "snapshot",
-    "describe_mismatch": "snapshot",
     "restore_core": "snapshot",
     "snapshot_checksum": "snapshot",
     "snapshot_core": "snapshot",

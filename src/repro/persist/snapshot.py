@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import base64
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 import numpy as np
 
@@ -245,7 +245,7 @@ def restore_core(snapshot: Dict[str, Any], model: Model) -> ServerCore:
 
 
 # --------------------------------------------------------------------- #
-# canonical file form + equality                                        #
+# canonical file form                                                   #
 # --------------------------------------------------------------------- #
 
 
@@ -257,30 +257,3 @@ def canonical_json(snapshot: Dict[str, Any]) -> str:
 def snapshot_checksum(snapshot: Dict[str, Any]) -> str:
     """SHA-256 over the canonical form — the torn-file detector."""
     return sha256(canonical_json(snapshot).encode("utf-8")).hexdigest()
-
-
-def core_states_equal(a: ServerCore, b: ServerCore) -> bool:
-    """True when two cores are observably identical (parameters bit-exact).
-
-    Compares everything a snapshot captures plus the recomputed stopping
-    decision.
-    """
-    return describe_mismatch(a, b) is None
-
-
-def describe_mismatch(a: ServerCore, b: ServerCore) -> Optional[str]:
-    """Name the first differing state slice (test failure diagnostics)."""
-    if a.parameters.tobytes() != b.parameters.tobytes():
-        delta = float(np.max(np.abs(a.parameters - b.parameters)))
-        return f"parameters differ (max abs delta {delta})"
-    for name, view in (
-        ("iteration", lambda c: c.iteration),
-        ("counters", lambda c: c.counters_state()),
-        ("registry", lambda c: c.registry.state_dict()),
-        ("monitor", lambda c: c.monitor.state_dict()),
-        ("optimizer", lambda c: _encode_optimizer(c.optimizer)),
-        ("stop decision", lambda c: c.stopping_decision()),
-    ):
-        if view(a) != view(b):
-            return f"{name} differs: {view(a)!r} != {view(b)!r}"
-    return None

@@ -51,19 +51,23 @@ def geometric_success(epsilon: float, score_scale: float = 2.0) -> float:
     return 1.0 - math.exp(-check_positive(epsilon, "epsilon") / score_scale)
 
 
-def discrete_laplace_noise(success: float, rng: np.random.Generator, shape) -> np.ndarray:
-    """``G₁ - G₂`` with ``Gᵢ ~ Geometric(success)``, int64 of ``shape``
-    (an int or a tuple).
+def discrete_laplace_noise(success: float, rng: np.random.Generator, shape=None):
+    """``G₁ - G₂`` with ``Gᵢ ~ Geometric(success)``: int64 of ``shape``
+    (an int or a tuple), or one Python int when ``shape`` is None.
 
     The one sampling implementation: the mechanism below and the device
     sanitizer both draw through it.  One call draws both geometric
     vectors as the two rows of a ``(2, *shape)`` block: filled in C order,
     row 0 takes the stream positions a first ``rng.geometric(success,
     shape)`` call would and row 1 those of a second, so the result equals
-    the two-call difference bit for bit.  numpy's geometric counts trials
+    the two-call difference bit for bit.  A scalar is the ``(2,)`` block's
+    two draws, subtracted as Python ints.  numpy's geometric counts trials
     (support 1, 2, ...); the two ``- 1`` shifts to the failures-count
     convention cancel in the difference.
     """
+    if shape is None:
+        first, second = rng.geometric(success, 2).tolist()
+        return first - second
     draws = rng.geometric(success, (2, *shape) if isinstance(shape, tuple) else (2, shape))
     return draws[0] - draws[1]
 
@@ -78,8 +82,6 @@ def sample_discrete_laplace(
     success = geometric_success(epsilon, score_scale)
     if not success:
         return 0 if size is None else np.zeros(size, dtype=np.int64)
-    if size is None:
-        return int(discrete_laplace_noise(success, rng, 1)[0])
     return discrete_laplace_noise(success, rng, size)
 
 
@@ -138,7 +140,7 @@ class DiscreteLaplaceMechanism(Mechanism):
         if np.isscalar(value) or (isinstance(value, np.ndarray) and value.ndim == 0):
             noisy = int(value)
             if self._success:
-                noisy += int(discrete_laplace_noise(self._success, self.rng, 1)[0])
+                noisy += discrete_laplace_noise(self._success, self.rng)
             return max(noisy, 0) if self._clip_negative else noisy
         counts = np.asarray(value, dtype=np.int64)
         if self._success:

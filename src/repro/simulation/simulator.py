@@ -212,6 +212,10 @@ class CrowdSimulator:
             )
             self._core = ServerCore(model, optimizer, server_config)
         self._total_samples = total_samples
+        # Section IV-B2 payload sizes are crowd constants: every check-out
+        # carries w, every check-in ĝ plus its C + 2 counters.
+        self._checkout_floats = model.num_parameters
+        self._checkin_floats = model.num_parameters + model.num_classes + 2
 
         # Crowd constants, built once: every device gets the same objects.
         self._device_config = DeviceConfig(
@@ -400,7 +404,7 @@ class CrowdSimulator:
             return
         actor.trigger_index = index
         self._queue.schedule(
-            float(actor.arrival_times[index]), self._on_trigger_handler, (actor,)
+            actor.arrival_times.item(index), self._on_trigger_handler, (actor,)
         )
 
     def _on_trigger(self, actor: _DeviceActor) -> None:
@@ -441,10 +445,10 @@ class CrowdSimulator:
             self._resume_after_failed_checkout(actor)
             return
         response = self._core.handle_checkout(request)
-        self._comm.downlink_floats += response.payload_floats
+        self._comm.downlink_floats += self._checkout_floats
         delivered = actor.link.checkout.send(
             self._on_checkout_handler,
-            payload_floats=response.payload_floats,
+            payload_floats=self._checkout_floats,
             on_drop=actor.device.on_checkout_failed,
             args=(actor, response),
         )
@@ -493,11 +497,11 @@ class CrowdSimulator:
         )
         self._online_errors.append(result.per_sample_errors)
         message = result.message
-        self._comm.uplink_floats += message.payload_floats
+        self._comm.uplink_floats += self._checkin_floats
         if actor.link is not None:
             actor.link.checkin.send(
                 self._on_checkin_handler,
-                payload_floats=message.payload_floats,
+                payload_floats=self._checkin_floats,
                 args=(actor, message),
             )
         # The buffer is empty again (and an adaptive policy may have just
@@ -516,7 +520,8 @@ class CrowdSimulator:
         """Book one applied check-in: counters, due snapshots, the stop verdict."""
         self._comm.checkins_delivered += 1
         self._samples_consumed += samples
-        self._maybe_snapshot()
+        if self._samples_consumed >= self._next_snapshot:
+            self._maybe_snapshot()
         if stop.stopped:
             self._stopped_reason = stop.reason.value
 
@@ -535,11 +540,7 @@ class CrowdSimulator:
         """
         device = actor.device
         device.mark_checkout_requested()
-        request = CheckoutRequest(
-            device_id=device.device_id,
-            token=device.token,
-            request_time=self._queue.now,
-        )
+        request = CheckoutRequest(device.device_id, device.token, self._queue.now)
         self._comm.checkout_requests += 1
         outcome = self._core.serve_round(
             (request,), self._complete_fused_round, (actor,)
@@ -576,7 +577,7 @@ class CrowdSimulator:
         self, response: CheckoutResponse, actor: _DeviceActor
     ) -> Optional[CheckinMessage]:
         """Device side of a fused round, as ``serve_round``'s callback."""
-        self._comm.downlink_floats += response.payload_floats
+        self._comm.downlink_floats += self._checkout_floats
         message = self._device_round(actor, response)
         if message is not None:
             # Applied immediately after return: zero interleaved updates.

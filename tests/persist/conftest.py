@@ -7,6 +7,8 @@ deterministic.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.core.protocol import CheckinMessage
 from repro.core.server_core import ServerCore
 from repro.models import MulticlassLogisticRegression
 from repro.optim import paper_sgd
+from repro.persist import snapshot_core
 
 DIM = 4
 CLASSES = 3
@@ -56,6 +59,33 @@ def make_message(
         checkout_iteration=core.iteration,
         checkin_seq=seq,
     )
+
+
+def core_states_equal(a: ServerCore, b: ServerCore) -> bool:
+    """True when two cores are observably identical (parameters bit-exact).
+
+    Compares everything a snapshot captures plus the recomputed stopping
+    decision.
+    """
+    return describe_mismatch(a, b) is None
+
+
+def describe_mismatch(a: ServerCore, b: ServerCore) -> Optional[str]:
+    """Name the first differing state slice (test failure diagnostics)."""
+    if a.parameters.tobytes() != b.parameters.tobytes():
+        delta = float(np.max(np.abs(a.parameters - b.parameters)))
+        return f"parameters differ (max abs delta {delta})"
+    for name, view in (
+        ("iteration", lambda c: c.iteration),
+        ("counters", lambda c: c.counters_state()),
+        ("registry", lambda c: c.registry.state_dict()),
+        ("monitor", lambda c: c.monitor.state_dict()),
+        ("optimizer", lambda c: snapshot_core(c)["optimizer"]),
+        ("stop decision", lambda c: c.stopping_decision()),
+    ):
+        if view(a) != view(b):
+            return f"{name} differs: {view(a)!r} != {view(b)!r}"
+    return None
 
 
 @pytest.fixture

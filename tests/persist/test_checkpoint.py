@@ -15,13 +15,12 @@ from repro.persist import (
     SnapshotError,
     SnapshotStore,
     canonical_json,
-    core_states_equal,
     restore_core,
     snapshot_checksum,
     snapshot_core,
 )
 
-from tests.persist.conftest import make_core, make_message, make_model
+from tests.persist.conftest import core_states_equal, make_core, make_message, make_model
 
 
 def advance(core, tokens, rng, updates=1):

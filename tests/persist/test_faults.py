@@ -91,8 +91,7 @@ def test_chaos_campaign_exactly_once(service, traffic_rng):
 
 def test_chaos_campaign_state_remains_restorable(service, traffic_rng):
     """After the dust settles, the recovered state equals the live core."""
-    from repro.persist import core_states_equal
-    from tests.persist.conftest import make_model
+    from tests.persist.conftest import core_states_equal, make_model
 
     proxy = FaultyProxy(service.url, seed=3, drop_response=0.3)
     with proxy:

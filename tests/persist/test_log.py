@@ -29,8 +29,6 @@ from repro.persist import (
     ServeProcess,
     SnapshotError,
     SnapshotStore,
-    core_states_equal,
-    describe_mismatch,
     restore_core,
     snapshot_core,
 )
@@ -47,7 +45,15 @@ from repro.serve.client import (
 from repro.serve.service import CrowdService
 from repro.utils.exceptions import AuthenticationError
 
-from tests.persist.conftest import DIM, CLASSES, make_core, make_message, make_model
+from tests.persist.conftest import (
+    CLASSES,
+    DIM,
+    core_states_equal,
+    describe_mismatch,
+    make_core,
+    make_message,
+    make_model,
+)
 from tests.persist.test_kill_resume import free_port, make_client, serve_env
 
 

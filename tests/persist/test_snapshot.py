@@ -30,15 +30,19 @@ from repro.persist import (
     SNAPSHOT_VERSION,
     SnapshotError,
     canonical_json,
-    core_states_equal,
-    describe_mismatch,
     restore_core,
     snapshot_checksum,
     snapshot_core,
 )
 from repro.persist.snapshot import pack_float_array
 
-from tests.persist.conftest import make_core, make_message, make_model
+from tests.persist.conftest import (
+    core_states_equal,
+    describe_mismatch,
+    make_core,
+    make_message,
+    make_model,
+)
 
 
 def drive(core, rng, num_messages=7, num_devices=2, seq_base=None):

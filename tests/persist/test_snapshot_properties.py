@@ -15,9 +15,15 @@ import json
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.persist import core_states_equal, describe_mismatch, restore_core, snapshot_core
+from repro.persist import restore_core, snapshot_core
 
-from tests.persist.conftest import make_core, make_message, make_model
+from tests.persist.conftest import (
+    core_states_equal,
+    describe_mismatch,
+    make_core,
+    make_message,
+    make_model,
+)
 
 def apply_traffic(core, tokens, rng, steps, tag, replay_every, next_seq):
     """Apply ``steps`` check-ins, replaying every ``replay_every``-th one."""
